@@ -5,7 +5,7 @@ Starts from a slightly perturbed 2x2x2 simple-cubic cell (the pristine
 tessellation is a symmetric stationary point of the homogenization map),
 targets its own stiffness with the Mandel 22-row/column scaled by the
 requested factor, and runs backtracking gradient descent on the nodal
-positions with finite-difference gradients.
+positions with exact gradients.
 """
 
 import argparse

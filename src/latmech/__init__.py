@@ -46,7 +46,7 @@ from .metrics import (
     negative_eig_fraction,
     negative_modulus_penalty,
 )
-from .optimize import DesignProblem, DesignTrace, fd_gradient, objective, solve
+from .optimize import DesignProblem, DesignTrace, fd_gradient, gradient, objective, solve
 from .psd import PsdMethod, cholesky_assemble, equivariance_defect, expm_symmetric, project
 from .tensor4 import (
     ElasticTensor4,

@@ -88,20 +88,12 @@ class BatchItem:
     seconds: float = 0.0
 
 
-def _local_frame(axis: np.ndarray) -> np.ndarray:
-    """Rows are the local (x, y, z) axes; x is the beam axis."""
-    ref = np.array([0.0, 0.0, 1.0]) if abs(axis[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    y = np.cross(ref, axis)
-    y /= np.linalg.norm(y)
-    z = np.cross(axis, y)
-    return np.vstack([axis, y, z])
-
-
 def beam_stiffness(length: float, radius: float, axis, mat: BeamMaterial) -> np.ndarray:
     """12x12 global-frame stiffness of one circular Euler-Bernoulli beam.
 
     DOF order per node: (ux, uy, uz, rx, ry, rz).  The circular section
-    makes the result independent of the choice of transverse axes.
+    makes the result independent of the choice of transverse axes; this is
+    one element of the batched closed form :func:`_beam_kernel`.
     """
     if not length > 0.0:
         raise ValueError("beam length must be positive")
@@ -110,44 +102,8 @@ def beam_stiffness(length: float, radius: float, axis, mat: BeamMaterial) -> np.
     axis = np.asarray(axis, dtype=float)
     if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
         raise ValueError("beam axis must be a unit vector")
-
-    e_mod, g_mod = mat.youngs_modulus, mat.shear_modulus
-    area = math.pi * radius**2
-    inertia = math.pi * radius**4 / 4.0
-    torsion = math.pi * radius**4 / 2.0
-    length2, length3 = length**2, length**3
-
-    k = np.zeros((12, 12))
-    ea = e_mod * area / length
-    gj = g_mod * torsion / length
-    b12 = 12.0 * e_mod * inertia / length3
-    b6 = 6.0 * e_mod * inertia / length2
-    b4 = 4.0 * e_mod * inertia / length
-    b2 = 2.0 * e_mod * inertia / length
-
-    k[0, 0] = k[6, 6] = ea
-    k[0, 6] = -ea
-    k[3, 3] = k[9, 9] = gj
-    k[3, 9] = -gj
-    # bending in the local x-y plane (v, rz)
-    k[1, 1] = k[7, 7] = b12
-    k[1, 7] = -b12
-    k[1, 5] = k[1, 11] = b6
-    k[5, 7] = k[7, 11] = -b6
-    k[5, 5] = k[11, 11] = b4
-    k[5, 11] = b2
-    # bending in the local x-z plane (w, ry); opposite sign on the 6EI terms
-    k[2, 2] = k[8, 8] = b12
-    k[2, 8] = -b12
-    k[2, 4] = k[2, 10] = -b6
-    k[4, 8] = k[8, 10] = b6
-    k[4, 4] = k[10, 10] = b4
-    k[4, 10] = b2
-
-    k = np.triu(k) + np.triu(k, 1).T
-    lam = _local_frame(axis)
-    t = np.kron(np.eye(4), lam)
-    return t.T @ k @ t
+    k, _dk = _beam_kernel(length * axis[None, :], radius, mat)
+    return k[0]
 
 
 def _check_connected(lat: Lattice) -> None:
@@ -180,6 +136,14 @@ def _mandel_unit_strains() -> np.ndarray:
 
 
 _UNIT_STRAINS = _mandel_unit_strains()
+
+# 4x4 node-block patterns of the element matrix, blocks ordered
+# (u_tail, r_tail, u_head, r_head); see _beam_kernel.
+_AXIAL = np.array([[1, 0, -1, 0], [0, 0, 0, 0], [-1, 0, 1, 0], [0, 0, 0, 0]], dtype=float)
+_TORSION = np.array([[0, 0, 0, 0], [0, 1, 0, -1], [0, 0, 0, 0], [0, -1, 0, 1]], dtype=float)
+_BEND_NEAR = np.diag([0.0, 1.0, 0.0, 1.0])
+_BEND_FAR = np.array([[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
+_COUPLING = np.array([[0, -1, 0, -1], [1, 0, -1, 0], [0, 1, 0, 1], [1, 0, -1, 0]], dtype=float)
 
 
 def _solve_pinned(k: np.ndarray, rhs: np.ndarray, name: str):
@@ -216,11 +180,114 @@ def _solve_pinned(k: np.ndarray, rhs: np.ndarray, name: str):
     return u_full, residual
 
 
-def homogenize(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> HomogenizationResult:
-    """Macroscopic stiffness tensor of the periodic beam frame.
+def _kernel_blocks(coeffs: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Sum over k of kron(coeffs[..., k, :, :], bases[..., k, :, :]) as (..., 12, 12)."""
+    blocks = np.einsum("...kab,...kij->...aibj", coeffs, bases)
+    return blocks.reshape(blocks.shape[:-4] + (12, 12))
 
-    Solves the unit-cell problem for the six unit macroscopic strains in
-    the Mandel basis and assembles the 6x6 stiffness from cross energies.
+
+def _beam_kernel(vectors: np.ndarray, radius: float, mat: BeamMaterial, derivative: bool = False):
+    """Element stiffness matrices for (E, 3) strut vectors v, tail to head.
+
+    With n = v/|v|, P = n n^T, Q = I - P and S = [n]x, the 3x3 blocks of
+    the global-frame matrix are ``ea P + b12 Q`` (translation), ``-/+ b6 S``
+    (translation-rotation coupling), ``gj P + b4 Q`` and ``-gj P + b2 Q``
+    (rotation), so no local frame is needed.  Returns ``(k, dk)`` with k of
+    shape (E, 12, 12); dk is the derivative with respect to v, shape
+    (E, 3, 12, 12), when ``derivative`` is set and None otherwise.
+    """
+    length = np.linalg.norm(vectors, axis=1)
+    n = vectors / length[:, None]
+    p = n[:, :, None] * n[:, None, :]
+    q = np.eye(3) - p
+    s = np.cross(np.eye(3), n[:, None, :])  # s @ a = n x a
+
+    e_mod, g_mod = mat.youngs_modulus, mat.shear_modulus
+    area = math.pi * radius**2
+    inertia = math.pi * radius**4 / 4.0
+    torsion = math.pi * radius**4 / 2.0
+    ea = (e_mod * area / length)[:, None, None]
+    gj = (g_mod * torsion / length)[:, None, None]
+    b12 = (12.0 * e_mod * inertia / length**3)[:, None, None]
+    b6 = (6.0 * e_mod * inertia / length**2)[:, None, None]
+    b4 = (4.0 * e_mod * inertia / length)[:, None, None]
+    b2 = (2.0 * e_mod * inertia / length)[:, None, None]
+
+    m_p = ea * _AXIAL + gj * _TORSION
+    m_q = b12 * _AXIAL + b4 * _BEND_NEAR + b2 * _BEND_FAR
+    m_s = b6 * _COUPLING
+    k = _kernel_blocks(np.stack([m_p, m_q, m_s], 1), np.stack([p, q, s], 1))
+    if not derivative:
+        return k, None
+
+    # d/dv = n d/dL at fixed direction + the change of direction, with
+    # dn/dv = Q / L and dQ = -dP.
+    inv = (1.0 / length)[:, None, None]
+    dm_p = -inv * m_p
+    dm_q = -inv * (3.0 * b12 * _AXIAL + b4 * _BEND_NEAR + b2 * _BEND_FAR)
+    dm_s = -2.0 * inv * m_s
+    dk_dlength = _kernel_blocks(np.stack([dm_p, dm_q, dm_s], 1), np.stack([p, q, s], 1))
+    dn = q * inv  # dn[e, m] = d n / d v_m
+    dp = dn[:, :, :, None] * n[:, None, None, :] + n[:, None, :, None] * dn[:, :, None, :]
+    ds = np.cross(np.eye(3), dn[:, :, None, :])
+    dk = n[:, :, None, None] * dk_dlength[:, None] + _kernel_blocks(
+        np.stack([m_p - m_q, m_s], 1)[:, None], np.stack([dp, ds], 2)
+    )
+    return k, dk
+
+
+@dataclass(frozen=True)
+class _CellSolution:
+    """Solved periodic cell: homogenized Mandel matrix plus element data."""
+
+    mandel: np.ndarray  # (6, 6)
+    residual: float
+    displacements: np.ndarray  # (E, 12, 6) total element end displacements per unit strain
+    stiffness_derivative: np.ndarray | None  # (E, 3, 12, 12) dK_e / dv_e
+
+
+def _assemble_solve(
+    name: str,
+    ends: np.ndarray,
+    end_positions: np.ndarray,
+    vectors: np.ndarray,
+    node_count: int,
+    radius: float,
+    mat: BeamMaterial,
+    volume: float,
+    derivative: bool = False,
+) -> _CellSolution:
+    """Assemble, solve and contract the cell problem of (E, 2) element end nodes.
+
+    ``end_positions`` (E, 2, 3) are the physical end positions that carry
+    the affine part eps . x of the displacement, so a head beyond the cell
+    boundary enters at its shifted image position.
+    """
+    k_e, dk_e = _beam_kernel(vectors, radius, mat, derivative)
+    n_dof = 6 * node_count
+    dofs = (6 * ends[:, :, None] + np.arange(6)).reshape(-1, 12)
+    d_aff = np.zeros((len(ends), 2, 6, 6))
+    d_aff[:, :, :3] = np.einsum("aij,enj->enia", _UNIT_STRAINS, end_positions)
+    d_aff = d_aff.reshape(-1, 12, 6)
+
+    k_global = np.zeros((n_dof, n_dof))
+    # add.at accumulates over the repeated indices of self-edges
+    flat = dofs[:, :, None] * n_dof + dofs[:, None, :]
+    np.add.at(k_global.reshape(-1), flat.ravel(), k_e.ravel())
+    rhs = np.zeros((n_dof, 6))
+    np.add.at(rhs, dofs.ravel(), -(k_e @ d_aff).reshape(-1, 6))
+
+    u_full, residual = _solve_pinned(k_global, rhs, name)
+    d_total = d_aff + u_full[dofs]
+    # C_ab = sum_e D_e^T K_e D_e / V, as one product over the stacked element rows
+    c_mandel = d_total.reshape(-1, 6).T @ (k_e @ d_total).reshape(-1, 6) / volume
+    return _CellSolution(c_mandel, residual, d_total, dk_e)
+
+
+def _solve_cell(lat: Lattice, mat: BeamMaterial, derivative: bool = False):
+    """Validate the lattice and solve its fundamental-representation cell.
+
+    Returns ``(relative_density, _CellSolution)``.
     """
     _check_connected(lat)
     density = relative_density(lat)
@@ -228,48 +295,29 @@ def homogenize(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> Homogenizati
         raise ValueError(
             f"lattice {lat.name!r}: relative density {density:.3f} >= 1 (struts too thick)"
         )
-
-    n_dof = 6 * lat.node_count
     positions = lat.transformed_nodes()
-    vectors = edge_matrix(lat)
-    volume = float(np.linalg.det(lat.cell))
+    ends = lat.edges[:, :2]
+    heads = positions[ends[:, 1]] + lat.edges[:, 2:] @ lat.cell.T
+    end_positions = np.stack([positions[ends[:, 0]], heads], axis=1)
+    cell = _assemble_solve(
+        lat.name, ends, end_positions, edge_matrix(lat), lat.node_count, lat.radius, mat,
+        float(np.linalg.det(lat.cell)), derivative,
+    )
+    return density, cell
 
-    k_global = np.zeros((n_dof, n_dof))
-    rhs = np.zeros((n_dof, 6))
-    elements = []
-    for e, (i, j, *t) in enumerate(lat.edges):
-        i, j = int(i), int(j)
-        vec = vectors[e]
-        length = float(np.linalg.norm(vec))
-        k_e = beam_stiffness(length, lat.radius, vec / length, mat)
-        dofs = np.concatenate([np.arange(6 * i, 6 * i + 6), np.arange(6 * j, 6 * j + 6)])
-        # add.at accumulates over the repeated indices of self-edges
-        np.add.at(k_global, (dofs[:, None], dofs[None, :]), k_e)
-        # Affine end displacements for each unit strain: eps . x at both
-        # ends, with the head evaluated at the shifted image position.
-        x_tail = positions[i]
-        x_head = positions[j] + lat.cell @ np.asarray(t, dtype=float)
-        d_aff = np.zeros((12, 6))
-        d_aff[0:3] = np.einsum("aij,j->ia", _UNIT_STRAINS, x_tail)
-        d_aff[6:9] = np.einsum("aij,j->ia", _UNIT_STRAINS, x_head)
-        rhs_e = k_e @ d_aff
-        for row, dof in enumerate(dofs):
-            rhs[dof] -= rhs_e[row]
-        elements.append((dofs, k_e, d_aff))
 
-    u_full, residual = _solve_pinned(k_global, rhs, lat.name)
+def homogenize(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> HomogenizationResult:
+    """Macroscopic stiffness tensor of the periodic beam frame.
 
-    c_mandel = np.zeros((6, 6))
-    for dofs, k_e, d_aff in elements:
-        d_total = d_aff + u_full[dofs]
-        c_mandel += d_total.T @ k_e @ d_total
-    c_mandel /= volume
-
+    Solves the unit-cell problem for the six unit macroscopic strains in
+    the Mandel basis and assembles the 6x6 stiffness from cross energies.
+    """
+    density, cell = _solve_cell(lat, mat)
     return HomogenizationResult(
-        stiffness=from_mandel(MandelMatrix(c_mandel)),
+        stiffness=from_mandel(MandelMatrix(cell.mandel)),
         relative_density=density,
-        dof_count=n_dof,
-        residual=residual,
+        dof_count=6 * lat.node_count,
+        residual=cell.residual,
     )
 
 
@@ -307,51 +355,24 @@ def _homogenize_windowed(
     win: WindowedLattice, lat: Lattice, mat: BeamMaterial
 ) -> HomogenizationResult:
     masters = _resolve_master(win)
-    master_nodes = sorted({root for root, _sep in masters})
-    master_index = {node: k for k, node in enumerate(master_nodes)}
-    n_dof = 6 * len(master_nodes)
-    volume = float(np.linalg.det(win.cell))
-
-    k_global = np.zeros((n_dof, n_dof))
-    rhs = np.zeros((n_dof, 6))
-    elements = []
-    for tail, head in win.elements:
-        vec = win.nodes[head] - win.nodes[tail]
-        length = float(np.linalg.norm(vec))
-        k_e = beam_stiffness(length, lat.radius, vec / length, mat)
-        dofs = []
-        d_aff = np.zeros((12, 6))
-        for slot, node in enumerate((int(tail), int(head))):
-            root, sep = masters[node]
-            base = 6 * master_index[root]
-            dofs.extend(range(base, base + 6))
-            # Total displacement of an image node: master DOFs plus the
-            # affine jump across the recorded separation, plus eps . x_master
-            # for the macroscopic part carried by every node.
-            x_master = win.nodes[root]
-            d_aff[6 * slot : 6 * slot + 3] = np.einsum(
-                "aij,j->ia", _UNIT_STRAINS, x_master + sep
-            )
-        dofs = np.asarray(dofs)
-        np.add.at(k_global, (dofs[:, None], dofs[None, :]), k_e)
-        rhs_e = k_e @ d_aff
-        for row, dof in enumerate(dofs):
-            rhs[dof] -= rhs_e[row]
-        elements.append((dofs, k_e, d_aff))
-
-    u_full, residual = _solve_pinned(k_global, rhs, lat.name)
-
-    c_mandel = np.zeros((6, 6))
-    for dofs, k_e, d_aff in elements:
-        d_total = d_aff + u_full[dofs]
-        c_mandel += d_total.T @ k_e @ d_total
-    c_mandel /= volume
-
+    roots = np.array([root for root, _sep in masters], dtype=int)
+    seps = np.array([sep for _root, sep in masters]).reshape(-1, 3)
+    master_nodes, master_of = np.unique(roots, return_inverse=True)
+    # An image node's total displacement is its master's fluctuation plus
+    # eps . (x_master + separation): the affine jump across the recorded
+    # separation on top of the macroscopic part every node carries.
+    ends = master_of[win.elements]
+    end_positions = win.nodes[roots[win.elements]] + seps[win.elements]
+    vectors = win.nodes[win.elements[:, 1]] - win.nodes[win.elements[:, 0]]
+    cell = _assemble_solve(
+        lat.name, ends, end_positions, vectors, len(master_nodes), lat.radius, mat,
+        float(np.linalg.det(win.cell)),
+    )
     return HomogenizationResult(
-        stiffness=from_mandel(MandelMatrix(c_mandel)),
+        stiffness=from_mandel(MandelMatrix(cell.mandel)),
         relative_density=relative_density(lat),
-        dof_count=n_dof,
-        residual=residual,
+        dof_count=6 * len(master_nodes),
+        residual=cell.residual,
     )
 
 
@@ -363,8 +384,11 @@ def homogenize_batch(
 ) -> list[BatchItem]:
     """Homogenize every (lattice, radius) pair, collecting per-item errors.
 
-    Output order follows the input nesting (lattice-major, then radius);
-    failures are reported as ``BatchItem.error`` without aborting the rest.
+    Output order follows the input nesting (lattice-major, then radius).
+    Domain failures (``ValueError``, which covers
+    :class:`DisconnectedLatticeError` and :class:`SingularSystemError`, and
+    ``LinAlgError``) are reported as ``BatchItem.error`` without aborting
+    the rest; any other exception is a bug and propagates.
     """
     jobs = []
     for lat in catalogue:
@@ -378,7 +402,7 @@ def homogenize_batch(
             variant = replace(lat, radius=radius)
             result = homogenize(variant, mat)
             return BatchItem(lat.name, radius, result, None, time.perf_counter() - started)
-        except Exception as exc:  # noqa: BLE001 - error-collection contract
+        except (ValueError, np.linalg.LinAlgError) as exc:
             return BatchItem(lat.name, radius, None, str(exc), time.perf_counter() - started)
 
     if threads > 1 and len(jobs) > 1:

@@ -26,6 +26,9 @@ from .tensor4 import (
     to_mandel,
 )
 
+# Relative floor below which a Kelvin eigenvalue counts as negative.
+NEGATIVE_EIG_REL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class DirectionSet:
@@ -103,17 +106,12 @@ def aggregate_training_loss(pairs: Sequence[tuple[MandelMatrix, MandelMatrix]]) 
     return total / len(pairs)
 
 
-def _project_directions(components: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    d = directions
-    return np.einsum("ijkl,qi,qj,qk,ql->q", components, d, d, d, d, optimize=True)
-
-
 def l_dir(
     pred: ElasticTensor4, target: ElasticTensor4, dirs: DirectionSet
 ) -> tuple[float, float]:
     """Mean absolute directional-stiffness deviation, raw and target-relative."""
-    diff = pred.components - target.components
-    values = _project_directions(diff, dirs.directions)
+    d = dirs.directions
+    values = directional_moduli(pred, d) - directional_moduli(target, d)
     raw = float(np.mean(np.abs(values)))
     gamma = target_mean_square(to_mandel(target))
     if gamma == 0.0:
@@ -160,23 +158,32 @@ def l_equiv(
     else:
         rotated = [rotated_prediction(job) for job in jobs]
 
+    d = dirs.directions
     total = 0.0
     for (lat, r), pred_of_rotated in zip(jobs, rotated):
         reference = rotate(base[id(lat)], r)
-        diff = reference.components - pred_of_rotated.components
-        total += float(np.mean(np.abs(_project_directions(diff, dirs.directions))))
+        values = directional_moduli(reference, d) - directional_moduli(pred_of_rotated, d)
+        total += float(np.mean(np.abs(values)))
     return total / len(jobs)
 
 
 def negative_eig_fraction(preds: Sequence[ElasticTensor4]) -> float:
-    """Fraction of tensors whose smallest Kelvin eigenvalue is strictly negative.
+    """Fraction of tensors with a negative Kelvin eigenvalue.
 
-    The threshold is exactly zero; PSD projections keep their eigenvalues
-    above the -1e-10 relative floor, so strictness is safe.
+    An eigenvalue counts as negative below ``-NEGATIVE_EIG_REL_TOL`` times
+    the tensor's largest eigenvalue magnitude.  PSD projections keep their
+    eigenvalues above that floor, but the exact zeros of a clamp come back
+    from reconstruction as roundoff of either sign, so a zero threshold
+    would count them.  The relative floor also makes the verdict
+    independent of the stiffness scale.
     """
     if not preds:
         raise ValueError("needs at least one tensor")
-    negative = sum(1 for c in preds if kelvin_spectrum(c).eigenvalues.min() < 0.0)
+    negative = 0
+    for c in preds:
+        eigenvalues = kelvin_spectrum(c).eigenvalues
+        if eigenvalues.min() < -NEGATIVE_EIG_REL_TOL * np.abs(eigenvalues).max():
+            negative += 1
     return negative / len(preds)
 
 

@@ -1,22 +1,26 @@
 """Gradient-based design of nodal positions toward a target stiffness.
 
 The objective is the component loss between the homogenized and target
-Mandel matrices.  Gradients come from central finite differences of the
-full homogenization (this toolkit has no automatic differentiation), and
-the descent loop defaults to backtracking so the objective history is
-nonincreasing; a plain fixed-step mode is available.  Nodes move in
-transformed coordinates with the cell held fixed, and any step that would
-collapse a strut below the minimum length is rejected and halved.
+Mandel matrices.  Its gradient is exact and costs one cell solve: at
+equilibrium the homogenized matrix is stationary in the nodal
+fluctuations, so only the explicit dependence of each element stiffness
+on its strut vector contributes (the envelope theorem; the adjoint of
+inverse homogenization).  Central finite differences of the full
+homogenization remain available as :func:`fd_gradient`, the reference
+the exact gradient is tested against.  The descent loop defaults to
+backtracking so the objective history is nonincreasing; a plain
+fixed-step mode is available.  Nodes move in transformed coordinates with
+the cell held fixed, and any step that would collapse a strut below the
+minimum length is rejected and halved.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fe import BeamMaterial, homogenize
+from .fe import BeamMaterial, _solve_cell, homogenize
 from .lattice import Lattice, displace_nodes, edge_lengths
 from .metrics import l_comp
 from .tensor4 import ElasticTensor4, to_mandel
@@ -37,7 +41,7 @@ class DesignProblem:
     free_nodes: tuple = ()
     step_size: float = DEFAULT_STEP_SIZE
     max_steps: int = 50
-    fd_step: float = DEFAULT_FD_STEP
+    fd_step: float = DEFAULT_FD_STEP  # step of the fd_gradient reference check
     backtracking: bool = True
 
     def __post_init__(self):
@@ -79,44 +83,57 @@ def fd_gradient(
     free_nodes,
     fd_step: float,
     mat: BeamMaterial = BeamMaterial(),
-    threads: int = 1,
 ) -> dict[int, np.ndarray]:
     """Central-difference gradient of :func:`objective` per free node.
 
     Returns a transformed-coordinate 3-vector for each index in
-    ``free_nodes``; other nodes are absent from the output.
+    ``free_nodes``; other nodes are absent from the output.  Costs six
+    homogenizations per free node; :func:`gradient` is exact and costs one.
     """
     if not fd_step > 0.0:
         raise ValueError("fd_step must be positive")
-    free = [int(k) for k in free_nodes]
-
-    probes = []
-    for node in free:
+    grad: dict[int, np.ndarray] = {}
+    for node in (int(k) for k in free_nodes):
+        g = np.empty(3)
         for axis in range(3):
             delta = np.zeros(3)
             delta[axis] = fd_step
-            probes.append((node, delta))
-            probes.append((node, -delta))
-
-    def evaluate(probe) -> float:
-        node, delta = probe
-        return objective(_displace_one(lat, node, delta), target, mat)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(evaluate, probes))
-    else:
-        values = [evaluate(p) for p in probes]
-
-    grad: dict[int, np.ndarray] = {}
-    for slot, node in enumerate(free):
-        g = np.empty(3)
-        for axis in range(3):
-            plus = values[6 * slot + 2 * axis]
-            minus = values[6 * slot + 2 * axis + 1]
+            plus = objective(_displace_one(lat, node, delta), target, mat)
+            minus = objective(_displace_one(lat, node, -delta), target, mat)
             g[axis] = (plus - minus) / (2.0 * fd_step)
         grad[node] = g
     return grad
+
+
+def gradient(
+    lat: Lattice,
+    target: ElasticTensor4,
+    free_nodes,
+    mat: BeamMaterial = BeamMaterial(),
+) -> tuple[float, dict[int, np.ndarray]]:
+    """:func:`objective` and its exact gradient per free node, from one solve.
+
+    With G = 2 (C - T) in Mandel form and D_e the solved total end
+    displacements of element e, the derivative with respect to its strut
+    vector v_e is ``<dK_e/dv_e, D_e G D_e^T> / V``; it is added to the head
+    node and subtracted from the tail node, so self-edges cancel.  The
+    affine load needs no term: moving a node shifts its affine displacement
+    exactly as a change of its free fluctuation would, and the solved
+    fluctuations make the energy stationary.  Returns the objective value
+    and a transformed-coordinate 3-vector for each index in ``free_nodes``.
+    """
+    _density, cell = _solve_cell(lat, mat, derivative=True)
+    target_mandel = to_mandel(target).entries
+    value = l_comp(cell.mandel, target_mandel)
+    weight = 2.0 * (cell.mandel - target_mandel)
+    d = cell.displacements
+    w = d @ weight @ d.transpose(0, 2, 1)
+    per_edge = np.einsum("emij,eij->em", cell.stiffness_derivative, w)
+    per_edge /= float(np.linalg.det(lat.cell))
+    full = np.zeros((lat.node_count, 3))
+    np.add.at(full, lat.edges[:, 1], per_edge)
+    np.add.at(full, lat.edges[:, 0], -per_edge)
+    return value, {int(k): full[int(k)] for k in free_nodes}
 
 
 def _gradient_array(lat: Lattice, grad: dict[int, np.ndarray]) -> np.ndarray:
@@ -131,17 +148,20 @@ def solve(
 ) -> DesignTrace:
     """Run the descent loop and re-verify the final stiffness by a fresh solve.
 
-    Stops at ``max_steps`` or when the gradient norm falls below 1e-8.
+    Each step takes the exact :func:`gradient`.  Stops at ``max_steps`` or
+    when the gradient norm falls below 1e-8.
     With backtracking enabled, a step that would increase the objective
     (or collapse a strut) halves the step size, up to 20 times; if no
-    acceptable step remains the loop terminates.
+    acceptable step remains the loop terminates.  ``threads`` is accepted
+    for interface compatibility and ignored: the loop starts no worker pool,
+    since one cell solve per step leaves nothing worth spreading.
     """
     lat = prob.base
     current = objective(lat, prob.target, mat)
     history = [current]
 
     for _ in range(prob.max_steps):
-        grad = fd_gradient(lat, prob.target, prob.free_nodes, prob.fd_step, mat, threads)
+        _value, grad = gradient(lat, prob.target, prob.free_nodes, mat)
         direction = -_gradient_array(lat, grad)
         grad_norm = float(np.linalg.norm(direction))
         if grad_norm < GRADIENT_STOP:

@@ -297,7 +297,9 @@ def directional_moduli(c: ElasticTensor4, directions) -> np.ndarray:
     norms = np.linalg.norm(d, axis=1)
     if np.abs(norms - 1.0).max(initial=0.0) > 1e-10:
         raise ValueError("all directions must be unit length")
-    return np.einsum("ijkl,qi,qj,qk,ql->q", c.components, d, d, d, d, optimize=True)
+    # C_ijkl d_i d_j d_k d_l = v^T M v with v the Mandel vector of d (x) d.
+    dyads = _WEIGHTS * d[:, _PAIR_I] * d[:, _PAIR_J]
+    return np.sum((dyads @ to_mandel(c).entries) * dyads, axis=1)
 
 
 def to_mandel_vector(t) -> np.ndarray:

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latmech import sampling
+from latmech import fe, sampling
 from latmech.fe import (
     BeamMaterial,
     DisconnectedLatticeError,
+    _beam_kernel,
     beam_stiffness,
     homogenize,
     homogenize_batch,
@@ -31,6 +34,50 @@ from latmech.tensor4 import (
 
 def block_rotation(r: np.ndarray) -> np.ndarray:
     return np.kron(np.eye(4), r)
+
+
+def local_frame_beam_stiffness(length, radius, axis, mat) -> np.ndarray:
+    """Reference element matrix: the textbook local-frame matrix, rotated.
+
+    The local y axis is built from a reference vector that switches from z
+    to x when |axis_z| >= 0.9.
+    """
+    e_mod, g_mod = mat.youngs_modulus, mat.shear_modulus
+    inertia = math.pi * radius**4 / 4.0
+    ea = e_mod * math.pi * radius**2 / length
+    gj = g_mod * math.pi * radius**4 / 2.0 / length
+    b12 = 12.0 * e_mod * inertia / length**3
+    b6 = 6.0 * e_mod * inertia / length**2
+    b4 = 4.0 * e_mod * inertia / length
+    b2 = 2.0 * e_mod * inertia / length
+
+    k = np.zeros((12, 12))
+    k[0, 0] = k[6, 6] = ea
+    k[0, 6] = -ea
+    k[3, 3] = k[9, 9] = gj
+    k[3, 9] = -gj
+    # bending in the local x-y plane (v, rz)
+    k[1, 1] = k[7, 7] = b12
+    k[1, 7] = -b12
+    k[1, 5] = k[1, 11] = b6
+    k[5, 7] = k[7, 11] = -b6
+    k[5, 5] = k[11, 11] = b4
+    k[5, 11] = b2
+    # bending in the local x-z plane (w, ry); opposite sign on the 6EI terms
+    k[2, 2] = k[8, 8] = b12
+    k[2, 8] = -b12
+    k[2, 4] = k[2, 10] = -b6
+    k[4, 8] = k[8, 10] = b6
+    k[4, 4] = k[10, 10] = b4
+    k[4, 10] = b2
+    k = np.triu(k) + np.triu(k, 1).T
+
+    axis = np.asarray(axis, dtype=float)
+    ref = np.array([0.0, 0.0, 1.0]) if abs(axis[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    y = np.cross(ref, axis)
+    y /= np.linalg.norm(y)
+    t = block_rotation(np.vstack([axis, y, np.cross(axis, y)]))
+    return t.T @ k @ t
 
 
 class TestBeamStiffness:
@@ -71,6 +118,55 @@ class TestBeamStiffness:
             beam_stiffness(0.0, 0.05, [1, 0, 0], BeamMaterial())
         with pytest.raises(ValueError):
             beam_stiffness(1.0, -0.05, [1, 0, 0], BeamMaterial())
+
+
+# Axis z-components near 0.9 are where the local-frame reference switches
+# its reference vector.
+_AXIS_Z = st.one_of(st.floats(0.88, 0.92), st.floats(-0.92, -0.88), st.floats(-1.0, 1.0))
+
+
+def _strut_vector(nz: float, azimuth: float, length: float) -> np.ndarray:
+    rho = math.sqrt(max(1.0 - nz * nz, 0.0))
+    return length * np.array([rho * math.cos(azimuth), rho * math.sin(azimuth), nz])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nz=_AXIS_Z,
+    azimuth=st.floats(0.0, 2.0 * math.pi),
+    length=st.floats(0.2, 2.0),
+    radius=st.floats(0.005, 0.1),
+)
+def test_property_kernel_matches_local_frame_reference(nz, azimuth, length, radius):
+    mat = BeamMaterial(1.7, 0.27)
+    v = _strut_vector(nz, azimuth, length)
+    k, dk = _beam_kernel(v[None], radius, mat)
+    assert dk is None
+    reference = local_frame_beam_stiffness(length, radius, v / np.linalg.norm(v), mat)
+    np.testing.assert_allclose(k[0], reference, rtol=0, atol=1e-13 * np.abs(reference).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nz=_AXIS_Z,
+    azimuth=st.floats(0.0, 2.0 * math.pi),
+    length=st.floats(0.2, 2.0),
+    radius=st.floats(0.005, 0.1),
+)
+def test_property_kernel_derivative_matches_central_differences(nz, azimuth, length, radius):
+    mat = BeamMaterial(1.3, 0.3)
+    v = _strut_vector(nz, azimuth, length)
+    _k, dk = _beam_kernel(v[None], radius, mat, derivative=True)
+    h = 1e-5 * length
+    for m in range(3):
+        step = np.zeros(3)
+        step[m] = h
+        plus, _ = _beam_kernel((v + step)[None], radius, mat)
+        minus, _ = _beam_kernel((v - step)[None], radius, mat)
+        central = (plus[0] - minus[0]) / (2.0 * h)
+        np.testing.assert_allclose(
+            dk[0, m], central, rtol=0, atol=1e-7 * np.abs(dk[0]).max()
+        )
 
 
 class TestHomogenize:
@@ -209,6 +305,14 @@ class TestHomogenizeBatch:
         assert [item.error is None for item in items] == [True, False, True]
         assert "lonely" in items[1].name
         assert "unreachable" in items[1].error
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(lat, mat):
+            raise TypeError("not a domain error")
+
+        monkeypatch.setattr(fe, "homogenize", broken)
+        with pytest.raises(TypeError, match="not a domain error"):
+            homogenize_batch([simple_cubic()], [0.05])
 
     def test_threaded_matches_serial(self, catalogue_lattices):
         serial = homogenize_batch(catalogue_lattices, [0.04, 0.06], threads=1)

@@ -177,6 +177,22 @@ class TestNegativeEigFraction:
         c = from_mandel(MandelMatrix(np.diag([1.0, 1, 1, 1, 1, -1.0])))
         assert negative_eig_fraction([c]) == 1.0
 
+    def test_eigclamp_outputs_are_clean(self, rng):
+        # Clamped eigenvalues are exact zeros that come back from the
+        # reconstruction as roundoff of either sign; they are not negative.
+        tensors = []
+        for _ in range(40):
+            m = random_symmetric_matrix(rng)
+            tensors.append(from_mandel(MandelMatrix(project(m, PsdMethod.EIGEN_CLAMP))))
+        assert negative_eig_fraction(tensors) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_relative_floor_is_scale_free(self, scale):
+        tiny = from_mandel(MandelMatrix(scale * np.diag([1.0, 1, 1, 1, 1, -1e-13])))
+        small = from_mandel(MandelMatrix(scale * np.diag([1.0, 1, 1, 1, 1, -1e-8])))
+        assert negative_eig_fraction([tiny]) == 0.0
+        assert negative_eig_fraction([small]) == 1.0
+
     def test_counts_mixture(self, rng):
         good = ElasticTensor4.isotropic(1.0, 1.0)
         bad = from_mandel(MandelMatrix(np.diag([1.0, 1, 1, 1, 1, -1.0])))

@@ -5,12 +5,13 @@ from latmech import sampling
 from latmech.fe import homogenize
 from latmech.lattice import (
     body_centred_cubic,
+    diamond,
     perturb,
     rotate_lattice,
     simple_cubic,
     tessellate,
 )
-from latmech.optimize import DesignProblem, fd_gradient, objective, solve
+from latmech.optimize import DesignProblem, fd_gradient, gradient, objective, solve
 from latmech.tensor4 import MandelMatrix, from_mandel, rotate, to_mandel
 
 
@@ -84,12 +85,51 @@ class TestFdGradient:
         slope = (forward - backward) / (2 * h)
         assert slope == pytest.approx(norm, rel=0.05)
 
-    def test_threaded_matches_serial(self, demo_lattice):
+
+def _stacked(grad: dict, nodes) -> np.ndarray:
+    return np.array([grad[k] for k in nodes])
+
+
+class TestGradient:
+    @pytest.mark.parametrize(
+        "lat",
+        [
+            perturb(tessellate(simple_cubic(), 2), 0.02, seed=11),
+            perturb(body_centred_cubic(), 0.03, seed=2),
+            perturb(diamond(), 0.03, seed=5),
+        ],
+        ids=["sc_x2", "bcc", "diamond"],
+    )
+    def test_matches_fd_gradient(self, lat):
+        # The target comes from another realization, so the objective and
+        # its gradient are well away from zero.
+        target = scaled_y_target(perturb(lat, 0.05, seed=99))
+        nodes = range(lat.node_count)
+        value, grad = gradient(lat, target, nodes)
+        assert value == pytest.approx(objective(lat, target), rel=1e-12)
+        exact = _stacked(grad, nodes)
+        reference = _stacked(fd_gradient(lat, target, nodes, fd_step=1e-5), nodes)
+        assert np.linalg.norm(exact - reference) <= 1e-6 * np.linalg.norm(reference)
+
+    def test_free_node_subset(self, demo_lattice):
         target = scaled_y_target(demo_lattice)
-        a = fd_gradient(demo_lattice, target, [0, 1], 1e-5, threads=1)
-        b = fd_gradient(demo_lattice, target, [0, 1], 1e-5, threads=4)
-        for node in a:
-            np.testing.assert_array_equal(a[node], b[node])
+        _value, subset = gradient(demo_lattice, target, [0, 3])
+        assert set(subset) == {0, 3}
+        _value, full = gradient(demo_lattice, target, range(demo_lattice.node_count))
+        reference = fd_gradient(demo_lattice, target, [0, 3], fd_step=1e-5)
+        for node in (0, 3):
+            np.testing.assert_array_equal(subset[node], full[node])
+            assert np.linalg.norm(subset[node] - reference[node]) <= 1e-6 * np.linalg.norm(
+                reference[node]
+            )
+
+    def test_self_edges_cancel_on_simple_cubic(self):
+        # Every strut of the one-node cell is a self-edge: its head and tail
+        # terms land on the same node and cancel.
+        lat = simple_cubic()
+        value, grad = gradient(lat, scaled_y_target(lat), [0])
+        assert value > 0.0
+        np.testing.assert_allclose(grad[0], 0.0, atol=1e-12 * value)
 
 
 class TestSolve:
@@ -125,7 +165,7 @@ class TestSolve:
 
     def test_pipeline_equivariance(self, demo_lattice):
         # Rotating lattice and target together realizes the same descent
-        # up to finite-difference noise.
+        # up to roundoff.
         target = scaled_y_target(demo_lattice)
         prob = DesignProblem(base=demo_lattice, target=target, max_steps=3)
         plain = solve(prob)

@@ -440,3 +440,14 @@ def test_property_rotation_preserves_spectrum(seed):
     before = kelvin_spectrum(c).eigenvalues
     after = kelvin_spectrum(rotate(c, r)).eigenvalues
     np.testing.assert_allclose(before, after, atol=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_property_directional_moduli_match_four_index_contraction(seed):
+    rng = np.random.default_rng(seed)
+    c = random_symmetric_tensor4(rng) * 10.0 ** rng.uniform(-8, 8)
+    d = sampling.unit_directions(60, seed=seed % 1000)
+    reference = np.einsum("ijkl,qi,qj,qk,ql->q", c, d, d, d, d)
+    values = directional_moduli(ElasticTensor4(c), d)
+    np.testing.assert_allclose(values, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
