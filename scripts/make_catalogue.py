@@ -2,6 +2,7 @@
 """Write the built-in unit cells (and optional perturbed realizations) to a catalogue."""
 
 import argparse
+from dataclasses import replace
 
 from latmech import io
 from latmech.lattice import body_centred_cubic, diamond, perturb, simple_cubic, tessellate
@@ -29,15 +30,7 @@ def main() -> None:
                 continue
             for r in range(args.realizations):
                 moved = perturb(lat, args.perturb_level, args.seed + r)
-                out.append(
-                    type(lat)(
-                        name=f"{lat.name}_l{args.perturb_level:g}_r{r}",
-                        cell=moved.cell,
-                        nodes=moved.nodes,
-                        edges=moved.edges,
-                        radius=moved.radius,
-                    )
-                )
+                out.append(replace(moved, name=f"{lat.name}_l{args.perturb_level:g}_r{r}"))
     io.write_catalogue(args.out, out)
     print(f"wrote {len(out)} lattices to {args.out}")
 

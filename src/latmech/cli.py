@@ -15,14 +15,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__, io, metrics, optimize, psd, sampling
 from .fe import BeamMaterial, homogenize_batch
-from .lattice import Lattice, perturb, rotate_lattice
+from .lattice import perturb, rotate_lattice
 from .tensor4 import (
     ElasticTensor4,
     directional_moduli,
@@ -31,16 +31,6 @@ from .tensor4 import (
     rotate_mandel,
     to_mandel,
 )
-
-_PSD_METHODS = {
-    "square": psd.PsdMethod.SQUARE,
-    "fourth": psd.PsdMethod.FOURTH,
-    "exp": psd.PsdMethod.EXP,
-    "trunc2": psd.PsdMethod.TRUNC_EXP2,
-    "trunc4": psd.PsdMethod.TRUNC_EXP4,
-    "eigclamp": psd.PsdMethod.EIGEN_CLAMP,
-}
-
 
 @dataclass
 class RunManifest:
@@ -153,7 +143,7 @@ def _cmd_homogenize(args) -> int:
     lattices = io.read_catalogue(args.catalogue)
     mat = args.material
     manifest = _manifest(args, seed=args.seed)
-    items = homogenize_batch(lattices, args.radius, mat, threads=args.threads)
+    items = homogenize_batch(lattices, args.radius, mat)
     records = []
     surface_rows = []
     failures = 0
@@ -217,7 +207,7 @@ def _cmd_surface(args) -> int:
 def _cmd_psd_project(args) -> int:
     records = io.read_stiffness_records(args.input)
     manifest = _manifest(args, seed=0)
-    method = _PSD_METHODS[args.method]
+    method = psd.PsdMethod(args.method)
     out_records = []
     for matrix, raw in records:
         projected = psd.project(matrix.entries, method, eig_map=args.eig_map)
@@ -280,15 +270,7 @@ def _cmd_perturb(args) -> int:
             continue
         for realization in range(args.realizations):
             moved = perturb(lat, args.level, args.seed + realization)
-            out.append(
-                Lattice(
-                    name=f"{lat.name}_l{args.level:g}_r{realization}",
-                    cell=moved.cell,
-                    nodes=moved.nodes,
-                    edges=moved.edges,
-                    radius=moved.radius,
-                )
-            )
+            out.append(replace(moved, name=f"{lat.name}_l{args.level:g}_r{realization}"))
     io.write_catalogue(args.out, out)
     manifest.write_for(args.out)
     print(
@@ -343,7 +325,7 @@ def _cmd_optimize(args) -> int:
         max_steps=args.steps,
         backtracking=not args.plain,
     )
-    trace = optimize.solve(problem, args.material, threads=args.threads)
+    trace = optimize.solve(problem, args.material)
     payload = {
         "objective_history": trace.objective_history,
         "final_lattice": io.lattice_record(trace.final_lattice),
@@ -374,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Periodic strut-lattice homogenization and stiffness algebra",
     )
     parser.add_argument(
-        "--threads", type=int, default=1, help="worker-pool cap for batch operations"
+        "--threads", type=int, default=1,
+        help="accepted and ignored; every operation runs on one thread",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -402,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("psd-project", help="apply a PSD map to stiffness records")
     p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=sorted(_PSD_METHODS), required=True)
+    p.add_argument(
+        "--method", choices=sorted(m.value for m in psd.MATRIX_METHODS), required=True
+    )
     p.add_argument("--eig-map", choices=("relu", "exp"), default="relu")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_psd_project)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -149,23 +148,24 @@ _COUPLING = np.array([[0, -1, 0, -1], [1, 0, -1, 0], [0, 1, 0, 1], [1, 0, -1, 0]
 def _solve_pinned(k: np.ndarray, rhs: np.ndarray, name: str):
     """Solve K u = rhs with node-0 translations pinned to zero.
 
-    Returns (u_full, residual).  Raises SingularSystemError when the
-    reduced matrix has pivots below the relative tolerance.
+    Returns (u_full, residual).  Raises SingularSystemError when a pivot
+    of the reduced matrix falls below the relative tolerance times its own
+    diagonal entry; a per-column floor is blind to the scale of other
+    struts, such as the very short pieces of a windowed cell.
     """
-    n = k.shape[0]
-    free = np.arange(3, n)
-    k_red = k[np.ix_(free, free)]
-    rhs_red = rhs[free]
-    pivot_floor = _PIVOT_REL_TOL * max(np.abs(np.diag(k)).max(), 1e-300)
+    k_red = k[3:, 3:]
+    rhs_red = rhs[3:]
+    diag = np.diag(k_red)
     try:
         chol = scipy.linalg.cho_factor(k_red, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         chol = None
-    if chol is not None and np.min(np.diag(chol[0])) ** 2 <= pivot_floor:
+    if chol is not None and np.any(np.diag(chol[0]) ** 2 <= _PIVOT_REL_TOL * diag):
         chol = None
     if chol is None:
-        eigvals = np.linalg.eigvalsh(k_red)
-        null_dim = int(np.sum(eigvals <= pivot_floor))
+        scale = 1.0 / np.sqrt(diag)
+        eigvals = np.linalg.eigvalsh(scale[:, None] * k_red * scale)
+        null_dim = int(np.sum(eigvals <= _PIVOT_REL_TOL))
         raise SingularSystemError(name, max(null_dim, 1))
     u_red = scipy.linalg.cho_solve(chol, rhs_red, check_finite=False)
     res_norm = np.linalg.norm(k_red @ u_red - rhs_red, axis=0)
@@ -176,7 +176,7 @@ def _solve_pinned(k: np.ndarray, rhs: np.ndarray, name: str):
             f"lattice {name!r}: linear solve residual {residual:.3e} exceeds 1e-8"
         )
     u_full = np.zeros_like(rhs)
-    u_full[free] = u_red
+    u_full[3:] = u_red
     return u_full, residual
 
 
@@ -243,7 +243,6 @@ class _CellSolution:
     mandel: np.ndarray  # (6, 6)
     residual: float
     displacements: np.ndarray  # (E, 12, 6) total element end displacements per unit strain
-    stiffness_derivative: np.ndarray | None  # (E, 3, 12, 12) dK_e / dv_e
 
 
 def _assemble_solve(
@@ -255,7 +254,6 @@ def _assemble_solve(
     radius: float,
     mat: BeamMaterial,
     volume: float,
-    derivative: bool = False,
 ) -> _CellSolution:
     """Assemble, solve and contract the cell problem of (E, 2) element end nodes.
 
@@ -263,7 +261,7 @@ def _assemble_solve(
     the affine part eps . x of the displacement, so a head beyond the cell
     boundary enters at its shifted image position.
     """
-    k_e, dk_e = _beam_kernel(vectors, radius, mat, derivative)
+    k_e, _dk = _beam_kernel(vectors, radius, mat)
     n_dof = 6 * node_count
     dofs = (6 * ends[:, :, None] + np.arange(6)).reshape(-1, 12)
     d_aff = np.zeros((len(ends), 2, 6, 6))
@@ -281,10 +279,10 @@ def _assemble_solve(
     d_total = d_aff + u_full[dofs]
     # C_ab = sum_e D_e^T K_e D_e / V, as one product over the stacked element rows
     c_mandel = d_total.reshape(-1, 6).T @ (k_e @ d_total).reshape(-1, 6) / volume
-    return _CellSolution(c_mandel, residual, d_total, dk_e)
+    return _CellSolution(c_mandel, residual, d_total)
 
 
-def _solve_cell(lat: Lattice, mat: BeamMaterial, derivative: bool = False):
+def _solve_cell(lat: Lattice, mat: BeamMaterial):
     """Validate the lattice and solve its fundamental-representation cell.
 
     Returns ``(relative_density, _CellSolution)``.
@@ -301,7 +299,7 @@ def _solve_cell(lat: Lattice, mat: BeamMaterial, derivative: bool = False):
     end_positions = np.stack([positions[ends[:, 0]], heads], axis=1)
     cell = _assemble_solve(
         lat.name, ends, end_positions, edge_matrix(lat), lat.node_count, lat.radius, mat,
-        float(np.linalg.det(lat.cell)), derivative,
+        float(np.linalg.det(lat.cell)),
     )
     return density, cell
 
@@ -388,24 +386,18 @@ def homogenize_batch(
     Domain failures (``ValueError``, which covers
     :class:`DisconnectedLatticeError` and :class:`SingularSystemError`, and
     ``LinAlgError``) are reported as ``BatchItem.error`` without aborting
-    the rest; any other exception is a bug and propagates.
+    the rest; any other exception is a bug and propagates.  ``threads`` is
+    accepted and ignored: items run serially, because a worker pool gained
+    nothing measurable over the serial loop on any batch tried.
     """
-    jobs = []
+    items = []
     for lat in catalogue:
         for radius in radii:
-            jobs.append((lat, float(radius)))
-
-    def run(job) -> BatchItem:
-        lat, radius = job
-        started = time.perf_counter()
-        try:
-            variant = replace(lat, radius=radius)
-            result = homogenize(variant, mat)
-            return BatchItem(lat.name, radius, result, None, time.perf_counter() - started)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            return BatchItem(lat.name, radius, None, str(exc), time.perf_counter() - started)
-
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, jobs))
-    return [run(job) for job in jobs]
+            radius = float(radius)
+            started = time.perf_counter()
+            try:
+                result, error = homogenize(replace(lat, radius=radius), mat), None
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                result, error = None, str(exc)
+            items.append(BatchItem(lat.name, radius, result, error, time.perf_counter() - started))
+    return items

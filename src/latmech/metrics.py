@@ -9,7 +9,6 @@ predictor is from commuting with rigid rotations of its input lattice.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -130,41 +129,31 @@ def l_equiv(
 
     Mean absolute directional projection of
     ``rotate(predict(L), R) - predict(rotate_lattice(L, R))`` over all
-    (lattice, rotation, direction) triples.  Predictor calls run in a
-    thread pool when the predictor advertises ``concurrency_safe = True``.
+    (lattice, rotation, direction) triples.  ``threads`` is accepted and
+    ignored: the predictor is called serially, every base lattice first.
     """
     if len(rotations) < 1:
         raise ValueError("needs at least one rotation")
     if not lattices:
         raise ValueError("needs at least one lattice")
 
-    def base_prediction(lat: Lattice) -> ElasticTensor4:
+    def prediction(lat: Lattice) -> ElasticTensor4:
         try:
             return predict(lat)
         except Exception as exc:
             raise RuntimeError(f"predictor failed on lattice {lat.name!r}: {exc}") from exc
 
-    jobs = [(lat, np.asarray(r, dtype=float)) for lat in lattices for r in rotations]
-
-    def rotated_prediction(job):
-        lat, r = job
-        return base_prediction(rotate_lattice(lat, r))
-
-    base = {id(lat): base_prediction(lat) for lat in lattices}
-    parallel = threads > 1 and getattr(predict, "concurrency_safe", False)
-    if parallel:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rotated = list(pool.map(rotated_prediction, jobs))
-    else:
-        rotated = [rotated_prediction(job) for job in jobs]
-
+    base = [prediction(lat) for lat in lattices]
     d = dirs.directions
     total = 0.0
-    for (lat, r), pred_of_rotated in zip(jobs, rotated):
-        reference = rotate(base[id(lat)], r)
-        values = directional_moduli(reference, d) - directional_moduli(pred_of_rotated, d)
-        total += float(np.mean(np.abs(values)))
-    return total / len(jobs)
+    for lat, base_prediction in zip(lattices, base):
+        for r in rotations:
+            r = np.asarray(r, dtype=float)
+            reference = rotate(base_prediction, r)
+            rotated = prediction(rotate_lattice(lat, r))
+            values = directional_moduli(reference, d) - directional_moduli(rotated, d)
+            total += float(np.mean(np.abs(values)))
+    return total / (len(lattices) * len(rotations))
 
 
 def negative_eig_fraction(preds: Sequence[ElasticTensor4]) -> float:

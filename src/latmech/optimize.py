@@ -1,11 +1,11 @@
 """Gradient-based design of nodal positions toward a target stiffness.
 
 The objective is the component loss between the homogenized and target
-Mandel matrices.  Its gradient is exact and costs one cell solve: at
-equilibrium the homogenized matrix is stationary in the nodal
-fluctuations, so only the explicit dependence of each element stiffness
-on its strut vector contributes (the envelope theorem; the adjoint of
-inverse homogenization).  Central finite differences of the full
+Mandel matrices.  Its gradient is exact and comes from the same cell
+solve as the objective value: at equilibrium the homogenized matrix is
+stationary in the nodal fluctuations, so only the explicit dependence of
+each element stiffness on its strut vector contributes (the envelope
+theorem; the adjoint of inverse homogenization).  Central finite differences of the full
 homogenization remain available as :func:`fd_gradient`, the reference
 the exact gradient is tested against.  The descent loop defaults to
 backtracking so the objective history is nonincreasing; a plain
@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fe import BeamMaterial, _solve_cell, homogenize
-from .lattice import Lattice, displace_nodes, edge_lengths
+from .fe import BeamMaterial, _beam_kernel, _CellSolution, _solve_cell, homogenize
+from .lattice import Lattice, displace_nodes, edge_lengths, edge_matrix
 from .metrics import l_comp
-from .tensor4 import ElasticTensor4, to_mandel
+from .tensor4 import ElasticTensor4, MandelMatrix, from_mandel, to_mandel
 
 MIN_EDGE_LENGTH = 1e-3
 GRADIENT_STOP = 1e-8
@@ -66,9 +66,22 @@ class DesignTrace:
     final_stiffness: ElasticTensor4
 
 
+def _evaluate(
+    lat: Lattice, target: ElasticTensor4, mat: BeamMaterial
+) -> tuple[float, _CellSolution]:
+    """:func:`objective` and the solved cell it came from, from one solve.
+
+    The value goes through the same Mandel round trip as :func:`homogenize`,
+    so it equals the loss of the homogenized stiffness bit for bit.
+    """
+    _density, cell = _solve_cell(lat, mat)
+    stiffness = from_mandel(MandelMatrix(cell.mandel))
+    return l_comp(to_mandel(stiffness), to_mandel(target)), cell
+
+
 def objective(lat: Lattice, target: ElasticTensor4, mat: BeamMaterial = BeamMaterial()) -> float:
     """Component loss between the homogenized and target Mandel matrices."""
-    return l_comp(to_mandel(homogenize(lat, mat).stiffness), to_mandel(target))
+    return _evaluate(lat, target, mat)[0]
 
 
 def _displace_one(lat: Lattice, node: int, delta: np.ndarray) -> Lattice:
@@ -105,6 +118,31 @@ def fd_gradient(
     return grad
 
 
+def _node_gradient(
+    lat: Lattice, cell: _CellSolution, target: ElasticTensor4, mat: BeamMaterial
+) -> np.ndarray:
+    """(N, 3) exact gradient of :func:`objective` at every node of a solved cell.
+
+    With G = 2 (C - T) in Mandel form and D_e the solved total end
+    displacements of element e, the derivative with respect to its strut
+    vector v_e is ``<dK_e/dv_e, D_e G D_e^T> / V``; it is added to the head
+    node and subtracted from the tail node, so self-edges cancel.  The
+    affine load needs no term: moving a node shifts its affine displacement
+    exactly as a change of its free fluctuation would, and the solved
+    fluctuations make the energy stationary.  No solve happens here.
+    """
+    _k, dk = _beam_kernel(edge_matrix(lat), lat.radius, mat, derivative=True)
+    weight = 2.0 * (cell.mandel - to_mandel(target).entries)
+    d = cell.displacements
+    w = d @ weight @ d.transpose(0, 2, 1)
+    per_edge = np.einsum("emij,eij->em", dk, w)
+    per_edge /= float(np.linalg.det(lat.cell))
+    full = np.zeros((lat.node_count, 3))
+    np.add.at(full, lat.edges[:, 1], per_edge)
+    np.add.at(full, lat.edges[:, 0], -per_edge)
+    return full
+
+
 def gradient(
     lat: Lattice,
     target: ElasticTensor4,
@@ -113,34 +151,12 @@ def gradient(
 ) -> tuple[float, dict[int, np.ndarray]]:
     """:func:`objective` and its exact gradient per free node, from one solve.
 
-    With G = 2 (C - T) in Mandel form and D_e the solved total end
-    displacements of element e, the derivative with respect to its strut
-    vector v_e is ``<dK_e/dv_e, D_e G D_e^T> / V``; it is added to the head
-    node and subtracted from the tail node, so self-edges cancel.  The
-    affine load needs no term: moving a node shifts its affine displacement
-    exactly as a change of its free fluctuation would, and the solved
-    fluctuations make the energy stationary.  Returns the objective value
-    and a transformed-coordinate 3-vector for each index in ``free_nodes``.
+    Returns the objective value and a transformed-coordinate 3-vector for
+    each index in ``free_nodes``; see :func:`_node_gradient` for the formula.
     """
-    _density, cell = _solve_cell(lat, mat, derivative=True)
-    target_mandel = to_mandel(target).entries
-    value = l_comp(cell.mandel, target_mandel)
-    weight = 2.0 * (cell.mandel - target_mandel)
-    d = cell.displacements
-    w = d @ weight @ d.transpose(0, 2, 1)
-    per_edge = np.einsum("emij,eij->em", cell.stiffness_derivative, w)
-    per_edge /= float(np.linalg.det(lat.cell))
-    full = np.zeros((lat.node_count, 3))
-    np.add.at(full, lat.edges[:, 1], per_edge)
-    np.add.at(full, lat.edges[:, 0], -per_edge)
+    value, cell = _evaluate(lat, target, mat)
+    full = _node_gradient(lat, cell, target, mat)
     return value, {int(k): full[int(k)] for k in free_nodes}
-
-
-def _gradient_array(lat: Lattice, grad: dict[int, np.ndarray]) -> np.ndarray:
-    full = np.zeros((lat.node_count, 3))
-    for node, g in grad.items():
-        full[node] = g
-    return full
 
 
 def solve(
@@ -148,21 +164,22 @@ def solve(
 ) -> DesignTrace:
     """Run the descent loop and re-verify the final stiffness by a fresh solve.
 
-    Each step takes the exact :func:`gradient`.  Stops at ``max_steps`` or
-    when the gradient norm falls below 1e-8.
+    Each lattice is solved once: the solve that gives a candidate its
+    objective value also gives the exact gradient of the next step.  Stops
+    at ``max_steps`` or when the gradient norm falls below 1e-8.
     With backtracking enabled, a step that would increase the objective
     (or collapse a strut) halves the step size, up to 20 times; if no
     acceptable step remains the loop terminates.  ``threads`` is accepted
-    for interface compatibility and ignored: the loop starts no worker pool,
-    since one cell solve per step leaves nothing worth spreading.
+    and ignored: the loop runs serially.
     """
     lat = prob.base
-    current = objective(lat, prob.target, mat)
+    current, cell = _evaluate(lat, prob.target, mat)
     history = [current]
+    fixed = np.setdiff1d(np.arange(lat.node_count), prob.free_nodes)
 
     for _ in range(prob.max_steps):
-        _value, grad = gradient(lat, prob.target, prob.free_nodes, mat)
-        direction = -_gradient_array(lat, grad)
+        direction = -_node_gradient(lat, cell, prob.target, mat)
+        direction[fixed] = 0.0
         grad_norm = float(np.linalg.norm(direction))
         if grad_norm < GRADIENT_STOP:
             break
@@ -174,15 +191,15 @@ def solve(
             if edge_lengths(candidate).min(initial=np.inf) < MIN_EDGE_LENGTH:
                 step *= 0.5
                 continue
-            value = objective(candidate, prob.target, mat)
+            value, candidate_cell = _evaluate(candidate, prob.target, mat)
             if prob.backtracking and value > current:
                 step *= 0.5
                 continue
-            accepted = (candidate, value)
+            accepted = (candidate, value, candidate_cell)
             break
         if accepted is None:
             break
-        lat, current = accepted
+        lat, current, cell = accepted
         history.append(current)
 
     final = homogenize(lat, mat)

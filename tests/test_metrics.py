@@ -151,19 +151,6 @@ class TestLEquiv:
         with pytest.raises(RuntimeError, match="diamond"):
             l_equiv(broken, [diamond()], sampling.random_rotations(1, 0), DirectionSet.sample(4, 0))
 
-    def test_threaded_matches_serial(self):
-        lattices = [simple_cubic(), diamond()]
-        rotations = sampling.random_rotations(3, seed=1)
-        dirs = DirectionSet.sample(30, seed=2)
-
-        def predictor(lat):
-            return homogenize(lat).stiffness
-
-        predictor.concurrency_safe = True
-        serial = l_equiv(predictor, lattices, rotations, dirs, threads=1)
-        threaded = l_equiv(predictor, lattices, rotations, dirs, threads=4)
-        assert threaded == pytest.approx(serial, rel=1e-12)
-
 
 class TestNegativeEigFraction:
     def test_psd_projected_set_is_clean(self, rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latmech import sampling
+from latmech import fe, optimize, sampling
 from latmech.fe import homogenize
 from latmech.lattice import (
     body_centred_cubic,
@@ -177,6 +177,24 @@ class TestSolve:
         assert rotated.objective_history[-1] == pytest.approx(
             plain.objective_history[-1], abs=1e-6
         )
+
+    def test_solves_each_lattice_once(self, demo_lattice, monkeypatch):
+        prob = DesignProblem(base=demo_lattice, target=scaled_y_target(demo_lattice), max_steps=4)
+        solved = []
+        solve_cell = fe._solve_cell
+
+        def recording(lat, *args, **kwargs):
+            solved.append((lat.nodes.tobytes(), lat.edges.tobytes()))
+            return solve_cell(lat, *args, **kwargs)
+
+        monkeypatch.setattr(fe, "_solve_cell", recording)
+        monkeypatch.setattr(optimize, "_solve_cell", recording)
+        trace = solve(prob)
+        # the last solve is the final re-verifying homogenize
+        final = trace.final_lattice
+        assert solved[-1] == (final.nodes.tobytes(), final.edges.tobytes())
+        assert len(set(solved[:-1])) == len(solved) - 1
+        assert len(solved) > len(trace.objective_history)
 
     def test_plain_mode_runs(self, demo_lattice):
         target = scaled_y_target(demo_lattice)
