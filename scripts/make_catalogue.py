@@ -2,10 +2,15 @@
 """Write the built-in unit cells (and optional perturbed realizations) to a catalogue."""
 
 import argparse
-from dataclasses import replace
 
 from latmech import io
-from latmech.lattice import body_centred_cubic, diamond, perturb, simple_cubic, tessellate
+from latmech.lattice import (
+    body_centred_cubic,
+    diamond,
+    perturbed_realizations,
+    simple_cubic,
+    tessellate,
+)
 
 
 def main() -> None:
@@ -28,9 +33,7 @@ def main() -> None:
         for lat in lattices:
             if lat.node_count < 2:
                 continue
-            for r in range(args.realizations):
-                moved = perturb(lat, args.perturb_level, args.seed + r)
-                out.append(replace(moved, name=f"{lat.name}_l{args.perturb_level:g}_r{r}"))
+            out += perturbed_realizations(lat, args.perturb_level, args.seed, args.realizations)
     io.write_catalogue(args.out, out)
     print(f"wrote {len(out)} lattices to {args.out}")
 

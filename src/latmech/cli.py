@@ -15,16 +15,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__, io, metrics, optimize, psd, sampling
 from .fe import BeamMaterial, homogenize_batch
-from .lattice import perturb, rotate_lattice
+from .lattice import perturbed_realizations, rotate_lattice
 from .tensor4 import (
-    ElasticTensor4,
     directional_moduli,
     from_mandel,
     mandel_rotation,
@@ -111,19 +110,16 @@ def _parse_vector(text: str) -> np.ndarray:
     return np.asarray(parts)
 
 
-def _surface_rows(c: ElasticTensor4, n: int, seed: int) -> list[tuple]:
-    directions = sampling.unit_directions(n, seed)
-    values = directional_moduli(c, directions) if n else np.zeros(0)
-    return [
-        (directions[q, 0], directions[q, 1], directions[q, 2], values[q]) for q in range(n)
-    ]
-
-
-def _write_surface_table(path: str, rows) -> None:
+def _write_surface(path: str, label_columns: str, directions: np.ndarray, blocks) -> None:
+    """Directional-modulus table: one line per direction of each ``(label, moduli)``
+    block, where ``label`` is the tab-terminated text under ``label_columns``."""
+    prefixes = ["\t".join(io.format_float(v) for v in d) + "\t" for d in directions]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("dx\tdy\tdz\tmodulus\n")
-        for row in rows:
-            fh.write("\t".join(io.format_float(v) for v in row) + "\n")
+        fh.write(f"{label_columns}dx\tdy\tdz\tmodulus\n")
+        for label, moduli in blocks:
+            fh.writelines(
+                f"{label}{prefix}{io.format_float(m)}\n" for prefix, m in zip(prefixes, moduli)
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +141,8 @@ def _cmd_homogenize(args) -> int:
     manifest = _manifest(args, seed=args.seed)
     items = homogenize_batch(lattices, args.radius, mat)
     records = []
-    surface_rows = []
+    surface_blocks = []
+    directions = sampling.unit_directions(args.surface, args.seed)
     failures = 0
     for item in items:
         if item.error is not None:
@@ -169,21 +166,13 @@ def _cmd_homogenize(args) -> int:
             file=sys.stderr,
         )
         if args.surface:
-            for row in _surface_rows(result.stiffness, args.surface, args.seed):
-                surface_rows.append((item.name, item.radius, *row))
+            label = f"{item.name}\t{io.format_float(item.radius)}\t"
+            surface_blocks.append((label, directional_moduli(result.stiffness, directions)))
     io.write_stiffness_records(args.out, records)
     manifest.write_for(args.out)
     if args.surface:
         path = f"{args.out}.surface.tsv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("name\tradius\tdx\tdy\tdz\tmodulus\n")
-            for name, radius, dx, dy, dz, value in surface_rows:
-                fh.write(
-                    name
-                    + "\t"
-                    + "\t".join(io.format_float(v) for v in (radius, dx, dy, dz, value))
-                    + "\n"
-                )
+        _write_surface(path, "name\tradius\t", directions, surface_blocks)
         manifest.write_for(path)
     return 1 if failures else 0
 
@@ -198,8 +187,9 @@ def _cmd_surface(args) -> int:
         return 1
     manifest = _manifest(args, seed=args.seed)
     matrix, _ = records[args.index]
-    rows = _surface_rows(from_mandel(matrix), args.n, args.seed)
-    _write_surface_table(args.out, rows)
+    directions = sampling.unit_directions(args.n, args.seed)
+    moduli = directional_moduli(from_mandel(matrix), directions)
+    _write_surface(args.out, "", directions, [("", moduli)])
     manifest.write_for(args.out)
     return 0
 
@@ -268,9 +258,7 @@ def _cmd_perturb(args) -> int:
                 file=sys.stderr,
             )
             continue
-        for realization in range(args.realizations):
-            moved = perturb(lat, args.level, args.seed + realization)
-            out.append(replace(moved, name=f"{lat.name}_l{args.level:g}_r{realization}"))
+        out += perturbed_realizations(lat, args.level, args.seed, args.realizations)
     io.write_catalogue(args.out, out)
     manifest.write_for(args.out)
     print(

@@ -120,8 +120,8 @@ class WindowedLattice:
     periodic_pairs: tuple
     cell: np.ndarray
     fundamental_count: int
-    name: str = ""
-    radius: float = 0.0
+    name: str
+    radius: float
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float).reshape(-1, 3))
@@ -254,6 +254,15 @@ def perturb(lat: Lattice, level: float, seed: int) -> Lattice:
         [sampling.unit_vector(seed, k, sampling.DOMAIN_PERTURBATION) for k in range(lat.node_count)]
     )
     return displace_nodes(lat, level * dirs)
+
+
+def perturbed_realizations(lat: Lattice, level: float, seed: int, count: int) -> list[Lattice]:
+    """``count`` perturbations of ``lat``; realization ``k`` uses seed ``seed + k``
+    and is named ``<name>_l<level>_r<k>``."""
+    return [
+        replace(perturb(lat, level, seed + k), name=f"{lat.name}_l{level:g}_r{k}")
+        for k in range(count)
+    ]
 
 
 def _crossing_groups(p: np.ndarray, q: np.ndarray) -> list[tuple[float, list[tuple[int, int]]]]:
@@ -421,7 +430,7 @@ def fold(win: WindowedLattice) -> Lattice:
         cell=win.cell,
         nodes=reduced,
         edges=np.asarray(edges, dtype=int).reshape(-1, 5),
-        radius=win.radius if win.radius > 0 else 1.0,
+        radius=win.radius,
     )
 
 

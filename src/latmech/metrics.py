@@ -35,19 +35,22 @@ class DirectionSet:
 
     directions: np.ndarray
     seed: int
-    n: int = 250
 
     def __post_init__(self):
         d = np.asarray(self.directions, dtype=float)
-        if d.ndim != 2 or d.shape[1] != 3 or d.shape[0] != self.n:
+        if d.ndim != 2 or d.shape[1] != 3:
             raise ValueError("directions must be an (n, 3) array")
         if d.size and np.abs(np.linalg.norm(d, axis=1) - 1.0).max() > 1e-12:
             raise ValueError("directions must be unit length")
         object.__setattr__(self, "directions", d)
 
+    @property
+    def n(self) -> int:
+        return self.directions.shape[0]
+
     @classmethod
     def sample(cls, n: int = 250, seed: int = 0) -> "DirectionSet":
-        return cls(directions=sampling.unit_directions(n, seed), seed=seed, n=n)
+        return cls(directions=sampling.unit_directions(n, seed), seed=seed)
 
 
 @dataclass(frozen=True)

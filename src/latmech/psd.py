@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .tensor4 import RotationPair
+from .tensor4 import RotationPair, relative_defect
 
 
 class PsdMethod(Enum):
@@ -60,8 +60,7 @@ def _check_symmetric(m, what: str = "matrix") -> np.ndarray:
         raise ValueError(f"{what} must be 6x6, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{what} has non-finite entries")
-    scale = max(np.abs(m).max(), 1.0)
-    defect = np.abs(m - m.T).max() / scale
+    defect = relative_defect(m, m.T)
     if defect > _SYM_TOL:
         raise ValueError(f"{what} not symmetric: relative defect {defect:.3e}")
     return 0.5 * (m + m.T)

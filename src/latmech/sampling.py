@@ -44,14 +44,14 @@ def unit_directions(n: int, seed: int) -> np.ndarray:
     if n < 0:
         raise ValueError("direction count must be nonnegative")
     rng = keyed_generator(seed, DOMAIN_DIRECTION)
-    out = np.empty((n, 3))
-    for q in range(n):
-        while True:
-            v = rng.standard_normal(3)
-            norm = np.linalg.norm(v)
-            if norm > 1e-12:
-                out[q] = v / norm
-                break
+    out = np.empty((0, 3))
+    # Short rows are redrawn from the continuing stream, as a row-at-a-time loop would.
+    while out.shape[0] < n:
+        v = rng.standard_normal((n - out.shape[0], 3))
+        # A row-wise dot through matmul rounds as np.linalg.norm does on one row.
+        norms = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+        keep = norms > 1e-12
+        out = np.concatenate([out, v[keep] / norms[keep, None]])
     return out
 
 

@@ -36,7 +36,18 @@ _I6 = np.arange(6)
 _PAIR_I = np.array([p[0] for p in SLOT_PAIRS])
 _PAIR_J = np.array([p[1] for p in SLOT_PAIRS])
 
+# Divisors turning the table of r_ik r_jl + r_il r_jk into each rotation form.
+_MANDEL_ROTATION_DIVISORS = np.full((6, 6), _SQRT2)
+_MANDEL_ROTATION_DIVISORS[:3, :3] = 2.0
+_MANDEL_ROTATION_DIVISORS[3:, 3:] = 1.0
+_VOIGT_ROTATION_DIVISORS = np.where(_I6 < 3, 2.0, 1.0)
+
 ROTATION_TOL = 1e-10
+
+
+def relative_defect(a, b) -> float:
+    """``max|a - b|`` relative to ``max|a|``: a verdict that does not depend on scale."""
+    return float(abs(a - b).max()) / max(float(abs(a).max()), 1e-30)
 
 
 def _as_square(a, n: int, what: str) -> np.ndarray:
@@ -76,9 +87,8 @@ class ElasticTensor4:
             raise ValueError(f"stiffness tensor must be 3x3x3x3, got {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("stiffness tensor has non-finite entries")
-        scale = max(np.abs(c).max(), 1e-30)
         for axes in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
-            defect = np.abs(c - c.transpose(axes)).max() / scale
+            defect = relative_defect(c, c.transpose(axes))
             if defect > self._SYM_TOL:
                 raise ValueError(
                     f"tensor violates index symmetry {axes}: relative defect {defect:.3e}"
@@ -113,8 +123,7 @@ class MandelMatrix:
         m = _as_square(self.entries, 6, "Mandel matrix")
         if not np.all(np.isfinite(m)):
             raise ValueError("Mandel matrix has non-finite entries")
-        scale = max(np.abs(m).max(), 1.0)
-        defect = np.abs(m - m.T).max() / scale
+        defect = relative_defect(m, m.T)
         if defect > self._SYM_TOL:
             raise ValueError(f"Mandel matrix not symmetric: relative defect {defect:.3e}")
         object.__setattr__(self, "entries", m)
@@ -197,13 +206,14 @@ def symmetrize(raw) -> ElasticTensor4:
     return ElasticTensor4(full)
 
 
+def _slot_table(c: ElasticTensor4) -> np.ndarray:
+    """6x6 table of ``C_ijkl`` over slot pairs ``(ij)``, ``(kl)``."""
+    return c.components[_PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I[None, :], _PAIR_J[None, :]]
+
+
 def to_mandel(c: ElasticTensor4) -> MandelMatrix:
     """6x6 Mandel matrix: sqrt(2) on normal-shear blocks, 2 on shear-shear."""
-    comp = c.components
-    gathered = comp[
-        _PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I[None, :], _PAIR_J[None, :]
-    ]
-    return MandelMatrix(_WEIGHT_PRODUCTS * gathered)
+    return MandelMatrix(_WEIGHT_PRODUCTS * _slot_table(c))
 
 
 def from_mandel(m: MandelMatrix | np.ndarray) -> ElasticTensor4:
@@ -219,25 +229,14 @@ def from_mandel(m: MandelMatrix | np.ndarray) -> ElasticTensor4:
 
 def to_voigt(c: ElasticTensor4) -> VoigtMatrix:
     """6x6 Voigt stiffness: raw components, no weight factors."""
-    comp = c.components
-    gathered = comp[
-        _PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I[None, :], _PAIR_J[None, :]
-    ]
-    return VoigtMatrix(gathered)
+    return VoigtMatrix(_slot_table(c))
 
 
-def _mandel_rotation_entries(r: np.ndarray) -> np.ndarray:
-    rm = np.empty((6, 6))
-    for a, (i, j) in enumerate(SLOT_PAIRS):
-        for b, (k, l) in enumerate(SLOT_PAIRS):
-            term = r[i, k] * r[j, l] + r[i, l] * r[j, k]
-            if a < 3 and b < 3:  # squared entries
-                rm[a, b] = 0.5 * term
-            elif a >= 3 and b >= 3:  # sum-of-products shear block, factor 1
-                rm[a, b] = term
-            else:  # mixed blocks carry the sqrt(2)
-                rm[a, b] = term / _SQRT2
-    return rm
+def _pair_products(r: np.ndarray) -> np.ndarray:
+    """6x6 table of ``r_ik r_jl + r_il r_jk`` over slot pairs ``(ij)``, ``(kl)``."""
+    i, j = _PAIR_I[:, None], _PAIR_J[:, None]
+    k, l = _PAIR_I[None, :], _PAIR_J[None, :]
+    return r[i, k] * r[j, l] + r[i, l] * r[j, k]
 
 
 def mandel_rotation(r) -> RotationPair:
@@ -248,7 +247,7 @@ def mandel_rotation(r) -> RotationPair:
     The result is orthonormal, so stiffness rotates by plain conjugation.
     """
     r = check_rotation(r)
-    return RotationPair(r, _mandel_rotation_entries(r))
+    return RotationPair(r, _pair_products(r) / _MANDEL_ROTATION_DIVISORS)
 
 
 def voigt_rotation(r) -> np.ndarray:
@@ -257,12 +256,7 @@ def voigt_rotation(r) -> np.ndarray:
     Voigt stiffness rotates as ``R_v C_v R_v^T`` with this matrix; because
     ``R_v^T R_v != I`` the rule does not commute with matrix powers.
     """
-    r = check_rotation(r)
-    rv = np.empty((6, 6))
-    for a, (i, j) in enumerate(SLOT_PAIRS):
-        for b, (k, l) in enumerate(SLOT_PAIRS):
-            rv[a, b] = (r[i, k] * r[j, l] + r[i, l] * r[j, k]) / (1.0 + (k == l))
-    return rv
+    return _pair_products(check_rotation(r)) / _VOIGT_ROTATION_DIVISORS
 
 
 def rotate(c: ElasticTensor4, r) -> ElasticTensor4:
@@ -319,8 +313,7 @@ def from_mandel_vector(v) -> np.ndarray:
 def strain_energy(c: ElasticTensor4, eps) -> float:
     """Deformation energy 0.5 * eps_ij C_ijkl eps_kl for a symmetric strain."""
     eps = _as_square(eps, 3, "strain")
-    scale = max(np.abs(eps).max(), 1e-30)
-    if np.abs(eps - eps.T).max() / scale > 1e-10:
+    if relative_defect(eps, eps.T) > 1e-10:
         raise ValueError("strain tensor must be symmetric")
     return 0.5 * float(np.einsum("ij,ijkl,kl->", eps, c.components, eps))
 

@@ -96,6 +96,29 @@ class TestHomogenize:
         assert code == 1
         assert "unreachable" in capsys.readouterr().err
 
+    def test_surface_table_matches_surface_command(self, catalogue_path, tmp_path):
+        out = tmp_path / "stiff.jsonl"
+        assert dispatch(
+            ["homogenize", "--catalogue", str(catalogue_path), "--radius", "0.05",
+             "--radius", "0.08", "--surface", "23", "--seed", "6", "--out", str(out)]
+        ) == 0
+        records = read_lines(out)
+        lines = (tmp_path / "stiff.jsonl.surface.tsv").read_text().splitlines()
+        assert lines[0] == "name\tradius\tdx\tdy\tdz\tmodulus"
+        assert len(lines) == 1 + 23 * len(records)
+        for k, record in enumerate(records):
+            block = [line.split("\t") for line in lines[1 + 23 * k : 1 + 23 * (k + 1)]]
+            assert {(cols[0], float(cols[1])) for cols in block} == {
+                (record["name"], record["radius"])
+            }
+            table = tmp_path / f"surf{k}.tsv"
+            assert dispatch(
+                ["surface", "--stiffness", str(out), "--index", str(k), "-n", "23",
+                 "--seed", "6", "--out", str(table)]
+            ) == 0
+            body = table.read_text().splitlines()[1:]
+            assert ["\t".join(cols[2:]) for cols in block] == body
+
     def test_rerun_bit_identical(self, catalogue_path, tmp_path):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"

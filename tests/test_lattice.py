@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from latmech.lattice import (
     edge_vector,
     fold,
     perturb,
+    perturbed_realizations,
     relative_density,
     rotate_lattice,
     simple_cubic,
@@ -173,6 +175,11 @@ class TestWindow:
         back = fold(win)
         assert edge_multiset(back) == edge_multiset(lat)
 
+    def test_fold_keeps_name_and_radius(self, catalogue_lattices):
+        for lat in catalogue_lattices:
+            back = fold(window(replace(lat, radius=0.013)))
+            assert (back.name, back.radius) == (lat.name, 0.013)
+
     def test_fold_round_trip_perturbed(self, catalogue_lattices):
         for lat in catalogue_lattices[1:]:
             moved = perturb(lat, 0.07, seed=3)
@@ -244,6 +251,16 @@ class TestPerturb:
     def test_rejects_single_node(self):
         with pytest.raises(ValueError, match="at least 2"):
             perturb(simple_cubic(), 0.1, seed=0)
+
+    def test_realizations_named_and_seeded(self):
+        lat = body_centred_cubic()
+        out = perturbed_realizations(lat, 0.05, seed=7, count=3)
+        assert [moved.name for moved in out] == ["bcc_l0.05_r0", "bcc_l0.05_r1", "bcc_l0.05_r2"]
+        for k, moved in enumerate(out):
+            direct = perturb(lat, 0.05, seed=7 + k)
+            np.testing.assert_array_equal(moved.nodes, direct.nodes)
+            np.testing.assert_array_equal(moved.edges, direct.edges)
+        assert perturbed_realizations(lat, 0.05, seed=7, count=0) == []
 
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError, match="nonnegative"):

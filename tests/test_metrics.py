@@ -101,7 +101,7 @@ class TestLDir:
         target = ElasticTensor4(random_symmetric_tensor4(rng))
         dirs = DirectionSet.sample(64, seed=9)
         r = sampling.random_rotation(17)
-        rotated_dirs = DirectionSet(dirs.directions @ r.T, seed=dirs.seed, n=dirs.n)
+        rotated_dirs = DirectionSet(dirs.directions @ r.T, seed=dirs.seed)
         base_raw, base_rel = l_dir(pred, target, dirs)
         rot_raw, rot_rel = l_dir(rotate(pred, r), rotate(target, r), rotated_dirs)
         assert rot_raw == pytest.approx(base_raw, abs=1e-10)
@@ -208,7 +208,59 @@ class TestReport:
         assert report.as_dict()["l_equiv"] is None
 
 
+def unit_directions_one_row_at_a_time(n, seed, generator=None):
+    """Reference sampler: draw, reject and normalize one 3-vector at a time."""
+    rng = generator or sampling.keyed_generator(seed, sampling.DOMAIN_DIRECTION)
+    out = np.empty((n, 3))
+    for q in range(n):
+        while True:
+            v = rng.standard_normal(3)
+            norm = np.linalg.norm(v)
+            if norm > 1e-12:
+                out[q] = v / norm
+                break
+    return out
+
+
+class ScriptedNormals:
+    """Generator stand-in that deals out a fixed sequence of normals in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.used = 0
+
+    def standard_normal(self, size):
+        count = int(np.prod(size))
+        out = self.values[self.used : self.used + count].reshape(size)
+        self.used += count
+        return out
+
+
 class TestDirectionSet:
+    @pytest.mark.parametrize("n", [0, 1, 7, 250])
+    def test_matches_one_row_at_a_time(self, n):
+        for seed in (0, 1, 5, 123, 2**40 + 3):
+            expected = unit_directions_one_row_at_a_time(n, seed)
+            np.testing.assert_array_equal(sampling.unit_directions(n, seed), expected)
+
+    def test_short_rows_redrawn_in_stream_order(self, monkeypatch, rng):
+        values = rng.standard_normal(60)
+        values[3:6] = 0.0  # second row rejected
+        values[9:12] = 1e-14  # fourth row rejected
+        expected = unit_directions_one_row_at_a_time(
+            8, 0, ScriptedNormals(values)
+        )
+        monkeypatch.setattr(
+            sampling, "keyed_generator", lambda *key: ScriptedNormals(values)
+        )
+        np.testing.assert_array_equal(sampling.unit_directions(8, 0), expected)
+        np.testing.assert_array_equal(expected[1], values[6:9] / np.linalg.norm(values[6:9]))
+
+    def test_count_is_row_count(self):
+        dirs = DirectionSet.sample(17, seed=2)
+        assert dirs.n == 17
+        assert DirectionSet(dirs.directions[:5], seed=2).n == 5
+
     def test_deterministic_per_seed(self):
         a = DirectionSet.sample(25, seed=3)
         b = DirectionSet.sample(25, seed=3)

@@ -13,7 +13,9 @@ from latmech.psd import (
     lower_triangle_params,
     project,
 )
-from latmech.tensor4 import mandel_rotation
+from latmech.fe import homogenize
+from latmech.lattice import simple_cubic
+from latmech.tensor4 import MandelMatrix, mandel_rotation, to_mandel
 
 from conftest import random_symmetric_matrix
 
@@ -106,6 +108,13 @@ class TestProject:
     def test_rejects_cholesky_arity(self):
         with pytest.raises(ValueError, match="21-parameter"):
             project(np.eye(6), PsdMethod.CHOLESKY_ASSEMBLE)
+
+
+    def test_symmetry_check_is_relative(self):
+        m = to_mandel(homogenize(simple_cubic(radius=0.01)).stiffness).entries.copy()
+        m[0, 1] += 5e-11
+        with pytest.raises(ValueError, match="not symmetric"):
+            project(m, PsdMethod.SQUARE)
 
 
 class TestExpKernel:
@@ -201,3 +210,29 @@ def test_property_outputs_are_psd(seed):
         out = project(m, method)
         assert np.linalg.eigvalsh(out).min() >= -1e-10 * max(np.linalg.norm(out), 1e-30)
         np.testing.assert_allclose(out, out.T, atol=1e-13)
+
+
+def _accepts(check, m) -> bool:
+    try:
+        check(m)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    asymmetry=st.sampled_from([0.0, 1e-14, 1e-12, 1e-11, 1e-9, 1e-8, 1e-6]),
+    log_scale=st.floats(min_value=-8.0, max_value=8.0),
+)
+def test_property_symmetry_verdict_is_scale_free(seed, asymmetry, log_scale):
+    rng = np.random.default_rng(seed)
+    m = random_symmetric_matrix(rng)
+    m /= np.abs(m).max()
+    i, j = rng.choice(6, size=2, replace=False)
+    m[i, j] += asymmetry
+    scale = 10.0**log_scale
+    for check in (MandelMatrix, lambda a: project(a, PsdMethod.SQUARE)):
+        assert _accepts(check, m) == (asymmetry < 1e-10)
+        assert _accepts(check, scale * m) == _accepts(check, m)

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latmech import sampling
+from latmech.fe import homogenize
+from latmech.lattice import simple_cubic
 from latmech.tensor4 import (
     ElasticTensor4,
     KelvinSpectrum,
@@ -42,6 +44,24 @@ def brute_force_rotate(c: np.ndarray, r: np.ndarray) -> np.ndarray:
             acc += r[i, a] * r[j, b] * r[k, cc] * r[l, d] * c[a, b, cc, d]
         out[i, j, k, l] = acc
     return out
+
+
+def rotation_table_loops(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference Mandel and Voigt rotation matrices, one entry at a time."""
+    slots = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
+    rm = np.empty((6, 6))
+    rv = np.empty((6, 6))
+    for a, (i, j) in enumerate(slots):
+        for b, (k, l) in enumerate(slots):
+            term = r[i, k] * r[j, l] + r[i, l] * r[j, k]
+            if a < 3 and b < 3:
+                rm[a, b] = 0.5 * term
+            elif a >= 3 and b >= 3:
+                rm[a, b] = term
+            else:
+                rm[a, b] = term / SQRT2
+            rv[a, b] = term / (1.0 + (k == l))
+    return rm, rv
 
 
 def cubic_tensor(c11: float, c12: float, c44: float) -> ElasticTensor4:
@@ -227,6 +247,12 @@ class TestMandelRotation:
             oracle = np.einsum("aij,ik,jl,bkl->ab", basis, r, r, basis)
             np.testing.assert_allclose(mandel_rotation(r).r_mandel, oracle, atol=1e-13)
 
+    def test_matches_entrywise_loops_bit_for_bit(self, rotations):
+        for r in rotations:
+            rm, rv = rotation_table_loops(r)
+            np.testing.assert_array_equal(mandel_rotation(r).r_mandel, rm)
+            np.testing.assert_array_equal(voigt_rotation(r), rv)
+
     def test_rejects_non_rotation(self):
         with pytest.raises(ValueError, match="defect"):
             mandel_rotation(1.5 * np.eye(3))
@@ -323,6 +349,10 @@ class TestStrainEnergy:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             strain_energy(ElasticTensor4.zero(), np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]))
+        small = np.diag([1e-9, 2e-9, 3e-9])  # relative, not absolute, asymmetry
+        small[0, 1] = 1e-15
+        with pytest.raises(ValueError, match="symmetric"):
+            strain_energy(ElasticTensor4.zero(), small)
 
     def test_nonnegative_for_psd_projected_tensor(self, rng):
         from latmech.psd import PsdMethod, project
@@ -408,6 +438,15 @@ class TestTypeInvariants:
         raw[0, 1, 0, 0] = 1.0
         with pytest.raises(ValueError, match="symmetry"):
             ElasticTensor4(raw)
+
+    def test_mandel_symmetry_check_is_relative(self):
+        # Simple cubic at r = 0.01 has entries up to pi r^2 ~ 3.1e-4, so a
+        # 5e-11 asymmetry is a relative defect of 1.6e-7.
+        m = to_mandel(homogenize(simple_cubic(radius=0.01)).stiffness).entries.copy()
+        MandelMatrix(m)
+        m[0, 1] += 5e-11
+        with pytest.raises(ValueError, match="not symmetric"):
+            MandelMatrix(m)
 
     def test_rotation_pair_rejects_bad_mandel_block(self):
         with pytest.raises(ValueError, match="orthonormal"):
