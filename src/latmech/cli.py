@@ -224,8 +224,9 @@ def _cmd_metrics(args) -> int:
     dirs = metrics.DirectionSet.sample(args.dirs, args.seed)
     pairs = [(p, t) for (p, _), (t, _) in zip(preds, targets)]
     pred_tensors = [from_mandel(p) for p, _ in preds]
+    target_tensors = [from_mandel(t) for t, _ in targets]
     dir_losses = [
-        metrics.l_dir(from_mandel(p), from_mandel(t), dirs) for p, t in pairs
+        metrics.l_dir(p, t, dirs) for p, t in zip(pred_tensors, target_tensors)
     ]
     report = metrics.MetricReport(
         l_comp=metrics.aggregate_training_loss(pairs),

@@ -106,22 +106,19 @@ def beam_stiffness(length: float, radius: float, axis, mat: BeamMaterial) -> np.
 
 
 def _check_connected(lat: Lattice) -> None:
-    parent = list(range(lat.node_count))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j, *_ in lat.edges:
-        ra, rb = find(int(i)), find(int(j))
-        if ra != rb:
-            parent[ra] = rb
-    root = find(0)
-    for node in range(lat.node_count):
-        if find(node) != root:
-            raise DisconnectedLatticeError(lat.name, node)
+    # Each node's label falls to the smallest node index joined to it:
+    # relax across both ends of every edge, then jump to the label's label.
+    ends = lat.edges[:, :2]
+    label = np.arange(lat.node_count)
+    while True:
+        lowered = label.copy()
+        np.minimum.at(lowered, ends, label[ends[:, ::-1]])
+        lowered = lowered[lowered]
+        if (lowered == label).all():
+            break
+        label = lowered
+    if label.any():
+        raise DisconnectedLatticeError(lat.name, int(np.flatnonzero(label)[0]))
 
 
 def _mandel_unit_strains() -> np.ndarray:
@@ -163,7 +160,8 @@ def _solve_pinned(k: np.ndarray, rhs: np.ndarray, name: str):
     if chol is not None and np.any(np.diag(chol[0]) ** 2 <= _PIVOT_REL_TOL * diag):
         chol = None
     if chol is None:
-        scale = 1.0 / np.sqrt(diag)
+        # a dof no strut touches has a zero diagonal and counts as null
+        scale = 1.0 / np.sqrt(np.where(diag > 0, diag, np.inf))
         eigvals = np.linalg.eigvalsh(scale[:, None] * k_red * scale)
         null_dim = int(np.sum(eigvals <= _PIVOT_REL_TOL))
         raise SingularSystemError(name, max(null_dim, 1))
@@ -328,33 +326,7 @@ def homogenize_windowed(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> Hom
     to solver precision.
     """
     win = window(lat)
-    return _homogenize_windowed(win, lat, mat)
-
-
-def _resolve_master(win: WindowedLattice):
-    """Map every windowed node to (root master, accumulated separation)."""
-    link = {int(s): (int(m), np.asarray(v, dtype=float)) for m, s, v in win.periodic_pairs}
-    resolved: dict[int, tuple[int, np.ndarray]] = {}
-
-    def resolve(node: int) -> tuple[int, np.ndarray]:
-        if node not in link:
-            return node, np.zeros(3)
-        if node in resolved:
-            return resolved[node]
-        master, sep = link[node]
-        root, extra = resolve(master)
-        resolved[node] = (root, sep + extra)
-        return resolved[node]
-
-    return [resolve(k) for k in range(win.nodes.shape[0])]
-
-
-def _homogenize_windowed(
-    win: WindowedLattice, lat: Lattice, mat: BeamMaterial
-) -> HomogenizationResult:
-    masters = _resolve_master(win)
-    roots = np.array([root for root, _sep in masters], dtype=int)
-    seps = np.array([sep for _root, sep in masters]).reshape(-1, 3)
+    roots, seps = _resolve_master(win)
     master_nodes, master_of = np.unique(roots, return_inverse=True)
     # An image node's total displacement is its master's fluctuation plus
     # eps . (x_master + separation): the affine jump across the recorded
@@ -372,6 +344,23 @@ def _homogenize_windowed(
         dof_count=6 * len(master_nodes),
         residual=cell.residual,
     )
+
+
+def _resolve_master(win: WindowedLattice) -> tuple[np.ndarray, np.ndarray]:
+    """Root master of every windowed node and the accumulated separation to it.
+
+    Returns ``(root, sep)`` of shapes (M,) and (M, 3), with
+    x_node = x_root + sep; a node that is no pair's slave is its own root.
+    """
+    root = np.arange(len(win.nodes))
+    sep = np.zeros((len(win.nodes), 3))
+    if win.periodic_pairs:
+        masters, slaves, separations = zip(*win.periodic_pairs)
+        root[list(slaves)] = masters
+        sep[list(slaves)] = separations
+    while np.any(root[root] != root):
+        sep, root = sep + sep[root], root[root]
+    return root, sep
 
 
 def homogenize_batch(

@@ -118,10 +118,16 @@ def lattice_from_record(obj: dict, line: int = 1) -> Lattice:
     name = obj["name"]
     if not isinstance(name, str) or not name:
         raise CatalogueError(line, "field 'name' must be a nonempty string")
-    cell = np.asarray(obj["cell"], dtype=float)
+    try:
+        cell = np.asarray(obj["cell"], dtype=float)
+        nodes = np.asarray(obj["nodes"], dtype=float)
+        radius = float(obj["radius"])
+    except (TypeError, ValueError) as exc:
+        raise CatalogueError(
+            line, f"fields 'cell', 'nodes' and 'radius' must hold reals ({exc})"
+        ) from exc
     if cell.size != 9:
         raise CatalogueError(line, "field 'cell' must hold 9 reals")
-    nodes = np.asarray(obj["nodes"], dtype=float)
     if nodes.size % 3 != 0 or nodes.size == 0:
         raise CatalogueError(line, "field 'nodes' must hold 3N reals")
     edges = obj["edges"]
@@ -140,7 +146,7 @@ def lattice_from_record(obj: dict, line: int = 1) -> Lattice:
             cell=cell.reshape(3, 3),
             nodes=nodes.reshape(-1, 3),
             edges=np.asarray(rows, dtype=int).reshape(-1, 5),
-            radius=float(obj["radius"]),
+            radius=radius,
         )
     except ValueError as exc:
         raise CatalogueError(line, str(exc)) from exc

@@ -68,19 +68,18 @@ class Lattice:
             )
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError(f"lattice {self.name!r}: radius must be positive")
-        n = nodes.shape[0]
-        if edges.shape[0] == 0:
-            edges = edges.reshape(0, 5)
-        if edges.size and (edges[:, :2].min() < 0 or edges[:, :2].max() >= n):
+        if edges.size and (edges[:, :2].min() < 0 or edges[:, :2].max() >= nodes.shape[0]):
             raise ValueError(f"lattice {self.name!r}: edge references a missing node")
-        seen: set[tuple] = set()
-        for row in edges:
-            key = _canonical_edge_key(row)
-            if key in seen:
-                raise ValueError(
-                    f"lattice {self.name!r}: duplicate edge {tuple(int(v) for v in row)}"
-                )
-            seen.add(key)
+        canonical = _canonical_edges(edges)
+        # a set of row tuples is the cheapest repeat test on cells of a few edges
+        if len(set(map(tuple, canonical.tolist()))) < len(canonical):
+            _, first, inverse = np.unique(
+                canonical, axis=0, return_index=True, return_inverse=True
+            )
+            bad = np.flatnonzero(first[inverse.reshape(-1)] != np.arange(len(canonical)))[0]
+            raise ValueError(
+                f"lattice {self.name!r}: duplicate edge {tuple(edges[bad].tolist())}"
+            )
         object.__setattr__(self, "cell", cell)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
@@ -129,12 +128,20 @@ class WindowedLattice:
         object.__setattr__(self, "cell", np.asarray(self.cell, dtype=float))
 
 
-def _canonical_edge_key(row) -> tuple:
-    i, j = int(row[0]), int(row[1])
-    t = (int(row[2]), int(row[3]), int(row[4]))
-    forward = (i, j, t)
-    backward = (j, i, (-t[0], -t[1], -t[2]))
-    return min(forward, backward)
+# row (i, j, t) -> its reverse (j, i, -t); weights that make the sign of a
+# row difference dotted with them the sign of the lexicographic comparison
+_REVERSE = np.array(
+    [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, -1, 0, 0], [0, 0, 0, -1, 0], [0, 0, 0, 0, -1]]
+)
+_LEX_WEIGHTS = np.array([16, 8, 4, 2, 1])
+
+
+def _canonical_edges(edges: np.ndarray) -> np.ndarray:
+    """(E, 5) rows: each edge (i, j, t) or its reverse (j, i, -t), whichever
+    is lexicographically smaller, so both orientations of a strut agree."""
+    reverse = edges @ _REVERSE
+    flip = np.sign(reverse - edges) @ _LEX_WEIGHTS < 0
+    return np.where(flip[:, None], reverse, edges)
 
 
 def classify_node(x) -> NodeType:
@@ -189,27 +196,19 @@ def tessellate(lat: Lattice, n: int) -> Lattice:
         raise ValueError("tessellation factor must be a positive integer")
     if n == 1:
         return lat
-    offsets = np.array(
-        [(a, b, c) for a in range(n) for b in range(n) for c in range(n)], dtype=int
-    )
+    # copy k sits at offset (a, b, c) with k = (a n + b) n + c
+    offsets = np.indices((n, n, n)).reshape(3, -1).T
     n_nodes = lat.node_count
-    new_nodes = np.concatenate([(lat.nodes + o) / n for o in offsets])
-    offset_of = {tuple(o): k for k, o in enumerate(offsets)}
-    new_edges = []
-    for o in offsets:
-        base = offset_of[tuple(o)] * n_nodes
-        for i, j, *t in lat.edges:
-            target = o + np.asarray(t, dtype=int)
-            wrapped = target % n
-            carry = (target - wrapped) // n
-            new_edges.append(
-                (base + i, offset_of[tuple(wrapped)] * n_nodes + j, *carry)
-            )
+    new_nodes = ((lat.nodes + offsets[:, None]) / n).reshape(-1, 3)
+    target = offsets[:, None] + lat.edges[:, 2:]  # (copies, E, 3)
+    tails = np.arange(len(offsets))[:, None] * n_nodes + lat.edges[:, 0]
+    heads = (target % n) @ np.array([n * n, n, 1]) * n_nodes + lat.edges[:, 1]
+    new_edges = np.concatenate([tails[..., None], heads[..., None], target // n], axis=2)
     return Lattice(
         name=f"{lat.name}_x{n}",
         cell=n * lat.cell,
         nodes=new_nodes,
-        edges=np.asarray(new_edges, dtype=int),
+        edges=new_edges.reshape(-1, 5),
         radius=lat.radius,
     )
 
@@ -436,11 +435,9 @@ def fold(win: WindowedLattice) -> Lattice:
 
 def edge_multiset(lat: Lattice) -> dict:
     """Canonical multiset of edges, orientation-insensitive."""
-    counts: dict[tuple, int] = {}
-    for row in lat.edges:
-        key = _canonical_edge_key(row)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    rows, counts = np.unique(_canonical_edges(lat.edges), axis=0, return_counts=True)
+    keys = zip(rows[:, 0].tolist(), rows[:, 1].tolist(), map(tuple, rows[:, 2:].tolist()))
+    return dict(zip(keys, counts.tolist()))
 
 
 # ---------------------------------------------------------------------------

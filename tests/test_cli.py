@@ -41,6 +41,17 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert dispatch(["validate", "--catalogue", str(tmp_path / "nope")]) == 1
 
+    @pytest.mark.parametrize(
+        "field, value", [("radius", None), ("cell", {"x": 1}), ("nodes", "abc")]
+    )
+    def test_malformed_field_reports_line(self, tmp_path, capsys, field, value):
+        path = tmp_path / "bad.lats"
+        record = io.lattice_record(simple_cubic())
+        record[field] = value
+        path.write_text(json.dumps(record) + "\n")
+        assert dispatch(["validate", "--catalogue", str(path)]) == 1
+        assert "line 1" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):

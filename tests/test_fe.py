@@ -18,12 +18,14 @@ from latmech.fe import (
 )
 from latmech.lattice import (
     Lattice,
+    WindowedLattice,
     body_centred_cubic,
     diamond,
     perturb,
     rotate_lattice,
     simple_cubic,
     tessellate,
+    window,
 )
 from latmech.tensor4 import (
     directional_modulus,
@@ -79,6 +81,42 @@ def local_frame_beam_stiffness(length, radius, axis, mat) -> np.ndarray:
     y /= np.linalg.norm(y)
     t = block_rotation(np.vstack([axis, y, np.cross(axis, y)]))
     return t.T @ k @ t
+
+
+def unreachable_node_reference(lat: Lattice) -> int | None:
+    """First node outside node 0's component, by union-find; None if connected."""
+    parent = list(range(lat.node_count))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j, *_ in lat.edges:
+        ra, rb = find(int(i)), find(int(j))
+        if ra != rb:
+            parent[ra] = rb
+    root = find(0)
+    return next((node for node in range(lat.node_count) if find(node) != root), None)
+
+
+def resolve_master_reference(win: WindowedLattice) -> list[tuple[int, np.ndarray]]:
+    """(root master, accumulated separation) of every windowed node, by recursion."""
+    link = {int(s): (int(m), np.asarray(v, dtype=float)) for m, s, v in win.periodic_pairs}
+    resolved: dict[int, tuple[int, np.ndarray]] = {}
+
+    def resolve(node: int) -> tuple[int, np.ndarray]:
+        if node not in link:
+            return node, np.zeros(3)
+        if node in resolved:
+            return resolved[node]
+        master, sep = link[node]
+        root, extra = resolve(master)
+        resolved[node] = (root, sep + extra)
+        return resolved[node]
+
+    return [resolve(k) for k in range(win.nodes.shape[0])]
 
 
 class TestBeamStiffness:
@@ -276,6 +314,16 @@ class TestHomogenize:
                 path(lat)
             assert raised.value.null_dim == 3
 
+    @pytest.mark.filterwarnings("error")
+    def test_strutless_node_is_singular(self):
+        # No strut touches the node, so its zero stiffness diagonal must
+        # count as null rather than divide by zero.
+        lat = Lattice("bare", np.eye(3), [[0.5, 0.5, 0.5]], np.zeros((0, 5), dtype=int), 0.05)
+        for path in (homogenize, homogenize_windowed):
+            with pytest.raises(SingularSystemError, match="bare") as raised:
+                path(lat)
+            assert raised.value.null_dim == 3
+
     def test_rejects_overdense(self):
         with pytest.raises(ValueError, match="density"):
             homogenize(simple_cubic(radius=0.4))
@@ -286,6 +334,57 @@ class TestHomogenize:
         diag = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
         diag_value = directional_modulus(c, diag)
         assert axis_value > 1.2 * diag_value
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    node_count=st.integers(1, 5),
+    pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=6),
+)
+def test_property_unreachable_node_matches_union_find(node_count, pairs):
+    # every edge carries a distinct shift, so no set of pairs repeats an edge
+    edges = [
+        (i % node_count, j % node_count, k + 1, 0, 0) for k, (i, j) in enumerate(pairs)
+    ]
+    nodes = [[0.1 + 0.15 * k, 0.3, 0.6] for k in range(node_count)]
+    lat = Lattice("g", np.eye(3), nodes, np.asarray(edges, dtype=int).reshape(-1, 5), 0.05)
+    expected = unreachable_node_reference(lat)
+    if expected is None:
+        fe._check_connected(lat)
+    else:
+        with pytest.raises(DisconnectedLatticeError) as raised:
+            fe._check_connected(lat)
+        assert raised.value.node == expected
+        assert str(raised.value) == f"lattice 'g': node {expected} unreachable from node 0"
+
+
+def test_resolve_master_matches_recursive_reference():
+    lattices = [
+        perturb(tessellate(base(), n), 0.02, seed=s)
+        for base, n in ((body_centred_cubic, 2), (diamond, 2), (simple_cubic, 3))
+        for s in range(4)
+    ] + [simple_cubic(), diamond()]
+    # window() pairs every image with a root; this hand-built view chains
+    # images 4 -> 3 -> 2 -> 0 and 5 -> 1
+    chained = WindowedLattice(
+        nodes=np.zeros((6, 3)),
+        elements=[[0, 1]],
+        periodic_pairs=(
+            (3, 4, np.array([1.0, 0.0, 0.0])),
+            (0, 2, np.array([0.0, 1.0, 0.0])),
+            (2, 3, np.array([0.0, -1.0, 1.0])),
+            (1, 5, np.array([0.0, 0.0, 2.0])),
+        ),
+        cell=np.eye(3),
+        fundamental_count=2,
+        name="chain",
+        radius=0.05,
+    )
+    for win in [window(lat) for lat in lattices] + [chained]:
+        root, sep = fe._resolve_master(win)
+        reference = resolve_master_reference(win)
+        np.testing.assert_array_equal(root, [r for r, _ in reference])
+        np.testing.assert_array_equal(sep, np.reshape([v for _, v in reference], (-1, 3)))
 
 
 def perturb_if_possible(lat: Lattice) -> Lattice:

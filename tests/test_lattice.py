@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latmech import sampling
@@ -36,6 +36,66 @@ def min_image_distance(cell: np.ndarray, displacement: np.ndarray) -> float:
                 shift = cell @ np.array([tx, ty, tz], dtype=float)
                 best = min(best, np.linalg.norm(displacement + shift))
     return best
+
+
+def canonical_edge_key_reference(row) -> tuple:
+    """Orientation-free key of one edge row, as a tuple minimum."""
+    i, j = int(row[0]), int(row[1])
+    t = (int(row[2]), int(row[3]), int(row[4]))
+    return min((i, j, t), (j, i, (-t[0], -t[1], -t[2])))
+
+
+def edge_multiset_reference(lat: Lattice) -> dict:
+    counts: dict[tuple, int] = {}
+    for row in lat.edges:
+        key = canonical_edge_key_reference(row)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def edge_error_reference(name: str, node_count: int, edges) -> str | None:
+    """The message ``Lattice`` gives for an edge list, one row at a time;
+    None when it is accepted.  Assumes distinct nodes, so only a self-edge
+    without a shift has zero length."""
+    if any(not (0 <= v < node_count) for row in edges for v in row[:2]):
+        return f"lattice {name!r}: edge references a missing node"
+    seen = set()
+    for row in edges:
+        key = canonical_edge_key_reference(row)
+        if key in seen:
+            return f"lattice {name!r}: duplicate edge {tuple(int(v) for v in row)}"
+        seen.add(key)
+    for k, (i, j, *t) in enumerate(edges):
+        if i == j and not any(t):
+            return f"lattice {name!r}: edge {k} has near-zero length 0.000e+00"
+    return None
+
+
+def tessellate_reference(lat: Lattice, n: int) -> Lattice:
+    """Supercell built by looping over copies and edges."""
+    if n == 1:
+        return lat
+    offsets = np.array(
+        [(a, b, c) for a in range(n) for b in range(n) for c in range(n)], dtype=int
+    )
+    n_nodes = lat.node_count
+    new_nodes = np.concatenate([(lat.nodes + o) / n for o in offsets])
+    offset_of = {tuple(o): k for k, o in enumerate(offsets)}
+    new_edges = []
+    for o in offsets:
+        base = offset_of[tuple(o)] * n_nodes
+        for i, j, *t in lat.edges:
+            target = o + np.asarray(t, dtype=int)
+            wrapped = target % n
+            carry = (target - wrapped) // n
+            new_edges.append((base + i, offset_of[tuple(wrapped)] * n_nodes + j, *carry))
+    return Lattice(
+        name=f"{lat.name}_x{n}",
+        cell=n * lat.cell,
+        nodes=new_nodes,
+        edges=np.asarray(new_edges, dtype=int),
+        radius=lat.radius,
+    )
 
 
 class TestClassifyNode:
@@ -213,6 +273,19 @@ class TestTessellate:
             scaled = np.sort(edge_lengths(tessellate(lat, 2)))
             np.testing.assert_allclose(scaled, np.repeat(base, 8), atol=1e-12)
 
+    def test_matches_loop_reference(self, catalogue_lattices):
+        lattices = catalogue_lattices + [
+            perturb(body_centred_cubic(), 0.3, seed=4),
+            perturb(diamond(), 0.3, seed=5),
+        ]
+        for lat in lattices:
+            for n in (1, 2, 3, 4):
+                got, want = tessellate(lat, n), tessellate_reference(lat, n)
+                assert got.name == want.name
+                np.testing.assert_array_equal(got.cell, want.cell)
+                np.testing.assert_array_equal(got.nodes, want.nodes)
+                np.testing.assert_array_equal(got.edges, want.edges)
+
 
 class TestPerturb:
     def test_level_zero_identity(self):
@@ -348,3 +421,36 @@ def test_property_perturb_distance_and_determinism(seed, level):
 def test_property_window_fold_identity(seed):
     lat = perturb(diamond(), 0.1, seed)
     assert edge_multiset(fold(window(lat))) == edge_multiset(lat)
+
+
+_SHIFT = st.integers(-1, 1)
+_EDGE_SETS = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _SHIFT, _SHIFT, _SHIFT),
+            max_size=6,
+        ),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_EDGE_SETS)
+# self-edges whose first nonzero shift is positive, then negative, each
+# repeated in the other orientation; then a missing node
+@example(case=(1, [(0, 0, 0, 1, -1), (0, 0, 1, 0, 0), (0, 0, 0, -1, 1)]))
+@example(case=(1, [(0, 0, 0, 0, -1), (0, 0, -1, 1, 0), (0, 0, 1, -1, 0)]))
+@example(case=(2, [(1, 0, 0, 1, 0), (0, 1, 0, -1, 0), (1, 1, 0, 0, 0)]))
+@example(case=(2, [(0, 1, 0, 0, 0), (0, 2, 0, 0, 0)]))
+def test_property_edge_checks_match_row_reference(case):
+    node_count, edges = case
+    nodes = [[0.1 + 0.2 * k, 0.3, 0.6] for k in range(node_count)]
+    expected = edge_error_reference("g", node_count, edges)
+    try:
+        lat = Lattice("g", np.eye(3), nodes, np.asarray(edges, dtype=int).reshape(-1, 5), 0.05)
+    except ValueError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    assert edge_multiset(lat) == edge_multiset_reference(lat)
