@@ -112,14 +112,13 @@ def _parse_vector(text: str) -> np.ndarray:
 
 def _write_surface(path: str, label_columns: str, directions: np.ndarray, blocks) -> None:
     """Directional-modulus table: one line per direction of each ``(label, moduli)``
-    block, where ``label`` is the tab-terminated text under ``label_columns``."""
-    prefixes = ["\t".join(io.format_float(v) for v in d) + "\t" for d in directions]
+    block, where ``label`` is the tab-terminated text under ``label_columns``.
+    Numbers are written as :func:`io.format_float` writes them."""
+    prefixes = [f"{x:.17g}\t{y:.17g}\t{z:.17g}\t" for x, y, z in directions.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{label_columns}dx\tdy\tdz\tmodulus\n")
         for label, moduli in blocks:
-            fh.writelines(
-                f"{label}{prefix}{io.format_float(m)}\n" for prefix, m in zip(prefixes, moduli)
-            )
+            fh.write("".join([f"{label}{p}{m:.17g}\n" for p, m in zip(prefixes, moduli.tolist())]))
 
 
 # ---------------------------------------------------------------------------
@@ -437,3 +436,7 @@ def dispatch(argv) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

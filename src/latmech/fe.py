@@ -14,21 +14,36 @@ The homogenized Mandel matrix is filled from the energy bilinear form,
 C_ab = 2 Psi(eps_a, eps_b) / det(A), which is symmetric and positive
 semi-definite by construction.  Joint overlap at nodes is ignored
 (slender-strut assumption).
+
+Every cell problem, single or batched, fundamental or windowed, goes
+through one chunked core, :func:`_solve_cells`.  It gathers consecutive
+problems into chunks of at most about ``_CHUNK_STRUTS`` struts (a larger
+problem is a chunk of its own), builds the element matrices of a whole
+chunk in one kernel call, scatters them into one flat buffer of
+block-diagonal stiffness blocks and one of right-hand sides, and then
+factors, solves and contracts each problem on views of those buffers.
+Mixed topologies share a chunk, and each problem's numbers are those of
+solving it alone, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import Lattice, WindowedLattice, edge_matrix, relative_density, window
 from .tensor4 import ElasticTensor4, MandelMatrix, from_mandel, from_mandel_vector
 
 _PIVOT_REL_TOL = 1e-12
+# A chunk closes before its struts would pass this many.  On the benchmark
+# catalogue throughput levels off from about 96 struts, and peak memory
+# rises above the one-cell-at-a-time figure from about 192.
+_CHUNK_STRUTS = 128
 
 
 class DisconnectedLatticeError(ValueError):
@@ -78,7 +93,12 @@ class HomogenizationResult:
 
 @dataclass(frozen=True)
 class BatchItem:
-    """One (lattice, radius) outcome; exactly one of result/error is set."""
+    """One (lattice, radius) outcome; exactly one of result/error is set.
+
+    ``seconds`` is the item's own solve, contraction and validation plus an
+    equal share of its chunk's kernel call and scatters; an item rejected
+    before the solve reports 0.
+    """
 
     name: str
     radius: float
@@ -101,8 +121,15 @@ def beam_stiffness(length: float, radius: float, axis, mat: BeamMaterial) -> np.
     axis = np.asarray(axis, dtype=float)
     if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
         raise ValueError("beam axis must be a unit vector")
-    k, _dk = _beam_kernel(length * axis[None, :], radius, mat)
+    k, _dk = _beam_kernel(length * axis[None, :], _strut_sections([radius], [1]), mat)
     return k[0]
+
+
+def _strut_sections(radii, counts) -> np.ndarray:
+    """Per-strut (area, inertia, torsion) rows of circular sections, shape
+    (sum(counts), 3): the row of ``radii[k]`` repeated ``counts[k]`` times."""
+    rows = [(math.pi * r**2, math.pi * r**4 / 4.0, math.pi * r**4 / 2.0) for r in radii]
+    return np.repeat(np.array(rows), counts, axis=0)
 
 
 def _check_connected(lat: Lattice) -> None:
@@ -150,6 +177,9 @@ def _solve_pinned(k: np.ndarray, rhs: np.ndarray, name: str):
     diagonal entry; a per-column floor is blind to the scale of other
     struts, such as the very short pieces of a windowed cell.
     """
+    # imported here so that commands which never solve skip its load time
+    import scipy.linalg
+
     k_red = k[3:, 3:]
     rhs_red = rhs[3:]
     diag = np.diag(k_red)
@@ -184,8 +214,26 @@ def _kernel_blocks(coeffs: np.ndarray, bases: np.ndarray) -> np.ndarray:
     return blocks.reshape(blocks.shape[:-4] + (12, 12))
 
 
-def _beam_kernel(vectors: np.ndarray, radius: float, mat: BeamMaterial, derivative: bool = False):
+def _cross_matrices(v: np.ndarray) -> np.ndarray:
+    """Cross-product matrices [v]x, with [v]x a = v x a, of (..., 3) vectors v.
+
+    Row i is e_i x v, computed with the products and differences of
+    ``np.cross(np.eye(3), v[..., None, :])`` in its order, so the result is
+    the same to the bit; ``np.cross`` itself spends more on per-call set-up
+    than on the arithmetic of a cell.
+    """
+    e = np.eye(3)
+    x, y, z = v[..., None, 0], v[..., None, 1], v[..., None, 2]
+    return np.stack([e[1] * z - e[2] * y, e[2] * x - e[0] * z, e[0] * y - e[1] * x], axis=-1)
+
+
+def _beam_kernel(
+    vectors: np.ndarray, sections: np.ndarray, mat: BeamMaterial, derivative: bool = False
+):
     """Element stiffness matrices for (E, 3) strut vectors v, tail to head.
+
+    ``sections`` holds each strut's (area, inertia, torsion) row, as
+    :func:`_strut_sections` makes them.
 
     With n = v/|v|, P = n n^T, Q = I - P and S = [n]x, the 3x3 blocks of
     the global-frame matrix are ``ea P + b12 Q`` (translation), ``-/+ b6 S``
@@ -198,12 +246,10 @@ def _beam_kernel(vectors: np.ndarray, radius: float, mat: BeamMaterial, derivati
     n = vectors / length[:, None]
     p = n[:, :, None] * n[:, None, :]
     q = np.eye(3) - p
-    s = np.cross(np.eye(3), n[:, None, :])  # s @ a = n x a
+    s = _cross_matrices(n)  # s @ a = n x a
 
     e_mod, g_mod = mat.youngs_modulus, mat.shear_modulus
-    area = math.pi * radius**2
-    inertia = math.pi * radius**4 / 4.0
-    torsion = math.pi * radius**4 / 2.0
+    area, inertia, torsion = sections.T
     ea = (e_mod * area / length)[:, None, None]
     gj = (g_mod * torsion / length)[:, None, None]
     b12 = (12.0 * e_mod * inertia / length**3)[:, None, None]
@@ -227,7 +273,7 @@ def _beam_kernel(vectors: np.ndarray, radius: float, mat: BeamMaterial, derivati
     dk_dlength = _kernel_blocks(np.stack([dm_p, dm_q, dm_s], 1), np.stack([p, q, s], 1))
     dn = q * inv  # dn[e, m] = d n / d v_m
     dp = dn[:, :, :, None] * n[:, None, None, :] + n[:, None, :, None] * dn[:, :, None, :]
-    ds = np.cross(np.eye(3), dn[:, :, None, :])
+    ds = _cross_matrices(dn)
     dk = n[:, :, None, None] * dk_dlength[:, None] + _kernel_blocks(
         np.stack([m_p - m_q, m_s], 1)[:, None], np.stack([dp, ds], 2)
     )
@@ -235,49 +281,165 @@ def _beam_kernel(vectors: np.ndarray, radius: float, mat: BeamMaterial, derivati
 
 
 @dataclass(frozen=True)
-class _CellSolution:
-    """Solved periodic cell: homogenized Mandel matrix plus element data."""
-
-    mandel: np.ndarray  # (6, 6)
-    residual: float
-    displacements: np.ndarray  # (E, 12, 6) total element end displacements per unit strain
-
-
-def _assemble_solve(
-    name: str,
-    ends: np.ndarray,
-    end_positions: np.ndarray,
-    vectors: np.ndarray,
-    node_count: int,
-    radius: float,
-    mat: BeamMaterial,
-    volume: float,
-) -> _CellSolution:
-    """Assemble, solve and contract the cell problem of (E, 2) element end nodes.
+class _Cell:
+    """A cell problem without its section: element end nodes and geometry.
 
     ``end_positions`` (E, 2, 3) are the physical end positions that carry
     the affine part eps . x of the displacement, so a head beyond the cell
     boundary enters at its shifted image position.
     """
-    k_e, _dk = _beam_kernel(vectors, radius, mat)
-    n_dof = 6 * node_count
-    dofs = (6 * ends[:, :, None] + np.arange(6)).reshape(-1, 12)
-    d_aff = np.zeros((len(ends), 2, 6, 6))
-    d_aff[:, :, :3] = np.einsum("aij,enj->enia", _UNIT_STRAINS, end_positions)
+
+    name: str
+    ends: np.ndarray  # (E, 2) node indices
+    end_positions: np.ndarray  # (E, 2, 3)
+    vectors: np.ndarray  # (E, 3) strut vectors, tail to head
+    node_count: int
+    volume: float  # det of the cell matrix
+
+    @cached_property
+    def length_sum(self) -> float:
+        """Total strut length, for the relative density."""
+        return np.linalg.norm(self.vectors, axis=1).sum()
+
+
+@dataclass(frozen=True)
+class _CellSolution:
+    """Solved periodic cell: homogenized stiffness plus element data."""
+
+    mandel: np.ndarray  # (6, 6)
+    stiffness: ElasticTensor4
+    residual: float
+    displacements: np.ndarray  # (E, 12, 6) total element end displacements per unit strain
+
+
+def _fundamental_cell(lat: Lattice) -> _Cell:
+    """The cell problem of a lattice's fundamental representation.
+
+    Raises :class:`DisconnectedLatticeError`, or ``ValueError`` for a
+    degenerate cell; no radius changes either verdict.
+    """
+    _check_connected(lat)
+    volume = np.linalg.det(lat.cell)
+    if volume <= 0.0:
+        raise ValueError(f"lattice {lat.name!r}: degenerate cell (det <= 0)")
+    positions = lat.transformed_nodes()
+    ends = lat.edges[:, :2]
+    heads = positions[ends[:, 1]] + lat.edges[:, 2:] @ lat.cell.T
+    return _Cell(
+        lat.name, ends, np.stack([positions[ends[:, 0]], heads], axis=1), edge_matrix(lat),
+        lat.node_count, float(volume),
+    )
+
+
+def _checked_density(name: str, radius: float, cell: _Cell | ValueError) -> float:
+    """Relative density of ``cell`` at ``radius``, or the first error found.
+
+    The checks run in the order a lattice rebuilt at ``radius`` and then
+    homogenized would make them: the radius, then the lattice's own error
+    (``cell`` is then the exception :func:`_fundamental_cell` raised), then
+    the density.
+    """
+    if not (radius > 0.0 and math.isfinite(radius)):
+        raise ValueError(f"lattice {name!r}: radius must be positive")
+    if isinstance(cell, ValueError):
+        raise cell
+    density = float(math.pi * radius**2 * cell.length_sum / cell.volume)
+    if density >= 1.0:
+        raise ValueError(
+            f"lattice {name!r}: relative density {density:.3f} >= 1 (struts too thick)"
+        )
+    return density
+
+
+def _solve_cells(problems, mat: BeamMaterial):
+    """Assemble, solve and contract every (cell, radius) problem, chunk by chunk.
+
+    A chunk takes consecutive problems until the next would take it past
+    ``_CHUNK_STRUTS`` struts; a larger problem is a chunk of its own.
+    Yields ``(outcome, seconds)`` per problem, in order; a caller that
+    keeps only part of each solution holds one chunk's solutions at a time.
+    The outcome is a :class:`_CellSolution`, or the ``ValueError`` or
+    ``LinAlgError`` that its solve or its stiffness validation raised; any
+    other exception propagates.  ``seconds`` is the problem's own solve,
+    contraction and validation plus an equal share of its chunk's kernel
+    and scatter.
+    """
+    chunk, struts = [], 0
+    for problem in problems:
+        count = len(problem[0].ends)
+        if chunk and struts + count > _CHUNK_STRUTS:
+            yield from _solve_chunk(chunk, mat)
+            chunk, struts = [], 0
+        chunk.append(problem)
+        struts += count
+    if chunk:
+        yield from _solve_chunk(chunk, mat)
+
+
+def _solve_chunk(chunk, mat: BeamMaterial) -> list[tuple]:
+    """:func:`_solve_cells` on one chunk: one kernel call, one scatter into
+    the flat buffer of stiffness blocks and one into the right-hand sides,
+    then a pinned solve and contraction per problem on views of them."""
+    started = time.perf_counter()
+    cells = [cell for cell, _radius in chunk]
+    counts = [len(cell.ends) for cell in cells]
+    sizes = [6 * cell.node_count for cell in cells]
+    # where each problem's n x n stiffness block and n right-hand-side rows
+    # start; the last entries are the buffer lengths
+    k_offsets = list(accumulate((n * n for n in sizes), initial=0))
+    row_offsets = list(accumulate(sizes, initial=0))
+    # each strut's problem size and offsets, as (E, 1, 1) columns
+    n_e, k0_e, r0_e = np.repeat(
+        np.array([sizes, k_offsets[:-1], row_offsets[:-1]]), counts, axis=1
+    )[:, :, None, None]
+    k_e, _dk = _beam_kernel(
+        np.concatenate([cell.vectors for cell in cells]),
+        _strut_sections([radius for _cell, radius in chunk], counts),
+        mat,
+    )
+    dofs = 6 * np.concatenate([cell.ends for cell in cells])[:, :, None] + np.arange(6)
+    dofs = dofs.reshape(-1, 12)  # local to each problem
+    d_aff = np.zeros((len(dofs), 2, 6, 6))
+    d_aff[:, :, :3] = np.einsum(
+        "aij,enj->enia", _UNIT_STRAINS, np.concatenate([cell.end_positions for cell in cells])
+    )
     d_aff = d_aff.reshape(-1, 12, 6)
 
-    k_global = np.zeros((n_dof, n_dof))
+    k_flat = np.zeros(k_offsets[-1])
+    # entry (a, b) of an element goes to k_offset + a n + b of its problem;
     # add.at accumulates over the repeated indices of self-edges
-    flat = dofs[:, :, None] * n_dof + dofs[:, None, :]
-    np.add.at(k_global.reshape(-1), flat.ravel(), k_e.ravel())
-    rhs = np.zeros((n_dof, 6))
-    np.add.at(rhs, dofs.ravel(), -(k_e @ d_aff).reshape(-1, 6))
+    block_rows = dofs[:, :, None] * n_e + k0_e
+    np.add.at(k_flat, (block_rows + dofs[:, None, :]).ravel(), k_e.ravel())
+    rhs = np.zeros((row_offsets[-1], 6))
+    np.add.at(rhs, (dofs + r0_e[:, 0]).ravel(), -(k_e @ d_aff).reshape(-1, 6))
+    share = (time.perf_counter() - started) / len(chunk)
 
-    u_full, residual = _solve_pinned(k_global, rhs, name)
-    d_total = d_aff + u_full[dofs]
-    # C_ab = sum_e D_e^T K_e D_e / V, as one product over the stacked element rows
-    c_mandel = d_total.reshape(-1, 6).T @ (k_e @ d_total).reshape(-1, 6) / volume
-    return _CellSolution(c_mandel, residual, d_total)
+    solved = []
+    e0 = 0
+    for cell, count, n, k0, r0 in zip(cells, counts, sizes, k_offsets, row_offsets):
+        started = time.perf_counter()
+        e1 = e0 + count
+        k_cell = k_flat[k0 : k0 + n * n].reshape(n, n)
+        try:
+            u_full, residual = _solve_pinned(k_cell, rhs[r0 : r0 + n], cell.name)
+            d_total = d_aff[e0:e1] + u_full[dofs[e0:e1]]
+            # C_ab = sum_e D_e^T K_e D_e / V, as one product over the stacked element rows
+            rows = d_total.reshape(-1, 6)
+            mandel = rows.T @ (k_e[e0:e1] @ d_total).reshape(-1, 6) / cell.volume
+            outcome = _CellSolution(mandel, from_mandel(MandelMatrix(mandel)), residual, d_total)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            outcome = exc
+        solved.append((outcome, share + time.perf_counter() - started))
+        e0 = e1
+    return solved
+
+
+def _solve_one(cell: _Cell, radius: float, mat: BeamMaterial) -> _CellSolution:
+    """:func:`_solve_cells` on one problem, raising its error."""
+    ((outcome, _seconds),) = _solve_cells([(cell, radius)], mat)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _solve_cell(lat: Lattice, mat: BeamMaterial):
@@ -285,21 +447,9 @@ def _solve_cell(lat: Lattice, mat: BeamMaterial):
 
     Returns ``(relative_density, _CellSolution)``.
     """
-    _check_connected(lat)
-    density = relative_density(lat)
-    if density >= 1.0:
-        raise ValueError(
-            f"lattice {lat.name!r}: relative density {density:.3f} >= 1 (struts too thick)"
-        )
-    positions = lat.transformed_nodes()
-    ends = lat.edges[:, :2]
-    heads = positions[ends[:, 1]] + lat.edges[:, 2:] @ lat.cell.T
-    end_positions = np.stack([positions[ends[:, 0]], heads], axis=1)
-    cell = _assemble_solve(
-        lat.name, ends, end_positions, edge_matrix(lat), lat.node_count, lat.radius, mat,
-        float(np.linalg.det(lat.cell)),
-    )
-    return density, cell
+    cell = _fundamental_cell(lat)
+    density = _checked_density(lat.name, lat.radius, cell)
+    return density, _solve_one(cell, lat.radius, mat)
 
 
 def homogenize(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> HomogenizationResult:
@@ -309,12 +459,7 @@ def homogenize(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> Homogenizati
     the Mandel basis and assembles the 6x6 stiffness from cross energies.
     """
     density, cell = _solve_cell(lat, mat)
-    return HomogenizationResult(
-        stiffness=from_mandel(MandelMatrix(cell.mandel)),
-        relative_density=density,
-        dof_count=6 * lat.node_count,
-        residual=cell.residual,
-    )
+    return HomogenizationResult(cell.stiffness, density, 6 * lat.node_count, cell.residual)
 
 
 def homogenize_windowed(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> HomogenizationResult:
@@ -331,18 +476,17 @@ def homogenize_windowed(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> Hom
     # An image node's total displacement is its master's fluctuation plus
     # eps . (x_master + separation): the affine jump across the recorded
     # separation on top of the macroscopic part every node carries.
-    ends = master_of[win.elements]
-    end_positions = win.nodes[roots[win.elements]] + seps[win.elements]
-    vectors = win.nodes[win.elements[:, 1]] - win.nodes[win.elements[:, 0]]
-    cell = _assemble_solve(
-        lat.name, ends, end_positions, vectors, len(master_nodes), lat.radius, mat,
+    problem = _Cell(
+        lat.name,
+        master_of[win.elements],
+        win.nodes[roots[win.elements]] + seps[win.elements],
+        win.nodes[win.elements[:, 1]] - win.nodes[win.elements[:, 0]],
+        len(master_nodes),
         float(np.linalg.det(win.cell)),
     )
+    cell = _solve_one(problem, lat.radius, mat)
     return HomogenizationResult(
-        stiffness=from_mandel(MandelMatrix(cell.mandel)),
-        relative_density=relative_density(lat),
-        dof_count=6 * len(master_nodes),
-        residual=cell.residual,
+        cell.stiffness, relative_density(lat), 6 * len(master_nodes), cell.residual
     )
 
 
@@ -363,6 +507,18 @@ def _resolve_master(win: WindowedLattice) -> tuple[np.ndarray, np.ndarray]:
     return root, sep
 
 
+def _batch_item(cell: _Cell, radius: float, density: float, outcome, seconds) -> BatchItem:
+    # A function, so that no reference to the solution outlives it: its
+    # displacements would otherwise sit above the freed stiffness buffers
+    # while the next chunk is solved, and keep the heap from shrinking.
+    if isinstance(outcome, Exception):
+        return BatchItem(cell.name, radius, None, str(outcome), seconds)
+    result = HomogenizationResult(
+        outcome.stiffness, density, 6 * cell.node_count, outcome.residual
+    )
+    return BatchItem(cell.name, radius, result, None, seconds)
+
+
 def homogenize_batch(
     catalogue,
     radii,
@@ -372,21 +528,35 @@ def homogenize_batch(
     """Homogenize every (lattice, radius) pair, collecting per-item errors.
 
     Output order follows the input nesting (lattice-major, then radius).
-    Domain failures (``ValueError``, which covers
-    :class:`DisconnectedLatticeError` and :class:`SingularSystemError`, and
-    ``LinAlgError``) are reported as ``BatchItem.error`` without aborting
-    the rest; any other exception is a bug and propagates.  ``threads`` is
-    accepted and ignored: items run serially, because a worker pool gained
-    nothing measurable over the serial loop on any batch tried.
+    Each lattice is checked once; each radius is then checked in the
+    order :func:`homogenize` of the lattice rebuilt at that radius would
+    check it, with the same messages.  The items that pass are solved in
+    stacked chunks (see the module docstring), and every result equals
+    that of :func:`homogenize` bit for bit.  Domain failures
+    (``ValueError``, which covers :class:`DisconnectedLatticeError` and
+    :class:`SingularSystemError`, and ``LinAlgError``) are reported as
+    ``BatchItem.error`` without aborting the rest; any other exception is a
+    bug and propagates.  :class:`BatchItem` says what ``seconds`` measures.
+    ``threads`` is accepted and ignored: a worker pool gained nothing
+    measurable over the serial path on any batch tried.
     """
-    items = []
+    radii = [float(radius) for radius in radii]
+    items, pending, problems = [], [], []
     for lat in catalogue:
+        try:
+            cell = _fundamental_cell(lat)
+        except ValueError as exc:
+            cell = exc
         for radius in radii:
-            radius = float(radius)
-            started = time.perf_counter()
             try:
-                result, error = homogenize(replace(lat, radius=radius), mat), None
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                result, error = None, str(exc)
-            items.append(BatchItem(lat.name, radius, result, error, time.perf_counter() - started))
+                density = _checked_density(lat.name, radius, cell)
+            except ValueError as exc:
+                items.append(BatchItem(lat.name, radius, None, str(exc)))
+                continue
+            pending.append((len(items), density))
+            items.append(None)
+            problems.append((cell, radius))
+    solved = _solve_cells(problems, mat)
+    for (slot, density), (cell, radius) in zip(pending, problems):
+        items[slot] = _batch_item(cell, radius, density, *next(solved))
     return items

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fe import BeamMaterial, _beam_kernel, _CellSolution, _solve_cell, homogenize
+from .fe import BeamMaterial, _beam_kernel, _CellSolution, _solve_cell, _strut_sections, homogenize
 from .lattice import Lattice, displace_nodes, edge_lengths, edge_matrix
 from .metrics import l_comp
-from .tensor4 import ElasticTensor4, MandelMatrix, from_mandel, to_mandel
+from .tensor4 import ElasticTensor4, to_mandel
 
 MIN_EDGE_LENGTH = 1e-3
 GRADIENT_STOP = 1e-8
@@ -75,8 +75,7 @@ def _evaluate(
     so it equals the loss of the homogenized stiffness bit for bit.
     """
     _density, cell = _solve_cell(lat, mat)
-    stiffness = from_mandel(MandelMatrix(cell.mandel))
-    return l_comp(to_mandel(stiffness), to_mandel(target)), cell
+    return l_comp(to_mandel(cell.stiffness), to_mandel(target)), cell
 
 
 def objective(lat: Lattice, target: ElasticTensor4, mat: BeamMaterial = BeamMaterial()) -> float:
@@ -131,7 +130,8 @@ def _node_gradient(
     exactly as a change of its free fluctuation would, and the solved
     fluctuations make the energy stationary.  No solve happens here.
     """
-    _k, dk = _beam_kernel(edge_matrix(lat), lat.radius, mat, derivative=True)
+    sections = _strut_sections([lat.radius], [lat.edge_count])
+    _k, dk = _beam_kernel(edge_matrix(lat), sections, mat, derivative=True)
     weight = 2.0 * (cell.mandel - to_mandel(target).entries)
     d = cell.displacements
     w = d @ weight @ d.transpose(0, 2, 1)

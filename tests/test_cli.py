@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import latmech
 from latmech import io
 from latmech.cli import dispatch
 from latmech.fe import homogenize
@@ -383,3 +387,27 @@ class TestRecordRoundTrip:
         loaded, raw = io.read_stiffness_records(path)[0]
         np.testing.assert_array_equal(loaded.entries, values)
         assert raw["relative_density"] == 0.0123456789012345678
+
+
+def run_module(module: str, *argv: str) -> subprocess.CompletedProcess:
+    """``python -m <module> argv`` in a fresh interpreter that finds this latmech."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(latmech.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("module", ["latmech", "latmech.cli"])
+    def test_help_exits_zero(self, module):
+        proc = run_module(module, "--help")
+        assert proc.returncode == 0
+        assert "homogenize" in proc.stdout
+
+    def test_missing_catalogue_fails(self, tmp_path):
+        proc = run_module("latmech", "validate", "--catalogue", str(tmp_path / "missing.lats"))
+        assert proc.returncode != 0
+        assert "error" in proc.stderr

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from latmech.fe import (
     DisconnectedLatticeError,
     SingularSystemError,
     _beam_kernel,
+    _strut_sections,
     beam_stiffness,
     homogenize,
     homogenize_batch,
@@ -21,6 +23,7 @@ from latmech.lattice import (
     WindowedLattice,
     body_centred_cubic,
     diamond,
+    edge_matrix,
     perturb,
     rotate_lattice,
     simple_cubic,
@@ -28,7 +31,9 @@ from latmech.lattice import (
     window,
 )
 from latmech.tensor4 import (
+    MandelMatrix,
     directional_modulus,
+    from_mandel,
     kelvin_spectrum,
     rotate,
     to_mandel,
@@ -119,6 +124,51 @@ def resolve_master_reference(win: WindowedLattice) -> list[tuple[int, np.ndarray
     return [resolve(k) for k in range(win.nodes.shape[0])]
 
 
+def single_cell_mandel_reference(ends, end_positions, vectors, node_count, radius, volume, name):
+    """Homogenized Mandel matrix of one cell problem, assembled and solved on its own.
+
+    The one-cell pipeline that batches are now solved in chunks instead of:
+    its own kernel call, stiffness matrix and right-hand side.
+    """
+    mat = BeamMaterial()
+    k_e, _dk = _beam_kernel(vectors, _strut_sections([radius], [len(vectors)]), mat)
+    n_dof = 6 * node_count
+    dofs = (6 * ends[:, :, None] + np.arange(6)).reshape(-1, 12)
+    d_aff = np.zeros((len(ends), 2, 6, 6))
+    d_aff[:, :, :3] = np.einsum("aij,enj->enia", fe._UNIT_STRAINS, end_positions)
+    d_aff = d_aff.reshape(-1, 12, 6)
+    k_global = np.zeros((n_dof, n_dof))
+    flat = dofs[:, :, None] * n_dof + dofs[:, None, :]
+    np.add.at(k_global.reshape(-1), flat.ravel(), k_e.ravel())
+    rhs = np.zeros((n_dof, 6))
+    np.add.at(rhs, dofs.ravel(), -(k_e @ d_aff).reshape(-1, 6))
+    u_full, _residual = fe._solve_pinned(k_global, rhs, name)
+    d_total = d_aff + u_full[dofs]
+    return d_total.reshape(-1, 6).T @ (k_e @ d_total).reshape(-1, 6) / volume
+
+
+def fundamental_mandel_reference(lat: Lattice) -> np.ndarray:
+    positions = lat.transformed_nodes()
+    ends = lat.edges[:, :2]
+    heads = positions[ends[:, 1]] + lat.edges[:, 2:] @ lat.cell.T
+    return single_cell_mandel_reference(
+        ends, np.stack([positions[ends[:, 0]], heads], axis=1), edge_matrix(lat),
+        lat.node_count, lat.radius, float(np.linalg.det(lat.cell)), lat.name,
+    )
+
+
+def windowed_mandel_reference(lat: Lattice) -> np.ndarray:
+    win = window(lat)
+    roots, seps = fe._resolve_master(win)
+    master_nodes, master_of = np.unique(roots, return_inverse=True)
+    return single_cell_mandel_reference(
+        master_of[win.elements],
+        win.nodes[roots[win.elements]] + seps[win.elements],
+        win.nodes[win.elements[:, 1]] - win.nodes[win.elements[:, 0]],
+        len(master_nodes), lat.radius, float(np.linalg.det(win.cell)), lat.name,
+    )
+
+
 class TestBeamStiffness:
     def test_axial_entry(self):
         mat = BeamMaterial(youngs_modulus=2.0)
@@ -169,6 +219,20 @@ def _strut_vector(nz: float, azimuth: float, length: float) -> np.ndarray:
     return length * np.array([rho * math.cos(azimuth), rho * math.sin(azimuth), nz])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    v=st.lists(
+        st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0])), min_size=12, max_size=12
+    )
+)
+def test_property_cross_matrices_match_np_cross(v):
+    # same bits as np.cross, signed zeros included, for rows and stacks of rows
+    for shape in ((4, 3), (2, 2, 3)):
+        vectors = np.reshape(v, shape)
+        expected = np.cross(np.eye(3), vectors[..., None, :])
+        assert fe._cross_matrices(vectors).tobytes() == expected.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     nz=_AXIS_Z,
@@ -179,7 +243,7 @@ def _strut_vector(nz: float, azimuth: float, length: float) -> np.ndarray:
 def test_property_kernel_matches_local_frame_reference(nz, azimuth, length, radius):
     mat = BeamMaterial(1.7, 0.27)
     v = _strut_vector(nz, azimuth, length)
-    k, dk = _beam_kernel(v[None], radius, mat)
+    k, dk = _beam_kernel(v[None], _strut_sections([radius], [1]), mat)
     assert dk is None
     reference = local_frame_beam_stiffness(length, radius, v / np.linalg.norm(v), mat)
     np.testing.assert_allclose(k[0], reference, rtol=0, atol=1e-13 * np.abs(reference).max())
@@ -195,13 +259,14 @@ def test_property_kernel_matches_local_frame_reference(nz, azimuth, length, radi
 def test_property_kernel_derivative_matches_central_differences(nz, azimuth, length, radius):
     mat = BeamMaterial(1.3, 0.3)
     v = _strut_vector(nz, azimuth, length)
-    _k, dk = _beam_kernel(v[None], radius, mat, derivative=True)
+    sections = _strut_sections([radius], [1])
+    _k, dk = _beam_kernel(v[None], sections, mat, derivative=True)
     h = 1e-5 * length
     for m in range(3):
         step = np.zeros(3)
         step[m] = h
-        plus, _ = _beam_kernel((v + step)[None], radius, mat)
-        minus, _ = _beam_kernel((v - step)[None], radius, mat)
+        plus, _ = _beam_kernel((v + step)[None], sections, mat)
+        minus, _ = _beam_kernel((v - step)[None], sections, mat)
         central = (plus[0] - minus[0]) / (2.0 * h)
         np.testing.assert_allclose(
             dk[0, m], central, rtol=0, atol=1e-7 * np.abs(dk[0]).max()
@@ -287,6 +352,16 @@ class TestHomogenize:
         windowed = to_mandel(homogenize_windowed(lat).stiffness).entries
         rel = np.linalg.norm(fundamental - windowed) / np.linalg.norm(fundamental)
         assert rel < 1e-9
+
+    def test_windowed_path_matches_single_cell_reference(self, catalogue_lattices):
+        # the cells of test_windowed_path_agrees, solved in a chunk of one
+        # against the same problem assembled and solved on its own
+        lattices = [perturb_if_possible(lat) for lat in catalogue_lattices] + [
+            perturb(tessellate(body_centred_cubic(), 2), 0.02, seed=s) for s in (9, 12, 17, 18)
+        ]
+        for lat in lattices:
+            expected = from_mandel(MandelMatrix(windowed_mandel_reference(lat))).components
+            assert np.array_equal(homogenize_windowed(lat).stiffness.components, expected)
 
     def test_disconnected_names_node(self):
         lat = Lattice(
@@ -391,6 +466,94 @@ def perturb_if_possible(lat: Lattice) -> Lattice:
     return perturb(lat, 0.05, seed=8) if lat.node_count >= 2 else lat
 
 
+def lonely_cell() -> Lattice:
+    """Node 1 joins only itself: disconnected from node 0."""
+    return Lattice(
+        "lonely",
+        np.eye(3),
+        [[0.5, 0.5, 0.5], [0.25, 0.25, 0.25]],
+        [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [1, 1, 1, 0, 0]],
+        0.05,
+    )
+
+
+def bare_cell() -> Lattice:
+    """One node and no struts: connected, but its stiffness is all null."""
+    return Lattice("bare", np.eye(3), [[0.5, 0.5, 0.5]], np.zeros((0, 5), dtype=int), 0.05)
+
+
+def floating_triangle_cell() -> Lattice:
+    """Connected within the cell only: three rotations stay free."""
+    return Lattice(
+        "floating_triangle",
+        np.eye(3),
+        [[0.2, 0.2, 0.2], [0.5, 0.2, 0.2], [0.2, 0.5, 0.3]],
+        [[0, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 2, 0, 0, 0]],
+        0.02,
+    )
+
+
+_BATCH_BASES = {
+    "sc": simple_cubic(),
+    "sc_x2": tessellate(simple_cubic(), 2),
+    "bcc": body_centred_cubic(),
+    "diamond": diamond(),
+    "lonely": lonely_cell(),
+    "bare": bare_cell(),
+}
+# radius 0.4 makes every base overdense
+_BAD_RADII = [0.0, -1.0, math.nan, math.inf, 0.4]
+
+
+def batch_oracle(lat: Lattice, radius: float):
+    """What homogenize makes of ``lat`` rebuilt at ``radius``: a result or an error text."""
+    try:
+        return homogenize(replace(lat, radius=radius))
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return str(exc)
+
+
+def assert_batch_matches_oracle(catalogue, radii) -> list:
+    items = homogenize_batch(catalogue, radii)
+    pairs = [(lat, float(radius)) for lat in catalogue for radius in radii]
+    assert [(item.name, repr(item.radius)) for item in items] == [
+        (lat.name, repr(radius)) for lat, radius in pairs
+    ]
+    for item, (lat, radius) in zip(items, pairs):
+        expected = batch_oracle(lat, radius)
+        if isinstance(expected, str):
+            assert item.result is None
+            assert item.error == expected
+        else:
+            assert item.error is None
+            got = item.result
+            assert np.array_equal(got.stiffness.components, expected.stiffness.components)
+            assert got.relative_density == expected.relative_density
+            assert got.residual == expected.residual
+            assert got.dof_count == expected.dof_count
+        assert item.seconds >= 0.0
+    return items
+
+
+@st.composite
+def batch_cells(draw) -> Lattice:
+    base = _BATCH_BASES[draw(st.sampled_from(sorted(_BATCH_BASES)))]
+    if base.name in ("lonely", "bare") or base.node_count < 2:
+        return base
+    return perturb(base, draw(st.floats(0.02, 0.1)), draw(st.integers(0, 10_000)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    catalogue=st.lists(batch_cells(), min_size=1, max_size=6),
+    radii=st.lists(
+        st.one_of(st.floats(0.005, 0.1), st.sampled_from(_BAD_RADII)), min_size=1, max_size=3
+    ),
+)
+def test_property_batch_matches_homogenize(catalogue, radii):
+    assert_batch_matches_oracle(catalogue, radii)
+
+
 class TestHomogenizeBatch:
     def test_singleton_matches_direct(self):
         lat = simple_cubic()
@@ -414,25 +577,49 @@ class TestHomogenizeBatch:
             previous = values
 
     def test_collects_errors_without_aborting(self):
-        bad = Lattice(
-            "lonely",
-            np.eye(3),
-            [[0.5, 0.5, 0.5], [0.25, 0.25, 0.25]],
-            [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [1, 1, 1, 0, 0]],
-            0.05,
-        )
-        items = homogenize_batch([simple_cubic(), bad, diamond()], [0.05])
+        items = homogenize_batch([simple_cubic(), lonely_cell(), diamond()], [0.05])
         assert [item.error is None for item in items] == [True, False, True]
         assert "lonely" in items[1].name
         assert "unreachable" in items[1].error
 
     def test_programming_errors_propagate(self, monkeypatch):
-        def broken(lat, mat):
+        def broken(vectors, sections, mat, derivative=False):
             raise TypeError("not a domain error")
 
-        monkeypatch.setattr(fe, "homogenize", broken)
+        monkeypatch.setattr(fe, "_beam_kernel", broken)
         with pytest.raises(TypeError, match="not a domain error"):
             homogenize_batch([simple_cubic()], [0.05])
+
+    def test_every_item_fails(self):
+        # bare and floating_triangle pass every check before the solve at
+        # radii 0.05 and 0.4 (they are sparse), so they make chunks whose
+        # every solve fails
+        cells = [lonely_cell(), bare_cell(), floating_triangle_cell()]
+        items = assert_batch_matches_oracle(cells, [0.05] + _BAD_RADII)
+        assert all(item.result is None for item in items)
+        assert sum("singular" in item.error for item in items) == 4
+        assert homogenize_batch([bare_cell(), floating_triangle_cell()], [0.05])[1].error == (
+            "lattice 'floating_triangle': singular stiffness beyond rigid-body pinning "
+            "(null-space dimension 3)"
+        )
+
+    def test_spans_several_chunks(self):
+        # mixed topologies over several chunks, with a tessellation larger
+        # than a chunk in the middle; each item also equals its cell
+        # assembled and solved on its own
+        cells = [
+            perturb(base, 0.05, seed=s)
+            for s in range(6)
+            for base in (body_centred_cubic(), diamond(), tessellate(simple_cubic(), 2))
+        ]
+        cells.insert(9, perturb(tessellate(body_centred_cubic(), 3), 0.03, seed=1))
+        assert max(lat.edge_count for lat in cells) > fe._CHUNK_STRUTS
+        assert 2 * sum(lat.edge_count for lat in cells) > 4 * fe._CHUNK_STRUTS
+        items = assert_batch_matches_oracle(cells, [0.05, 0.08])
+        for item, lat in zip(items, [lat for lat in cells for _radius in range(2)]):
+            rebuilt = replace(lat, radius=item.radius)
+            expected = from_mandel(MandelMatrix(fundamental_mandel_reference(rebuilt)))
+            assert np.array_equal(item.result.stiffness.components, expected.components)
 
 
 class TestBeamMaterial:
