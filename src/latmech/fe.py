@@ -19,9 +19,13 @@ Every cell problem, single or batched, fundamental or windowed, goes
 through one chunked core, :func:`_solve_cells`.  It gathers consecutive
 problems into chunks of at most about ``_CHUNK_STRUTS`` struts (a larger
 problem is a chunk of its own), builds the element matrices of a whole
-chunk in one kernel call, scatters them into one flat buffer of
-block-diagonal stiffness blocks and one of right-hand sides, and then
-factors, solves and contracts each problem on views of those buffers.
+chunk in one kernel call, and scatters them into one flat buffer of
+per-problem stiffness bands and one of right-hand sides.  A strut couples
+only the nodes at its two ends, so with the nodes numbered breadth-first
+from the pinned node 0 the stiffness matrix is a band; only its lower
+(kd+1) x n band is stored, and no n x n matrix is built unless a solve
+fails.  Each problem is then factored by LAPACK's banded Cholesky
+(``dpbtrf``/``dpbtrs``), checked and contracted on views of those buffers.
 Mixed topologies share a chunk, and each problem's numbers are those of
 solving it alone, bit for bit.
 """
@@ -85,10 +89,18 @@ class BeamMaterial:
 
 @dataclass(frozen=True)
 class HomogenizationResult:
+    """Homogenized stiffness of one cell and how well its solve went.
+
+    ``residual`` is the largest relative residual of the six load cases;
+    ``min_pivot_ratio`` is the smallest L_jj^2 / K_jj of the Cholesky factor,
+    which falls toward the 1e-12 floor as the cell nears a mechanism.
+    """
+
     stiffness: ElasticTensor4
     relative_density: float
     dof_count: int
     residual: float
+    min_pivot_ratio: float
 
 
 @dataclass(frozen=True)
@@ -132,20 +144,32 @@ def _strut_sections(radii, counts) -> np.ndarray:
     return np.repeat(np.array(rows), counts, axis=0)
 
 
-def _check_connected(lat: Lattice) -> None:
-    # Each node's label falls to the smallest node index joined to it:
-    # relax across both ends of every edge, then jump to the label's label.
-    ends = lat.edges[:, :2]
-    label = np.arange(lat.node_count)
+def _node_ranks(name: str, node_count: int, ends: np.ndarray) -> np.ndarray:
+    """Each node's place in breadth-first order from node 0, ties by index.
+
+    A strut joins nodes at most one breadth-first level apart, so numbered
+    this way the stiffness matrix is a narrow band.  Raises
+    :class:`DisconnectedLatticeError` naming the smallest node that node 0
+    cannot reach through the (E, 2) ``ends``.
+    """
+    tails, heads = np.concatenate([ends, ends[:, ::-1]]).T
+    # a node not reached yet is node_count levels away, more than any path
+    distance = np.full(node_count, node_count)
+    distance[0] = 0
+    level = 0
     while True:
-        lowered = label.copy()
-        np.minimum.at(lowered, ends, label[ends[:, ::-1]])
-        lowered = lowered[lowered]
-        if (lowered == label).all():
+        reached = heads[distance[tails] == level]
+        reached = reached[distance[reached] == node_count]
+        if not reached.size:
             break
-        label = lowered
-    if label.any():
-        raise DisconnectedLatticeError(lat.name, int(np.flatnonzero(label)[0]))
+        level += 1
+        distance[reached] = level
+    unreached = distance == node_count
+    if unreached.any():
+        raise DisconnectedLatticeError(name, int(np.argmax(unreached)))
+    rank = np.empty(node_count, dtype=int)
+    rank[np.argsort(distance, kind="stable")] = np.arange(node_count)
+    return rank
 
 
 def _mandel_unit_strains() -> np.ndarray:
@@ -169,43 +193,23 @@ _BEND_FAR = np.array([[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 1, 0, 0]], d
 _COUPLING = np.array([[0, -1, 0, -1], [1, 0, -1, 0], [0, 1, 0, 1], [1, 0, -1, 0]], dtype=float)
 
 
-def _solve_pinned(k: np.ndarray, rhs: np.ndarray, name: str):
-    """Solve K u = rhs with node-0 translations pinned to zero.
+def _singular_system(cell: _Cell, k_e: np.ndarray, dofs: np.ndarray) -> SingularSystemError:
+    """The error for a reduced stiffness the band Cholesky rejected, with the
+    dimension of its null space.
 
-    Returns (u_full, residual).  Raises SingularSystemError when a pivot
-    of the reduced matrix falls below the relative tolerance times its own
-    diagonal entry; a per-column floor is blind to the scale of other
-    struts, such as the very short pieces of a windowed cell.
+    K is assembled dense from the element matrices here, on the failure
+    path only: the factor has overwritten the band.
     """
-    # imported here so that commands which never solve skip its load time
-    import scipy.linalg
-
+    n = 6 * cell.node_count
+    k = np.zeros((n, n))
+    np.add.at(k, (dofs[:, :, None], dofs[:, None, :]), k_e)
     k_red = k[3:, 3:]
-    rhs_red = rhs[3:]
+    # a dof no strut touches has a zero diagonal and counts as null
     diag = np.diag(k_red)
-    try:
-        chol = scipy.linalg.cho_factor(k_red, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        chol = None
-    if chol is not None and np.any(np.diag(chol[0]) ** 2 <= _PIVOT_REL_TOL * diag):
-        chol = None
-    if chol is None:
-        # a dof no strut touches has a zero diagonal and counts as null
-        scale = 1.0 / np.sqrt(np.where(diag > 0, diag, np.inf))
-        eigvals = np.linalg.eigvalsh(scale[:, None] * k_red * scale)
-        null_dim = int(np.sum(eigvals <= _PIVOT_REL_TOL))
-        raise SingularSystemError(name, max(null_dim, 1))
-    u_red = scipy.linalg.cho_solve(chol, rhs_red, check_finite=False)
-    res_norm = np.linalg.norm(k_red @ u_red - rhs_red, axis=0)
-    rhs_norm = np.linalg.norm(rhs_red, axis=0)
-    residual = float(np.max(res_norm / np.maximum(rhs_norm, 1e-300))) if rhs_red.size else 0.0
-    if residual >= 1e-8:
-        raise ValueError(
-            f"lattice {name!r}: linear solve residual {residual:.3e} exceeds 1e-8"
-        )
-    u_full = np.zeros_like(rhs)
-    u_full[3:] = u_red
-    return u_full, residual
+    scale = 1.0 / np.sqrt(np.where(diag > 0, diag, np.inf))
+    eigvals = np.linalg.eigvalsh(scale[:, None] * k_red * scale)
+    null_dim = int(np.sum(eigvals <= _PIVOT_REL_TOL))
+    return SingularSystemError(cell.name, max(null_dim, 1))
 
 
 def _kernel_blocks(coeffs: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -284,13 +288,15 @@ def _beam_kernel(
 class _Cell:
     """A cell problem without its section: element end nodes and geometry.
 
+    ``ends`` numbers the nodes in breadth-first order from the pinned node 0
+    (see :func:`_node_ranks`), which keeps the stiffness matrix banded.
     ``end_positions`` (E, 2, 3) are the physical end positions that carry
     the affine part eps . x of the displacement, so a head beyond the cell
     boundary enters at its shifted image position.
     """
 
     name: str
-    ends: np.ndarray  # (E, 2) node indices
+    ends: np.ndarray  # (E, 2) node places in breadth-first order
     end_positions: np.ndarray  # (E, 2, 3)
     vectors: np.ndarray  # (E, 3) strut vectors, tail to head
     node_count: int
@@ -301,6 +307,13 @@ class _Cell:
         """Total strut length, for the relative density."""
         return np.linalg.norm(self.vectors, axis=1).sum()
 
+    @cached_property
+    def half_bandwidth(self) -> int:
+        """Half-bandwidth kd of the reduced stiffness matrix: a strut couples
+        the six dofs of each of its two end nodes."""
+        gap = int(np.abs(self.ends[:, 0] - self.ends[:, 1]).max(initial=0))
+        return min(6 * gap + 5, 6 * self.node_count - 4)
+
 
 @dataclass(frozen=True)
 class _CellSolution:
@@ -309,7 +322,13 @@ class _CellSolution:
     mandel: np.ndarray  # (6, 6)
     stiffness: ElasticTensor4
     residual: float
+    min_pivot_ratio: float
     displacements: np.ndarray  # (E, 12, 6) total element end displacements per unit strain
+
+    def result(self, density: float, node_count: int) -> HomogenizationResult:
+        return HomogenizationResult(
+            self.stiffness, density, 6 * node_count, self.residual, self.min_pivot_ratio
+        )
 
 
 def _fundamental_cell(lat: Lattice) -> _Cell:
@@ -318,16 +337,16 @@ def _fundamental_cell(lat: Lattice) -> _Cell:
     Raises :class:`DisconnectedLatticeError`, or ``ValueError`` for a
     degenerate cell; no radius changes either verdict.
     """
-    _check_connected(lat)
+    ends = lat.edges[:, :2]
+    rank = _node_ranks(lat.name, lat.node_count, ends)
     volume = np.linalg.det(lat.cell)
     if volume <= 0.0:
         raise ValueError(f"lattice {lat.name!r}: degenerate cell (det <= 0)")
     positions = lat.transformed_nodes()
-    ends = lat.edges[:, :2]
     heads = positions[ends[:, 1]] + lat.edges[:, 2:] @ lat.cell.T
     return _Cell(
-        lat.name, ends, np.stack([positions[ends[:, 0]], heads], axis=1), edge_matrix(lat),
-        lat.node_count, float(volume),
+        lat.name, rank[ends], np.stack([positions[ends[:, 0]], heads], axis=1),
+        edge_matrix(lat), lat.node_count, float(volume),
     )
 
 
@@ -378,60 +397,110 @@ def _solve_cells(problems, mat: BeamMaterial):
 
 def _solve_chunk(chunk, mat: BeamMaterial) -> list[tuple]:
     """:func:`_solve_cells` on one chunk: one kernel call, one scatter into
-    the flat buffer of stiffness blocks and one into the right-hand sides,
-    then a pinned solve and contraction per problem on views of them."""
+    the flat buffer of lower stiffness bands and one into the right-hand
+    sides, then a banded Cholesky solve and contraction per problem on
+    views of them."""
     started = time.perf_counter()
     cells = [cell for cell, _radius in chunk]
     counts = [len(cell.ends) for cell in cells]
     sizes = [6 * cell.node_count for cell in cells]
-    # where each problem's n x n stiffness block and n right-hand-side rows
+    widths = [cell.half_bandwidth + 1 for cell in cells]
+    # where each problem's (n-3, kd+1) band and (6, n) right-hand sides
     # start; the last entries are the buffer lengths
-    k_offsets = list(accumulate((n * n for n in sizes), initial=0))
-    row_offsets = list(accumulate(sizes, initial=0))
-    # each strut's problem size and offsets, as (E, 1, 1) columns
-    n_e, k0_e, r0_e = np.repeat(
-        np.array([sizes, k_offsets[:-1], row_offsets[:-1]]), counts, axis=1
-    )[:, :, None, None]
+    band_starts = list(accumulate(((n - 3) * w for n, w in zip(sizes, widths)), initial=0))
+    rhs_starts = list(accumulate((6 * n for n in sizes), initial=0))
+    # each strut's problem size, band width and offsets, as (E, 1) columns
+    n_e, w_e, b0_e, r0_e = np.repeat(
+        np.array([sizes, widths, band_starts[:-1], rhs_starts[:-1]]), counts, axis=1
+    )[:, :, None]
+    dofs = 6 * np.concatenate([cell.ends for cell in cells])[:, :, None] + np.arange(6)
+    dofs = dofs.reshape(-1, 12)  # local to each problem
     k_e, _dk = _beam_kernel(
         np.concatenate([cell.vectors for cell in cells]),
         _strut_sections([radius for _cell, radius in chunk], counts),
         mat,
     )
-    dofs = 6 * np.concatenate([cell.ends for cell in cells])[:, :, None] + np.arange(6)
-    dofs = dofs.reshape(-1, 12)  # local to each problem
     d_aff = np.zeros((len(dofs), 2, 6, 6))
     d_aff[:, :, :3] = np.einsum(
         "aij,enj->enia", _UNIT_STRAINS, np.concatenate([cell.end_positions for cell in cells])
     )
     d_aff = d_aff.reshape(-1, 12, 6)
 
-    k_flat = np.zeros(k_offsets[-1])
-    # entry (a, b) of an element goes to k_offset + a n + b of its problem;
-    # add.at accumulates over the repeated indices of self-edges
-    block_rows = dofs[:, :, None] * n_e + k0_e
-    np.add.at(k_flat, (block_rows + dofs[:, None, :]).ravel(), k_e.ravel())
-    rhs = np.zeros((row_offsets[-1], 6))
-    np.add.at(rhs, (dofs + r0_e[:, 0]).ravel(), -(k_e @ d_aff).reshape(-1, 6))
+    # Node 0's translations (dofs 0-2) are pinned, so dof d is row d - 3 of
+    # the reduced system.  Entry (a, b) of an element, with dofs
+    # d_a >= d_b >= 3, goes to row d_b - 3, column d_a - d_b of its band;
+    # bincount adds in element order and accumulates over the repeated
+    # dofs of self-edges.
+    at = (b0_e + dofs - 3 * w_e)[:, :, None] + ((w_e - 1) * dofs)[:, None, :]
+    lower = (dofs[:, :, None] >= dofs[:, None, :]) & (dofs >= 3)[:, None, :]
+    k_flat = np.bincount(at[lower], k_e[lower], minlength=band_starts[-1])
+    rhs_at = (r0_e + dofs)[:, :, None] + n_e[:, :, None] * np.arange(6)
+    rhs = np.bincount(rhs_at.ravel(), -(k_e @ d_aff).ravel(), minlength=rhs_starts[-1])
     share = (time.perf_counter() - started) / len(chunk)
 
     solved = []
     e0 = 0
-    for cell, count, n, k0, r0 in zip(cells, counts, sizes, k_offsets, row_offsets):
+    for cell, count, n, width, b0, r0 in zip(cells, counts, sizes, widths, band_starts, rhs_starts):
         started = time.perf_counter()
         e1 = e0 + count
-        k_cell = k_flat[k0 : k0 + n * n].reshape(n, n)
         try:
-            u_full, residual = _solve_pinned(k_cell, rhs[r0 : r0 + n], cell.name)
-            d_total = d_aff[e0:e1] + u_full[dofs[e0:e1]]
-            # C_ab = sum_e D_e^T K_e D_e / V, as one product over the stacked element rows
-            rows = d_total.reshape(-1, 6)
-            mandel = rows.T @ (k_e[e0:e1] @ d_total).reshape(-1, 6) / cell.volume
-            outcome = _CellSolution(mandel, from_mandel(MandelMatrix(mandel)), residual, d_total)
+            # rhs_at made relative to the problem's own (6, n) block
+            outcome = _solve_problem(
+                cell, k_e[e0:e1], d_aff[e0:e1], dofs[e0:e1], rhs_at[e0:e1] - r0,
+                k_flat[b0 : b0 + (n - 3) * width].reshape(n - 3, width),
+                rhs[r0 : r0 + 6 * n].reshape(6, n),
+            )
         except (ValueError, np.linalg.LinAlgError) as exc:
             outcome = exc
         solved.append((outcome, share + time.perf_counter() - started))
         e0 = e1
     return solved
+
+
+def _solve_problem(cell: _Cell, k_e, d_aff, dofs, rhs_at, band, rhs) -> _CellSolution:
+    """Solve, check and contract one problem of :func:`_solve_chunk`.
+
+    ``band`` is its reduced stiffness K as an (n-3, kd+1) lower band, row j
+    holding K[j:j+kd+1, j], so that its transpose is LAPACK's band storage;
+    it is factored in place.  ``rhs`` holds the six right-hand sides as
+    (6, n) rows over every dof; the other arguments are the problem's rows
+    of the chunk arrays.  Raises SingularSystemError when a pivot falls to
+    the relative tolerance times its own diagonal entry; a per-column floor
+    is blind to the scale of other struts, such as the very short pieces
+    of a windowed cell.
+    """
+    # imported here so that commands which never solve skip its load time
+    from scipy.linalg import lapack
+
+    diag = band[:, 0].copy()
+    factor, info = lapack.dpbtrf(band.T, lower=1, overwrite_ab=1)
+    min_pivot_ratio = float(np.min(factor[0] ** 2 / diag)) if info == 0 else 0.0
+    if min_pivot_ratio <= _PIVOT_REL_TOL:
+        raise _singular_system(cell, k_e, dofs)
+    load = rhs[:, 3:]
+    u_red, info = lapack.dpbtrs(factor, load.T, lower=1)
+    if info != 0:
+        raise RuntimeError(f"dpbtrs rejected argument {-info}")
+    u_full = np.zeros((rhs.shape[1], 6))
+    u_full[3:] = u_red
+    u_e = u_full[dofs]
+    # the residual sum_e K_e u_e - f over the free dofs, taken from the
+    # element matrices rather than the band, so that a scatter error shows
+    forces = np.bincount(rhs_at.ravel(), (k_e @ u_e).ravel(), minlength=rhs.size)
+    res_norm = np.linalg.norm(forces.reshape(6, -1)[:, 3:] - load, axis=1)
+    rhs_norm = np.linalg.norm(load, axis=1)
+    residual = float(np.max(res_norm / np.maximum(rhs_norm, 1e-300)))
+    if residual >= 1e-8:
+        raise ValueError(
+            f"lattice {cell.name!r}: linear solve residual {residual:.3e} exceeds 1e-8"
+        )
+    d_total = d_aff + u_e
+    # C_ab = sum_e D_e^T K_e D_e / V, as one product over the stacked element rows
+    rows = d_total.reshape(-1, 6)
+    mandel = rows.T @ (k_e @ d_total).reshape(-1, 6) / cell.volume
+    return _CellSolution(
+        mandel, from_mandel(MandelMatrix(mandel)), residual, min_pivot_ratio, d_total
+    )
 
 
 def _solve_one(cell: _Cell, radius: float, mat: BeamMaterial) -> _CellSolution:
@@ -459,7 +528,7 @@ def homogenize(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> Homogenizati
     the Mandel basis and assembles the 6x6 stiffness from cross energies.
     """
     density, cell = _solve_cell(lat, mat)
-    return HomogenizationResult(cell.stiffness, density, 6 * lat.node_count, cell.residual)
+    return cell.result(density, lat.node_count)
 
 
 def homogenize_windowed(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> HomogenizationResult:
@@ -476,18 +545,16 @@ def homogenize_windowed(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> Hom
     # An image node's total displacement is its master's fluctuation plus
     # eps . (x_master + separation): the affine jump across the recorded
     # separation on top of the macroscopic part every node carries.
+    masters = master_of[win.elements]
     problem = _Cell(
         lat.name,
-        master_of[win.elements],
+        _node_ranks(lat.name, len(master_nodes), masters)[masters],
         win.nodes[roots[win.elements]] + seps[win.elements],
         win.nodes[win.elements[:, 1]] - win.nodes[win.elements[:, 0]],
         len(master_nodes),
         float(np.linalg.det(win.cell)),
     )
-    cell = _solve_one(problem, lat.radius, mat)
-    return HomogenizationResult(
-        cell.stiffness, relative_density(lat), 6 * len(master_nodes), cell.residual
-    )
+    return _solve_one(problem, lat.radius, mat).result(relative_density(lat), len(master_nodes))
 
 
 def _resolve_master(win: WindowedLattice) -> tuple[np.ndarray, np.ndarray]:
@@ -513,10 +580,7 @@ def _batch_item(cell: _Cell, radius: float, density: float, outcome, seconds) ->
     # while the next chunk is solved, and keep the heap from shrinking.
     if isinstance(outcome, Exception):
         return BatchItem(cell.name, radius, None, str(outcome), seconds)
-    result = HomogenizationResult(
-        outcome.stiffness, density, 6 * cell.node_count, outcome.residual
-    )
-    return BatchItem(cell.name, radius, result, None, seconds)
+    return BatchItem(cell.name, radius, outcome.result(density, cell.node_count), None, seconds)
 
 
 def homogenize_batch(

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from latmech import fe, sampling
 from latmech.fe import (
@@ -124,17 +128,31 @@ def resolve_master_reference(win: WindowedLattice) -> list[tuple[int, np.ndarray
     return [resolve(k) for k in range(win.nodes.shape[0])]
 
 
-def single_cell_mandel_reference(ends, end_positions, vectors, node_count, radius, volume, name):
-    """Homogenized Mandel matrix of one cell problem, assembled and solved on its own.
+def breadth_first_ranks_reference(node_count: int, ends) -> list[int]:
+    """Each node's place in breadth-first order from node 0, ties by index, by a queue."""
+    neighbours = [set() for _ in range(node_count)]
+    for i, j in np.asarray(ends).tolist():
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    distance = {0: 0}
+    queue = deque([0])
+    while queue:
+        node = queue.popleft()
+        for other in sorted(neighbours[node] - distance.keys()):
+            distance[other] = distance[node] + 1
+            queue.append(other)
+    order = sorted(range(node_count), key=lambda k: (distance[k], k))
+    return [order.index(k) for k in range(node_count)]
 
-    The one-cell pipeline that batches are now solved in chunks instead of:
-    its own kernel call, stiffness matrix and right-hand side.
-    """
-    mat = BeamMaterial()
-    k_e, _dk = _beam_kernel(vectors, _strut_sections([radius], [len(vectors)]), mat)
+
+def dense_cell_system(ends, end_positions, vectors, node_count, radius):
+    """Element matrices, element dofs, affine end displacements, and the dense
+    stiffness matrix and right-hand sides of one cell problem in its own node
+    numbering."""
+    k_e, _dk = _beam_kernel(vectors, _strut_sections([radius], [len(vectors)]), BeamMaterial())
     n_dof = 6 * node_count
-    dofs = (6 * ends[:, :, None] + np.arange(6)).reshape(-1, 12)
-    d_aff = np.zeros((len(ends), 2, 6, 6))
+    dofs = (6 * np.asarray(ends)[:, :, None] + np.arange(6)).reshape(-1, 12)
+    d_aff = np.zeros((len(dofs), 2, 6, 6))
     d_aff[:, :, :3] = np.einsum("aij,enj->enia", fe._UNIT_STRAINS, end_positions)
     d_aff = d_aff.reshape(-1, 12, 6)
     k_global = np.zeros((n_dof, n_dof))
@@ -142,9 +160,52 @@ def single_cell_mandel_reference(ends, end_positions, vectors, node_count, radiu
     np.add.at(k_global.reshape(-1), flat.ravel(), k_e.ravel())
     rhs = np.zeros((n_dof, 6))
     np.add.at(rhs, dofs.ravel(), -(k_e @ d_aff).reshape(-1, 6))
-    u_full, _residual = fe._solve_pinned(k_global, rhs, name)
+    return k_e, dofs, d_aff, k_global, rhs
+
+
+def contracted_mandel(k_e, dofs, d_aff, u_red, volume):
+    """C = sum_e D_e^T K_e D_e / V with node 0's translations pinned to zero."""
+    u_full = np.zeros((len(u_red) + 3, 6))
+    u_full[3:] = u_red
     d_total = d_aff + u_full[dofs]
     return d_total.reshape(-1, 6).T @ (k_e @ d_total).reshape(-1, 6) / volume
+
+
+def single_cell_mandel_reference(ends, end_positions, vectors, node_count, radius, volume):
+    """Homogenized Mandel matrix of one cell problem, assembled and solved on its own.
+
+    The one-cell band pipeline: nodes renumbered breadth-first, a dense
+    stiffness matrix, its lower band cut out, then LAPACK's band Cholesky.
+    """
+    rank = np.asarray(breadth_first_ranks_reference(node_count, ends), dtype=int)
+    ends = rank[np.asarray(ends, dtype=int).reshape(-1, 2)]
+    k_e, dofs, d_aff, k_global, rhs = dense_cell_system(
+        ends, end_positions, vectors, node_count, radius
+    )
+    k_red, n = k_global[3:, 3:], 6 * node_count - 3
+    gap = int(np.abs(ends[:, 0] - ends[:, 1]).max(initial=0))
+    rows = np.arange(n)[:, None] + np.arange(min(6 * gap + 5, n - 1) + 1)
+    band = np.where(rows < n, k_red[np.minimum(rows, n - 1), np.arange(n)[:, None]], 0.0)
+    factor, info = lapack.dpbtrf(band.T, lower=1)
+    assert info == 0
+    u_red, info = lapack.dpbtrs(factor, rhs[3:], lower=1)
+    assert info == 0
+    return contracted_mandel(k_e, dofs, d_aff, u_red, volume)
+
+
+def dense_mandel_reference(lat: Lattice) -> np.ndarray:
+    """Homogenized Mandel matrix by the dense pinned Cholesky of the whole
+    stiffness matrix, in the lattice's own node numbering."""
+    positions = lat.transformed_nodes()
+    ends = lat.edges[:, :2]
+    heads = positions[ends[:, 1]] + lat.edges[:, 2:] @ lat.cell.T
+    k_e, dofs, d_aff, k_global, rhs = dense_cell_system(
+        ends, np.stack([positions[ends[:, 0]], heads], axis=1), edge_matrix(lat),
+        lat.node_count, lat.radius,
+    )
+    chol = scipy.linalg.cho_factor(k_global[3:, 3:], lower=True)
+    u_red = scipy.linalg.cho_solve(chol, rhs[3:])
+    return contracted_mandel(k_e, dofs, d_aff, u_red, float(np.linalg.det(lat.cell)))
 
 
 def fundamental_mandel_reference(lat: Lattice) -> np.ndarray:
@@ -153,7 +214,7 @@ def fundamental_mandel_reference(lat: Lattice) -> np.ndarray:
     heads = positions[ends[:, 1]] + lat.edges[:, 2:] @ lat.cell.T
     return single_cell_mandel_reference(
         ends, np.stack([positions[ends[:, 0]], heads], axis=1), edge_matrix(lat),
-        lat.node_count, lat.radius, float(np.linalg.det(lat.cell)), lat.name,
+        lat.node_count, lat.radius, float(np.linalg.det(lat.cell)),
     )
 
 
@@ -165,7 +226,7 @@ def windowed_mandel_reference(lat: Lattice) -> np.ndarray:
         master_of[win.elements],
         win.nodes[roots[win.elements]] + seps[win.elements],
         win.nodes[win.elements[:, 1]] - win.nodes[win.elements[:, 0]],
-        len(master_nodes), lat.radius, float(np.linalg.det(win.cell)), lat.name,
+        len(master_nodes), lat.radius, float(np.linalg.det(win.cell)),
     )
 
 
@@ -371,8 +432,9 @@ class TestHomogenize:
             [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [1, 1, 1, 0, 0]],
             0.05,
         )
-        with pytest.raises(DisconnectedLatticeError, match="node 1"):
-            homogenize(lat)
+        for path in (homogenize, homogenize_windowed):
+            with pytest.raises(DisconnectedLatticeError, match="node 1"):
+                path(lat)
 
     def test_floating_cluster_is_singular(self):
         # A triangle joined only within the cell does not span it: its three
@@ -403,6 +465,26 @@ class TestHomogenize:
         with pytest.raises(ValueError, match="density"):
             homogenize(simple_cubic(radius=0.4))
 
+    def test_min_pivot_ratio_lies_between_floor_and_one(self):
+        # L_jj^2 = K_jj - sum_k L_jk^2, so the ratio is at most 1 and, on a
+        # solvable cell, above the floor
+        result = homogenize(perturb(body_centred_cubic(), 0.05, seed=3))
+        assert fe._PIVOT_REL_TOL < result.min_pivot_ratio <= 1.0
+
+    def test_peak_memory_stays_below_one_dense_stiffness_matrix(self):
+        # the banded solve never holds an n x n matrix; the dense pinned
+        # Cholesky held two
+        lat = perturb(tessellate(simple_cubic(), 6), 0.05, seed=1)
+        n = 6 * lat.node_count
+        homogenize(simple_cubic())  # load the solver's modules first
+        tracemalloc.start()
+        try:
+            homogenize(lat)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
+
     def test_cubic_anisotropy_axis_vs_diagonal(self):
         c = homogenize(simple_cubic(radius=0.05)).stiffness
         axis_value = directional_modulus(c, [1.0, 0.0, 0.0])
@@ -424,13 +506,32 @@ def test_property_unreachable_node_matches_union_find(node_count, pairs):
     nodes = [[0.1 + 0.15 * k, 0.3, 0.6] for k in range(node_count)]
     lat = Lattice("g", np.eye(3), nodes, np.asarray(edges, dtype=int).reshape(-1, 5), 0.05)
     expected = unreachable_node_reference(lat)
+    ends = lat.edges[:, :2]
     if expected is None:
-        fe._check_connected(lat)
+        ranks = fe._node_ranks(lat.name, node_count, ends)
+        assert ranks.tolist() == breadth_first_ranks_reference(node_count, ends)
     else:
         with pytest.raises(DisconnectedLatticeError) as raised:
-            fe._check_connected(lat)
+            fe._node_ranks(lat.name, node_count, ends)
         assert raised.value.node == expected
         assert str(raised.value) == f"lattice 'g': node {expected} unreachable from node 0"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    base=st.sampled_from([simple_cubic, body_centred_cubic, diamond]),
+    n=st.integers(1, 3),
+    level=st.floats(0.02, 0.1),
+    seed=st.integers(0, 10_000),
+)
+@example(base=diamond, n=3, level=0.1, seed=0)
+def test_property_band_solve_matches_dense_cholesky(base, n, level, seed):
+    lat = tessellate(base(), n)
+    if lat.node_count >= 2:
+        lat = perturb(lat, level, seed)
+    dense = dense_mandel_reference(lat)
+    band = to_mandel(homogenize(lat).stiffness).entries
+    assert np.linalg.norm(band - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 def test_resolve_master_matches_recursive_reference():
@@ -530,6 +631,7 @@ def assert_batch_matches_oracle(catalogue, radii) -> list:
             assert np.array_equal(got.stiffness.components, expected.stiffness.components)
             assert got.relative_density == expected.relative_density
             assert got.residual == expected.residual
+            assert got.min_pivot_ratio == expected.min_pivot_ratio
             assert got.dof_count == expected.dof_count
         assert item.seconds >= 0.0
     return items
