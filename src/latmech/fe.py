@@ -8,7 +8,9 @@ degrees of freedom of nodes i and j, and the macroscopic strain enters
 through the affine jump eps . A t in the element kinematics, which is
 equivalent to windowed master-slave constraints without duplicating
 nodes.  Displacement jumps follow u_B - u_A = eps (x_B - x_A); rotation
-jumps across the boundary are zero.
+jumps across the boundary are zero.  The windowed path condenses each
+strut's chain of cut pieces back into the strut's element, so it solves
+the fundamental system, rebuilt from the pieces; no image node enters it.
 
 The homogenized Mandel matrix is filled from the energy bilinear form,
 C_ab = 2 Psi(eps_a, eps_b) / det(A), which is symmetric and positive
@@ -40,7 +42,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .lattice import Lattice, WindowedLattice, edge_matrix, relative_density, window
+from .lattice import Lattice, _cut_chains, edge_matrix, window
 from .tensor4 import ElasticTensor4, MandelMatrix, from_mandel, from_mandel_vector
 
 _PIVOT_REL_TOL = 1e-12
@@ -334,14 +336,11 @@ class _CellSolution:
 def _fundamental_cell(lat: Lattice) -> _Cell:
     """The cell problem of a lattice's fundamental representation.
 
-    Raises :class:`DisconnectedLatticeError`, or ``ValueError`` for a
-    degenerate cell; no radius changes either verdict.
+    Raises :class:`DisconnectedLatticeError`; no radius changes that verdict.
     """
     ends = lat.edges[:, :2]
     rank = _node_ranks(lat.name, lat.node_count, ends)
     volume = np.linalg.det(lat.cell)
-    if volume <= 0.0:
-        raise ValueError(f"lattice {lat.name!r}: degenerate cell (det <= 0)")
     positions = lat.transformed_nodes()
     heads = positions[ends[:, 1]] + lat.edges[:, 2:] @ lat.cell.T
     return _Cell(
@@ -532,46 +531,28 @@ def homogenize(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> Homogenizati
 
 
 def homogenize_windowed(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> HomogenizationResult:
-    """Homogenization through the windowed view with master-slave elimination.
+    """Homogenization through the windowed view, one element per cut chain.
 
-    Slave (image) degrees of freedom are condensed onto their masters with
-    the affine offset eps . separation on displacements and zero jump on
-    rotations.  Exists to cross-check :func:`homogenize`; both paths agree
-    to solver precision.
+    The window cuts each strut into pieces joined by image-node pairs.  An
+    Euler-Bernoulli element is exact under end loads, so condensing a
+    chain's image nodes leaves the uncut strut (see
+    :func:`lattice._cut_chains`): the system of :func:`homogenize`, rebuilt
+    from the cut pieces.  Agreement of the two paths thus checks the
+    window's cuts, pairs and separations, not a second formulation of
+    periodicity.
     """
     win = window(lat)
-    roots, seps = _resolve_master(win)
-    master_nodes, master_of = np.unique(roots, return_inverse=True)
-    # An image node's total displacement is its master's fluctuation plus
-    # eps . (x_master + separation): the affine jump across the recorded
-    # separation on top of the macroscopic part every node carries.
-    masters = master_of[win.elements]
+    ends, offsets, vectors = _cut_chains(win)
     problem = _Cell(
         lat.name,
-        _node_ranks(lat.name, len(master_nodes), masters)[masters],
-        win.nodes[roots[win.elements]] + seps[win.elements],
-        win.nodes[win.elements[:, 1]] - win.nodes[win.elements[:, 0]],
-        len(master_nodes),
+        _node_ranks(lat.name, lat.node_count, ends)[ends],
+        win.nodes[ends] + offsets,
+        vectors,
+        lat.node_count,
         float(np.linalg.det(win.cell)),
     )
-    return _solve_one(problem, lat.radius, mat).result(relative_density(lat), len(master_nodes))
-
-
-def _resolve_master(win: WindowedLattice) -> tuple[np.ndarray, np.ndarray]:
-    """Root master of every windowed node and the accumulated separation to it.
-
-    Returns ``(root, sep)`` of shapes (M,) and (M, 3), with
-    x_node = x_root + sep; a node that is no pair's slave is its own root.
-    """
-    root = np.arange(len(win.nodes))
-    sep = np.zeros((len(win.nodes), 3))
-    if win.periodic_pairs:
-        masters, slaves, separations = zip(*win.periodic_pairs)
-        root[list(slaves)] = masters
-        sep[list(slaves)] = separations
-    while np.any(root[root] != root):
-        sep, root = sep + sep[root], root[root]
-    return root, sep
+    density = _checked_density(lat.name, lat.radius, problem)
+    return _solve_one(problem, lat.radius, mat).result(density, lat.node_count)
 
 
 def _batch_item(cell: _Cell, radius: float, density: float, outcome, seconds) -> BatchItem:

@@ -179,8 +179,6 @@ def edge_lengths(lat: Lattice) -> np.ndarray:
 def relative_density(lat: Lattice) -> float:
     """Strut volume fraction: sum of pi r^2 L over det(A), no joint correction."""
     volume = np.linalg.det(lat.cell)
-    if volume <= 0.0:
-        raise ValueError(f"lattice {lat.name!r}: degenerate cell (det <= 0)")
     return float(math.pi * lat.radius**2 * edge_lengths(lat).sum() / volume)
 
 
@@ -355,71 +353,89 @@ def window(lat: Lattice) -> WindowedLattice:
     )
 
 
+def _jump(after: np.ndarray, values: np.ndarray, error: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each item's last item along successor links, and ``values`` summed to it.
+
+    ``after[i]`` is the item after i, or ``len(after)`` where i ends its
+    chain.  Pointer jumping ends a chain of k items in ceil(log2 k) jumps;
+    links that close a loop never end and raise ``ValueError(error)``.
+    """
+    count = len(after)
+    jump = np.append(after, count)
+    last = np.arange(count + 1)
+    total = np.vstack([values, np.zeros((1, values.shape[1]))])
+    for _ in range(count.bit_length()):
+        if np.all(jump == count):
+            break
+        last = np.where(jump < count, last[jump], last)
+        total, jump = total + total[jump], jump[jump]
+    if np.any(jump != count):
+        raise ValueError(error)
+    return last[:count], total[:count]
+
+
+def _resolve_master(win: WindowedLattice) -> tuple[np.ndarray, np.ndarray]:
+    """Root master of every windowed node and the accumulated separation to it.
+
+    Returns ``(root, sep)`` of shapes (M,) and (M, 3), with
+    x_node = x_root + sep; a node that is no pair's slave is its own root.
+    """
+    master = np.full(len(win.nodes), len(win.nodes))
+    sep = np.zeros((len(win.nodes), 3))
+    if win.periodic_pairs:
+        masters, slaves, separations = zip(*win.periodic_pairs)
+        master[list(slaves)] = masters
+        sep[list(slaves)] = separations
+    return _jump(master, sep, "periodic pairs form a closed loop")
+
+
+def _cut_chains(win: WindowedLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The struts a windowed view was cut from: one per chain of pieces.
+
+    A piece whose tail resolves to a fundamental node starts a chain; one
+    whose head resolves to an image continues into the piece whose tail
+    resolves to that image.  Returns ``(ends, offsets, vectors)``, a row per
+    chain in the order of its first piece: the fundamental tail and head
+    (S, 2), each end's offset from its node (S, 2, 3; the tail's separation
+    and the chain's summed head separations) and the summed pieces (S, 3).
+    """
+    n_fund = win.fundamental_count
+    root, sep = _resolve_master(win)
+    tails, heads = win.elements.T
+    count = len(tails)
+    uses = np.bincount(tails[tails >= n_fund], minlength=n_fund)
+    if uses.max(initial=0) > 1:
+        raise ValueError(f"windowed node {int(uses.argmax())} is the tail of two elements")
+    starts = root[tails] < n_fund
+    # piece index count, one past the last, marks the end of a chain
+    following = np.full(len(win.nodes), count)
+    following[root[tails[~starts]]] = np.flatnonzero(~starts)
+    successor = following[root[heads]]
+    pieces = np.hstack([sep[heads], win.nodes[heads] - win.nodes[tails]])
+    unreachable = "windowed elements contain pieces not reachable from any chain"
+    last, total = _jump(successor, pieces, unreachable)
+    if not np.array_equal(np.bincount(successor, minlength=count + 1)[:count], ~starts):
+        raise ValueError(unreachable)
+    first = np.flatnonzero(starts)
+    ends = np.stack([root[tails[first]], root[heads[last[first]]]], axis=1)
+    offsets = np.stack([sep[tails[first]], total[first, :3]], axis=1)
+    return ends, offsets, total[first, 3:]
+
+
 def fold(win: WindowedLattice) -> Lattice:
     """Reconstruct the fundamental lattice from a windowed representation.
 
-    Walks element chains through the periodic pairs; every image node has
-    exactly one incident element and one pair partner, so the chains are
-    unambiguous.
+    Each chain of pieces (see :func:`_cut_chains`) becomes one edge, whose
+    shift is the lattice vector between its two end offsets.
     """
-    n_fund = win.fundamental_count
+    ends, offsets, _vectors = _cut_chains(win)
     inv_cell = np.linalg.inv(win.cell)
+    shift = (offsets[:, 1] - offsets[:, 0]) @ inv_cell.T
+    rounded = np.rint(shift)
+    if np.abs(shift - rounded).max(initial=0.0) > 1e-9:
+        raise ValueError("periodic pair separation is not a lattice vector")
 
-    def integer_shift(separation: np.ndarray) -> np.ndarray:
-        shift = inv_cell @ separation
-        rounded = np.rint(shift).astype(int)
-        if np.abs(shift - rounded).max() > 1e-9:
-            raise ValueError("periodic pair separation is not a lattice vector")
-        return rounded
-
-    partner: dict[int, tuple[int, np.ndarray]] = {}
-    for master, slave, sep in win.periodic_pairs:
-        partner[slave] = (master, integer_shift(np.asarray(sep)))
-
-    element_by_tail: dict[int, int] = {}
-    starts: list[int] = []
-    for idx, (tail, _head) in enumerate(win.elements):
-        if tail < n_fund:
-            starts.append(idx)
-            continue
-        if tail in element_by_tail:
-            raise ValueError(f"windowed node {tail} is the tail of two elements")
-        element_by_tail[tail] = idx
-        # An image tail that is itself a pair slave starts a chain (the
-        # fundamental node sits on a face and the edge leaves through it).
-        if tail in partner:
-            starts.append(idx)
-
-    visited = set()
-    edges: list[tuple[int, int, int, int, int]] = []
-    for start in starts:
-        if start in visited:
-            continue
-        idx = start
-        tail = int(win.elements[idx][0])
-        shift = np.zeros(3, dtype=int)
-        if tail >= n_fund:
-            master, step = partner[tail]
-            if master >= n_fund:
-                raise ValueError("chain starts at an image of a non-fundamental node")
-            shift -= step
-            tail = master
-        while True:
-            visited.add(idx)
-            head = int(win.elements[idx][1])
-            if head < n_fund:
-                edges.append((tail, head, int(shift[0]), int(shift[1]), int(shift[2])))
-                break
-            master, step = partner[head]
-            shift += step
-            if master < n_fund:
-                edges.append((tail, master, int(shift[0]), int(shift[1]), int(shift[2])))
-                break
-            idx = element_by_tail[master]
-    if len(visited) != len(win.elements):
-        raise ValueError("windowed elements contain pieces not reachable from any chain")
-
-    reduced = (inv_cell @ win.nodes[:n_fund].T).T
+    reduced = (inv_cell @ win.nodes[: win.fundamental_count].T).T
     # the inverse transform reintroduces roundoff at exact-zero coordinates
     near_int = np.rint(reduced)
     snap = np.abs(reduced - near_int) < 1e-12
@@ -428,7 +444,7 @@ def fold(win: WindowedLattice) -> Lattice:
         name=win.name,
         cell=win.cell,
         nodes=reduced,
-        edges=np.asarray(edges, dtype=int).reshape(-1, 5),
+        edges=np.hstack([ends, rounded.astype(int)]),
         radius=win.radius,
     )
 

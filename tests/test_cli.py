@@ -255,6 +255,27 @@ class TestMetrics:
         assert report["negative_eig_fraction"] == 0.0
         assert report["l_equiv"] is None
 
+    def test_out_file_holds_the_stdout_line(self, catalogue_path, tmp_path, capsys):
+        stiff = tmp_path / "stiff.jsonl"
+        dispatch(
+            ["homogenize", "--catalogue", str(catalogue_path), "--radius", "0.05",
+             "--radius", "0.08", "--out", str(stiff)]
+        )
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text("".join(open(stiff).readlines()[::-1]))
+        args = ["metrics", "--pred", str(pred), "--target", str(stiff), "--dirs", "30"]
+        capsys.readouterr()
+        assert dispatch(args) == 0
+        printed = capsys.readouterr().out
+        report = tmp_path / "report.json"
+        assert dispatch(args + ["--out", str(report)]) == 0
+        assert capsys.readouterr().out == ""
+        assert report.read_text() == printed
+        assert json.loads(printed)["l_comp"] > 0.0
+        manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
+        assert manifest["command"] == "metrics"
+        assert manifest["arguments"]["out"] == str(report)
+
     def test_mismatched_lengths(self, catalogue_path, tmp_path, capsys):
         stiff = tmp_path / "stiff.jsonl"
         dispatch(

@@ -246,6 +246,79 @@ class TestWindow:
             back = fold(window(moved))
             assert edge_multiset(back) == edge_multiset(moved)
 
+    @pytest.mark.parametrize(
+        "lat",
+        [
+            # the node sits on three faces and every strut leaves through one
+            Lattice(
+                "sc_origin",
+                np.eye(3),
+                [[0.0, 0.0, 0.0]],
+                [[0, 0, -1, 0, 0], [0, 0, 0, -1, 0], [0, 0, 0, 0, -1]],
+                0.05,
+            ),
+            Lattice(
+                "bcc_reversed",
+                np.eye(3),
+                [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]],
+                [[0, 1, -x, -y, -z] for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+                0.05,
+            ),
+        ],
+    )
+    def test_fold_round_trip_from_image_tails(self, lat):
+        # a strut that starts on a face and leaves through it starts its
+        # windowed chain at an image of its tail node
+        win = window(lat)
+        assert win.elements[-1, 0] >= lat.node_count
+        back = fold(win)
+        np.testing.assert_array_equal(back.edges, lat.edges)
+        np.testing.assert_array_equal(back.nodes, lat.nodes)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("separation", "not a lattice vector"),
+            ("shared_tail", "windowed node 2 is the tail of two elements"),
+            ("stray_piece", "not reachable from any chain"),
+            ("closed_loop", "not reachable from any chain"),
+            ("pair_loop_2", "periodic pairs form a closed loop"),
+            ("pair_loop_3", "periodic pairs form a closed loop"),
+            ("pair_loop_4", "periodic pairs form a closed loop"),
+        ],
+    )
+    def test_fold_rejects_malformed_view(self, case, message):
+        # window(simple_cubic()) has pieces [0, 1], [2, 0], [0, 3], [4, 0],
+        # [0, 5], [6, 0] and pairs (2, 1), (4, 3), (6, 5)
+        win = window(simple_cubic())
+        pairs, elements, nodes = list(win.periodic_pairs), win.elements.copy(), win.nodes
+        if case == "separation":
+            pairs[0] = (2, 1, np.array([1.5, 0.0, 0.0]))
+        elif case == "shared_tail":
+            elements[3] = [2, 0]
+        elif case == "stray_piece":
+            # a piece from an image that no other piece leads to
+            nodes = np.vstack([nodes, np.zeros((1, 3))])
+            elements = np.vstack([elements, [[7, 0]]])
+        elif case == "pair_loop_2":
+            # images 1 -> 2 -> 1, each the slave of the next
+            pairs.append((1, 2, np.array([-1.0, 0.0, 0.0])))
+        elif case == "pair_loop_3":
+            # images 1 -> 2 -> 3 -> 1
+            pairs[1] = (1, 3, np.array([0.0, 1.0, 0.0]))
+            pairs.append((3, 2, np.array([-1.0, 0.0, 0.0])))
+        elif case == "pair_loop_4":
+            # images 1 -> 2 -> 3 -> 4 -> 1
+            pairs += [(3, 2, np.array([-1.0, 0.0, 0.0])), (1, 4, np.array([0.0, 1.0, 0.0]))]
+        else:
+            # pieces 7 -> 8 and 9 -> 10, each head an image of the other's tail
+            nodes = np.vstack([nodes, np.zeros((4, 3))])
+            elements = np.vstack([elements, [[7, 8], [9, 10]]])
+            pairs += [(9, 8, np.array([1.0, 0.0, 0.0])), (7, 10, np.array([-1.0, 0.0, 0.0]))]
+        malformed = replace(win, nodes=nodes, elements=elements, periodic_pairs=tuple(pairs))
+        with pytest.raises(ValueError, match=message):
+            fold(malformed)
+
 
 class TestTessellate:
     def test_identity_factor(self):

@@ -6,6 +6,7 @@ from latmech.fe import homogenize
 from latmech.lattice import (
     body_centred_cubic,
     diamond,
+    edge_lengths,
     perturb,
     rotate_lattice,
     simple_cubic,
@@ -195,6 +196,31 @@ class TestSolve:
         assert solved[-1] == (final.nodes.tobytes(), final.edges.tobytes())
         assert len(set(solved[:-1])) == len(solved) - 1
         assert len(solved) > len(trace.objective_history)
+
+    def test_collapsing_step_is_halved(self, monkeypatch):
+        # On this cell the first step shortens the shortest strut, so a limit
+        # between its full-step and half-step lengths rejects the full step
+        # as a collapse, and the loop goes on as if it had started at half
+        lat = perturb(body_centred_cubic(), 0.03, seed=2)
+        target = scaled_y_target(lat)
+        full, half = (
+            solve(DesignProblem(base=lat, target=target, max_steps=1, step_size=step))
+            for step in (1000.0, 500.0)
+        )
+        shortest = [edge_lengths(t.final_lattice).min() for t in (full, half)]
+        assert shortest[0] < shortest[1] < edge_lengths(lat).min()
+        monkeypatch.setattr(optimize, "MIN_EDGE_LENGTH", sum(shortest) / 2)
+        halved = solve(DesignProblem(base=lat, target=target, max_steps=1, step_size=1000.0))
+        assert halved.objective_history == half.objective_history
+        np.testing.assert_array_equal(halved.final_lattice.nodes, half.final_lattice.nodes)
+
+    def test_stops_when_no_halving_is_accepted(self, demo_lattice, monkeypatch):
+        # every candidate collapses a strut, so no step is taken
+        monkeypatch.setattr(optimize, "MIN_EDGE_LENGTH", np.inf)
+        target = scaled_y_target(demo_lattice)
+        trace = solve(DesignProblem(base=demo_lattice, target=target, max_steps=5))
+        assert trace.objective_history == [objective(demo_lattice, target)]
+        np.testing.assert_array_equal(trace.final_lattice.nodes, demo_lattice.nodes)
 
     def test_plain_mode_runs(self, demo_lattice):
         target = scaled_y_target(demo_lattice)
