@@ -10,6 +10,8 @@ positions with exact gradients.
 
 import argparse
 import json
+import sys
+import time
 
 import numpy as np
 
@@ -39,8 +41,11 @@ def main() -> None:
     target = from_mandel(MandelMatrix(m * scale))
 
     problem = DesignProblem(base=base, target=target, max_steps=args.steps)
+    started = time.perf_counter()
     trace = solve(problem)
+    seconds = time.perf_counter() - started
     history = trace.objective_history
+    print(f"{trace.solves} cell solves in {seconds:.3f} s", file=sys.stderr)
 
     axes = {"x": [1.0, 0.0, 0.0], "y": [0.0, 1.0, 0.0], "z": [0.0, 0.0, 1.0]}
     print(f"objective: {history[0]:.4e} -> {history[-1]:.4e} in {len(history) - 1} steps")

@@ -18,18 +18,22 @@ semi-definite by construction.  Joint overlap at nodes is ignored
 (slender-strut assumption).
 
 Every cell problem, single or batched, fundamental or windowed, goes
-through one chunked core, :func:`_solve_cells`.  It gathers consecutive
-problems into chunks of at most about ``_CHUNK_STRUTS`` struts (a larger
-problem is a chunk of its own), builds the element matrices of a whole
-chunk in one kernel call, and scatters them into one flat buffer of
-per-problem stiffness bands and one of right-hand sides.  A strut couples
-only the nodes at its two ends, so with the nodes numbered breadth-first
-from the pinned node 0 the stiffness matrix is a band; only its lower
-(kd+1) x n band is stored, and no n x n matrix is built unless a solve
-fails.  Each problem is then factored by LAPACK's banded Cholesky
-(``dpbtrf``/``dpbtrs``), checked and contracted on views of those buffers.
-Mixed topologies share a chunk, and each problem's numbers are those of
-solving it alone, bit for bit.
+through one chunked core, :func:`_solve_cells`.  A problem is a
+:class:`_Cell`: a :class:`_Topology`, which depends on the strut graph
+alone and is shared by the radii of a batch item and the candidates of a
+design step, plus the geometry.  The core gathers consecutive problems
+into chunks of at most about ``_CHUNK_STRUTS`` struts (a larger problem
+is a chunk of its own), builds the element matrices of a whole chunk in
+one kernel call (a fixed basis weighted by per-strut features, see
+:func:`_beam_kernel`), and scatters them, at the places each topology
+names, into one flat buffer of per-problem stiffness bands and one of
+right-hand sides.  A strut couples only the nodes at its two ends, so
+with the nodes numbered breadth-first from the pinned node 0 the
+stiffness matrix is a band; only its lower (kd+1) x n band is stored,
+and no n x n matrix is built unless a solve fails.  Each problem is then
+factored by LAPACK's banded Cholesky (``dpbtrf``/``dpbtrs``), checked and
+contracted on views of those buffers.  Mixed topologies share a chunk,
+and each problem's numbers are those of solving it alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from itertools import accumulate
 import numpy as np
 
 from .lattice import Lattice, _cut_chains, edge_matrix, window
-from .tensor4 import ElasticTensor4, MandelMatrix, from_mandel, from_mandel_vector
+from .tensor4 import SLOT_PAIRS, ElasticTensor4, MandelMatrix, from_mandel, from_mandel_vector
 
 _PIVOT_REL_TOL = 1e-12
 # A chunk closes before its struts would pass this many.  On the benchmark
@@ -194,15 +198,59 @@ _BEND_NEAR = np.diag([0.0, 1.0, 0.0, 1.0])
 _BEND_FAR = np.array([[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
 _COUPLING = np.array([[0, -1, 0, -1], [1, 0, -1, 0], [0, 1, 0, 1], [1, 0, -1, 0]], dtype=float)
 
+# The 36 per-strut features of _beam_kernel.  With the unit strut vector
+# padded as m = (n_x, n_y, n_z, 1) and the strut's coefficients
+# (ea, gj, b12, b4, b2, b6), feature f is
+# coefficient[_FEATURE_COEFF[f]] * m[_FEATURE_A[f]] * m[_FEATURE_B[f]]:
+# ea and gj times the six products n_i n_j, b12, b4 and b2 times 1 and the
+# six n_i n_j, and b6 times n.  The products n_i n_j come in the Mandel
+# slot order.
+_FEATURES = (
+    [(c, i, j) for c in (0, 1) for i, j in SLOT_PAIRS]
+    + [(c, i, j) for c in (2, 3, 4) for i, j in ((3, 3),) + SLOT_PAIRS]
+    + [(5, k, 3) for k in range(3)]
+)
+_FEATURE_COEFF, _FEATURE_A, _FEATURE_B = np.array(_FEATURES).T
+# each coefficient is modulus * section column / length**power; moduli (E, G)
+_COEFF_SECTION = np.array([0, 2, 1, 1, 1, 1])  # area, torsion, inertia x 4
+_COEFF_POWER = np.array([1, 1, 3, 1, 1, 2])
 
-def _singular_system(cell: _Cell, k_e: np.ndarray, dofs: np.ndarray) -> SingularSystemError:
+
+def _kernel_basis() -> np.ndarray:
+    """(36, 144) element matrix of each feature at unit value: the Kronecker
+    product of its 4x4 node-block pattern and its 3x3 block."""
+    def pair(i, j):
+        block = np.zeros((3, 3))
+        block[i, j] = block[j, i] = 1.0
+        return block
+
+    # [e_k]x, with [e_k]x a = e_k x a: row r is e_r x e_k
+    cross = [np.cross(np.eye(3), np.eye(3)[k]) for k in range(3)]
+    blocks = (
+        [np.kron(_AXIAL, pair(i, j)) for i, j in SLOT_PAIRS]  # ea P
+        + [np.kron(_TORSION, pair(i, j)) for i, j in SLOT_PAIRS]  # gj P
+        + [
+            np.kron(pattern, block)  # b Q = b I - b P
+            for pattern in (_AXIAL, _BEND_NEAR, _BEND_FAR)
+            for block in [np.eye(3)] + [-pair(i, j) for i, j in SLOT_PAIRS]
+        ]
+        + [np.kron(_COUPLING, cross[k]) for k in range(3)]  # b6 S
+    )
+    return np.array(blocks).reshape(36, 144)
+
+
+_KERNEL_BASIS = _kernel_basis()
+
+
+def _singular_system(cell: _Cell, k_e: np.ndarray) -> SingularSystemError:
     """The error for a reduced stiffness the band Cholesky rejected, with the
     dimension of its null space.
 
     K is assembled dense from the element matrices here, on the failure
     path only: the factor has overwritten the band.
     """
-    n = 6 * cell.node_count
+    n = 6 * cell.topology.node_count
+    dofs = cell.topology.dofs
     k = np.zeros((n, n))
     np.add.at(k, (dofs[:, :, None], dofs[:, None, :]), k_e)
     k_red = k[3:, 3:]
@@ -212,25 +260,6 @@ def _singular_system(cell: _Cell, k_e: np.ndarray, dofs: np.ndarray) -> Singular
     eigvals = np.linalg.eigvalsh(scale[:, None] * k_red * scale)
     null_dim = int(np.sum(eigvals <= _PIVOT_REL_TOL))
     return SingularSystemError(cell.name, max(null_dim, 1))
-
-
-def _kernel_blocks(coeffs: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """Sum over k of kron(coeffs[..., k, :, :], bases[..., k, :, :]) as (..., 12, 12)."""
-    blocks = np.einsum("...kab,...kij->...aibj", coeffs, bases)
-    return blocks.reshape(blocks.shape[:-4] + (12, 12))
-
-
-def _cross_matrices(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrices [v]x, with [v]x a = v x a, of (..., 3) vectors v.
-
-    Row i is e_i x v, computed with the products and differences of
-    ``np.cross(np.eye(3), v[..., None, :])`` in its order, so the result is
-    the same to the bit; ``np.cross`` itself spends more on per-call set-up
-    than on the arithmetic of a cell.
-    """
-    e = np.eye(3)
-    x, y, z = v[..., None, 0], v[..., None, 1], v[..., None, 2]
-    return np.stack([e[1] * z - e[2] * y, e[2] * x - e[0] * z, e[0] * y - e[1] * x], axis=-1)
 
 
 def _beam_kernel(
@@ -244,77 +273,111 @@ def _beam_kernel(
     With n = v/|v|, P = n n^T, Q = I - P and S = [n]x, the 3x3 blocks of
     the global-frame matrix are ``ea P + b12 Q`` (translation), ``-/+ b6 S``
     (translation-rotation coupling), ``gj P + b4 Q`` and ``-gj P + b2 Q``
-    (rotation), so no local frame is needed.  Returns ``(k, dk)`` with k of
-    shape (E, 12, 12); dk is the derivative with respect to v, shape
-    (E, 3, 12, 12), when ``derivative`` is set and None otherwise.
+    (rotation), so no local frame is needed.  Each matrix is linear in 36
+    per-strut features (see ``_FEATURES``), so the whole stack is one
+    product of the (E, 36) features with the fixed (36, 144) basis, and its
+    derivative is the product of d(features)/dv with the same basis.  The
+    products go through ``np.einsum`` rather than a BLAS matrix product:
+    the threaded BLAS product slows the banded factorization that follows
+    it.  Each basis matrix is symmetric and the features are summed in one
+    order, so every element matrix is exactly symmetric.  Returns
+    ``(k, dk)`` with k of shape (E, 12, 12); dk is the derivative with
+    respect to v, shape (E, 3, 12, 12), when ``derivative`` is set and None
+    otherwise.
     """
     length = np.linalg.norm(vectors, axis=1)
     n = vectors / length[:, None]
-    p = n[:, :, None] * n[:, None, :]
-    q = np.eye(3) - p
-    s = _cross_matrices(n)  # s @ a = n x a
-
+    m = np.concatenate([n, np.ones((len(n), 1))], axis=1)
     e_mod, g_mod = mat.youngs_modulus, mat.shear_modulus
-    area, inertia, torsion = sections.T
-    ea = (e_mod * area / length)[:, None, None]
-    gj = (g_mod * torsion / length)[:, None, None]
-    b12 = (12.0 * e_mod * inertia / length**3)[:, None, None]
-    b6 = (6.0 * e_mod * inertia / length**2)[:, None, None]
-    b4 = (4.0 * e_mod * inertia / length)[:, None, None]
-    b2 = (2.0 * e_mod * inertia / length)[:, None, None]
-
-    m_p = ea * _AXIAL + gj * _TORSION
-    m_q = b12 * _AXIAL + b4 * _BEND_NEAR + b2 * _BEND_FAR
-    m_s = b6 * _COUPLING
-    k = _kernel_blocks(np.stack([m_p, m_q, m_s], 1), np.stack([p, q, s], 1))
+    moduli = np.array([e_mod, g_mod, 12.0 * e_mod, 4.0 * e_mod, 2.0 * e_mod, 6.0 * e_mod])
+    coeff = moduli * sections[:, _COEFF_SECTION] / length[:, None] ** _COEFF_POWER
+    pair = m[:, _FEATURE_A] * m[:, _FEATURE_B]
+    features = coeff[:, _FEATURE_COEFF] * pair
+    k = np.einsum("ef,fk->ek", features, _KERNEL_BASIS).reshape(-1, 12, 12)
     if not derivative:
         return k, None
 
-    # d/dv = n d/dL at fixed direction + the change of direction, with
-    # dn/dv = Q / L and dQ = -dP.
-    inv = (1.0 / length)[:, None, None]
-    dm_p = -inv * m_p
-    dm_q = -inv * (3.0 * b12 * _AXIAL + b4 * _BEND_NEAR + b2 * _BEND_FAR)
-    dm_s = -2.0 * inv * m_s
-    dk_dlength = _kernel_blocks(np.stack([dm_p, dm_q, dm_s], 1), np.stack([p, q, s], 1))
-    dn = q * inv  # dn[e, m] = d n / d v_m
-    dp = dn[:, :, :, None] * n[:, None, None, :] + n[:, None, :, None] * dn[:, :, None, :]
-    ds = _cross_matrices(dn)
-    dk = n[:, :, None, None] * dk_dlength[:, None] + _kernel_blocks(
-        np.stack([m_p - m_q, m_s], 1)[:, None], np.stack([dp, ds], 2)
-    )
+    # d coeff / dv_c = -power coeff n_c / L, and dm_i / dv_c = Q_ci / L
+    # (zero for the padding), since dL/dv = n and dn/dv = Q / L.
+    inv = 1.0 / length
+    dcoeff = (-_COEFF_POWER * coeff * inv[:, None])[:, None, :] * n[:, :, None]
+    dm = np.zeros((len(n), 3, 4))
+    dm[:, :, :3] = (np.eye(3) - n[:, :, None] * n[:, None, :]) * inv[:, None, None]
+    a, b, c = _FEATURE_A, _FEATURE_B, _FEATURE_COEFF
+    dpair = dm[:, :, a] * m[:, None, b] + m[:, None, a] * dm[:, :, b]
+    dfeatures = dcoeff[:, :, c] * pair[:, None] + coeff[:, None, c] * dpair
+    dk = np.einsum("ecf,fk->eck", dfeatures, _KERNEL_BASIS).reshape(-1, 3, 12, 12)
     return k, dk
 
 
 @dataclass(frozen=True)
-class _Cell:
-    """A cell problem without its section: element end nodes and geometry.
+class _Topology:
+    """What a cell problem's solve needs of its strut graph alone.
 
     ``ends`` numbers the nodes in breadth-first order from the pinned node 0
-    (see :func:`_node_ranks`), which keeps the stiffness matrix banded.
+    (see :func:`_node_ranks`), which keeps the stiffness matrix banded with
+    half-bandwidth ``half_bandwidth``.  The rest is the scatter pattern,
+    relative to the problem's own buffers: ``dofs`` are each element's
+    twelve dofs; ``lower`` (E, 12, 12) marks the element-matrix entries its
+    reduced lower band takes, and ``band_at`` are their places in the flat
+    (n-3, kd+1) band; ``rhs_at`` (E, 12, 6) are each element row's places
+    in the flat (6, n) right-hand sides.  Moving nodes changes none of it,
+    so the candidates of a design step share their base lattice's topology.
+    """
+
+    ends: np.ndarray  # (E, 2) node places in breadth-first order
+    node_count: int
+    half_bandwidth: int
+    dofs: np.ndarray  # (E, 12)
+    lower: np.ndarray  # (E, 12, 12) bool
+    band_at: np.ndarray
+    rhs_at: np.ndarray  # (E, 12, 6)
+
+    @property
+    def band_size(self) -> int:
+        return (6 * self.node_count - 3) * (self.half_bandwidth + 1)
+
+
+def _topology(name: str, node_count: int, ends: np.ndarray) -> _Topology:
+    """The :class:`_Topology` of struts joining the (E, 2) node ``ends``.
+
+    Raises :class:`DisconnectedLatticeError`; no radius or node position
+    changes that verdict.
+    """
+    ranked = _node_ranks(name, node_count, ends)[ends]
+    n = 6 * node_count
+    # a strut couples the six dofs of each of its two end nodes
+    gap = int(np.abs(ranked[:, 0] - ranked[:, 1]).max(initial=0))
+    kd = min(6 * gap + 5, n - 4)
+    dofs = (6 * ranked[:, :, None] + np.arange(6)).reshape(-1, 12)
+    # Node 0's translations (dofs 0-2) are pinned, so dof d is row d - 3 of
+    # the reduced system.  Entry (a, b) of an element, with dofs
+    # d_a >= d_b >= 3, goes to row d_b - 3, column d_a - d_b of the band.
+    at = (dofs - 3 * (kd + 1))[:, :, None] + (kd * dofs)[:, None, :]
+    lower = (dofs[:, :, None] >= dofs[:, None, :]) & (dofs >= 3)[:, None, :]
+    rhs_at = dofs[:, :, None] + n * np.arange(6)
+    return _Topology(ranked, node_count, kd, dofs, lower, at[lower], rhs_at)
+
+
+@dataclass(frozen=True)
+class _Cell:
+    """A cell problem without its section: its topology and its geometry.
+
     ``end_positions`` (E, 2, 3) are the physical end positions that carry
     the affine part eps . x of the displacement, so a head beyond the cell
     boundary enters at its shifted image position.
     """
 
     name: str
-    ends: np.ndarray  # (E, 2) node places in breadth-first order
+    topology: _Topology
     end_positions: np.ndarray  # (E, 2, 3)
     vectors: np.ndarray  # (E, 3) strut vectors, tail to head
-    node_count: int
     volume: float  # det of the cell matrix
 
     @cached_property
     def length_sum(self) -> float:
         """Total strut length, for the relative density."""
         return np.linalg.norm(self.vectors, axis=1).sum()
-
-    @cached_property
-    def half_bandwidth(self) -> int:
-        """Half-bandwidth kd of the reduced stiffness matrix: a strut couples
-        the six dofs of each of its two end nodes."""
-        gap = int(np.abs(self.ends[:, 0] - self.ends[:, 1]).max(initial=0))
-        return min(6 * gap + 5, 6 * self.node_count - 4)
 
 
 @dataclass(frozen=True)
@@ -333,19 +396,22 @@ class _CellSolution:
         )
 
 
-def _fundamental_cell(lat: Lattice) -> _Cell:
+def _fundamental_cell(lat: Lattice, topology: _Topology | None = None) -> _Cell:
     """The cell problem of a lattice's fundamental representation.
 
-    Raises :class:`DisconnectedLatticeError`; no radius changes that verdict.
+    ``topology`` is that of a lattice with the same node count and the same
+    ``edges[:, :2]`` in the same order, such as the lattice ``lat`` was
+    moved from by :func:`lattice.displace_nodes`; without it the topology
+    is built here, which raises :class:`DisconnectedLatticeError`.
     """
     ends = lat.edges[:, :2]
-    rank = _node_ranks(lat.name, lat.node_count, ends)
-    volume = np.linalg.det(lat.cell)
+    if topology is None:
+        topology = _topology(lat.name, lat.node_count, ends)
     positions = lat.transformed_nodes()
     heads = positions[ends[:, 1]] + lat.edges[:, 2:] @ lat.cell.T
     return _Cell(
-        lat.name, rank[ends], np.stack([positions[ends[:, 0]], heads], axis=1),
-        edge_matrix(lat), lat.node_count, float(volume),
+        lat.name, topology, np.stack([positions[ends[:, 0]], heads], axis=1),
+        edge_matrix(lat), float(np.linalg.det(lat.cell)),
     )
 
 
@@ -384,7 +450,7 @@ def _solve_cells(problems, mat: BeamMaterial):
     """
     chunk, struts = [], 0
     for problem in problems:
-        count = len(problem[0].ends)
+        count = len(problem[0].vectors)
         if chunk and struts + count > _CHUNK_STRUTS:
             yield from _solve_chunk(chunk, mat)
             chunk, struts = [], 0
@@ -394,6 +460,14 @@ def _solve_cells(problems, mat: BeamMaterial):
         yield from _solve_chunk(chunk, mat)
 
 
+def _placed(patterns, starts) -> np.ndarray:
+    """The problems' scatter patterns, each moved to its place in the chunk;
+    a one-problem chunk uses its pattern as it is, without a copy."""
+    if len(patterns) == 1:
+        return patterns[0]
+    return np.concatenate([pattern + start for pattern, start in zip(patterns, starts)])
+
+
 def _solve_chunk(chunk, mat: BeamMaterial) -> list[tuple]:
     """:func:`_solve_cells` on one chunk: one kernel call, one scatter into
     the flat buffer of lower stiffness bands and one into the right-hand
@@ -401,52 +475,43 @@ def _solve_chunk(chunk, mat: BeamMaterial) -> list[tuple]:
     views of them."""
     started = time.perf_counter()
     cells = [cell for cell, _radius in chunk]
-    counts = [len(cell.ends) for cell in cells]
-    sizes = [6 * cell.node_count for cell in cells]
-    widths = [cell.half_bandwidth + 1 for cell in cells]
-    # where each problem's (n-3, kd+1) band and (6, n) right-hand sides
-    # start; the last entries are the buffer lengths
-    band_starts = list(accumulate(((n - 3) * w for n, w in zip(sizes, widths)), initial=0))
-    rhs_starts = list(accumulate((6 * n for n in sizes), initial=0))
-    # each strut's problem size, band width and offsets, as (E, 1) columns
-    n_e, w_e, b0_e, r0_e = np.repeat(
-        np.array([sizes, widths, band_starts[:-1], rhs_starts[:-1]]), counts, axis=1
-    )[:, :, None]
-    dofs = 6 * np.concatenate([cell.ends for cell in cells])[:, :, None] + np.arange(6)
-    dofs = dofs.reshape(-1, 12)  # local to each problem
+    tops = [cell.topology for cell in cells]
+    counts = [len(top.ends) for top in tops]
+    # where each problem's band and right-hand sides start in the chunk's
+    # buffers; the last entries are the buffer lengths
+    band_starts = list(accumulate((top.band_size for top in tops), initial=0))
+    rhs_starts = list(accumulate((36 * top.node_count for top in tops), initial=0))
     k_e, _dk = _beam_kernel(
         np.concatenate([cell.vectors for cell in cells]),
         _strut_sections([radius for _cell, radius in chunk], counts),
         mat,
     )
-    d_aff = np.zeros((len(dofs), 2, 6, 6))
+    d_aff = np.zeros((len(k_e), 2, 6, 6))
     d_aff[:, :, :3] = np.einsum(
         "aij,enj->enia", _UNIT_STRAINS, np.concatenate([cell.end_positions for cell in cells])
     )
     d_aff = d_aff.reshape(-1, 12, 6)
 
-    # Node 0's translations (dofs 0-2) are pinned, so dof d is row d - 3 of
-    # the reduced system.  Entry (a, b) of an element, with dofs
-    # d_a >= d_b >= 3, goes to row d_b - 3, column d_a - d_b of its band;
-    # bincount adds in element order and accumulates over the repeated
-    # dofs of self-edges.
-    at = (b0_e + dofs - 3 * w_e)[:, :, None] + ((w_e - 1) * dofs)[:, None, :]
-    lower = (dofs[:, :, None] >= dofs[:, None, :]) & (dofs >= 3)[:, None, :]
-    k_flat = np.bincount(at[lower], k_e[lower], minlength=band_starts[-1])
-    rhs_at = (r0_e + dofs)[:, :, None] + n_e[:, :, None] * np.arange(6)
+    # bincount adds in element order and accumulates over the repeated dofs
+    # of self-edges
+    lower = np.concatenate([top.lower for top in tops])
+    band_at = _placed([top.band_at for top in tops], band_starts)
+    rhs_at = _placed([top.rhs_at for top in tops], rhs_starts)
+    k_flat = np.bincount(band_at, k_e[lower], minlength=band_starts[-1])
     rhs = np.bincount(rhs_at.ravel(), -(k_e @ d_aff).ravel(), minlength=rhs_starts[-1])
     share = (time.perf_counter() - started) / len(chunk)
 
     solved = []
     e0 = 0
-    for cell, count, n, width, b0, r0 in zip(cells, counts, sizes, widths, band_starts, rhs_starts):
+    for cell, count, b0, r0 in zip(cells, counts, band_starts, rhs_starts):
         started = time.perf_counter()
         e1 = e0 + count
+        top = cell.topology
+        n = 6 * top.node_count
         try:
-            # rhs_at made relative to the problem's own (6, n) block
             outcome = _solve_problem(
-                cell, k_e[e0:e1], d_aff[e0:e1], dofs[e0:e1], rhs_at[e0:e1] - r0,
-                k_flat[b0 : b0 + (n - 3) * width].reshape(n - 3, width),
+                cell, k_e[e0:e1], d_aff[e0:e1],
+                k_flat[b0 : b0 + top.band_size].reshape(n - 3, top.half_bandwidth + 1),
                 rhs[r0 : r0 + 6 * n].reshape(6, n),
             )
         except (ValueError, np.linalg.LinAlgError) as exc:
@@ -456,13 +521,13 @@ def _solve_chunk(chunk, mat: BeamMaterial) -> list[tuple]:
     return solved
 
 
-def _solve_problem(cell: _Cell, k_e, d_aff, dofs, rhs_at, band, rhs) -> _CellSolution:
+def _solve_problem(cell: _Cell, k_e, d_aff, band, rhs) -> _CellSolution:
     """Solve, check and contract one problem of :func:`_solve_chunk`.
 
     ``band`` is its reduced stiffness K as an (n-3, kd+1) lower band, row j
     holding K[j:j+kd+1, j], so that its transpose is LAPACK's band storage;
     it is factored in place.  ``rhs`` holds the six right-hand sides as
-    (6, n) rows over every dof; the other arguments are the problem's rows
+    (6, n) rows over every dof; ``k_e`` and ``d_aff`` are the problem's rows
     of the chunk arrays.  Raises SingularSystemError when a pivot falls to
     the relative tolerance times its own diagonal entry; a per-column floor
     is blind to the scale of other struts, such as the very short pieces
@@ -475,17 +540,17 @@ def _solve_problem(cell: _Cell, k_e, d_aff, dofs, rhs_at, band, rhs) -> _CellSol
     factor, info = lapack.dpbtrf(band.T, lower=1, overwrite_ab=1)
     min_pivot_ratio = float(np.min(factor[0] ** 2 / diag)) if info == 0 else 0.0
     if min_pivot_ratio <= _PIVOT_REL_TOL:
-        raise _singular_system(cell, k_e, dofs)
+        raise _singular_system(cell, k_e)
     load = rhs[:, 3:]
     u_red, info = lapack.dpbtrs(factor, load.T, lower=1)
     if info != 0:
         raise RuntimeError(f"dpbtrs rejected argument {-info}")
     u_full = np.zeros((rhs.shape[1], 6))
     u_full[3:] = u_red
-    u_e = u_full[dofs]
+    u_e = u_full[cell.topology.dofs]
     # the residual sum_e K_e u_e - f over the free dofs, taken from the
     # element matrices rather than the band, so that a scatter error shows
-    forces = np.bincount(rhs_at.ravel(), (k_e @ u_e).ravel(), minlength=rhs.size)
+    forces = np.bincount(cell.topology.rhs_at.ravel(), (k_e @ u_e).ravel(), minlength=rhs.size)
     res_norm = np.linalg.norm(forces.reshape(6, -1)[:, 3:] - load, axis=1)
     rhs_norm = np.linalg.norm(load, axis=1)
     residual = float(np.max(res_norm / np.maximum(rhs_norm, 1e-300)))
@@ -510,12 +575,13 @@ def _solve_one(cell: _Cell, radius: float, mat: BeamMaterial) -> _CellSolution:
     return outcome
 
 
-def _solve_cell(lat: Lattice, mat: BeamMaterial):
+def _solve_cell(lat: Lattice, mat: BeamMaterial, topology: _Topology | None = None):
     """Validate the lattice and solve its fundamental-representation cell.
 
-    Returns ``(relative_density, _CellSolution)``.
+    Returns ``(relative_density, _CellSolution)``; ``topology`` is as for
+    :func:`_fundamental_cell`.
     """
-    cell = _fundamental_cell(lat)
+    cell = _fundamental_cell(lat, topology)
     density = _checked_density(lat.name, lat.radius, cell)
     return density, _solve_one(cell, lat.radius, mat)
 
@@ -545,10 +611,9 @@ def homogenize_windowed(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> Hom
     ends, offsets, vectors = _cut_chains(win)
     problem = _Cell(
         lat.name,
-        _node_ranks(lat.name, lat.node_count, ends)[ends],
+        _topology(lat.name, lat.node_count, ends),
         win.nodes[ends] + offsets,
         vectors,
-        lat.node_count,
         float(np.linalg.det(win.cell)),
     )
     density = _checked_density(lat.name, lat.radius, problem)
@@ -561,7 +626,9 @@ def _batch_item(cell: _Cell, radius: float, density: float, outcome, seconds) ->
     # while the next chunk is solved, and keep the heap from shrinking.
     if isinstance(outcome, Exception):
         return BatchItem(cell.name, radius, None, str(outcome), seconds)
-    return BatchItem(cell.name, radius, outcome.result(density, cell.node_count), None, seconds)
+    return BatchItem(
+        cell.name, radius, outcome.result(density, cell.topology.node_count), None, seconds
+    )
 
 
 def homogenize_batch(

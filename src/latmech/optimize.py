@@ -20,7 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fe import BeamMaterial, _beam_kernel, _CellSolution, _solve_cell, _strut_sections, homogenize
+from .fe import (
+    BeamMaterial,
+    _beam_kernel,
+    _CellSolution,
+    _solve_cell,
+    _strut_sections,
+    _topology,
+    _Topology,
+    homogenize,
+)
 from .lattice import Lattice, displace_nodes, edge_lengths, edge_matrix
 from .metrics import l_comp
 from .tensor4 import ElasticTensor4, to_mandel
@@ -61,20 +70,25 @@ class DesignProblem:
 
 @dataclass(frozen=True)
 class DesignTrace:
+    """A design run: ``solves`` counts its cell solves, the first one, every
+    line-search candidate and the final re-verification."""
+
     objective_history: list[float]
     final_lattice: Lattice
     final_stiffness: ElasticTensor4
+    solves: int
 
 
 def _evaluate(
-    lat: Lattice, target: ElasticTensor4, mat: BeamMaterial
+    lat: Lattice, target: ElasticTensor4, mat: BeamMaterial, topology: _Topology | None = None
 ) -> tuple[float, _CellSolution]:
     """:func:`objective` and the solved cell it came from, from one solve.
 
     The value goes through the same Mandel round trip as :func:`homogenize`,
     so it equals the loss of the homogenized stiffness bit for bit.
+    ``topology`` is as for :func:`fe._fundamental_cell`.
     """
-    _density, cell = _solve_cell(lat, mat)
+    _density, cell = _solve_cell(lat, mat, topology)
     return l_comp(to_mandel(cell.stiffness), to_mandel(target)), cell
 
 
@@ -169,12 +183,16 @@ def solve(
     at ``max_steps`` or when the gradient norm falls below 1e-8.
     With backtracking enabled, a step that would increase the objective
     (or collapse a strut) halves the step size, up to 20 times; if no
-    acceptable step remains the loop terminates.  ``threads`` is accepted
+    acceptable step remains the loop terminates.  Every candidate moves
+    the base lattice's nodes and keeps its struts, so all the loop's solves
+    share the base lattice's topology, built once.  ``threads`` is accepted
     and ignored: the loop runs serially.
     """
     lat = prob.base
-    current, cell = _evaluate(lat, prob.target, mat)
+    topology = _topology(lat.name, lat.node_count, lat.edges[:, :2])
+    current, cell = _evaluate(lat, prob.target, mat, topology)
     history = [current]
+    solves = 1
     fixed = np.setdiff1d(np.arange(lat.node_count), prob.free_nodes)
 
     for _ in range(prob.max_steps):
@@ -191,7 +209,8 @@ def solve(
             if edge_lengths(candidate).min(initial=np.inf) < MIN_EDGE_LENGTH:
                 step *= 0.5
                 continue
-            value, candidate_cell = _evaluate(candidate, prob.target, mat)
+            value, candidate_cell = _evaluate(candidate, prob.target, mat, topology)
+            solves += 1
             if prob.backtracking and value > current:
                 step *= 0.5
                 continue
@@ -207,4 +226,5 @@ def solve(
         objective_history=history,
         final_lattice=lat,
         final_stiffness=final.stiffness,
+        solves=solves + 1,  # with the final homogenize
     )

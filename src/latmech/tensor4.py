@@ -96,6 +96,14 @@ class ElasticTensor4:
         object.__setattr__(self, "components", c)
 
     @classmethod
+    def _unchecked(cls, components: np.ndarray) -> "ElasticTensor4":
+        """A tensor of float (3, 3, 3, 3) ``components`` that are known to
+        pass every check of ``__post_init__``, built without repeating them."""
+        tensor = object.__new__(cls)
+        object.__setattr__(tensor, "components", components)
+        return tensor
+
+    @classmethod
     def zero(cls) -> "ElasticTensor4":
         return cls(np.zeros((3, 3, 3, 3)))
 
@@ -217,14 +225,21 @@ def to_mandel(c: ElasticTensor4) -> MandelMatrix:
 
 
 def from_mandel(m: MandelMatrix | np.ndarray) -> ElasticTensor4:
-    """Exact inverse of :func:`to_mandel`."""
+    """Exact inverse of :func:`to_mandel`.
+
+    The tensor is not validated again: a :class:`MandelMatrix` is finite
+    and symmetric within 1e-10 relative, the slot table gives the tensor
+    exact minor symmetry, and dividing by weights of 1, sqrt(2) and 2 at
+    most doubles the relative major-symmetry defect, far inside
+    :class:`ElasticTensor4`'s 1e-8.
+    """
     if not isinstance(m, MandelMatrix):
         m = MandelMatrix(m)
     entries = m.entries
     slot_left = _SLOT_OF[:, :, None, None]
     slot_right = _SLOT_OF[None, None, :, :]
     comp = entries[slot_left, slot_right] / _WEIGHT_PRODUCTS[slot_left, slot_right]
-    return ElasticTensor4(comp)
+    return ElasticTensor4._unchecked(comp)
 
 
 def to_voigt(c: ElasticTensor4) -> VoigtMatrix:

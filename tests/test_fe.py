@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 from collections import deque
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -329,18 +329,17 @@ def _strut_vector(nz: float, azimuth: float, length: float) -> np.ndarray:
     return length * np.array([rho * math.cos(azimuth), rho * math.sin(azimuth), nz])
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    v=st.lists(
-        st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0])), min_size=12, max_size=12
-    )
-)
-def test_property_cross_matrices_match_np_cross(v):
-    # same bits as np.cross, signed zeros included, for rows and stacks of rows
-    for shape in ((4, 3), (2, 2, 3)):
-        vectors = np.reshape(v, shape)
-        expected = np.cross(np.eye(3), vectors[..., None, :])
-        assert fe._cross_matrices(vectors).tobytes() == expected.tobytes()
+def axis_examples(test):
+    """Struts along a coordinate axis (exactly along +x, +z and -z, within
+    2e-16 of -x and +y) and within 1e-9 of one, where b Q = b I - b P
+    cancels in the kernel's features."""
+    cases = [
+        (1.0, 0.0), (-1.0, 0.0), (0.0, 0.0), (0.0, math.pi), (0.0, math.pi / 2),
+        (0.0, 1e-9), (0.0, math.pi / 2 - 1e-9), (1e-9, 0.0), (-1e-9, math.pi),
+    ]
+    for nz, azimuth in cases:
+        test = example(nz=nz, azimuth=azimuth, length=0.7, radius=0.05)(test)
+    return test
 
 
 @settings(max_examples=40, deadline=None)
@@ -350,11 +349,13 @@ def test_property_cross_matrices_match_np_cross(v):
     length=st.floats(0.2, 2.0),
     radius=st.floats(0.005, 0.1),
 )
+@axis_examples
 def test_property_kernel_matches_local_frame_reference(nz, azimuth, length, radius):
     mat = BeamMaterial(1.7, 0.27)
     v = _strut_vector(nz, azimuth, length)
     k, dk = _beam_kernel(v[None], _strut_sections([radius], [1]), mat)
     assert dk is None
+    assert np.array_equal(k[0], k[0].T)
     reference = local_frame_beam_stiffness(length, radius, v / np.linalg.norm(v), mat)
     np.testing.assert_allclose(k[0], reference, rtol=0, atol=1e-13 * np.abs(reference).max())
 
@@ -366,11 +367,14 @@ def test_property_kernel_matches_local_frame_reference(nz, azimuth, length, radi
     length=st.floats(0.2, 2.0),
     radius=st.floats(0.005, 0.1),
 )
+@axis_examples
 def test_property_kernel_derivative_matches_central_differences(nz, azimuth, length, radius):
     mat = BeamMaterial(1.3, 0.3)
     v = _strut_vector(nz, azimuth, length)
     sections = _strut_sections([radius], [1])
-    _k, dk = _beam_kernel(v[None], sections, mat, derivative=True)
+    k, dk = _beam_kernel(v[None], sections, mat, derivative=True)
+    assert np.array_equal(k[0], k[0].T)
+    assert np.array_equal(dk[0], dk[0].transpose(0, 2, 1))
     h = 1e-5 * length
     for m in range(3):
         step = np.zeros(3)
@@ -381,6 +385,26 @@ def test_property_kernel_derivative_matches_central_differences(nz, azimuth, len
         np.testing.assert_allclose(
             dk[0, m], central, rtol=0, atol=1e-7 * np.abs(dk[0]).max()
         )
+
+
+# a shear of the cell, for cells that are not orthogonal
+_SKEW = np.array([[1.0, 0.3, -0.2], [0.0, 0.9, 0.25], [0.1, 0.0, 1.1]])
+
+
+def perturbed_cell(base, n: int, level: float, seed: int, skewed: bool) -> Lattice:
+    lat = tessellate(base(), n)
+    if skewed:
+        lat = replace(lat, cell=_SKEW @ lat.cell)
+    return perturb(lat, level, seed) if lat.node_count >= 2 else lat
+
+
+_PERTURBED_CELLS = dict(
+    base=st.sampled_from([simple_cubic, body_centred_cubic, diamond]),
+    n=st.integers(1, 3),
+    level=st.floats(0.02, 0.1),
+    seed=st.integers(0, 10_000),
+    skewed=st.booleans(),
+)
 
 
 class TestHomogenize:
@@ -411,21 +435,29 @@ class TestHomogenize:
         c2 = to_mandel(homogenize(lat, BeamMaterial(youngs_modulus=2.0)).stiffness).entries
         np.testing.assert_allclose(c2, 2.0 * c1, rtol=1e-12)
 
-    def test_tessellation_invariance(self, catalogue_lattices):
-        for lat in catalogue_lattices:
-            base = to_mandel(homogenize(lat).stiffness).entries
-            doubled = to_mandel(homogenize(tessellate(lat, 2)).stiffness).entries
-            rel = np.linalg.norm(base - doubled) / np.linalg.norm(base)
-            assert rel < 1e-8
+    # both oracles also run on the unperturbed cells, as examples
+    @settings(max_examples=25, deadline=None)
+    @given(**_PERTURBED_CELLS)
+    @example(base=simple_cubic, n=1, level=0.0, seed=0, skewed=False)
+    @example(base=body_centred_cubic, n=1, level=0.0, seed=0, skewed=False)
+    @example(base=diamond, n=1, level=0.0, seed=0, skewed=False)
+    def test_tessellation_invariance(self, base, n, level, seed, skewed):
+        lat = perturbed_cell(base, n, level, seed, skewed)
+        single = to_mandel(homogenize(lat).stiffness).entries
+        doubled = to_mandel(homogenize(tessellate(lat, 2)).stiffness).entries
+        assert np.linalg.norm(single - doubled) < 1e-8 * np.linalg.norm(single)
 
-    def test_rotation_equivariance(self, catalogue_lattices):
-        for lat in catalogue_lattices:
-            for s in range(3):
-                r = sampling.random_rotation(50 + s)
-                direct = homogenize(rotate_lattice(lat, r)).stiffness.components
-                conjugated = rotate(homogenize(lat).stiffness, r).components
-                rel = np.linalg.norm(direct - conjugated) / np.linalg.norm(conjugated)
-                assert rel < 1e-8
+    @settings(max_examples=40, deadline=None)
+    @given(**_PERTURBED_CELLS, rotation_seed=st.integers(0, 10_000))
+    @example(base=simple_cubic, n=1, level=0.0, seed=0, skewed=False, rotation_seed=50)
+    @example(base=body_centred_cubic, n=1, level=0.0, seed=0, skewed=False, rotation_seed=51)
+    @example(base=diamond, n=1, level=0.0, seed=0, skewed=False, rotation_seed=52)
+    def test_rotation_equivariance(self, base, n, level, seed, skewed, rotation_seed):
+        lat = perturbed_cell(base, n, level, seed, skewed)
+        r = sampling.random_rotation(rotation_seed)
+        direct = homogenize(rotate_lattice(lat, r)).stiffness.components
+        conjugated = rotate(homogenize(lat).stiffness, r).components
+        assert np.linalg.norm(direct - conjugated) < 1e-8 * np.linalg.norm(conjugated)
 
     def test_windowed_path_agrees(self, catalogue_lattices):
         # On these tessellated bcc seeds the window splits struts into pieces
@@ -584,24 +616,37 @@ def test_property_band_solve_matches_dense_cholesky(base, n, level, seed):
     assert np.linalg.norm(band - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
-# a shear of the cell, for cells that are not orthogonal
-_SKEW = np.array([[1.0, 0.3, -0.2], [0.0, 0.9, 0.25], [0.1, 0.0, 1.1]])
+def assert_identical(a, b):
+    """``a`` and ``b`` are equal to the bit, field by field through dataclasses."""
+    assert type(a) is type(b)
+    if is_dataclass(a):
+        for field in fields(a):
+            assert_identical(getattr(a, field.name), getattr(b, field.name))
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    else:
+        assert a == b
 
 
-def perturbed_cell(base, n: int, level: float, seed: int, skewed: bool) -> Lattice:
-    lat = tessellate(base(), n)
-    if skewed:
-        lat = replace(lat, cell=_SKEW @ lat.cell)
-    return perturb(lat, level, seed) if lat.node_count >= 2 else lat
-
-
-_PERTURBED_CELLS = dict(
-    base=st.sampled_from([simple_cubic, body_centred_cubic, diamond]),
-    n=st.integers(1, 3),
-    level=st.floats(0.02, 0.1),
-    seed=st.integers(0, 10_000),
-    skewed=st.booleans(),
-)
+@settings(max_examples=30, deadline=None)
+@given(**_PERTURBED_CELLS, move_seed=st.integers(0, 10_000))
+def test_property_shared_topology_is_bit_identical(base, n, level, seed, skewed, move_seed):
+    # a design step's candidates reuse the base lattice's topology
+    lat = perturbed_cell(base, n, level, seed, skewed)
+    topology = fe._fundamental_cell(lat).topology
+    shift = np.random.default_rng(move_seed).uniform(-0.5, 0.5, 3)
+    moved = [lattice.displace_nodes(lat, np.tile(shift, (lat.node_count, 1)))]
+    if lat.node_count >= 2:
+        moved.append(perturb(lat, level, move_seed))
+    for other in moved:
+        shared = fe._fundamental_cell(other, topology)
+        fresh = fe._fundamental_cell(other)
+        assert_identical(shared, fresh)
+        assert_identical(
+            fe._solve_one(shared, other.radius, BeamMaterial()),
+            fe._solve_one(fresh, other.radius, BeamMaterial()),
+        )
 
 
 @settings(max_examples=30, deadline=None)

@@ -197,6 +197,22 @@ class TestSolve:
         assert len(set(solved[:-1])) == len(solved) - 1
         assert len(solved) > len(trace.objective_history)
 
+    def test_solves_counts_every_cell_solve(self, demo_lattice, monkeypatch):
+        target = scaled_y_target(demo_lattice)
+        received = []
+        solve_cells = fe._solve_cells
+
+        def counting(problems, mat):
+            problems = list(problems)
+            received.extend(problems)
+            return solve_cells(problems, mat)
+
+        monkeypatch.setattr(fe, "_solve_cells", counting)
+        trace = solve(DesignProblem(base=demo_lattice, target=target, max_steps=4))
+        assert trace.solves == len(received)
+        # the first solve, at least one candidate per step, and the final one
+        assert trace.solves >= len(trace.objective_history) + 1
+
     def test_collapsing_step_is_halved(self, monkeypatch):
         # On this cell the first step shortens the shortest strut, so a limit
         # between its full-step and half-step lengths rejects the full step

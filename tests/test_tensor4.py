@@ -30,7 +30,7 @@ from latmech.tensor4 import (
     voigt_rotation,
 )
 
-from conftest import random_symmetric_tensor4
+from conftest import random_symmetric_matrix, random_symmetric_tensor4
 
 SQRT2 = math.sqrt(2.0)
 
@@ -161,6 +161,18 @@ class TestMandel:
         bad[0, 1] = 1e-6
         with pytest.raises(ValueError, match="symmetric"):
             from_mandel(bad)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, 1e-6])
+    def test_from_mandel_raises_the_mandel_matrix_error(self, entry):
+        # from_mandel skips the tensor checks, so what it rejects must be
+        # rejected by MandelMatrix, with MandelMatrix's message
+        bad = np.eye(6)
+        bad[0, 1] = entry
+        with pytest.raises(ValueError) as expected:
+            MandelMatrix(bad)
+        with pytest.raises(ValueError) as got:
+            from_mandel(bad)
+        assert str(got.value) == str(expected.value)
 
     def test_vector_round_trip(self, rng):
         raw = rng.standard_normal((3, 3))
@@ -490,3 +502,22 @@ def test_property_directional_moduli_match_four_index_contraction(seed):
     reference = np.einsum("ijkl,qi,qj,qk,ql->q", c, d, d, d, d)
     values = directional_moduli(ElasticTensor4(c), d)
     np.testing.assert_allclose(values, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log_scale=st.floats(-10.0, 2.0),
+    asymmetry=st.floats(0.0, 1.0),
+)
+def test_property_from_mandel_passes_the_tensor_checks_it_skips(seed, log_scale, asymmetry):
+    # asymmetry up to the MandelMatrix tolerance, less a margin for rounding,
+    # on one off-diagonal pair
+    rng = np.random.default_rng(seed)
+    m = random_symmetric_matrix(rng) * 10.0**log_scale
+    a, b = rng.choice(6, size=2, replace=False)
+    m[a, b] += asymmetry * (1.0 - 1e-4) * MandelMatrix._SYM_TOL * np.abs(m).max()
+    mandel = MandelMatrix(m)
+    c = from_mandel(mandel)
+    checked = ElasticTensor4(c.components)
+    assert checked.components.tobytes() == c.components.tobytes()
