@@ -28,12 +28,14 @@ one kernel call (a fixed basis weighted by per-strut features, see
 :func:`_beam_kernel`), and scatters them, at the places each topology
 names, into one flat buffer of per-problem stiffness bands and one of
 right-hand sides.  A strut couples only the nodes at its two ends, so
-with the nodes numbered breadth-first from the pinned node 0 the
-stiffness matrix is a band; only its lower (kd+1) x n band is stored,
-and no n x n matrix is built unless a solve fails.  Each problem is then
-factored by LAPACK's banded Cholesky (``dpbtrf``/``dpbtrs``), checked and
-contracted on views of those buffers.  Mixed topologies share a chunk,
-and each problem's numbers are those of solving it alone, bit for bit.
+with the nodes numbered in Cuthill-McKee order (breadth-first from the
+pinned node 0, each level in the order the level before reached it)
+the stiffness matrix is a narrow band; only its lower (kd+1) x n band is
+stored, and no n x n matrix is built unless a solve fails.  Each problem
+is then factored by LAPACK's banded Cholesky (``dpbtrf``/``dpbtrs``),
+checked and contracted on views of those buffers.  Mixed topologies share
+a chunk, and each problem's numbers are those of solving it alone, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -151,31 +153,32 @@ def _strut_sections(radii, counts) -> np.ndarray:
 
 
 def _node_ranks(name: str, node_count: int, ends: np.ndarray) -> np.ndarray:
-    """Each node's place in breadth-first order from node 0, ties by index.
+    """Each node's place in the Cuthill-McKee order from node 0.
 
-    A strut joins nodes at most one breadth-first level apart, so numbered
-    this way the stiffness matrix is a narrow band.  Raises
-    :class:`DisconnectedLatticeError` naming the smallest node that node 0
-    cannot reach through the (E, 2) ``ends``.
+    This is the order in which a breadth-first queue first reaches the
+    nodes, each node's neighbours taken by index: every level follows the
+    smallest rank among each node's neighbours in the level before, ties
+    by index.  A strut joins nodes at most one level apart, and this order
+    keeps a node near the neighbours that reached it, so the stiffness
+    matrix is a narrow band.  Raises :class:`DisconnectedLatticeError`
+    naming the smallest node that node 0 cannot reach through the (E, 2)
+    ``ends``.
     """
-    tails, heads = np.concatenate([ends, ends[:, ::-1]]).T
-    # a node not reached yet is node_count levels away, more than any path
-    distance = np.full(node_count, node_count)
-    distance[0] = 0
-    level = 0
-    while True:
-        reached = heads[distance[tails] == level]
-        reached = reached[distance[reached] == node_count]
-        if not reached.size:
-            break
-        level += 1
-        distance[reached] = level
-    unreached = distance == node_count
-    if unreached.any():
-        raise DisconnectedLatticeError(name, int(np.argmax(unreached)))
-    rank = np.empty(node_count, dtype=int)
-    rank[np.argsort(distance, kind="stable")] = np.arange(node_count)
-    return rank
+    neighbours = [[] for _ in range(node_count)]
+    for tail, head in ends.tolist():
+        neighbours[tail].append(head)
+        neighbours[head].append(tail)
+    rank = [-1] * node_count
+    rank[0] = 0
+    queue = [0]
+    for node in queue:
+        for other in sorted(neighbours[node]):
+            if rank[other] < 0:
+                rank[other] = len(queue)
+                queue.append(other)
+    if len(queue) < node_count:
+        raise DisconnectedLatticeError(name, rank.index(-1))
+    return np.array(rank)
 
 
 def _mandel_unit_strains() -> np.ndarray:
@@ -314,9 +317,10 @@ def _beam_kernel(
 class _Topology:
     """What a cell problem's solve needs of its strut graph alone.
 
-    ``ends`` numbers the nodes in breadth-first order from the pinned node 0
-    (see :func:`_node_ranks`), which keeps the stiffness matrix banded with
-    half-bandwidth ``half_bandwidth``.  The rest is the scatter pattern,
+    ``ends`` numbers the nodes in Cuthill-McKee order from the pinned node
+    0 (see :func:`_node_ranks`), which keeps the stiffness matrix banded
+    with half-bandwidth ``half_bandwidth``; the factorization's cost grows
+    as n ``half_bandwidth``^2.  The rest is the scatter pattern,
     relative to the problem's own buffers: ``dofs`` are each element's
     twelve dofs; ``lower`` (E, 12, 12) marks the element-matrix entries its
     reduced lower band takes, and ``band_at`` are their places in the flat
@@ -325,7 +329,7 @@ class _Topology:
     so the candidates of a design step share their base lattice's topology.
     """
 
-    ends: np.ndarray  # (E, 2) node places in breadth-first order
+    ends: np.ndarray  # (E, 2) node places in Cuthill-McKee order
     node_count: int
     half_bandwidth: int
     dofs: np.ndarray  # (E, 12)

@@ -98,6 +98,23 @@ class TestHomogenize:
         direct = to_mandel(homogenize(simple_cubic(radius=0.05)).stiffness)
         np.testing.assert_array_equal(loaded[0][0].entries, direct.entries)
 
+    def test_stderr_reports_each_items_min_pivot_ratio(self, catalogue_path, tmp_path, capsys):
+        out = tmp_path / "stiff.jsonl"
+        dispatch(
+            ["homogenize", "--catalogue", str(catalogue_path), "--radius", "0.05",
+             "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reported = {}
+        for line in captured.err.splitlines():
+            head, _, ratio = line.partition("min pivot ratio ")
+            reported[head.split(" ")[0]] = float(ratio.split(",")[0])
+        for lat in (simple_cubic(), body_centred_cubic(), diamond()):
+            expected = homogenize(lat).min_pivot_ratio
+            assert reported[lat.name] == pytest.approx(expected, rel=1e-3)
+            assert 0.0 < reported[lat.name] <= 1.0
+
     def test_disconnected_lattice_exit_one(self, tmp_path, capsys):
         lat = io.lattice_record(simple_cubic())
         lat["name"] = "split"

@@ -128,8 +128,9 @@ def resolve_master_reference(win: WindowedLattice) -> list[tuple[int, np.ndarray
     return [resolve(k) for k in range(win.nodes.shape[0])]
 
 
-def breadth_first_ranks_reference(node_count: int, ends) -> list[int]:
-    """Each node's place in breadth-first order from node 0, ties by index, by a queue."""
+def breadth_first_reference(node_count: int, ends) -> dict[int, int]:
+    """Each node's breadth-first distance from node 0, keyed in the order a
+    queue first reaches the nodes, each node's neighbours taken by index."""
     neighbours = [set() for _ in range(node_count)]
     for i, j in np.asarray(ends).tolist():
         neighbours[i].add(j)
@@ -141,6 +142,20 @@ def breadth_first_ranks_reference(node_count: int, ends) -> list[int]:
         for other in sorted(neighbours[node] - distance.keys()):
             distance[other] = distance[node] + 1
             queue.append(other)
+    return distance
+
+
+def breadth_first_ranks_reference(node_count: int, ends) -> list[int]:
+    """Each node's place in the Cuthill-McKee order from node 0: the order in
+    which the breadth-first queue first reaches it."""
+    order = list(breadth_first_reference(node_count, ends))
+    return [order.index(k) for k in range(node_count)]
+
+
+def level_sorted_ranks_reference(node_count: int, ends) -> list[int]:
+    """Each node's place in breadth-first order from node 0 with every level
+    sorted by node index: the order the Cuthill-McKee order replaced."""
+    distance = breadth_first_reference(node_count, ends)
     order = sorted(range(node_count), key=lambda k: (distance[k], k))
     return [order.index(k) for k in range(node_count)]
 
@@ -171,10 +186,17 @@ def contracted_mandel(k_e, dofs, d_aff, u_red, volume):
     return d_total.reshape(-1, 6).T @ (k_e @ d_total).reshape(-1, 6) / volume
 
 
+def half_bandwidth_reference(ranked_ends, node_count: int) -> int:
+    """Half-bandwidth of the reduced stiffness matrix of struts joining the
+    (E, 2) ``ranked_ends``, each node's six dofs numbered by its rank."""
+    gap = int(np.abs(ranked_ends[:, 0] - ranked_ends[:, 1]).max(initial=0))
+    return min(6 * gap + 5, 6 * node_count - 4)
+
+
 def single_cell_mandel_reference(ends, end_positions, vectors, node_count, radius, volume):
     """Homogenized Mandel matrix of one cell problem, assembled and solved on its own.
 
-    The one-cell band pipeline: nodes renumbered breadth-first, a dense
+    The one-cell band pipeline: nodes renumbered in Cuthill-McKee order, a dense
     stiffness matrix, its lower band cut out, then LAPACK's band Cholesky.
     """
     rank = np.asarray(breadth_first_ranks_reference(node_count, ends), dtype=int)
@@ -183,8 +205,7 @@ def single_cell_mandel_reference(ends, end_positions, vectors, node_count, radiu
         ends, end_positions, vectors, node_count, radius
     )
     k_red, n = k_global[3:, 3:], 6 * node_count - 3
-    gap = int(np.abs(ends[:, 0] - ends[:, 1]).max(initial=0))
-    rows = np.arange(n)[:, None] + np.arange(min(6 * gap + 5, n - 1) + 1)
+    rows = np.arange(n)[:, None] + np.arange(half_bandwidth_reference(ends, node_count) + 1)
     band = np.where(rows < n, k_red[np.minimum(rows, n - 1), np.arange(n)[:, None]], 0.0)
     factor, info = lapack.dpbtrf(band.T, lower=1)
     assert info == 0
@@ -580,6 +601,8 @@ class TestHomogenize:
     node_count=st.integers(1, 5),
     pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=6),
 )
+# node 4, reached from node 1, comes before node 3, reached from node 2
+@example(node_count=5, pairs=[(0, 2), (0, 1), (2, 3), (1, 4)])
 def test_property_unreachable_node_matches_union_find(node_count, pairs):
     # every edge carries a distinct shift, so no set of pairs repeats an edge
     edges = [
@@ -607,6 +630,9 @@ def test_property_unreachable_node_matches_union_find(node_count, pairs):
     seed=st.integers(0, 10_000),
 )
 @example(base=diamond, n=3, level=0.1, seed=0)
+# cells on which the Cuthill-McKee order differs from the level-sorted one
+@example(base=simple_cubic, n=4, level=0.02, seed=4)
+@example(base=diamond, n=3, level=0.02, seed=4)
 def test_property_band_solve_matches_dense_cholesky(base, n, level, seed):
     lat = tessellate(base(), n)
     if lat.node_count >= 2:
@@ -614,6 +640,31 @@ def test_property_band_solve_matches_dense_cholesky(base, n, level, seed):
     dense = dense_mandel_reference(lat)
     band = to_mandel(homogenize(lat).stiffness).entries
     assert np.linalg.norm(band - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def half_bandwidths(lat: Lattice) -> tuple[int, int]:
+    """(Cuthill-McKee, level-sorted) half-bandwidths of a lattice's stiffness."""
+    ends = lat.edges[:, :2]
+    level_sorted = np.asarray(level_sorted_ranks_reference(lat.node_count, ends))[ends]
+    return (
+        fe._topology(lat.name, lat.node_count, ends).half_bandwidth,
+        half_bandwidth_reference(level_sorted, lat.node_count),
+    )
+
+
+@pytest.mark.parametrize("base", [simple_cubic, body_centred_cubic, diamond])
+def test_cuthill_mckee_band_is_never_wider(base):
+    for n in range(1, 7):
+        kd, kd_level_sorted = half_bandwidths(tessellate(base(), n))
+        assert kd <= kd_level_sorted
+
+
+@pytest.mark.parametrize(
+    "base, n, expected",
+    [(simple_cubic, 4, (143, 191)), (body_centred_cubic, 3, (233, 269)), (diamond, 4, (263, 359))],
+)
+def test_cuthill_mckee_band_is_narrower(base, n, expected):
+    assert half_bandwidths(tessellate(base(), n)) == expected
 
 
 def assert_identical(a, b):
