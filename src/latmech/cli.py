@@ -161,7 +161,7 @@ def _cmd_homogenize(args) -> int:
         )
         print(
             f"{item.name} (r={item.radius:g}): {result.dof_count} dofs, "
-            f"min pivot ratio {result.min_pivot_ratio:.3e}, {item.seconds:.3f}s",
+            f"min pivot ratio {result.min_pivot_ratio:.3e}, {item.seconds:.3g}s",
             file=sys.stderr,
         )
         if args.surface:

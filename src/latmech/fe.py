@@ -21,7 +21,7 @@ Every cell problem, single or batched, fundamental or windowed, goes
 through one chunked core, :func:`_solve_cells`.  A problem is a
 :class:`_Cell`: a :class:`_Topology`, which depends on the strut graph
 alone and is shared by the radii of a batch item and the candidates of a
-design step, plus the geometry.  The core gathers consecutive problems
+design run, plus the geometry.  The core gathers consecutive problems
 into chunks of at most about ``_CHUNK_STRUTS`` struts (a larger problem
 is a chunk of its own), builds the element matrices of a whole chunk in
 one kernel call (a fixed basis weighted by per-strut features, see
@@ -43,12 +43,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
-from .lattice import Lattice, _cut_chains, edge_matrix, window
+from .lattice import Lattice, _cut_chains, _strut_vectors, window
 from .tensor4 import SLOT_PAIRS, ElasticTensor4, MandelMatrix, from_mandel, from_mandel_vector
 
 _PIVOT_REL_TOL = 1e-12
@@ -317,19 +316,20 @@ def _beam_kernel(
 class _Topology:
     """What a cell problem's solve needs of its strut graph alone.
 
-    ``ends`` numbers the nodes in Cuthill-McKee order from the pinned node
-    0 (see :func:`_node_ranks`), which keeps the stiffness matrix banded
-    with half-bandwidth ``half_bandwidth``; the factorization's cost grows
-    as n ``half_bandwidth``^2.  The rest is the scatter pattern,
-    relative to the problem's own buffers: ``dofs`` are each element's
-    twelve dofs; ``lower`` (E, 12, 12) marks the element-matrix entries its
-    reduced lower band takes, and ``band_at`` are their places in the flat
-    (n-3, kd+1) band; ``rhs_at`` (E, 12, 6) are each element row's places
-    in the flat (6, n) right-hand sides.  Moving nodes changes none of it,
-    so the candidates of a design step share their base lattice's topology.
+    ``ends`` are each strut's (tail, head) nodes.  The solve numbers nodes in
+    Cuthill-McKee order from the pinned node 0 (see :func:`_node_ranks`),
+    which keeps the stiffness matrix banded with half-bandwidth
+    ``half_bandwidth``; the factorization's cost grows as n
+    ``half_bandwidth``^2.  The rest is the scatter pattern, relative to the
+    problem's own buffers: ``dofs`` are each element's twelve dofs;
+    ``lower`` (E, 12, 12) marks the element-matrix entries its reduced lower
+    band takes, and ``band_at`` are their places in the flat (n-3, kd+1)
+    band; ``rhs_at`` (E, 12, 6) are each element row's places in the flat
+    (6, n) right-hand sides.  Moving nodes changes none of it, so a design
+    run builds it once, for its base lattice.
     """
 
-    ends: np.ndarray  # (E, 2) node places in Cuthill-McKee order
+    ends: np.ndarray  # (E, 2)
     node_count: int
     half_bandwidth: int
     dofs: np.ndarray  # (E, 12)
@@ -360,7 +360,7 @@ def _topology(name: str, node_count: int, ends: np.ndarray) -> _Topology:
     at = (dofs - 3 * (kd + 1))[:, :, None] + (kd * dofs)[:, None, :]
     lower = (dofs[:, :, None] >= dofs[:, None, :]) & (dofs >= 3)[:, None, :]
     rhs_at = dofs[:, :, None] + n * np.arange(6)
-    return _Topology(ranked, node_count, kd, dofs, lower, at[lower], rhs_at)
+    return _Topology(ends, node_count, kd, dofs, lower, at[lower], rhs_at)
 
 
 @dataclass(frozen=True)
@@ -377,11 +377,6 @@ class _Cell:
     end_positions: np.ndarray  # (E, 2, 3)
     vectors: np.ndarray  # (E, 3) strut vectors, tail to head
     volume: float  # det of the cell matrix
-
-    @cached_property
-    def length_sum(self) -> float:
-        """Total strut length, for the relative density."""
-        return np.linalg.norm(self.vectors, axis=1).sum()
 
 
 @dataclass(frozen=True)
@@ -400,23 +395,23 @@ class _CellSolution:
         )
 
 
-def _fundamental_cell(lat: Lattice, topology: _Topology | None = None) -> _Cell:
+def _fundamental_cell(lat: Lattice) -> _Cell:
     """The cell problem of a lattice's fundamental representation.
 
-    ``topology`` is that of a lattice with the same node count and the same
-    ``edges[:, :2]`` in the same order, such as the lattice ``lat`` was
-    moved from by :func:`lattice.displace_nodes`; without it the topology
-    is built here, which raises :class:`DisconnectedLatticeError`.
+    Raises :class:`DisconnectedLatticeError`.
     """
-    ends = lat.edges[:, :2]
-    if topology is None:
-        topology = _topology(lat.name, lat.node_count, ends)
-    positions = lat.transformed_nodes()
-    heads = positions[ends[:, 1]] + lat.edges[:, 2:] @ lat.cell.T
+    topology = _topology(lat.name, lat.node_count, lat.edges[:, :2])
     return _Cell(
-        lat.name, topology, np.stack([positions[ends[:, 0]], heads], axis=1),
-        edge_matrix(lat), float(np.linalg.det(lat.cell)),
+        lat.name, topology, *_cell_geometry(lat.cell, lat.nodes, lat.edges),
+        float(np.linalg.det(lat.cell)),
     )
+
+
+def _cell_geometry(cell: np.ndarray, nodes: np.ndarray, edges: np.ndarray):
+    """``(end_positions, vectors)`` of a lattice's :class:`_Cell`, from its fields."""
+    positions = nodes @ cell.T
+    heads = positions[edges[:, 1]] + edges[:, 2:] @ cell.T
+    return np.stack([positions[edges[:, 0]], heads], axis=1), _strut_vectors(cell, nodes, edges)
 
 
 def _checked_density(name: str, radius: float, cell: _Cell | ValueError) -> float:
@@ -431,7 +426,7 @@ def _checked_density(name: str, radius: float, cell: _Cell | ValueError) -> floa
         raise ValueError(f"lattice {name!r}: radius must be positive")
     if isinstance(cell, ValueError):
         raise cell
-    density = float(math.pi * radius**2 * cell.length_sum / cell.volume)
+    density = float(math.pi * radius**2 * np.linalg.norm(cell.vectors, axis=1).sum() / cell.volume)
     if density >= 1.0:
         raise ValueError(
             f"lattice {name!r}: relative density {density:.3f} >= 1 (struts too thick)"
@@ -477,6 +472,9 @@ def _solve_chunk(chunk, mat: BeamMaterial) -> list[tuple]:
     the flat buffer of lower stiffness bands and one into the right-hand
     sides, then a banded Cholesky solve and contraction per problem on
     views of them."""
+    # loaded before the clock starts, so that no item's seconds include it
+    import scipy.linalg.lapack  # noqa: F401
+
     started = time.perf_counter()
     cells = [cell for cell, _radius in chunk]
     tops = [cell.topology for cell in cells]
@@ -571,23 +569,14 @@ def _solve_problem(cell: _Cell, k_e, d_aff, band, rhs) -> _CellSolution:
     )
 
 
-def _solve_one(cell: _Cell, radius: float, mat: BeamMaterial) -> _CellSolution:
-    """:func:`_solve_cells` on one problem, raising its error."""
+def _solve_one(cell: _Cell, radius: float, mat: BeamMaterial) -> tuple[float, _CellSolution]:
+    """``(relative_density, _CellSolution)`` of one problem, checked by
+    :func:`_checked_density` and then solved, raising the first error."""
+    density = _checked_density(cell.name, radius, cell)
     ((outcome, _seconds),) = _solve_cells([(cell, radius)], mat)
     if isinstance(outcome, Exception):
         raise outcome
-    return outcome
-
-
-def _solve_cell(lat: Lattice, mat: BeamMaterial, topology: _Topology | None = None):
-    """Validate the lattice and solve its fundamental-representation cell.
-
-    Returns ``(relative_density, _CellSolution)``; ``topology`` is as for
-    :func:`_fundamental_cell`.
-    """
-    cell = _fundamental_cell(lat, topology)
-    density = _checked_density(lat.name, lat.radius, cell)
-    return density, _solve_one(cell, lat.radius, mat)
+    return density, outcome
 
 
 def homogenize(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> HomogenizationResult:
@@ -596,8 +585,8 @@ def homogenize(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> Homogenizati
     Solves the unit-cell problem for the six unit macroscopic strains in
     the Mandel basis and assembles the 6x6 stiffness from cross energies.
     """
-    density, cell = _solve_cell(lat, mat)
-    return cell.result(density, lat.node_count)
+    density, solution = _solve_one(_fundamental_cell(lat), lat.radius, mat)
+    return solution.result(density, lat.node_count)
 
 
 def homogenize_windowed(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> HomogenizationResult:
@@ -620,8 +609,8 @@ def homogenize_windowed(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> Hom
         vectors,
         float(np.linalg.det(win.cell)),
     )
-    density = _checked_density(lat.name, lat.radius, problem)
-    return _solve_one(problem, lat.radius, mat).result(density, lat.node_count)
+    density, solution = _solve_one(problem, lat.radius, mat)
+    return solution.result(density, lat.node_count)
 
 
 def _batch_item(cell: _Cell, radius: float, density: float, outcome, seconds) -> BatchItem:

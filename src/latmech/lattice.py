@@ -166,10 +166,12 @@ def edge_vector(lat: Lattice, edge) -> np.ndarray:
 
 def edge_matrix(lat: Lattice) -> np.ndarray:
     """(E, 3) array of transformed strut vectors."""
-    if lat.edge_count == 0:
-        return np.zeros((0, 3))
-    diff = lat.nodes[lat.edges[:, 1]] - lat.nodes[lat.edges[:, 0]] + lat.edges[:, 2:]
-    return diff @ lat.cell.T
+    return _strut_vectors(lat.cell, lat.nodes, lat.edges)
+
+
+def _strut_vectors(cell: np.ndarray, nodes: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """:func:`edge_matrix`, from a lattice's fields."""
+    return (nodes[edges[:, 1]] - nodes[edges[:, 0]] + edges[:, 2:]) @ cell.T
 
 
 def edge_lengths(lat: Lattice) -> np.ndarray:
@@ -220,17 +222,22 @@ def displace_nodes(lat: Lattice, deltas) -> Lattice:
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape != (lat.node_count, 3):
         raise ValueError(f"expected ({lat.node_count}, 3) displacements")
-    reduced = lat.nodes + deltas @ np.linalg.inv(lat.cell).T
+    nodes, edges = _folded(lat.cell, lat.nodes, lat.edges, deltas)
+    return replace(lat, nodes=nodes, edges=edges)
+
+
+def _folded(cell: np.ndarray, nodes: np.ndarray, edges: np.ndarray, deltas: np.ndarray):
+    """The ``(nodes, edges)`` of :func:`displace_nodes`, from a lattice's fields."""
+    reduced = nodes + deltas @ np.linalg.inv(cell).T
     wraps = np.floor(reduced).astype(int)
     folded = reduced - wraps
     # floor can leave a coordinate at exactly 1.0 after cancellation
     over = folded >= 1.0
     wraps += over.astype(int)
     folded = np.where(over, folded - 1.0, folded)
-    edges = lat.edges.copy()
-    if edges.size:
-        edges[:, 2:] += wraps[edges[:, 1]] - wraps[edges[:, 0]]
-    return replace(lat, nodes=folded, edges=edges)
+    edges = edges.copy()
+    edges[:, 2:] += wraps[edges[:, 1]] - wraps[edges[:, 0]]
+    return folded, edges
 
 
 def perturb(lat: Lattice, level: float, seed: int) -> Lattice:

@@ -5,34 +5,36 @@ Mandel matrices.  Its gradient is exact and comes from the same cell
 solve as the objective value: at equilibrium the homogenized matrix is
 stationary in the nodal fluctuations, so only the explicit dependence of
 each element stiffness on its strut vector contributes (the envelope
-theorem; the adjoint of inverse homogenization).  Central finite differences of the full
-homogenization remain available as :func:`fd_gradient`, the reference
-the exact gradient is tested against.  The descent loop defaults to
-backtracking so the objective history is nonincreasing; a plain
-fixed-step mode is available.  Nodes move in transformed coordinates with
-the cell held fixed, and any step that would collapse a strut below the
-minimum length is rejected and halved.
+theorem; the adjoint of inverse homogenization).  :func:`fd_gradient`,
+central differences of the full homogenization, is the reference it is
+tested against.  The descent loop defaults to backtracking, so the
+objective history is nonincreasing.  Nodes move in transformed
+coordinates with the cell held fixed.  A run builds one cell problem, for
+its base lattice, and each candidate moves that cell's geometry; a step
+that would collapse a strut below the minimum length is halved, and only
+the final nodes become a :class:`Lattice`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fe import (
     BeamMaterial,
     _beam_kernel,
+    _Cell,
+    _cell_geometry,
     _CellSolution,
-    _solve_cell,
+    _fundamental_cell,
+    _solve_one,
     _strut_sections,
-    _topology,
-    _Topology,
     homogenize,
 )
-from .lattice import Lattice, displace_nodes, edge_lengths, edge_matrix
+from .lattice import Lattice, _folded, displace_nodes
 from .metrics import l_comp
-from .tensor4 import ElasticTensor4, to_mandel
+from .tensor4 import ElasticTensor4, MandelMatrix, to_mandel
 
 MIN_EDGE_LENGTH = 1e-3
 GRADIENT_STOP = 1e-8
@@ -59,8 +61,8 @@ class DesignProblem:
             raise ValueError("free_nodes contains an index outside the lattice")
         if len(set(free)) != len(free):
             raise ValueError("free_nodes contains duplicates")
-        if not self.step_size > 0.0:
-            raise ValueError("step_size must be positive")
+        if not 0.0 < self.step_size < np.inf:
+            raise ValueError("step_size must be positive and finite")
         if not self.fd_step > 0.0:
             raise ValueError("fd_step must be positive")
         if self.max_steps < 0:
@@ -80,27 +82,20 @@ class DesignTrace:
 
 
 def _evaluate(
-    lat: Lattice, target: ElasticTensor4, mat: BeamMaterial, topology: _Topology | None = None
+    cell: _Cell, radius: float, target: MandelMatrix, mat: BeamMaterial
 ) -> tuple[float, _CellSolution]:
-    """:func:`objective` and the solved cell it came from, from one solve.
+    """:func:`objective` of a cell problem at ``radius``, and its solution.
 
     The value goes through the same Mandel round trip as :func:`homogenize`,
     so it equals the loss of the homogenized stiffness bit for bit.
-    ``topology`` is as for :func:`fe._fundamental_cell`.
     """
-    _density, cell = _solve_cell(lat, mat, topology)
-    return l_comp(to_mandel(cell.stiffness), to_mandel(target)), cell
+    _density, solution = _solve_one(cell, radius, mat)
+    return l_comp(to_mandel(solution.stiffness), target), solution
 
 
 def objective(lat: Lattice, target: ElasticTensor4, mat: BeamMaterial = BeamMaterial()) -> float:
     """Component loss between the homogenized and target Mandel matrices."""
-    return _evaluate(lat, target, mat)[0]
-
-
-def _displace_one(lat: Lattice, node: int, delta: np.ndarray) -> Lattice:
-    deltas = np.zeros((lat.node_count, 3))
-    deltas[node] = delta
-    return displace_nodes(lat, deltas)
+    return _evaluate(_fundamental_cell(lat), lat.radius, to_mandel(target), mat)[0]
 
 
 def fd_gradient(
@@ -122,17 +117,17 @@ def fd_gradient(
     for node in (int(k) for k in free_nodes):
         g = np.empty(3)
         for axis in range(3):
-            delta = np.zeros(3)
-            delta[axis] = fd_step
-            plus = objective(_displace_one(lat, node, delta), target, mat)
-            minus = objective(_displace_one(lat, node, -delta), target, mat)
+            deltas = np.zeros((lat.node_count, 3))
+            deltas[node, axis] = fd_step
+            plus = objective(displace_nodes(lat, deltas), target, mat)
+            minus = objective(displace_nodes(lat, -deltas), target, mat)
             g[axis] = (plus - minus) / (2.0 * fd_step)
         grad[node] = g
     return grad
 
 
 def _node_gradient(
-    lat: Lattice, cell: _CellSolution, target: ElasticTensor4, mat: BeamMaterial
+    cell: _Cell, solution: _CellSolution, radius: float, target: MandelMatrix, mat: BeamMaterial
 ) -> np.ndarray:
     """(N, 3) exact gradient of :func:`objective` at every node of a solved cell.
 
@@ -144,16 +139,16 @@ def _node_gradient(
     exactly as a change of its free fluctuation would, and the solved
     fluctuations make the energy stationary.  No solve happens here.
     """
-    sections = _strut_sections([lat.radius], [lat.edge_count])
-    _k, dk = _beam_kernel(edge_matrix(lat), sections, mat, derivative=True)
-    weight = 2.0 * (cell.mandel - to_mandel(target).entries)
-    d = cell.displacements
+    sections = _strut_sections([radius], [len(cell.vectors)])
+    _k, dk = _beam_kernel(cell.vectors, sections, mat, derivative=True)
+    weight = 2.0 * (solution.mandel - target.entries)
+    d = solution.displacements
     w = d @ weight @ d.transpose(0, 2, 1)
     per_edge = np.einsum("emij,eij->em", dk, w)
-    per_edge /= float(np.linalg.det(lat.cell))
-    full = np.zeros((lat.node_count, 3))
-    np.add.at(full, lat.edges[:, 1], per_edge)
-    np.add.at(full, lat.edges[:, 0], -per_edge)
+    per_edge /= cell.volume
+    full = np.zeros((cell.topology.node_count, 3))
+    np.add.at(full, cell.topology.ends[:, 1], per_edge)
+    np.add.at(full, cell.topology.ends[:, 0], -per_edge)
     return full
 
 
@@ -168,9 +163,18 @@ def gradient(
     Returns the objective value and a transformed-coordinate 3-vector for
     each index in ``free_nodes``; see :func:`_node_gradient` for the formula.
     """
-    value, cell = _evaluate(lat, target, mat)
-    full = _node_gradient(lat, cell, target, mat)
+    cell, target = _fundamental_cell(lat), to_mandel(target)
+    value, solution = _evaluate(cell, lat.radius, target, mat)
+    full = _node_gradient(cell, solution, lat.radius, target, mat)
     return value, {int(k): full[int(k)] for k in free_nodes}
+
+
+def _moved(cell: _Cell, lattice_cell: np.ndarray, nodes: np.ndarray, edges: np.ndarray, deltas):
+    """``(nodes, edges, cell)`` of a lattice's fields and cell problem after
+    :func:`displace_nodes` by ``deltas``, building no lattice."""
+    nodes, edges = _folded(lattice_cell, nodes, edges, deltas)
+    end_positions, vectors = _cell_geometry(lattice_cell, nodes, edges)
+    return nodes, edges, replace(cell, end_positions=end_positions, vectors=vectors)
 
 
 def solve(
@@ -178,49 +182,49 @@ def solve(
 ) -> DesignTrace:
     """Run the descent loop and re-verify the final stiffness by a fresh solve.
 
-    Each lattice is solved once: the solve that gives a candidate its
-    objective value also gives the exact gradient of the next step.  Stops
-    at ``max_steps`` or when the gradient norm falls below 1e-8.
-    With backtracking enabled, a step that would increase the objective
-    (or collapse a strut) halves the step size, up to 20 times; if no
-    acceptable step remains the loop terminates.  Every candidate moves
-    the base lattice's nodes and keeps its struts, so all the loop's solves
-    share the base lattice's topology, built once.  ``threads`` is accepted
-    and ignored: the loop runs serially.
+    Each candidate is one move of the base lattice's cell problem, solved
+    once: the solve that gives its objective value also gives the exact
+    gradient of the next step.  Stops at ``max_steps`` or when the gradient
+    norm falls below 1e-8.  A step that would collapse a strut, or with
+    backtracking increase the objective, halves the step size, up to 20
+    times; if no acceptable step remains the loop terminates.  Only the
+    final nodes become a :class:`Lattice`.  ``threads`` is accepted and
+    ignored: the loop runs serially.
     """
-    lat = prob.base
-    topology = _topology(lat.name, lat.node_count, lat.edges[:, :2])
-    current, cell = _evaluate(lat, prob.target, mat, topology)
+    lat, radius = prob.base, prob.base.radius
+    target = to_mandel(prob.target)
+    nodes, edges, cell = lat.nodes, lat.edges, _fundamental_cell(lat)
+    current, solution = _evaluate(cell, radius, target, mat)
     history = [current]
     solves = 1
     fixed = np.setdiff1d(np.arange(lat.node_count), prob.free_nodes)
 
     for _ in range(prob.max_steps):
-        direction = -_node_gradient(lat, cell, prob.target, mat)
+        direction = -_node_gradient(cell, solution, radius, target, mat)
         direction[fixed] = 0.0
         grad_norm = float(np.linalg.norm(direction))
         if grad_norm < GRADIENT_STOP:
             break
 
         step = prob.step_size
-        accepted = None
         for _halving in range(MAX_HALVINGS + 1):
-            candidate = displace_nodes(lat, step * direction)
-            if edge_lengths(candidate).min(initial=np.inf) < MIN_EDGE_LENGTH:
+            moved = _moved(cell, lat.cell, nodes, edges, step * direction)
+            candidate = moved[2]
+            if np.linalg.norm(candidate.vectors, axis=1).min(initial=np.inf) < MIN_EDGE_LENGTH:
                 step *= 0.5
                 continue
-            value, candidate_cell = _evaluate(candidate, prob.target, mat, topology)
+            value, candidate_solution = _evaluate(candidate, radius, target, mat)
             solves += 1
-            if prob.backtracking and value > current:
-                step *= 0.5
-                continue
-            accepted = (candidate, value, candidate_cell)
-            break
-        if accepted is None:
-            break
-        lat, current, cell = accepted
+            if not (prob.backtracking and value > current):
+                break
+            step *= 0.5
+        else:
+            break  # no acceptable step remains
+        nodes, edges, cell = moved
+        current, solution = value, candidate_solution
         history.append(current)
 
+    lat = replace(lat, nodes=nodes, edges=edges)
     final = homogenize(lat, mat)
     return DesignTrace(
         objective_history=history,

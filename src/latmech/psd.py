@@ -54,15 +54,15 @@ _SYM_TOL = 1e-10
 _EXP_THETA = 1.0 / 32.0
 
 
-def _check_symmetric(m, what: str = "matrix") -> np.ndarray:
+def _check_symmetric(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (6, 6):
-        raise ValueError(f"{what} must be 6x6, got shape {m.shape}")
+        raise ValueError(f"matrix must be 6x6, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{what} has non-finite entries")
+        raise ValueError("matrix has non-finite entries")
     defect = relative_defect(m, m.T)
     if defect > _SYM_TOL:
-        raise ValueError(f"{what} not symmetric: relative defect {defect:.3e}")
+        raise ValueError(f"matrix not symmetric: relative defect {defect:.3e}")
     return 0.5 * (m + m.T)
 
 

@@ -1,4 +1,8 @@
+import ast
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import deque
 from dataclasses import fields, is_dataclass, replace
@@ -10,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-from latmech import fe, lattice, sampling
+from latmech import fe, lattice, optimize, sampling
 from latmech.fe import (
     BeamMaterial,
     DisconnectedLatticeError,
@@ -682,22 +686,25 @@ def assert_identical(a, b):
 
 @settings(max_examples=30, deadline=None)
 @given(**_PERTURBED_CELLS, move_seed=st.integers(0, 10_000))
-def test_property_shared_topology_is_bit_identical(base, n, level, seed, skewed, move_seed):
-    # a design step's candidates reuse the base lattice's topology
+def test_property_moved_cell_is_the_displaced_lattices_cell(
+    base, n, level, seed, skewed, move_seed
+):
+    # a design run moves its base cell's geometry instead of building a
+    # lattice per candidate; a uniform shift wraps every node at once
     lat = perturbed_cell(base, n, level, seed, skewed)
-    topology = fe._fundamental_cell(lat).topology
-    shift = np.random.default_rng(move_seed).uniform(-0.5, 0.5, 3)
-    moved = [lattice.displace_nodes(lat, np.tile(shift, (lat.node_count, 1)))]
-    if lat.node_count >= 2:
-        moved.append(perturb(lat, level, move_seed))
-    for other in moved:
-        shared = fe._fundamental_cell(other, topology)
-        fresh = fe._fundamental_cell(other)
-        assert_identical(shared, fresh)
-        assert_identical(
-            fe._solve_one(shared, other.radius, BeamMaterial()),
-            fe._solve_one(fresh, other.radius, BeamMaterial()),
-        )
+    cell = fe._fundamental_cell(lat)
+    rng = np.random.default_rng(move_seed)
+    shift = np.tile(rng.uniform(-0.5, 0.5, 3), (lat.node_count, 1))
+    for deltas in (shift, shift + rng.uniform(-level, level, (lat.node_count, 3))):
+        nodes, edges, moved = optimize._moved(cell, lat.cell, lat.nodes, lat.edges, deltas)
+        displaced = lattice.displace_nodes(lat, deltas)
+        assert_identical(nodes, displaced.nodes)
+        assert_identical(edges, displaced.edges)
+        fresh = fe._fundamental_cell(displaced)
+        assert_identical(moved, fresh)
+        solved = fe._solve_one(moved, lat.radius, BeamMaterial())
+        for got, expected in zip(solved, fe._solve_one(fresh, lat.radius, BeamMaterial())):
+            assert_identical(got, expected)
 
 
 @settings(max_examples=30, deadline=None)
@@ -918,6 +925,29 @@ class TestHomogenizeBatch:
             rebuilt = replace(lat, radius=item.radius)
             expected = from_mandel(MandelMatrix(fundamental_mandel_reference(rebuilt)))
             assert np.array_equal(item.result.stiffness.components, expected.components)
+
+
+    def test_no_items_seconds_include_the_lapack_import(self):
+        # a fresh interpreter, where scipy is not loaded yet; each clock
+        # read records whether it is
+        script = (
+            "import sys, time\n"
+            "from latmech.fe import homogenize_batch\n"
+            "from latmech.lattice import simple_cubic\n"
+            "loaded, clock = ['scipy.linalg' in sys.modules], time.perf_counter\n"
+            "time.perf_counter = lambda: loaded.append('scipy.linalg' in sys.modules) or clock()\n"
+            "homogenize_batch([simple_cubic()], [0.05, 0.08])\n"
+            "print(loaded)\n"
+        )
+        src = os.path.dirname(os.path.dirname(fe.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        loaded = ast.literal_eval(proc.stdout)
+        assert loaded[0] is False  # importing fe leaves scipy.linalg unloaded
+        assert len(loaded) > 1 and all(loaded[1:])
 
 
 class TestBeamMaterial:

@@ -4,8 +4,10 @@ import pytest
 from latmech import fe, optimize, sampling
 from latmech.fe import homogenize
 from latmech.lattice import (
+    Lattice,
     body_centred_cubic,
     diamond,
+    displace_nodes,
     edge_lengths,
     perturb,
     rotate_lattice,
@@ -24,6 +26,39 @@ def scaled_y_target(lat, factor: float = 0.8):
     scale[:, 1] *= factor
     scale[1, 1] = factor
     return from_mandel(MandelMatrix(m * scale))
+
+
+def reference_solve(prob: DesignProblem) -> tuple[list, Lattice, int]:
+    """The descent loop of :func:`solve` built from public functions, with a
+    lattice per candidate: ``(objective_history, final_lattice, solves)``."""
+    lat = prob.base
+    history = [objective(lat, prob.target)]
+    solves = 1
+    for _ in range(prob.max_steps):
+        _value, grad = gradient(lat, prob.target, prob.free_nodes)
+        direction = np.zeros((lat.node_count, 3))
+        for node, g in grad.items():
+            direction[node] = -g
+        if np.linalg.norm(direction) < optimize.GRADIENT_STOP:
+            break
+        step, accepted = prob.step_size, None
+        for _halving in range(optimize.MAX_HALVINGS + 1):
+            candidate = displace_nodes(lat, step * direction)
+            if edge_lengths(candidate).min() < optimize.MIN_EDGE_LENGTH:
+                step *= 0.5
+                continue
+            value = objective(candidate, prob.target)
+            solves += 1
+            if prob.backtracking and value > history[-1]:
+                step *= 0.5
+                continue
+            accepted = candidate
+            break
+        if accepted is None:
+            break
+        lat = accepted
+        history.append(value)
+    return history, lat, solves + 1
 
 
 @pytest.fixture(scope="module")
@@ -179,23 +214,48 @@ class TestSolve:
             plain.objective_history[-1], abs=1e-6
         )
 
-    def test_solves_each_lattice_once(self, demo_lattice, monkeypatch):
+    def test_solves_each_geometry_once(self, demo_lattice, monkeypatch):
         prob = DesignProblem(base=demo_lattice, target=scaled_y_target(demo_lattice), max_steps=4)
         solved = []
-        solve_cell = fe._solve_cell
+        solve_cells = fe._solve_cells
 
-        def recording(lat, *args, **kwargs):
-            solved.append((lat.nodes.tobytes(), lat.edges.tobytes()))
-            return solve_cell(lat, *args, **kwargs)
+        def recording(problems, mat):
+            problems = list(problems)
+            solved.extend((c.end_positions.tobytes(), c.vectors.tobytes()) for c, _r in problems)
+            return solve_cells(problems, mat)
 
-        monkeypatch.setattr(fe, "_solve_cell", recording)
-        monkeypatch.setattr(optimize, "_solve_cell", recording)
+        monkeypatch.setattr(fe, "_solve_cells", recording)
         trace = solve(prob)
         # the last solve is the final re-verifying homogenize
-        final = trace.final_lattice
-        assert solved[-1] == (final.nodes.tobytes(), final.edges.tobytes())
+        final = fe._fundamental_cell(trace.final_lattice)
+        assert solved[-1] == (final.end_positions.tobytes(), final.vectors.tobytes())
         assert len(set(solved[:-1])) == len(solved) - 1
         assert len(solved) > len(trace.objective_history)
+
+    def test_matches_the_loop_built_from_public_functions(self, demo_lattice):
+        prob = DesignProblem(base=demo_lattice, target=scaled_y_target(demo_lattice), max_steps=3)
+        trace = solve(prob)
+        history, lat, solves = reference_solve(prob)
+        assert trace.objective_history == history
+        assert trace.solves == solves
+        assert trace.final_lattice.nodes.tobytes() == lat.nodes.tobytes()
+        assert trace.final_lattice.edges.tobytes() == lat.edges.tobytes()
+        expected = homogenize(lat).stiffness.components
+        assert trace.final_stiffness.components.tobytes() == expected.tobytes()
+
+    def test_builds_one_lattice_per_run(self, demo_lattice, monkeypatch):
+        prob = DesignProblem(base=demo_lattice, target=scaled_y_target(demo_lattice))
+        built = []
+        post_init = Lattice.__post_init__
+
+        def counting(lat):
+            built.append(lat.name)
+            post_init(lat)
+
+        monkeypatch.setattr(Lattice, "__post_init__", counting)
+        trace = solve(prob)
+        assert len(trace.objective_history) > 2
+        assert built == [demo_lattice.name]
 
     def test_solves_counts_every_cell_solve(self, demo_lattice, monkeypatch):
         target = scaled_y_target(demo_lattice)
@@ -230,6 +290,24 @@ class TestSolve:
         assert halved.objective_history == half.objective_history
         np.testing.assert_array_equal(halved.final_lattice.nodes, half.final_lattice.nodes)
 
+    def test_step_onto_another_node_is_halved(self, monkeypatch):
+        # the full step puts node 1 onto node 0, collapsing the strut between
+        # them; the loop halves it rather than building the collapsed lattice
+        lat = perturb(body_centred_cubic(), 0.03, seed=2)
+        target = scaled_y_target(lat)
+        direction = np.zeros((2, 3))
+        direction[1] = lat.transformed_nodes()[0] - lat.transformed_nodes()[1]
+        monkeypatch.setattr(optimize, "_node_gradient", lambda *args: -direction)
+        prob = DesignProblem(
+            base=lat, target=target, max_steps=1, step_size=1.0, backtracking=False
+        )
+        trace = solve(prob)
+        halfway = displace_nodes(lat, 0.5 * direction)
+        assert edge_lengths(halfway).min() > optimize.MIN_EDGE_LENGTH
+        assert trace.objective_history == [objective(lat, target), objective(halfway, target)]
+        assert trace.final_lattice.nodes.tobytes() == halfway.nodes.tobytes()
+        assert trace.solves == 3
+
     def test_stops_when_no_halving_is_accepted(self, demo_lattice, monkeypatch):
         # every candidate collapses a strut, so no step is taken
         monkeypatch.setattr(optimize, "MIN_EDGE_LENGTH", np.inf)
@@ -262,3 +340,9 @@ class TestDesignProblem:
         lat = body_centred_cubic()
         with pytest.raises(ValueError, match="step_size"):
             DesignProblem(base=lat, target=homogenize(lat).stiffness, step_size=0.0)
+
+    def test_rejects_infinite_step(self):
+        # no candidate lattice is built to reject the non-finite nodes it makes
+        lat = body_centred_cubic()
+        with pytest.raises(ValueError, match="step_size must be positive and finite"):
+            DesignProblem(base=lat, target=homogenize(lat).stiffness, step_size=np.inf)
