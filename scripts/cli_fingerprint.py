@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""SHA-256 of every seeded CLI output, to check that a change keeps their bytes.
+
+Writes the four built-in cells of ``scripts/make_catalogue.py`` and two
+seeded perturbed realizations of each multi-node cell to a catalogue in a
+temporary directory, then runs the CLI in-process on it: ``homogenize``
+with ``--surface``, ``surface``, ``rotate`` on stiffness records and on the
+catalogue, ``perturb``, ``psd-project`` with each matrix method and with
+``--eig-map exp``, ``metrics`` and a five-step ``optimize``.  Prints
+``sha256  name`` for each output file; manifests are skipped, since they
+hold timestamps.  Run it on two checkouts and compare:
+
+    PYTHONPATH=src python scripts/cli_fingerprint.py > after.txt
+    (cd ../other && PYTHONPATH=src python /path/to/cli_fingerprint.py) > before.txt
+    diff before.txt after.txt
+"""
+
+import contextlib
+import hashlib
+import os
+import sys
+import tempfile
+from io import StringIO
+
+from latmech import io, psd
+from latmech.cli import dispatch
+from latmech.lattice import (
+    body_centred_cubic,
+    diamond,
+    perturbed_realizations,
+    simple_cubic,
+    tessellate,
+)
+
+
+def run(*argv: str) -> None:
+    """``latmech argv`` in-process; its stderr is shown only if it fails."""
+    stderr = StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = dispatch(list(argv))
+    if code != 0:
+        sys.exit(f"latmech {' '.join(argv)} exited {code}:\n{stderr.getvalue()}")
+
+
+def write_outputs(out: str) -> None:
+    """Writes the catalogue and every command output into the directory ``out``."""
+    def path(name: str) -> str:
+        return os.path.join(out, name)
+
+    cells = [simple_cubic(), tessellate(simple_cubic(), 2), body_centred_cubic(), diamond()]
+    lattices = list(cells)
+    for lat in cells:
+        if lat.node_count >= 2:
+            lattices += perturbed_realizations(lat, 0.05, seed=4, count=2)
+    io.write_catalogue(path("cells.lats"), lattices)
+
+    stiff = path("stiff.jsonl")
+    run("homogenize", "--catalogue", path("cells.lats"), "--radius", "0.05",
+        "--radius", "0.08", "--surface", "50", "--seed", "4", "--out", stiff)
+    run("surface", "--stiffness", stiff, "--index", "5", "-n", "50", "--seed", "2",
+        "--out", path("surface.tsv"))
+    run("rotate", "--stiffness", stiff, "--random", "--seed", "3", "--out", path("rotated.jsonl"))
+    run("rotate", "--catalogue", path("cells.lats"), "--axis", "1,1,0", "--angle-deg", "30",
+        "--out", path("rotated.lats"))
+    run("perturb", "--catalogue", path("cells.lats"), "--level", "0.03", "--seed", "5",
+        "--realizations", "2", "--out", path("perturbed.lats"))
+    for method in sorted(m.value for m in psd.MATRIX_METHODS):
+        run("psd-project", "--input", stiff, "--method", method,
+            "--out", path(f"psd-{method}.jsonl"))
+    run("psd-project", "--input", stiff, "--method", "eigclamp", "--eig-map", "exp",
+        "--out", path("psd-eigclamp-exp.jsonl"))
+    run("metrics", "--pred", path("rotated.jsonl"), "--target", stiff, "--dirs", "100",
+        "--seed", "6", "--out", path("metrics.json"))
+
+    target = [raw for _m, raw in io.read_stiffness_records(stiff) if raw["name"] == "bcc_l0.05_r0"]
+    io.write_stiffness_records(path("target.jsonl"), target[:1])
+    run("optimize", "--catalogue", path("cells.lats"), "--name", "bcc",
+        "--target", path("target.jsonl"), "--steps", "5", "--out", path("optimize.json"))
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as out:
+        write_outputs(out)
+        for name in sorted(os.listdir(out)):
+            if name.endswith(".manifest.json"):
+                continue
+            with open(os.path.join(out, name), "rb") as fh:
+                print(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
+
+
+if __name__ == "__main__":
+    main()

@@ -200,9 +200,7 @@ def _cmd_psd_project(args) -> int:
     out_records = []
     for matrix, raw in records:
         projected = psd.project(matrix.entries, method, eig_map=args.eig_map)
-        record = dict(raw)
-        record["mandel"] = [float(v) for v in projected.reshape(36)]
-        out_records.append(record)
+        out_records.append(io.with_mandel(raw, projected))
     io.write_stiffness_records(args.out, out_records)
     manifest.write_for(args.out)
     return 0
@@ -285,10 +283,7 @@ def _cmd_rotate(args) -> int:
         pair = mandel_rotation(rotation)
         out_records = []
         for matrix, raw in io.read_stiffness_records(args.stiffness):
-            rotated = rotate_mandel(matrix, pair)
-            record = dict(raw)
-            record["mandel"] = [float(v) for v in rotated.entries.reshape(36)]
-            out_records.append(record)
+            out_records.append(io.with_mandel(raw, rotate_mandel(matrix, pair)))
         io.write_stiffness_records(args.out, out_records)
     manifest.write_for(args.out)
     return 0

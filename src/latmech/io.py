@@ -47,16 +47,18 @@ def stiffness_record(
     name: str | None = None,
     **extra,
 ) -> dict:
-    m = mandel.entries if isinstance(mandel, MandelMatrix) else np.asarray(mandel, dtype=float)
-    record: dict = {}
-    if name is not None:
-        record["name"] = name
-    record["mandel"] = [float(v) for v in m.reshape(36)]
+    record = with_mandel({} if name is None else {"name": name}, mandel)
     record["basis"] = "mandel"
     if relative_density is not None:
         record["relative_density"] = float(relative_density)
     record.update(extra)
     return record
+
+
+def with_mandel(raw: dict, mandel: MandelMatrix | np.ndarray) -> dict:
+    """A copy of the record ``raw`` with its ``mandel`` field set to ``mandel``'s
+    36 entries, row-major; every other field keeps its place."""
+    return {**raw, "mandel": [float(v) for v in np.asarray(mandel, dtype=float).reshape(36)]}
 
 
 def parse_stiffness_record(obj: dict, line: int = 0) -> tuple[MandelMatrix, dict]:
@@ -67,10 +69,15 @@ def parse_stiffness_record(obj: dict, line: int = 0) -> tuple[MandelMatrix, dict
     if obj.get("basis") != "mandel":
         raise ValueError(f"{where}unsupported stiffness basis {obj.get('basis')!r}")
     values = obj.get("mandel")
-    if not isinstance(values, list) or len(values) != 36:
+    # JSON numbers only: a bool is an int to Python, and numpy would read a
+    # one-element list or a numeric string as a real
+    reals = isinstance(values, list) and set(map(type, values)) <= {float, int}
+    if not reals or len(values) != 36:
         raise ValueError(f"{where}field 'mandel' must hold 36 reals")
-    matrix = np.asarray(values, dtype=float).reshape(6, 6)
-    return MandelMatrix(matrix), obj
+    try:
+        return MandelMatrix(np.asarray(values, dtype=float).reshape(6, 6)), obj
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}{exc}") from exc
 
 
 def write_stiffness_records(path, records: Iterable[dict]) -> None:

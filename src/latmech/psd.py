@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .tensor4 import RotationPair, relative_defect
+from .tensor4 import MandelMatrix, RotationPair
 
 
 class PsdMethod(Enum):
@@ -46,8 +46,6 @@ MATRIX_METHODS = frozenset(
     }
 )
 
-_SYM_TOL = 1e-10
-
 # Scaling threshold for the exponential: with a degree-6 Taylor kernel the
 # truncation error at ||X||_1 < 1/32 is below 1e-14, which the repeated
 # squaring cannot amplify past ~1e-12 relative for the matrix sizes here.
@@ -55,14 +53,8 @@ _EXP_THETA = 1.0 / 32.0
 
 
 def _check_symmetric(m) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.shape != (6, 6):
-        raise ValueError(f"matrix must be 6x6, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
-    defect = relative_defect(m, m.T)
-    if defect > _SYM_TOL:
-        raise ValueError(f"matrix not symmetric: relative defect {defect:.3e}")
+    """``m`` validated as a :class:`MandelMatrix`, then exactly symmetrized."""
+    m = MandelMatrix(m).entries
     return 0.5 * (m + m.T)
 
 

@@ -64,18 +64,20 @@ def rotation_defect(r) -> float:
     return max(ortho, abs(np.linalg.det(r) - 1.0))
 
 
-def check_rotation(r, tol: float = ROTATION_TOL) -> np.ndarray:
+def check_rotation(r) -> np.ndarray:
     """Validate that ``r`` is a proper rotation; returns it as an array."""
     r = _as_square(r, 3, "rotation")
     defect = rotation_defect(r)
-    if not defect <= tol:
+    if not defect <= ROTATION_TOL:
         raise ValueError(f"not a proper rotation: orthonormality defect {defect:.3e}")
     return r
 
 
 @dataclass(frozen=True)
 class ElasticTensor4:
-    """Fourth-order stiffness tensor with minor and major symmetries."""
+    """Fourth-order stiffness tensor with minor and major symmetries.
+
+    The major symmetry is checked as the symmetry of its :class:`MandelMatrix`."""
 
     components: np.ndarray
 
@@ -87,13 +89,14 @@ class ElasticTensor4:
             raise ValueError(f"stiffness tensor must be 3x3x3x3, got {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("stiffness tensor has non-finite entries")
-        for axes in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
+        for axes in ((1, 0, 2, 3), (0, 1, 3, 2)):
             defect = relative_defect(c, c.transpose(axes))
             if defect > self._SYM_TOL:
                 raise ValueError(
                     f"tensor violates index symmetry {axes}: relative defect {defect:.3e}"
                 )
         object.__setattr__(self, "components", c)
+        to_mandel(self)
 
     @classmethod
     def _unchecked(cls, components: np.ndarray) -> "ElasticTensor4":
@@ -163,15 +166,11 @@ class RotationPair:
     r: np.ndarray
     r_mandel: np.ndarray
 
-    _TOL = 1e-12
-
     def __post_init__(self):
-        r = _as_square(self.r, 3, "rotation")
+        r = check_rotation(self.r)
         rm = _as_square(self.r_mandel, 6, "Mandel rotation")
-        if rotation_defect(r) > 1e-10:
-            raise ValueError("RotationPair.r is not a proper rotation")
         defect = np.abs(rm.T @ rm - np.eye(6)).max()
-        if defect > 1e-10:
+        if not defect <= ROTATION_TOL:
             raise ValueError(f"Mandel rotation not orthonormal: defect {defect:.3e}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "r_mandel", rm)
@@ -227,11 +226,12 @@ def to_mandel(c: ElasticTensor4) -> MandelMatrix:
 def from_mandel(m: MandelMatrix | np.ndarray) -> ElasticTensor4:
     """Exact inverse of :func:`to_mandel`.
 
-    The tensor is not validated again: a :class:`MandelMatrix` is finite
-    and symmetric within 1e-10 relative, the slot table gives the tensor
-    exact minor symmetry, and dividing by weights of 1, sqrt(2) and 2 at
-    most doubles the relative major-symmetry defect, far inside
-    :class:`ElasticTensor4`'s 1e-8.
+    The tensor is not validated again: a :class:`MandelMatrix` is finite,
+    and the slot table gives the tensor exact minor symmetry.  Its major
+    symmetry is checked on its Mandel matrix, and multiplying back by the
+    weights of 1, sqrt(2) and 2 returns ``m``'s entries to within about an
+    ulp each, so that check sees, up to that roundoff, the defect ``m``
+    already passed.
     """
     if not isinstance(m, MandelMatrix):
         m = MandelMatrix(m)
@@ -261,7 +261,7 @@ def mandel_rotation(r) -> RotationPair:
     products in the mixed blocks, and sums of products in the shear block.
     The result is orthonormal, so stiffness rotates by plain conjugation.
     """
-    r = check_rotation(r)
+    r = _as_square(r, 3, "rotation")
     return RotationPair(r, _pair_products(r) / _MANDEL_ROTATION_DIVISORS)
 
 

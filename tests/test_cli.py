@@ -56,6 +56,27 @@ class TestValidate:
         assert dispatch(["validate", "--catalogue", str(path)]) == 1
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            lambda m: [[v] for v in m],  # numpy would reshape 36 1-lists to 6x6
+            lambda m: m[:3] + ["a"] + m[4:],
+            lambda m: m[:3] + [None] + m[4:],
+            lambda m: m[:3] + [True] + m[4:],  # a bool is not a real
+            lambda m: m[:3] + [math.nan] + m[4:],
+            lambda m: m[:1] + [m[1] + 1.0] + m[2:],  # not symmetric
+        ],
+        ids=["nested", "string", "null", "bool", "nan", "asymmetric"],
+    )
+    def test_malformed_stiffness_entry_reports_line(self, tmp_path, capsys, entries):
+        good = io.stiffness_record(to_mandel(ElasticTensor4.isotropic(1.0, 1.0)))
+        bad = dict(good, mandel=entries(good["mandel"]))
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        code = dispatch(["surface", "--stiffness", str(path), "--out", str(tmp_path / "s.tsv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: line 2: ")
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -428,6 +449,16 @@ class TestRecordRoundTrip:
         loaded, raw = io.read_stiffness_records(path)[0]
         np.testing.assert_array_equal(loaded.entries, values)
         assert raw["relative_density"] == 0.0123456789012345678
+
+    def test_with_mandel_keeps_every_other_field_in_place(self):
+        raw = io.stiffness_record(np.eye(6), relative_density=0.25, name="a", seed=3)
+        out = io.with_mandel(raw, 2.0 * np.eye(6))
+        assert list(out) == list(raw)
+        assert out["mandel"] == [float(v) for v in 2.0 * np.eye(6).reshape(36)]
+        assert {k: v for k, v in out.items() if k != "mandel"} == {
+            k: v for k, v in raw.items() if k != "mandel"
+        }
+        assert raw["mandel"] == [float(v) for v in np.eye(6).reshape(36)]
 
 
 def run_module(module: str, *argv: str) -> subprocess.CompletedProcess:

@@ -42,6 +42,7 @@ from latmech.tensor4 import (
     MandelMatrix,
     directional_modulus,
     from_mandel,
+    from_mandel_vector,
     kelvin_spectrum,
     rotate,
     to_mandel,
@@ -735,6 +736,57 @@ def test_property_windowed_path_agrees(base, n, level, seed, skewed):
     fundamental = to_mandel(homogenize(lat).stiffness).entries
     windowed = to_mandel(homogenize_windowed(lat).stiffness).entries
     assert np.linalg.norm(fundamental - windowed) < 1e-9 * np.linalg.norm(fundamental)
+
+
+def energy_forms(lat: Lattice, radius: float):
+    """``(C, C_aff, H)`` of a cell at ``radius``, each a 6x6 Mandel matrix.
+
+    C is the solved stiffness.  C_aff = sum_e D_aff,e^T K_e D_aff,e / V is
+    the energy of the affine field alone, and H = sum_e D_e^T K_e D_aff,e / V
+    pairs the solved element displacements D_e with it.  D_aff holds each
+    strut end's displacement eps_a x under the six unit Mandel strains, with
+    zero rotations; the end positions x and the element matrices are built
+    here from the lattice's own fields, not taken from the solver's cell.
+    """
+    mat = BeamMaterial()
+    positions = lat.nodes @ lat.cell.T
+    tails = positions[lat.edges[:, 0]]
+    heads = positions[lat.edges[:, 1]] + lat.edges[:, 2:] @ lat.cell.T
+    k_e, _dk = _beam_kernel(heads - tails, _strut_sections([radius], [lat.edge_count]), mat)
+    strains = np.array([from_mandel_vector(v) for v in np.eye(6)])
+    d_aff = np.zeros((lat.edge_count, 2, 6, 6))
+    d_aff[:, :, :3] = np.einsum("aij,enj->enia", strains, np.stack([tails, heads], axis=1))
+    d_aff = d_aff.reshape(-1, 12, 6)
+    volume = np.linalg.det(lat.cell)
+    _density, solution = fe._solve_one(fe._fundamental_cell(lat), radius, mat)
+    c_aff = np.einsum("eia,eij,ejb->ab", d_aff, k_e, d_aff) / volume
+    h = np.einsum("eia,eij,ejb->ab", solution.displacements, k_e, d_aff) / volume
+    return solution.mandel, c_aff, h
+
+
+_RADII = st.sampled_from([0.01, 0.05, 0.1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_PERTURBED_CELLS, radius=_RADII)
+def test_property_affine_field_bounds_the_stiffness(base, n, level, seed, skewed, radius):
+    # The zero fluctuation is admissible, so the minimum energy is at most
+    # the affine energy: C <= C_aff in the Loewner order (Hill 1963).
+    c, c_aff, _h = energy_forms(perturbed_cell(base, n, level, seed, skewed), radius)
+    gap = c_aff - c
+    assert np.linalg.eigvalsh(0.5 * (gap + gap.T)).min() >= -1e-12 * np.abs(c_aff).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_PERTURBED_CELLS, radius=_RADII)
+def test_property_hill_mandel_pairing_gives_the_stiffness(
+    base, n, level, seed, skewed, radius
+):
+    # The solved fluctuation is K-orthogonal to every periodic fluctuation,
+    # the solved field minus the affine one among them, so pairing the
+    # solved field with the affine one gives the energy form C.
+    c, _c_aff, h = energy_forms(perturbed_cell(base, n, level, seed, skewed), radius)
+    assert np.abs(h - c).max() <= 1e-11 * np.abs(c).max()
 
 
 def test_resolve_master_matches_recursive_reference():

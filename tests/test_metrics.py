@@ -5,6 +5,7 @@ from latmech import sampling
 from latmech.fe import homogenize
 from latmech.lattice import body_centred_cubic, diamond, perturb, simple_cubic
 from latmech.metrics import (
+    NEGATIVE_EIG_REL_TOL,
     DirectionSet,
     MetricReport,
     aggregate_training_loss,
@@ -19,6 +20,7 @@ from latmech.tensor4 import (
     ElasticTensor4,
     MandelMatrix,
     from_mandel,
+    kelvin_spectrum,
     rotate,
     to_mandel,
 )
@@ -184,6 +186,24 @@ class TestNegativeEigFraction:
         good = ElasticTensor4.isotropic(1.0, 1.0)
         bad = from_mandel(MandelMatrix(np.diag([1.0, 1, 1, 1, 1, -1.0])))
         assert negative_eig_fraction([good, bad, good, bad, good]) == pytest.approx(0.4)
+
+    def test_verdicts_match_each_kelvin_spectrum(self, rng):
+        # the smallest eigenvalue sits within a factor 2 of the floor, so
+        # eigenvalues that moved by roundoff could flip a verdict
+        tensors = []
+        for _ in range(60):
+            q, _r = np.linalg.qr(rng.standard_normal((6, 6)))
+            w = rng.uniform(0.5, 2.0, 6) * 10.0 ** rng.uniform(-10, 2)
+            w[0] = -NEGATIVE_EIG_REL_TOL * w.max() * rng.uniform(0.5, 1.5)
+            m = (q * w) @ q.T
+            tensors.append(from_mandel(MandelMatrix(0.5 * (m + m.T))))
+        expected = []
+        for c in tensors:
+            spectrum = kelvin_spectrum(c).eigenvalues
+            expected.append(spectrum.min() < -NEGATIVE_EIG_REL_TOL * np.abs(spectrum).max())
+        assert 0 < sum(expected) < len(expected)
+        assert [negative_eig_fraction([c]) for c in tensors] == [float(e) for e in expected]
+        assert negative_eig_fraction(tensors) == sum(expected) / len(expected)
 
 
 class TestPenaltyHelper:

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmech import sampling
+from latmech import sampling, tensor4
 from latmech.fe import homogenize
 from latmech.lattice import simple_cubic
 from latmech.tensor4 import (
+    SLOT_PAIRS,
     ElasticTensor4,
     KelvinSpectrum,
     MandelMatrix,
     RotationPair,
+    check_rotation,
     directional_moduli,
     directional_modulus,
     from_mandel,
@@ -22,6 +24,7 @@ from latmech.tensor4 import (
     mandel_rotation,
     rotate,
     rotate_mandel,
+    rotation_defect,
     strain_energy,
     symmetrize,
     to_mandel,
@@ -271,6 +274,14 @@ class TestMandelRotation:
         with pytest.raises(ValueError, match="defect"):
             mandel_rotation(np.diag([1.0, 1.0, -1.0]))  # reflection
 
+    def test_checks_the_rotation_once(self, monkeypatch, rotations):
+        calls = []
+        monkeypatch.setattr(
+            tensor4, "rotation_defect", lambda r: calls.append(r) or rotation_defect(r)
+        )
+        mandel_rotation(rotations[0])
+        assert len(calls) == 1
+
 
 class TestRotate:
     def test_identity(self, rng):
@@ -464,6 +475,15 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="orthonormal"):
             RotationPair(np.eye(3), 2.0 * np.eye(6))
 
+    def test_rotation_pair_checks_r_as_check_rotation_does(self):
+        # just outside the rotation tolerance, and a reflection
+        for r in (np.diag([1.0, 1.0, 1.0 + 2e-10]), np.diag([1.0, 1.0, -1.0])):
+            with pytest.raises(ValueError, match="not a proper rotation") as raised:
+                RotationPair(r, np.eye(6))
+            with pytest.raises(ValueError) as expected:
+                check_rotation(r)
+            assert str(raised.value) == str(expected.value)
+
     def test_kelvin_shape_check(self):
         with pytest.raises(ValueError):
             KelvinSpectrum(np.zeros(5), np.zeros((6, 3, 3)))
@@ -521,3 +541,29 @@ def test_property_from_mandel_passes_the_tensor_checks_it_skips(seed, log_scale,
     c = from_mandel(mandel)
     checked = ElasticTensor4(c.components)
     assert checked.components.tobytes() == c.components.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log_scale=st.floats(-10.0, 2.0),
+    log_defect=st.floats(-14.0, math.log10(2e-8)),
+)
+def test_property_a_built_tensor_passes_every_mandel_check(seed, log_scale, log_defect):
+    # one major-symmetry pair (ij, kl) is put out of balance by up to 2e-8 of
+    # the largest component; its minor images move with it, so only the
+    # major symmetry is broken
+    rng = np.random.default_rng(seed)
+    c = random_symmetric_tensor4(rng) * 10.0**log_scale
+    p, q = rng.choice(6, size=2, replace=False)
+    (i, j), (k, l) = SLOT_PAIRS[p], SLOT_PAIRS[q]
+    c[[i, j, i, j], [j, i, j, i], [k, k, l, l], [l, l, k, k]] += (
+        10.0**log_defect * np.abs(c).max()
+    )
+    try:
+        tensor = ElasticTensor4(c)
+    except ValueError:
+        return
+    to_mandel(tensor)
+    directional_moduli(tensor, sampling.unit_directions(20, seed=seed % 1000))
+    kelvin_spectrum(tensor)
