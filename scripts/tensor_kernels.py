@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Best-of-n timings of the tensor kernels that score a stiffness.
+
+Times, on the homogenized stiffness of the body-centred cubic cell and
+one seeded rotation: the Mandel round trip ``to_mandel(from_mandel(m))``,
+``rotate`` and ``rotate_mandel``, ``directional_moduli`` and ``l_dir``
+over 250 directions, and ``psd.project`` with each of the six matrix
+maps.  A tensor keeps its Mandel form, so the repeated
+``directional_moduli`` and ``l_dir`` calls on one tensor time the
+contraction and the direction check, not a conversion; the round trip
+builds a new tensor each call and so times both conversions.  Prints the
+core count, then one line per kernel with the best of 7 repeats, in
+microseconds per call.
+
+    PYTHONPATH=src python scripts/tensor_kernels.py
+"""
+
+import os
+import timeit
+
+from latmech import metrics, psd, sampling
+from latmech.fe import homogenize
+from latmech.lattice import body_centred_cubic
+from latmech.tensor4 import (
+    directional_moduli,
+    from_mandel,
+    mandel_rotation,
+    rotate,
+    rotate_mandel,
+    to_mandel,
+)
+
+REPEATS = 7
+CALLS = 200
+
+
+def best_us(fn) -> float:
+    """Best of ``REPEATS`` runs of ``CALLS`` calls, in microseconds per call."""
+    return min(timeit.repeat(fn, number=CALLS, repeat=REPEATS)) / CALLS * 1e6
+
+
+def kernels() -> dict:
+    c = homogenize(body_centred_cubic()).stiffness
+    m = to_mandel(c)
+    r = sampling.random_rotation(0)
+    rp = mandel_rotation(r)
+    dirs = metrics.DirectionSet.sample(250, seed=0)
+    target = rotate(c, r)
+    cases = {
+        "mandel round trip": lambda: to_mandel(from_mandel(m)),
+        "rotate": lambda: rotate(c, r),
+        "rotate_mandel": lambda: rotate_mandel(m, rp),
+        "directional_moduli (250)": lambda: directional_moduli(c, dirs.directions),
+        "l_dir (250)": lambda: metrics.l_dir(c, target, dirs),
+    }
+    for method in psd.PsdMethod:
+        if method in psd.MATRIX_METHODS:
+            cases[f"project {method.value}"] = lambda method=method: psd.project(m, method)
+    return cases
+
+
+def main() -> None:
+    print(f"nproc {len(os.sched_getaffinity(0))}")
+    for name, fn in kernels().items():
+        print(f"{name:26s} {best_us(fn):9.1f} us")
+
+
+if __name__ == "__main__":
+    main()

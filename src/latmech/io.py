@@ -69,15 +69,22 @@ def parse_stiffness_record(obj: dict, line: int = 0) -> tuple[MandelMatrix, dict
     if obj.get("basis") != "mandel":
         raise ValueError(f"{where}unsupported stiffness basis {obj.get('basis')!r}")
     values = obj.get("mandel")
-    # JSON numbers only: a bool is an int to Python, and numpy would read a
-    # one-element list or a numeric string as a real
-    reals = isinstance(values, list) and set(map(type, values)) <= {float, int}
-    if not reals or len(values) != 36:
+    if not _reals(values) or len(values) != 36:
         raise ValueError(f"{where}field 'mandel' must hold 36 reals")
     try:
         return MandelMatrix(np.asarray(values, dtype=float).reshape(6, 6)), obj
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"{where}{exc}") from exc
+
+
+# A bool is an int to Python, and numpy would read a one-element list or a
+# numeric string as a real, so each entry's exact type is checked.
+_NUMBER_TYPES = frozenset({float, int})
+
+
+def _reals(values) -> bool:
+    """Whether ``values`` is a flat list of JSON numbers."""
+    return isinstance(values, list) and set(map(type, values)) <= _NUMBER_TYPES
 
 
 def write_stiffness_records(path, records: Iterable[dict]) -> None:
@@ -125,18 +132,19 @@ def lattice_from_record(obj: dict, line: int = 1) -> Lattice:
     name = obj["name"]
     if not isinstance(name, str) or not name:
         raise CatalogueError(line, "field 'name' must be a nonempty string")
-    try:
-        cell = np.asarray(obj["cell"], dtype=float)
-        nodes = np.asarray(obj["nodes"], dtype=float)
-        radius = float(obj["radius"])
-    except (TypeError, ValueError) as exc:
-        raise CatalogueError(
-            line, f"fields 'cell', 'nodes' and 'radius' must hold reals ({exc})"
-        ) from exc
-    if cell.size != 9:
+    cell, nodes, radius = obj["cell"], obj["nodes"], obj["radius"]
+    if not _reals(cell) or len(cell) != 9:
         raise CatalogueError(line, "field 'cell' must hold 9 reals")
-    if nodes.size % 3 != 0 or nodes.size == 0:
+    if not _reals(nodes) or len(nodes) % 3 != 0 or not nodes:
         raise CatalogueError(line, "field 'nodes' must hold 3N reals")
+    if type(radius) not in _NUMBER_TYPES:
+        raise CatalogueError(line, "field 'radius' must be a real")
+    try:
+        cell = np.asarray(cell, dtype=float)
+        nodes = np.asarray(nodes, dtype=float)
+        radius = float(radius)
+    except OverflowError as exc:
+        raise CatalogueError(line, str(exc)) from exc
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise CatalogueError(line, "field 'edges' must be a list")
@@ -144,7 +152,7 @@ def lattice_from_record(obj: dict, line: int = 1) -> Lattice:
     for k, row in enumerate(edges):
         if not isinstance(row, list) or len(row) != 5:
             raise CatalogueError(line, f"edge {k} must be [i, j, tx, ty, tz]")
-        if any(not isinstance(v, int) or isinstance(v, bool) for v in row):
+        if not set(map(type, row)) <= {int}:
             raise CatalogueError(line, f"edge {k} entries must be integers")
         rows.append(row)
     try:

@@ -19,6 +19,8 @@ from .lattice import Lattice, rotate_lattice
 from .tensor4 import (
     ElasticTensor4,
     MandelMatrix,
+    _dyad_moduli,
+    _unit_dyads,
     directional_moduli,
     rotate,
     to_mandel,
@@ -107,8 +109,8 @@ def l_dir(
     pred: ElasticTensor4, target: ElasticTensor4, dirs: DirectionSet
 ) -> tuple[float, float]:
     """Mean absolute directional-stiffness deviation, raw and target-relative."""
-    d = dirs.directions
-    values = directional_moduli(pred, d) - directional_moduli(target, d)
+    dyads = _unit_dyads(dirs.directions)
+    values = _dyad_moduli(pred, dyads) - _dyad_moduli(target, dyads)
     raw = float(np.mean(np.abs(values)))
     gamma = target_mean_square(to_mandel(target))
     if gamma == 0.0:
@@ -142,14 +144,14 @@ def l_equiv(
             raise RuntimeError(f"predictor failed on lattice {lat.name!r}: {exc}") from exc
 
     base = [prediction(lat) for lat in lattices]
-    d = dirs.directions
+    dyads = _unit_dyads(dirs.directions)
     total = 0.0
     for lat, base_prediction in zip(lattices, base):
         for r in rotations:
             r = np.asarray(r, dtype=float)
             reference = rotate(base_prediction, r)
             rotated = prediction(rotate_lattice(lat, r))
-            values = directional_moduli(reference, d) - directional_moduli(rotated, d)
+            values = _dyad_moduli(reference, dyads) - _dyad_moduli(rotated, dyads)
             total += float(np.mean(np.abs(values)))
     return total / (len(lattices) * len(rotations))
 

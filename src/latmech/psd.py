@@ -60,7 +60,11 @@ def _check_symmetric(m) -> np.ndarray:
 
 def expm_symmetric(m) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a Taylor kernel."""
-    m = _check_symmetric(m)
+    return _expm(_check_symmetric(m))
+
+
+def _expm(m: np.ndarray) -> np.ndarray:
+    """:func:`expm_symmetric` of a matrix that is already exactly symmetric."""
     norm = np.linalg.norm(m, 1)
     squarings = 0 if norm <= _EXP_THETA else int(math.ceil(math.log2(norm / _EXP_THETA)))
     x = m / (2.0**squarings)
@@ -81,18 +85,26 @@ def project(m, method: PsdMethod, eig_map: str = "relu") -> np.ndarray:
     ("relu" for the semi-definite variant, "exp" for strictly definite);
     it is ignored by the other methods.
     """
+    _require_matrix_method(method)
+    return _project(_check_symmetric(m), method, eig_map)
+
+
+def _require_matrix_method(method: PsdMethod) -> None:
     if method is PsdMethod.CHOLESKY_ASSEMBLE:
         raise ValueError(
             "CHOLESKY_ASSEMBLE consumes a 21-parameter vector; use cholesky_assemble"
         )
-    m = _check_symmetric(m)
+
+
+def _project(m: np.ndarray, method: PsdMethod, eig_map: str) -> np.ndarray:
+    """:func:`project` of an exactly symmetric matrix, not validated again."""
     if method is PsdMethod.SQUARE:
         out = m @ m
     elif method is PsdMethod.FOURTH:
         m2 = m @ m
         out = m2 @ m2
     elif method is PsdMethod.EXP:
-        out = expm_symmetric(m)
+        out = _expm(m)
     elif method is PsdMethod.TRUNC_EXP2:
         t = np.eye(6) + m / 2.0
         out = t @ t
@@ -147,9 +159,11 @@ def equivariance_defect(method: PsdMethod, m, rp: RotationPair, eig_map: str = "
     6x6 rotation ``R = rp.r_mandel``.
     """
     m = _check_symmetric(m)
+    _require_matrix_method(method)
     rm = rp.r_mandel
-    projected = project(m, method, eig_map=eig_map)
-    rotated_first = project(rm @ m @ rm.T, method, eig_map=eig_map)
+    projected = _project(m, method, eig_map)
+    rotated = rm @ m @ rm.T
+    rotated_first = _project(0.5 * (rotated + rotated.T), method, eig_map)
     rotated_after = rm @ projected @ rm.T
     denom = np.linalg.norm(projected)
     if denom == 0.0:

@@ -13,13 +13,14 @@ components.  This module provides:
 * rotation in both the Cartesian and Mandel pictures,
 * directional stiffness, strain energy, and the Kelvin eigendecomposition.
 
-All values are pure data; every function is side-effect free.
+All values are pure data; every function is side-effect free, apart from
+a tensor keeping its Mandel matrix once :func:`to_mandel` has built it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +44,11 @@ _MANDEL_ROTATION_DIVISORS[3:, 3:] = 1.0
 _VOIGT_ROTATION_DIVISORS = np.where(_I6 < 3, 2.0, 1.0)
 
 ROTATION_TOL = 1e-10
+
+# The contraction order numpy's greedy search picks for :func:`rotate`,
+# fixed so that each call skips the search, which costs more than the
+# contraction; the order, and so every bit of the result, is the same.
+_ROTATE_PATH = ["einsum_path", (0, 4), (0, 3), (0, 2), (0, 1)]
 
 
 def relative_defect(a, b) -> float:
@@ -77,14 +83,19 @@ def check_rotation(r) -> np.ndarray:
 class ElasticTensor4:
     """Fourth-order stiffness tensor with minor and major symmetries.
 
-    The major symmetry is checked as the symmetry of its :class:`MandelMatrix`."""
+    The major symmetry is checked as the symmetry of its :class:`MandelMatrix`,
+    which the tensor keeps: :func:`to_mandel` returns it without converting
+    or validating again.  So that the two cannot disagree, ``components`` is
+    a read-only array that the tensor owns."""
 
     components: np.ndarray
+    _mandel: MandelMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     _SYM_TOL = 1e-8
 
     def __post_init__(self):
-        c = np.asarray(self.components, dtype=float)
+        c = np.array(self.components, dtype=float)
+        c.flags.writeable = False
         if c.shape != (3, 3, 3, 3):
             raise ValueError(f"stiffness tensor must be 3x3x3x3, got {c.shape}")
         if not np.all(np.isfinite(c)):
@@ -101,9 +112,12 @@ class ElasticTensor4:
     @classmethod
     def _unchecked(cls, components: np.ndarray) -> "ElasticTensor4":
         """A tensor of float (3, 3, 3, 3) ``components`` that are known to
-        pass every check of ``__post_init__``, built without repeating them."""
+        pass every check of ``__post_init__``, built without repeating them;
+        it takes ownership of the array and makes it read-only."""
         tensor = object.__new__(cls)
+        components.flags.writeable = False
         object.__setattr__(tensor, "components", components)
+        object.__setattr__(tensor, "_mandel", None)
         return tensor
 
     @classmethod
@@ -132,9 +146,12 @@ class MandelMatrix:
 
     def __post_init__(self):
         m = _as_square(self.entries, 6, "Mandel matrix")
-        if not np.all(np.isfinite(m)):
+        # one reduction serves both checks: the largest magnitude is NaN or
+        # inf exactly when an entry is, and it is relative_defect's scale
+        scale = float(abs(m).max())
+        if not math.isfinite(scale):
             raise ValueError("Mandel matrix has non-finite entries")
-        defect = relative_defect(m, m.T)
+        defect = float(abs(m - m.T).max()) / max(scale, 1e-30)
         if defect > self._SYM_TOL:
             raise ValueError(f"Mandel matrix not symmetric: relative defect {defect:.3e}")
         object.__setattr__(self, "entries", m)
@@ -219,8 +236,20 @@ def _slot_table(c: ElasticTensor4) -> np.ndarray:
 
 
 def to_mandel(c: ElasticTensor4) -> MandelMatrix:
-    """6x6 Mandel matrix: sqrt(2) on normal-shear blocks, 2 on shear-shear."""
-    return MandelMatrix(_WEIGHT_PRODUCTS * _slot_table(c))
+    """6x6 Mandel matrix: sqrt(2) on normal-shear blocks, 2 on shear-shear.
+
+    The matrix is computed from the components and validated once per
+    tensor, then kept on it: later calls return the same object, whose
+    entries are read-only so that no caller can change what the next one
+    reads.
+    """
+    m = c._mandel
+    if m is None:
+        entries = _WEIGHT_PRODUCTS * _slot_table(c)
+        entries.flags.writeable = False
+        m = MandelMatrix(entries)
+        object.__setattr__(c, "_mandel", m)
+    return m
 
 
 def from_mandel(m: MandelMatrix | np.ndarray) -> ElasticTensor4:
@@ -232,6 +261,12 @@ def from_mandel(m: MandelMatrix | np.ndarray) -> ElasticTensor4:
     weights of 1, sqrt(2) and 2 returns ``m``'s entries to within about an
     ulp each, so that check sees, up to that roundoff, the defect ``m``
     already passed.
+
+    For the same reason the tensor does not keep ``m`` as its Mandel form:
+    ``to_mandel(from_mandel(m))`` can differ from ``m`` by an ulp in some
+    entries, and it is that result, computed and validated on the first
+    :func:`to_mandel` call and cached from then on, that every Mandel-form
+    operation on the tensor reads.
     """
     if not isinstance(m, MandelMatrix):
         m = MandelMatrix(m)
@@ -277,7 +312,9 @@ def voigt_rotation(r) -> np.ndarray:
 def rotate(c: ElasticTensor4, r) -> ElasticTensor4:
     """Cartesian rotation C'_ijkl = R_ia R_jb R_kc R_ld C_abcd."""
     r = check_rotation(r)
-    rotated = np.einsum("ia,jb,kc,ld,abcd->ijkl", r, r, r, r, c.components, optimize=True)
+    rotated = np.einsum(
+        "ia,jb,kc,ld,abcd->ijkl", r, r, r, r, c.components, optimize=_ROTATE_PATH
+    )
     return ElasticTensor4(rotated)
 
 
@@ -300,14 +337,24 @@ def directional_modulus(c: ElasticTensor4, d) -> float:
 
 def directional_moduli(c: ElasticTensor4, directions) -> np.ndarray:
     """Vectorized :func:`directional_modulus` over an ``(n, 3)`` direction array."""
+    return _dyad_moduli(c, _unit_dyads(directions))
+
+
+def _unit_dyads(directions) -> np.ndarray:
+    """Mandel vectors of ``d (x) d`` for an ``(n, 3)`` array of unit directions,
+    which are checked; one table serves any number of tensors."""
     d = np.asarray(directions, dtype=float)
     if d.ndim != 2 or d.shape[1] != 3:
         raise ValueError("directions must be an (n, 3) array")
     norms = np.linalg.norm(d, axis=1)
     if np.abs(norms - 1.0).max(initial=0.0) > 1e-10:
         raise ValueError("all directions must be unit length")
-    # C_ijkl d_i d_j d_k d_l = v^T M v with v the Mandel vector of d (x) d.
-    dyads = _WEIGHTS * d[:, _PAIR_I] * d[:, _PAIR_J]
+    return _WEIGHTS * d[:, _PAIR_I] * d[:, _PAIR_J]
+
+
+def _dyad_moduli(c: ElasticTensor4, dyads: np.ndarray) -> np.ndarray:
+    """``C_ijkl d_i d_j d_k d_l = v^T M v`` for each row ``v`` of a
+    :func:`_unit_dyads` table."""
     return np.sum((dyads @ to_mandel(c).entries) * dyads, axis=1)
 
 

@@ -57,6 +57,33 @@ class TestValidate:
         assert "line 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nodes", lambda v: [str(x) for x in v]),
+            ("nodes", lambda v: v[:-1] + [False]),
+            ("nodes", lambda v: v[:-1] + [None]),
+            ("nodes", lambda v: [v]),
+            ("cell", lambda v: [[x] for x in v]),  # numpy would read these as reals
+            ("cell", lambda v: v[:8] + [True]),
+            ("cell", lambda v: v[:8] + [10**400]),
+            ("radius", lambda v: True),
+            ("radius", lambda v: "0.05"),
+            ("radius", lambda v: [v]),
+            ("radius", lambda v: 10**400),
+        ],
+        ids=["nodes-strings", "nodes-bool", "nodes-null", "nodes-nested", "cell-nested",
+             "cell-bool", "cell-huge-int", "radius-bool", "radius-string", "radius-list",
+             "radius-huge-int"],
+    )
+    def test_non_number_field_reports_line(self, tmp_path, capsys, field, value):
+        good = io.lattice_record(simple_cubic())
+        bad = dict(good, **{field: value(good[field])})
+        path = tmp_path / "bad.lats"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        assert dispatch(["validate", "--catalogue", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: line 2: ")
+
+    @pytest.mark.parametrize(
         "entries",
         [
             lambda m: [[v] for v in m],  # numpy would reshape 36 1-lists to 6x6

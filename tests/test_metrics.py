@@ -1,9 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from latmech import sampling
 from latmech.fe import homogenize
-from latmech.lattice import body_centred_cubic, diamond, perturb, simple_cubic
+from latmech.lattice import (
+    body_centred_cubic,
+    diamond,
+    perturb,
+    rotate_lattice,
+    simple_cubic,
+)
 from latmech.metrics import (
     NEGATIVE_EIG_REL_TOL,
     DirectionSet,
@@ -14,6 +22,7 @@ from latmech.metrics import (
     l_equiv,
     negative_eig_fraction,
     negative_modulus_penalty,
+    target_mean_square,
 )
 from latmech.psd import PsdMethod, project
 from latmech.tensor4 import (
@@ -26,6 +35,13 @@ from latmech.tensor4 import (
 )
 
 from conftest import random_symmetric_matrix, random_symmetric_tensor4
+
+
+def directional_moduli_per_call(c: ElasticTensor4, d: np.ndarray) -> np.ndarray:
+    """Reference: the directional moduli with a dyad table of their own."""
+    w = np.array([1.0, 1.0, 1.0, math.sqrt(2.0), math.sqrt(2.0), math.sqrt(2.0)])
+    dyads = w * d[:, [0, 1, 2, 1, 0, 0]] * d[:, [0, 1, 2, 2, 2, 1]]
+    return np.sum((dyads @ to_mandel(c).entries) * dyads, axis=1)
 
 
 class TestLComp:
@@ -118,8 +134,42 @@ class TestLDir:
         gamma = np.sum(t * t) / 36.0
         assert rel == pytest.approx(raw / np.sqrt(gamma), rel=1e-12)
 
+    def test_equals_the_per_call_formula_bit_for_bit(self, rng):
+        dirs = DirectionSet.sample(250, seed=4)
+        for k in range(10):
+            pred = from_mandel(random_symmetric_matrix(rng) * 10.0 ** (k - 8))
+            target = ElasticTensor4(random_symmetric_tensor4(rng) * 10.0 ** (k - 8))
+            values = directional_moduli_per_call(pred, dirs.directions) - (
+                directional_moduli_per_call(target, dirs.directions)
+            )
+            raw = float(np.mean(np.abs(values)))
+            expected = (raw, raw / np.sqrt(target_mean_square(to_mandel(target))))
+            assert l_dir(pred, target, dirs) == expected
+
 
 class TestLEquiv:
+    def test_equals_the_per_call_formula_bit_for_bit(self):
+        lattices = [perturb(body_centred_cubic(), 0.05, seed=s) for s in range(2)] + [diamond()]
+        rotations = sampling.random_rotations(3, seed=5)
+        dirs = DirectionSet.sample(60, seed=4)
+
+        def squared_entries(lat):  # not equivariant, and built by from_mandel
+            return from_mandel(to_mandel(homogenize(lat).stiffness).entries ** 2)
+
+        for predict in (lambda lat: homogenize(lat).stiffness, squared_entries):
+            total = 0.0
+            d = dirs.directions
+            for lat in lattices:
+                for r in rotations:
+                    reference = rotate(predict(lat), r)
+                    rotated = predict(rotate_lattice(lat, r))
+                    values = directional_moduli_per_call(reference, d) - (
+                        directional_moduli_per_call(rotated, d)
+                    )
+                    total += float(np.mean(np.abs(values)))
+            expected = total / (len(lattices) * len(rotations))
+            assert l_equiv(predict, lattices, rotations, dirs) == expected
+
     def test_homogenizer_is_equivariant(self):
         lattices = [
             perturb(body_centred_cubic(), 0.05, seed=s) for s in range(3)

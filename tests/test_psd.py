@@ -183,6 +183,26 @@ class TestEquivariance:
             for method in methods:
                 assert equivariance_defect(method, m, rp) < 1e-9, method
 
+    @pytest.mark.parametrize("method", sorted(MATRIX_METHODS, key=lambda m: m.value))
+    def test_validates_each_input_once(self, monkeypatch, rng, method):
+        m = random_symmetric_matrix(rng)
+        rp = mandel_rotation(sampling.random_rotation(21))
+        # the defect as composed from public calls, each validating its input
+        rm = rp.r_mandel
+        s = 0.5 * (m + m.T)
+        projected = project(s, method)
+        gap = project(rm @ s @ rm.T, method) - rm @ projected @ rm.T
+        composed = float(np.linalg.norm(gap) / np.linalg.norm(projected))
+        calls = []
+        check = MandelMatrix.__post_init__
+        monkeypatch.setattr(
+            MandelMatrix, "__post_init__", lambda self: calls.append(1) or check(self)
+        )
+        assert project(m, method).tobytes() == projected.tobytes()
+        assert len(calls) == 1
+        assert equivariance_defect(method, m, rp) == composed
+        assert len(calls) == 2
+
     def test_cholesky_reassembly_not_equivariant(self):
         # Treat the 21 parameters as raw Mandel components: rotate the
         # symmetric matrix they fill, read its lower triangle back, and

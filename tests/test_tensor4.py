@@ -15,6 +15,7 @@ from latmech.tensor4 import (
     KelvinSpectrum,
     MandelMatrix,
     RotationPair,
+    _ROTATE_PATH,
     check_rotation,
     directional_moduli,
     directional_modulus,
@@ -22,6 +23,7 @@ from latmech.tensor4 import (
     from_mandel_vector,
     kelvin_spectrum,
     mandel_rotation,
+    relative_defect,
     rotate,
     rotate_mandel,
     rotation_defect,
@@ -65,6 +67,24 @@ def rotation_table_loops(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 rm[a, b] = term / SQRT2
             rv[a, b] = term / (1.0 + (k == l))
     return rm, rv
+
+
+def count_mandel_checks(monkeypatch) -> list:
+    """A list that grows by one on each :class:`MandelMatrix` validation."""
+    calls = []
+    check = MandelMatrix.__post_init__
+    monkeypatch.setattr(MandelMatrix, "__post_init__", lambda self: calls.append(1) or check(self))
+    return calls
+
+
+def mandel_verdict_two_passes(m: np.ndarray) -> str | None:
+    """Reference ``MandelMatrix`` verdict: a finiteness pass, then ``relative_defect``."""
+    if not np.all(np.isfinite(m)):
+        return "Mandel matrix has non-finite entries"
+    defect = relative_defect(m, m.T)
+    if defect > MandelMatrix._SYM_TOL:
+        return f"Mandel matrix not symmetric: relative defect {defect:.3e}"
+    return None
 
 
 def cubic_tensor(c11: float, c12: float, c44: float) -> ElasticTensor4:
@@ -176,6 +196,43 @@ class TestMandel:
         with pytest.raises(ValueError) as got:
             from_mandel(bad)
         assert str(got.value) == str(expected.value)
+
+    def test_to_mandel_validates_once_and_keeps_read_only_entries(self, monkeypatch, rng):
+        calls = count_mandel_checks(monkeypatch)
+        c = ElasticTensor4(random_symmetric_tensor4(rng))
+        assert len(calls) == 1
+        m = to_mandel(c)
+        assert to_mandel(c) is m and len(calls) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            m.entries[0, 0] = 1.0
+        # a tensor from from_mandel is validated on its first to_mandel only
+        t = from_mandel(m)
+        assert len(calls) == 1
+        mt = to_mandel(t)
+        assert to_mandel(t) is mt and len(calls) == 2
+        assert not mt.entries.flags.writeable
+
+    def test_components_are_a_read_only_copy(self, rng):
+        raw = random_symmetric_tensor4(rng)
+        before = raw.copy()
+        c = ElasticTensor4(raw)
+        raw[0, 0, 0, 0] += 1.0  # the caller's array stays writeable and apart
+        assert c.components.tobytes() == before.tobytes()
+        for tensor in (c, from_mandel(to_mandel(c))):
+            with pytest.raises(ValueError, match="read-only"):
+                tensor.components[0, 0, 0, 0] = 1.0
+
+    def test_from_mandel_keeps_the_form_of_its_components_not_the_input(self, rng):
+        # multiplying the components back by the weights moves some entries
+        # of m by an ulp; the kept form is the one a fresh tensor would get
+        moved = 0
+        for _ in range(20):
+            m = random_symmetric_matrix(rng)
+            t = from_mandel(m)
+            fresh = to_mandel(ElasticTensor4(t.components.copy())).entries
+            assert to_mandel(t).entries.tobytes() == fresh.tobytes()
+            moved += int(np.count_nonzero(fresh != m))
+        assert moved > 0
 
     def test_vector_round_trip(self, rng):
         raw = rng.standard_normal((3, 3))
@@ -314,6 +371,13 @@ class TestRotate:
             via_mandel = rotate_mandel(to_mandel(c), rp).entries
             rel = np.linalg.norm(via_cartesian - via_mandel) / np.linalg.norm(via_cartesian)
             assert rel < 1e-10
+
+    def test_einsum_search_picks_the_fixed_path(self, rng):
+        c = random_symmetric_tensor4(rng)
+        r = sampling.random_rotation(3)
+        for optimize in (True, "greedy"):
+            path, _ = np.einsum_path("ia,jb,kc,ld,abcd->ijkl", r, r, r, r, c, optimize=optimize)
+            assert path == _ROTATE_PATH
 
     def test_rotate_mandel_identity(self, rng):
         m = to_mandel(ElasticTensor4(random_symmetric_tensor4(rng)))
@@ -567,3 +631,46 @@ def test_property_a_built_tensor_passes_every_mandel_check(seed, log_scale, log_
     to_mandel(tensor)
     directional_moduli(tensor, sampling.unit_directions(20, seed=seed % 1000))
     kelvin_spectrum(tensor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), log_scale=st.floats(-10.0, 2.0))
+def test_property_rotate_matches_the_searched_einsum_bit_for_bit(seed, log_scale):
+    rng = np.random.default_rng(seed)
+    c = random_symmetric_tensor4(rng) * 10.0**log_scale
+    r = sampling.random_rotation(seed)
+    searched = np.einsum("ia,jb,kc,ld,abcd->ijkl", r, r, r, r, c, optimize=True)
+    assert rotate(ElasticTensor4(c), r).components.tobytes() == searched.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log_scale=st.floats(-10.0, 2.0),
+    case=st.sampled_from(
+        ["clean", "nan", "inf", "-inf", "huge", "huge-opposite", "huge-diagonal", "asymmetric"]
+    ),
+    log_defect=st.floats(-13.0, -8.0),
+)
+def test_property_mandel_check_verdicts_match_two_passes(seed, log_scale, case, log_defect):
+    rng = np.random.default_rng(seed)
+    m = random_symmetric_matrix(rng) * 10.0**log_scale
+    a, b = rng.choice(6, size=2, replace=False)
+    if case in ("nan", "inf", "-inf"):
+        m[a, b] = float(case)
+    elif case == "huge":
+        m[a, b] = m[b, a] = 1.7e308
+    elif case == "huge-opposite":  # m - m.T overflows to inf
+        m[a, b], m[b, a] = 1.7e308, -1.7e308
+    elif case == "huge-diagonal":
+        m[a, a] = -1.79e308
+    elif case == "asymmetric":  # around the 1e-10 tolerance
+        m[a, b] += 10.0**log_defect * np.abs(m).max()
+    with np.errstate(over="ignore"):
+        expected = mandel_verdict_two_passes(m)
+        if expected is None:
+            MandelMatrix(m)
+        else:
+            with pytest.raises(ValueError) as raised:
+                MandelMatrix(m)
+            assert str(raised.value) == expected
