@@ -7,8 +7,10 @@ temporary directory, then runs the CLI in-process on it: ``homogenize``
 with ``--surface``, ``surface``, ``rotate`` on stiffness records and on the
 catalogue, ``perturb``, ``psd-project`` with each matrix method and with
 ``--eig-map exp``, ``metrics`` and a five-step ``optimize``.  Prints
-``sha256  name`` for each output file; manifests are skipped, since they
-hold timestamps.  Run it on two checkouts and compare:
+``sha256  name`` for each output file.  A manifest is hashed without its
+``started`` and ``finished`` timestamps and with the temporary directory
+written as ``<tmp>``, so that it too hashes the same on every run.  Run it
+on two checkouts and compare:
 
     PYTHONPATH=src python scripts/cli_fingerprint.py > after.txt
     (cd ../other && PYTHONPATH=src python /path/to/cli_fingerprint.py) > before.txt
@@ -17,6 +19,7 @@ hold timestamps.  Run it on two checkouts and compare:
 
 import contextlib
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -78,14 +81,25 @@ def write_outputs(out: str) -> None:
         "--target", path("target.jsonl"), "--steps", "5", "--out", path("optimize.json"))
 
 
+def manifest_bytes(path: str, out: str) -> bytes:
+    """The manifest at ``path`` without its timestamps, ``out`` written as ``<tmp>``."""
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.loads(fh.read().replace(out, "<tmp>"))
+    del manifest["started"], manifest["finished"]
+    return json.dumps(manifest, indent=2).encode()
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as out:
         write_outputs(out)
         for name in sorted(os.listdir(out)):
+            path = os.path.join(out, name)
             if name.endswith(".manifest.json"):
-                continue
-            with open(os.path.join(out, name), "rb") as fh:
-                print(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}")
+                data = manifest_bytes(path, out)
+            else:
+                with open(path, "rb") as fh:
+                    data = fh.read()
+            print(f"{hashlib.sha256(data).hexdigest()}  {name}")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,10 @@
 
 Subcommands: homogenize, surface, psd-project, metrics, perturb,
 optimize, rotate, validate.  Data goes to files or stdout; diagnostics go
-to stderr.  Exit codes: 0 success, 1 domain error, 2 usage error.  Every
+to stderr.  Exit codes: 0 success, 1 domain error, 2 usage error.  A
+command fails by raising ``ValueError``, ``OSError`` or ``RuntimeError``
+(a malformed record is an :class:`io.CatalogueError`, which names its
+line); :func:`dispatch` prints ``error: <message>`` and returns 1.  Every
 output file gets a sibling ``<path>.manifest.json`` recording the command,
 arguments, seed, tool version, and timestamps; rerunning with the same
 arguments reproduces seeded outputs bit-exactly.  No environment
@@ -15,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -30,32 +32,6 @@ from .tensor4 import (
     rotate_mandel,
     to_mandel,
 )
-
-@dataclass
-class RunManifest:
-    command: str
-    arguments: dict
-    seed: int
-    tool_version: str = __version__
-    started: str = ""
-    finished: str = ""
-
-    def write_for(self, output_path: str) -> None:
-        self.finished = _timestamp()
-        with open(f"{output_path}.manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "command": self.command,
-                    "arguments": self.arguments,
-                    "seed": self.seed,
-                    "tool_version": self.tool_version,
-                    "started": self.started,
-                    "finished": self.finished,
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
 
 
 def _timestamp() -> str:
@@ -74,18 +50,25 @@ def _jsonable(value):
     return str(value)
 
 
-def _manifest(args: argparse.Namespace, seed: int = 0) -> RunManifest:
-    arguments = {
-        k: _jsonable(v)
-        for k, v in vars(args).items()
-        if k not in ("func",) and v is not None
+def _manifest(args: argparse.Namespace, **extra):
+    """The writer of ``<path>.manifest.json`` for an output ``path``: the
+    command, its arguments followed by ``extra``, the seed (0 for a command
+    without one), the tool version, this call's time and the write's time."""
+    arguments = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    record = {
+        "command": args.subcommand,
+        "arguments": {k: _jsonable(v) for k, v in {**arguments, **extra}.items()},
+        "seed": getattr(args, "seed", 0),
+        "tool_version": __version__,
+        "started": _timestamp(),
     }
-    return RunManifest(
-        command=args.subcommand,
-        arguments=arguments,
-        seed=seed,
-        started=_timestamp(),
-    )
+
+    def write_for(output_path: str) -> None:
+        with open(f"{output_path}.manifest.json", "w", encoding="utf-8") as fh:
+            json.dump({**record, "finished": _timestamp()}, fh, indent=2)
+            fh.write("\n")
+
+    return write_for
 
 
 def _parse_material(text: str) -> BeamMaterial:
@@ -136,9 +119,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_homogenize(args) -> int:
     lattices = io.read_catalogue(args.catalogue)
-    mat = args.material
-    manifest = _manifest(args, seed=args.seed)
-    items = homogenize_batch(lattices, args.radius, mat)
+    write_manifest = _manifest(args)
+    items = homogenize_batch(lattices, args.radius, args.material)
     records = []
     surface_blocks = []
     directions = sampling.unit_directions(args.surface, args.seed)
@@ -168,41 +150,38 @@ def _cmd_homogenize(args) -> int:
             label = f"{item.name}\t{io.format_float(item.radius)}\t"
             surface_blocks.append((label, directional_moduli(result.stiffness, directions)))
     io.write_stiffness_records(args.out, records)
-    manifest.write_for(args.out)
+    write_manifest(args.out)
     if args.surface:
         path = f"{args.out}.surface.tsv"
         _write_surface(path, "name\tradius\t", directions, surface_blocks)
-        manifest.write_for(path)
+        write_manifest(path)
     return 1 if failures else 0
 
 
 def _cmd_surface(args) -> int:
     records = io.read_stiffness_records(args.stiffness)
     if not records:
-        print("error: no stiffness records in input", file=sys.stderr)
-        return 1
+        raise ValueError("no stiffness records in input")
     if not 0 <= args.index < len(records):
-        print(f"error: record index {args.index} out of range", file=sys.stderr)
-        return 1
-    manifest = _manifest(args, seed=args.seed)
+        raise ValueError(f"record index {args.index} out of range")
+    write_manifest = _manifest(args)
     matrix, _ = records[args.index]
     directions = sampling.unit_directions(args.n, args.seed)
     moduli = directional_moduli(from_mandel(matrix), directions)
     _write_surface(args.out, "", directions, [("", moduli)])
-    manifest.write_for(args.out)
+    write_manifest(args.out)
     return 0
 
 
 def _cmd_psd_project(args) -> int:
     records = io.read_stiffness_records(args.input)
-    manifest = _manifest(args, seed=0)
+    write_manifest = _manifest(args)
     method = psd.PsdMethod(args.method)
-    out_records = []
-    for matrix, raw in records:
-        projected = psd.project(matrix.entries, method, eig_map=args.eig_map)
-        out_records.append(io.with_mandel(raw, projected))
-    io.write_stiffness_records(args.out, out_records)
-    manifest.write_for(args.out)
+    io.write_stiffness_records(args.out, [
+        io.with_mandel(raw, psd.project(matrix, method, eig_map=args.eig_map))
+        for matrix, raw in records
+    ])
+    write_manifest(args.out)
     return 0
 
 
@@ -210,14 +189,9 @@ def _cmd_metrics(args) -> int:
     preds = io.read_stiffness_records(args.pred)
     targets = io.read_stiffness_records(args.target)
     if len(preds) != len(targets):
-        print(
-            f"error: {len(preds)} predictions vs {len(targets)} targets",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValueError(f"{len(preds)} predictions vs {len(targets)} targets")
     if not preds:
-        print("error: empty record files", file=sys.stderr)
-        return 1
+        raise ValueError("empty record files")
     dirs = metrics.DirectionSet.sample(args.dirs, args.seed)
     pairs = [(p, t) for (p, _), (t, _) in zip(preds, targets)]
     pred_tensors = [from_mandel(p) for p, _ in preds]
@@ -232,20 +206,18 @@ def _cmd_metrics(args) -> int:
         negative_eig_fraction=metrics.negative_eig_fraction(pred_tensors),
         l_equiv=None,
     )
-    text = json.dumps(report.as_dict())
     if args.out:
-        manifest = _manifest(args, seed=args.seed)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        manifest.write_for(args.out)
+        write_manifest = _manifest(args)
+        io.write_json_lines(args.out, [report.as_dict()])
+        write_manifest(args.out)
     else:
-        print(text)
+        print(json.dumps(report.as_dict()))
     return 0
 
 
 def _cmd_perturb(args) -> int:
     lattices = io.read_catalogue(args.catalogue)
-    manifest = _manifest(args, seed=args.seed)
+    write_manifest = _manifest(args)
     out = []
     skipped = 0
     for lat in lattices:
@@ -258,7 +230,7 @@ def _cmd_perturb(args) -> int:
             continue
         out += perturbed_realizations(lat, args.level, args.seed, args.realizations)
     io.write_catalogue(args.out, out)
-    manifest.write_for(args.out)
+    write_manifest(args.out)
     print(
         f"perturbed {len(out)} lattices ({skipped} skipped)",
         file=sys.stderr,
@@ -267,25 +239,21 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_rotate(args) -> int:
-    if (args.catalogue is None) == (args.stiffness is None):
-        print("error: pass exactly one of --catalogue or --stiffness", file=sys.stderr)
-        return 2
     if args.random:
         rotation = sampling.random_rotation(args.seed)
     else:
         rotation = sampling.axis_angle_rotation(args.axis, math.radians(args.angle_deg))
-    manifest = _manifest(args, seed=args.seed)
-    manifest.arguments["rotation_matrix"] = [float(v) for v in rotation.reshape(9)]
+    write_manifest = _manifest(args, rotation_matrix=rotation)
     if args.catalogue is not None:
         lattices = [rotate_lattice(lat, rotation) for lat in io.read_catalogue(args.catalogue)]
         io.write_catalogue(args.out, lattices)
     else:
         pair = mandel_rotation(rotation)
-        out_records = []
-        for matrix, raw in io.read_stiffness_records(args.stiffness):
-            out_records.append(io.with_mandel(raw, rotate_mandel(matrix, pair)))
-        io.write_stiffness_records(args.out, out_records)
-    manifest.write_for(args.out)
+        io.write_stiffness_records(args.out, [
+            io.with_mandel(raw, rotate_mandel(matrix, pair))
+            for matrix, raw in io.read_stiffness_records(args.stiffness)
+        ])
+    write_manifest(args.out)
     return 0
 
 
@@ -293,13 +261,11 @@ def _cmd_optimize(args) -> int:
     lattices = io.read_catalogue(args.catalogue)
     by_name = {lat.name: lat for lat in lattices}
     if args.name not in by_name:
-        print(f"error: lattice {args.name!r} not in catalogue", file=sys.stderr)
-        return 1
+        raise ValueError(f"lattice {args.name!r} not in catalogue")
     records = io.read_stiffness_records(args.target)
     if not records:
-        print("error: no target stiffness record", file=sys.stderr)
-        return 1
-    manifest = _manifest(args, seed=0)
+        raise ValueError("no target stiffness record")
+    write_manifest = _manifest(args)
     target = from_mandel(records[0][0])
     problem = optimize.DesignProblem(
         base=by_name[args.name],
@@ -316,10 +282,8 @@ def _cmd_optimize(args) -> int:
             to_mandel(trace.final_stiffness), name=f"{args.name}_optimized"
         ),
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
-    manifest.write_for(args.out)
+    io.write_json_lines(args.out, [payload])
+    write_manifest(args.out)
     print(
         f"objective {trace.objective_history[0]:.6g} -> {trace.objective_history[-1]:.6g} "
         f"in {len(trace.objective_history) - 1} steps",
@@ -392,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_perturb)
 
     p = subs.add_parser("rotate", help="rotate a catalogue or stiffness records")
-    p.add_argument("--catalogue", default=None)
-    p.add_argument("--stiffness", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--catalogue", default=None)
+    source.add_argument("--stiffness", default=None)
     p.add_argument("--axis", type=_parse_vector, default=np.array([0.0, 0.0, 1.0]))
     p.add_argument("--angle-deg", type=float, default=90.0)
     p.add_argument("--random", action="store_true", help="draw a seeded random rotation")

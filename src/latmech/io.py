@@ -8,7 +8,9 @@ metadata such as ``name``.  A catalogue record has keys ``name``,
 coordinates), ``edges`` (lists ``[i, j, tx, ty, tz]``), and ``radius``.
 
 Floats are serialized with Python's shortest round-trip representation
-(at most 17 significant digits), so write/read cycles are bit-exact.
+(at most 17 significant digits), so write/read cycles are bit-exact.  Both
+readers reject a malformed record with a :class:`CatalogueError` holding
+its line number and the reason.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .tensor4 import MandelMatrix
 
 
 class CatalogueError(ValueError):
-    """Malformed catalogue record, tagged with its line number."""
+    """Malformed catalogue or stiffness record, tagged with its line number."""
 
     def __init__(self, line: int, reason: str):
         super().__init__(f"line {line}: {reason}")
@@ -61,20 +63,19 @@ def with_mandel(raw: dict, mandel: MandelMatrix | np.ndarray) -> dict:
     return {**raw, "mandel": [float(v) for v in np.asarray(mandel, dtype=float).reshape(36)]}
 
 
-def parse_stiffness_record(obj: dict, line: int = 0) -> tuple[MandelMatrix, dict]:
-    """Validate a record object; returns the matrix and the raw record."""
-    where = f"line {line}: " if line else ""
+def parse_stiffness_record(obj: dict, line: int) -> tuple[MandelMatrix, dict]:
+    """Validate the record object on line ``line``; returns the matrix and the raw record."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{where}stiffness record must be an object")
+        raise CatalogueError(line, "stiffness record must be an object")
     if obj.get("basis") != "mandel":
-        raise ValueError(f"{where}unsupported stiffness basis {obj.get('basis')!r}")
+        raise CatalogueError(line, f"unsupported stiffness basis {obj.get('basis')!r}")
     values = obj.get("mandel")
     if not _reals(values) or len(values) != 36:
-        raise ValueError(f"{where}field 'mandel' must hold 36 reals")
+        raise CatalogueError(line, "field 'mandel' must hold 36 reals")
     try:
         return MandelMatrix(np.asarray(values, dtype=float).reshape(6, 6)), obj
     except (ValueError, OverflowError) as exc:
-        raise ValueError(f"{where}{exc}") from exc
+        raise CatalogueError(line, str(exc)) from exc
 
 
 # A bool is an int to Python, and numpy would read a one-element list or a
@@ -87,13 +88,8 @@ def _reals(values) -> bool:
     return isinstance(values, list) and set(map(type, values)) <= _NUMBER_TYPES
 
 
-def write_stiffness_records(path, records: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
-
-
-def read_stiffness_records(path) -> list[tuple[MandelMatrix, dict]]:
+def _read_lines(path, parse) -> list:
+    """``parse(obj, line)`` of each nonblank line's JSON object, in file order."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -103,9 +99,24 @@ def read_stiffness_records(path) -> list[tuple[MandelMatrix, dict]]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            out.append(parse_stiffness_record(obj, line_no))
+                raise CatalogueError(line_no, f"invalid JSON ({exc.msg})") from exc
+            out.append(parse(obj, line_no))
     return out
+
+
+def write_json_lines(path, objects: Iterable[dict]) -> None:
+    """Write each object as one line of JSON; the CLI's reports use it too."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for obj in objects:
+            fh.write(json.dumps(obj) + "\n")
+
+
+def write_stiffness_records(path, records: Iterable[dict]) -> None:
+    write_json_lines(path, records)
+
+
+def read_stiffness_records(path) -> list[tuple[MandelMatrix, dict]]:
+    return _read_lines(path, parse_stiffness_record)
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +180,8 @@ def lattice_from_record(obj: dict, line: int = 1) -> Lattice:
 
 def read_catalogue(path) -> list[Lattice]:
     """Parse a catalogue file, rejecting bad records with line and reason."""
-    lattices = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CatalogueError(line_no, f"invalid JSON ({exc.msg})") from exc
-            lattices.append(lattice_from_record(obj, line_no))
-    return lattices
+    return _read_lines(path, lattice_from_record)
 
 
 def write_catalogue(path, lattices: Iterable[Lattice]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for lat in lattices:
-            fh.write(json.dumps(lattice_record(lat)) + "\n")
+    write_json_lines(path, map(lattice_record, lattices))

@@ -53,9 +53,12 @@ _EXP_THETA = 1.0 / 32.0
 
 
 def _check_symmetric(m) -> np.ndarray:
-    """``m`` validated as a :class:`MandelMatrix`, then exactly symmetrized."""
-    m = MandelMatrix(m).entries
-    return 0.5 * (m + m.T)
+    """``m`` validated as a :class:`MandelMatrix`, then exactly symmetrized.
+    A :class:`MandelMatrix` passed the checks when it was built and its
+    entries are read-only, so it is not checked again."""
+    if not isinstance(m, MandelMatrix):
+        m = MandelMatrix(m)
+    return 0.5 * (m.entries + m.entries.T)
 
 
 def expm_symmetric(m) -> np.ndarray:

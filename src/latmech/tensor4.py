@@ -95,7 +95,7 @@ class ElasticTensor4:
 
     def __post_init__(self):
         c = np.array(self.components, dtype=float)
-        c.flags.writeable = False
+        c.setflags(write=False)
         if c.shape != (3, 3, 3, 3):
             raise ValueError(f"stiffness tensor must be 3x3x3x3, got {c.shape}")
         if not np.all(np.isfinite(c)):
@@ -115,7 +115,7 @@ class ElasticTensor4:
         pass every check of ``__post_init__``, built without repeating them;
         it takes ownership of the array and makes it read-only."""
         tensor = object.__new__(cls)
-        components.flags.writeable = False
+        components.setflags(write=False)
         object.__setattr__(tensor, "components", components)
         object.__setattr__(tensor, "_mandel", None)
         return tensor
@@ -138,14 +138,19 @@ class ElasticTensor4:
 
 @dataclass(frozen=True)
 class MandelMatrix:
-    """Symmetric 6x6 stiffness matrix in the orthonormal Mandel basis."""
+    """Symmetric 6x6 stiffness matrix in the orthonormal Mandel basis.
+
+    ``entries`` is a read-only copy that the matrix owns, so a matrix that
+    passed its checks stays valid whatever the caller does to its input."""
 
     entries: np.ndarray
 
     _SYM_TOL = 1e-10
 
     def __post_init__(self):
-        m = _as_square(self.entries, 6, "Mandel matrix")
+        m = _as_square(self.entries, 6, "Mandel matrix").copy()
+        # setflags costs a quarter of what the ``flags`` attribute does
+        m.setflags(write=False)
         # one reduction serves both checks: the largest magnitude is NaN or
         # inf exactly when an entry is, and it is relative_defect's scale
         scale = float(abs(m).max())
@@ -245,9 +250,7 @@ def to_mandel(c: ElasticTensor4) -> MandelMatrix:
     """
     m = c._mandel
     if m is None:
-        entries = _WEIGHT_PRODUCTS * _slot_table(c)
-        entries.flags.writeable = False
-        m = MandelMatrix(entries)
+        m = MandelMatrix(_WEIGHT_PRODUCTS * _slot_table(c))
         object.__setattr__(c, "_mandel", m)
     return m
 

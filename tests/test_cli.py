@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import latmech
-from latmech import io
+from latmech import io, sampling
 from latmech.cli import dispatch
 from latmech.fe import homogenize
 from latmech.lattice import body_centred_cubic, diamond, simple_cubic
@@ -426,6 +426,11 @@ class TestRotateCommand:
 
     def test_requires_exactly_one_input(self, catalogue_path, tmp_path, capsys):
         assert dispatch(["rotate", "--out", str(tmp_path / "x")]) == 2
+        assert dispatch(
+            ["rotate", "--catalogue", str(catalogue_path), "--stiffness", str(catalogue_path),
+             "--out", str(tmp_path / "x")]
+        ) == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestOptimizeCommand:
@@ -486,6 +491,119 @@ class TestRecordRoundTrip:
             k: v for k, v in raw.items() if k != "mandel"
         }
         assert raw["mandel"] == [float(v) for v in np.eye(6).reshape(36)]
+
+
+class TestStiffnessRecordErrors:
+    @pytest.mark.parametrize(
+        "bad, line, reason",
+        [
+            (lambda good: "{not json", 3,
+             "invalid JSON (Expecting property name enclosed in double quotes)"),
+            (lambda good: json.dumps(dict(good, basis="voigt")), 3,
+             "unsupported stiffness basis 'voigt'"),
+            (lambda good: json.dumps(dict(good, mandel=["1"] + good["mandel"][1:])), 3,
+             "field 'mandel' must hold 36 reals"),
+            (lambda good: json.dumps(dict(good, mandel=good["mandel"][:1] + [1.0]
+                                          + good["mandel"][2:])), 3,
+             "Mandel matrix not symmetric: relative defect 5.000e-01"),
+        ],
+        ids=["json", "basis", "non-number", "asymmetric"],
+    )
+    def test_raise_a_catalogue_error_with_line_and_reason(self, tmp_path, bad, line, reason):
+        good = io.stiffness_record(2.0 * np.eye(6))
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n\n" + bad(good) + "\n" + json.dumps(good) + "\n")
+        with pytest.raises(io.CatalogueError) as got:
+            io.read_stiffness_records(path)
+        assert got.value.line == line
+        assert got.value.reason == reason
+        assert str(got.value) == f"line {line}: {reason}"
+
+
+MANIFEST_KEYS = ["command", "arguments", "seed", "tool_version", "started", "finished"]
+
+
+def read_manifest(path) -> dict:
+    """The manifest beside the output ``path``, checked for its key order and times."""
+    manifest = json.loads(open(f"{path}.manifest.json").read())
+    assert list(manifest) == MANIFEST_KEYS
+    assert manifest["tool_version"] == latmech.__version__
+    assert manifest["started"] <= manifest["finished"]
+    return manifest
+
+
+class TestManifests:
+    @pytest.fixture
+    def stiff(self, catalogue_path, tmp_path):
+        out = tmp_path / "stiff.jsonl"
+        assert dispatch(
+            ["homogenize", "--catalogue", str(catalogue_path), "--radius", "0.05",
+             "--surface", "10", "--seed", "7", "--out", str(out)]
+        ) == 0
+        return out
+
+    def test_homogenize_with_surface(self, catalogue_path, stiff):
+        for path in (stiff, f"{stiff}.surface.tsv"):
+            manifest = read_manifest(path)
+            assert manifest["command"] == "homogenize"
+            assert manifest["seed"] == 7
+            assert manifest["arguments"] == {
+                "threads": 1, "subcommand": "homogenize", "catalogue": str(catalogue_path),
+                "radius": [0.05], "material": {"E": 1.0, "nu": 0.3}, "out": str(stiff),
+                "surface": 10, "seed": 7,
+            }
+
+    def test_psd_project(self, stiff, tmp_path):
+        out = tmp_path / "psd.jsonl"
+        assert dispatch(
+            ["psd-project", "--input", str(stiff), "--method", "exp", "--out", str(out)]
+        ) == 0
+        manifest = read_manifest(out)
+        assert (manifest["command"], manifest["seed"]) == ("psd-project", 0)
+        assert list(manifest["arguments"]) == [
+            "threads", "subcommand", "input", "method", "eig_map", "out"
+        ]
+
+    def test_rotate_ends_its_arguments_with_the_rotation(self, stiff, tmp_path):
+        out = tmp_path / "rot.jsonl"
+        assert dispatch(
+            ["rotate", "--stiffness", str(stiff), "--random", "--seed", "5", "--out", str(out)]
+        ) == 0
+        manifest = read_manifest(out)
+        assert (manifest["command"], manifest["seed"]) == ("rotate", 5)
+        arguments = manifest["arguments"]
+        assert list(arguments)[-1] == "rotation_matrix"
+        assert arguments["stiffness"] == str(stiff) and arguments["random"] is True
+        assert arguments["rotation_matrix"] == [
+            float(v) for v in sampling.random_rotation(5).reshape(9)
+        ]
+
+    def test_metrics_out(self, stiff, tmp_path):
+        out = tmp_path / "report.json"
+        assert dispatch(
+            ["metrics", "--pred", str(stiff), "--target", str(stiff), "--dirs", "20",
+             "--seed", "3", "--out", str(out)]
+        ) == 0
+        manifest = read_manifest(out)
+        assert (manifest["command"], manifest["seed"]) == ("metrics", 3)
+        assert list(manifest["arguments"]) == [
+            "threads", "subcommand", "pred", "target", "dirs", "seed", "out"
+        ]
+
+    def test_optimize(self, catalogue_path, stiff, tmp_path):
+        target = tmp_path / "target.jsonl"
+        target.write_text(open(stiff).readlines()[1])
+        out = tmp_path / "trace.json"
+        assert dispatch(
+            ["optimize", "--catalogue", str(catalogue_path), "--name", "bcc",
+             "--target", str(target), "--steps", "1", "--out", str(out)]
+        ) == 0
+        manifest = read_manifest(out)
+        assert (manifest["command"], manifest["seed"]) == ("optimize", 0)
+        assert list(manifest["arguments"]) == [
+            "threads", "subcommand", "catalogue", "name", "target", "steps", "lr", "plain",
+            "material", "out",
+        ]
 
 
 def run_module(module: str, *argv: str) -> subprocess.CompletedProcess:

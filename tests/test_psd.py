@@ -203,6 +203,21 @@ class TestEquivariance:
         assert equivariance_defect(method, m, rp) == composed
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("method", sorted(MATRIX_METHODS, key=lambda m: m.value))
+    def test_does_not_check_a_mandel_matrix_again(self, monkeypatch, rng, method):
+        raw = random_symmetric_matrix(rng)
+        m = MandelMatrix(raw)
+        rp = mandel_rotation(sampling.random_rotation(21))
+        projected, defect = project(raw, method), equivariance_defect(method, raw, rp)
+        calls = []
+        check = MandelMatrix.__post_init__
+        monkeypatch.setattr(
+            MandelMatrix, "__post_init__", lambda self: calls.append(1) or check(self)
+        )
+        assert project(m, method).tobytes() == projected.tobytes()
+        assert equivariance_defect(method, m, rp) == defect
+        assert len(calls) == 0
+
     def test_cholesky_reassembly_not_equivariant(self):
         # Treat the 21 parameters as raw Mandel components: rotate the
         # symmetric matrix they fill, read its lower triangle back, and

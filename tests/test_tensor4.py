@@ -212,6 +212,14 @@ class TestMandel:
         assert to_mandel(t) is mt and len(calls) == 2
         assert not mt.entries.flags.writeable
 
+    def test_mandel_matrix_keeps_a_read_only_copy(self):
+        a = np.eye(6)
+        m = MandelMatrix(a)
+        a[0, 1] = 1.0  # the caller's array stays writeable and apart
+        assert m.entries[0, 1] == 0.0
+        assert not m.entries.flags.writeable
+        assert to_mandel(from_mandel(m)).entries.tobytes() == np.eye(6).tobytes()
+
     def test_components_are_a_read_only_copy(self, rng):
         raw = random_symmetric_tensor4(rng)
         before = raw.copy()
