@@ -6,7 +6,8 @@ seeded perturbed realizations of each multi-node cell to a catalogue in a
 temporary directory, then runs the CLI in-process on it: ``homogenize``
 with ``--surface``, ``surface``, ``rotate`` on stiffness records and on the
 catalogue, ``perturb``, ``psd-project`` with each matrix method and with
-``--eig-map exp``, ``metrics`` and a five-step ``optimize``.  Prints
+``--eig-map exp``, ``metrics`` to a file and to stdout (whose report is
+saved as ``metrics.stdout.json``) and a five-step ``optimize``.  Prints
 ``sha256  name`` for each output file.  A manifest is hashed without its
 ``started`` and ``finished`` timestamps and with the temporary directory
 written as ``<tmp>``, so that it too hashes the same on every run.  Run it
@@ -36,13 +37,15 @@ from latmech.lattice import (
 )
 
 
-def run(*argv: str) -> None:
-    """``latmech argv`` in-process; its stderr is shown only if it fails."""
-    stderr = StringIO()
-    with contextlib.redirect_stderr(stderr):
+def run(*argv: str) -> str:
+    """``latmech argv`` in-process; returns its stdout, and shows its stderr
+    only if it fails."""
+    stdout, stderr = StringIO(), StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = dispatch(list(argv))
     if code != 0:
         sys.exit(f"latmech {' '.join(argv)} exited {code}:\n{stderr.getvalue()}")
+    return stdout.getvalue()
 
 
 def write_outputs(out: str) -> None:
@@ -74,6 +77,10 @@ def write_outputs(out: str) -> None:
         "--out", path("psd-eigclamp-exp.jsonl"))
     run("metrics", "--pred", path("rotated.jsonl"), "--target", stiff, "--dirs", "100",
         "--seed", "6", "--out", path("metrics.json"))
+    report = run("metrics", "--pred", path("rotated.jsonl"), "--target", stiff, "--dirs", "100",
+                 "--seed", "6")
+    with open(path("metrics.stdout.json"), "w", encoding="utf-8") as fh:
+        fh.write(report)
 
     target = [raw for _m, raw in io.read_stiffness_records(stiff) if raw["name"] == "bcc_l0.05_r0"]
     io.write_stiffness_records(path("target.jsonl"), target[:1])

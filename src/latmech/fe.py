@@ -48,7 +48,14 @@ from itertools import accumulate
 import numpy as np
 
 from .lattice import Lattice, _cut_chains, _strut_vectors, window
-from .tensor4 import SLOT_PAIRS, ElasticTensor4, MandelMatrix, from_mandel, from_mandel_vector
+from .tensor4 import (
+    SLOT_PAIRS,
+    ElasticTensor4,
+    MandelMatrix,
+    _unit_dyads,
+    from_mandel,
+    from_mandel_vector,
+)
 
 _PIVOT_REL_TOL = 1e-12
 # A chunk closes before its struts would pass this many.  On the benchmark
@@ -138,8 +145,7 @@ def beam_stiffness(length: float, radius: float, axis, mat: BeamMaterial) -> np.
     if not radius > 0.0:
         raise ValueError("beam radius must be positive")
     axis = np.asarray(axis, dtype=float)
-    if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
-        raise ValueError("beam axis must be a unit vector")
+    _unit_dyads([axis])  # the unit rule of every direction
     k, _dk = _beam_kernel(length * axis[None, :], _strut_sections([radius], [1]), mat)
     return k[0]
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import sampling
 from .tensor4 import check_rotation
 
-_EDGE_LENGTH_TOL = 1e-9
+_EDGE_LENGTH_TOL = 1e-9  # in units of det(A)^(1/3)
 _BOUNDARY_TOL = 1e-9
 
 
@@ -55,7 +55,8 @@ class Lattice:
         edges = np.asarray(self.edges, dtype=int).reshape(-1, 5)
         if cell.shape != (3, 3) or not np.all(np.isfinite(cell)):
             raise ValueError(f"lattice {self.name!r}: cell must be a finite 3x3 matrix")
-        if np.linalg.det(cell) <= 1e-12:
+        volume = np.linalg.det(cell)
+        if volume <= 1e-12 * math.prod(math.hypot(*column) for column in cell.T.tolist()):
             raise ValueError(f"lattice {self.name!r}: cell must have positive determinant")
         if nodes.shape[0] == 0:
             raise ValueError(f"lattice {self.name!r}: needs at least one node")
@@ -85,7 +86,7 @@ class Lattice:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "radius", float(self.radius))
         lengths = np.linalg.norm(edge_matrix(self), axis=1) if edges.size else np.array([])
-        if lengths.size and lengths.min() <= _EDGE_LENGTH_TOL:
+        if lengths.size and lengths.min() <= _EDGE_LENGTH_TOL * np.cbrt(volume):
             bad = int(np.argmin(lengths))
             raise ValueError(
                 f"lattice {self.name!r}: edge {bad} has near-zero length {lengths.min():.3e}"

@@ -9,7 +9,7 @@ predictor is from commuting with rigid rotations of its input lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,7 +21,6 @@ from .tensor4 import (
     MandelMatrix,
     _dyad_moduli,
     _unit_dyads,
-    directional_moduli,
     rotate,
     to_mandel,
 )
@@ -32,17 +31,21 @@ NEGATIVE_EIG_REL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """Deterministic set of unit directions on the sphere."""
+    """Deterministic, nonempty set of unit directions on the sphere.
+
+    It owns a read-only copy of ``directions``, checked once, and keeps
+    their Mandel dyads, the table every metric contracts against."""
 
     directions: np.ndarray
     seed: int
+    _dyads: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = np.asarray(self.directions, dtype=float)
-        if d.ndim != 2 or d.shape[1] != 3:
-            raise ValueError("directions must be an (n, 3) array")
-        if d.size and np.abs(np.linalg.norm(d, axis=1) - 1.0).max() > 1e-12:
-            raise ValueError("directions must be unit length")
+        d = np.array(self.directions, dtype=float)
+        d.setflags(write=False)
+        object.__setattr__(self, "_dyads", _unit_dyads(d))
+        if not len(d):
+            raise ValueError("a direction set needs at least one direction")
         object.__setattr__(self, "directions", d)
 
     @property
@@ -63,11 +66,9 @@ class MetricReport:
     l_equiv: float | None = None
 
     def __post_init__(self):
-        for name in ("l_comp", "l_dir", "l_dir_rel", "negative_eig_fraction"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.l_equiv is not None and self.l_equiv < 0.0:
-            raise ValueError("l_equiv must be nonnegative")
+        for name, value in self.as_dict().items():
+            if not (name == "l_equiv" and value is None or 0.0 <= value < np.inf):
+                raise ValueError(f"{name} must be finite and nonnegative")
 
     def as_dict(self) -> dict:
         return {
@@ -109,8 +110,7 @@ def l_dir(
     pred: ElasticTensor4, target: ElasticTensor4, dirs: DirectionSet
 ) -> tuple[float, float]:
     """Mean absolute directional-stiffness deviation, raw and target-relative."""
-    dyads = _unit_dyads(dirs.directions)
-    values = _dyad_moduli(pred, dyads) - _dyad_moduli(target, dyads)
+    values = _dyad_moduli(pred, dirs._dyads) - _dyad_moduli(target, dirs._dyads)
     raw = float(np.mean(np.abs(values)))
     gamma = target_mean_square(to_mandel(target))
     if gamma == 0.0:
@@ -144,14 +144,12 @@ def l_equiv(
             raise RuntimeError(f"predictor failed on lattice {lat.name!r}: {exc}") from exc
 
     base = [prediction(lat) for lat in lattices]
-    dyads = _unit_dyads(dirs.directions)
     total = 0.0
     for lat, base_prediction in zip(lattices, base):
         for r in rotations:
-            r = np.asarray(r, dtype=float)
             reference = rotate(base_prediction, r)
             rotated = prediction(rotate_lattice(lat, r))
-            values = _dyad_moduli(reference, dyads) - _dyad_moduli(rotated, dyads)
+            values = _dyad_moduli(reference, dirs._dyads) - _dyad_moduli(rotated, dirs._dyads)
             total += float(np.mean(np.abs(values)))
     return total / (len(lattices) * len(rotations))
 
@@ -179,5 +177,4 @@ def negative_modulus_penalty(
     c: ElasticTensor4, dirs: DirectionSet, multiplier: float
 ) -> float:
     """Mean hinge penalty ``k * relu(-c_q)`` on directional stiffness samples."""
-    values = directional_moduli(c, dirs.directions)
-    return float(multiplier * np.mean(np.maximum(-values, 0.0)))
+    return float(multiplier * np.mean(np.maximum(-_dyad_moduli(c, dirs._dyads), 0.0)))

@@ -36,7 +36,7 @@ from .lattice import Lattice, _folded, displace_nodes
 from .metrics import l_comp
 from .tensor4 import ElasticTensor4, MandelMatrix, to_mandel
 
-MIN_EDGE_LENGTH = 1e-3
+MIN_EDGE_LENGTH = 1e-3  # in units of det(A)^(1/3) of the base cell
 GRADIENT_STOP = 1e-8
 MAX_HALVINGS = 20
 # Found on the tessellated simple-cubic demo: large because the component
@@ -194,6 +194,7 @@ def solve(
     lat, radius = prob.base, prob.base.radius
     target = to_mandel(prob.target)
     nodes, edges, cell = lat.nodes, lat.edges, _fundamental_cell(lat)
+    min_length = MIN_EDGE_LENGTH * np.cbrt(cell.volume)
     current, solution = _evaluate(cell, radius, target, mat)
     history = [current]
     solves = 1
@@ -210,7 +211,7 @@ def solve(
         for _halving in range(MAX_HALVINGS + 1):
             moved = _moved(cell, lat.cell, nodes, edges, step * direction)
             candidate = moved[2]
-            if np.linalg.norm(candidate.vectors, axis=1).min(initial=np.inf) < MIN_EDGE_LENGTH:
+            if np.linalg.norm(candidate.vectors, axis=1).min(initial=np.inf) < min_length:
                 step *= 0.5
                 continue
             value, candidate_solution = _evaluate(candidate, radius, target, mat)

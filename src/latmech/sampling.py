@@ -29,14 +29,18 @@ def keyed_generator(seed: int, domain: int, index: int = 0) -> np.random.Generat
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def unit_vector(seed: int, index: int, domain: int = DOMAIN_PERTURBATION) -> np.ndarray:
-    """One uniformly random unit 3-vector from stream ``(seed, domain, index)``."""
-    rng = keyed_generator(seed, domain, index)
+def _unit_draw(rng: np.random.Generator, size: int) -> np.ndarray:
+    """A normalized standard-normal ``size``-vector; one of norm <= 1e-12 is redrawn."""
     while True:
-        v = rng.standard_normal(3)
+        v = rng.standard_normal(size)
         norm = np.linalg.norm(v)
         if norm > 1e-12:
             return v / norm
+
+
+def unit_vector(seed: int, index: int, domain: int = DOMAIN_PERTURBATION) -> np.ndarray:
+    """One uniformly random unit 3-vector from stream ``(seed, domain, index)``."""
+    return _unit_draw(keyed_generator(seed, domain, index), 3)
 
 
 def unit_directions(n: int, seed: int) -> np.ndarray:
@@ -57,14 +61,7 @@ def unit_directions(n: int, seed: int) -> np.ndarray:
 
 def random_rotation(seed: int, index: int = 0) -> np.ndarray:
     """Uniformly random proper rotation (unit-quaternion method)."""
-    rng = keyed_generator(seed, DOMAIN_ROTATION, index)
-    while True:
-        q = rng.standard_normal(4)
-        norm = np.linalg.norm(q)
-        if norm > 1e-12:
-            q /= norm
-            break
-    w, x, y, z = q
+    w, x, y, z = _unit_draw(keyed_generator(seed, DOMAIN_ROTATION, index), 4)
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],

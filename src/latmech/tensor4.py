@@ -44,6 +44,7 @@ _MANDEL_ROTATION_DIVISORS[3:, 3:] = 1.0
 _VOIGT_ROTATION_DIVISORS = np.where(_I6 < 3, 2.0, 1.0)
 
 ROTATION_TOL = 1e-10
+UNIT_TOL = 1e-12  # largest |1 - |d|| of a unit direction or beam axis
 
 # The contraction order numpy's greedy search picks for :func:`rotate`,
 # fixed so that each call skips the search, which costs more than the
@@ -330,11 +331,7 @@ def rotate_mandel(m: MandelMatrix, rp: RotationPair) -> MandelMatrix:
 
 def directional_modulus(c: ElasticTensor4, d) -> float:
     """Stiffness along unit direction d: C_ijkl d_i d_j d_k d_l."""
-    d = np.asarray(d, dtype=float)
-    if d.shape != (3,):
-        raise ValueError("direction must be a 3-vector")
-    if abs(np.linalg.norm(d) - 1.0) > 1e-10:
-        raise ValueError(f"direction must be unit length, |d| = {np.linalg.norm(d):.12g}")
+    _unit_dyads([d])  # d must be one unit 3-vector
     return float(np.einsum("ijkl,i,j,k,l->", c.components, d, d, d, d))
 
 
@@ -344,14 +341,15 @@ def directional_moduli(c: ElasticTensor4, directions) -> np.ndarray:
 
 
 def _unit_dyads(directions) -> np.ndarray:
-    """Mandel vectors of ``d (x) d`` for an ``(n, 3)`` array of unit directions,
-    which are checked; one table serves any number of tensors."""
+    """Mandel vectors of ``d (x) d`` for an ``(n, 3)`` array of directions, each
+    checked to lie within :data:`UNIT_TOL` of unit length: the one check of every
+    direction and beam axis.  One table serves any number of tensors."""
     d = np.asarray(directions, dtype=float)
     if d.ndim != 2 or d.shape[1] != 3:
         raise ValueError("directions must be an (n, 3) array")
-    norms = np.linalg.norm(d, axis=1)
-    if np.abs(norms - 1.0).max(initial=0.0) > 1e-10:
-        raise ValueError("all directions must be unit length")
+    off = np.abs(np.linalg.norm(d, axis=1) - 1.0).max(initial=0.0)
+    if not off <= UNIT_TOL:
+        raise ValueError(f"directions must be unit length, |1 - |d|| = {off:.3e}")
     return _WEIGHTS * d[:, _PAIR_I] * d[:, _PAIR_J]
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -355,6 +356,23 @@ class TestMetrics:
         assert dispatch(
             ["metrics", "--pred", str(stiff), "--target", str(short)]
         ) == 1
+
+    def test_no_directions_is_an_error_not_a_nan_report(self, catalogue_path, tmp_path, capsys):
+        stiff = tmp_path / "stiff.jsonl"
+        dispatch(
+            ["homogenize", "--catalogue", str(catalogue_path), "--radius", "0.05",
+             "--out", str(stiff)]
+        )
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = dispatch(
+                ["metrics", "--pred", str(stiff), "--target", str(stiff), "--dirs", "0"]
+            )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "direction" in captured.err
 
 
 class TestPerturbCommand:

@@ -44,6 +44,7 @@ from latmech.tensor4 import (
     from_mandel,
     from_mandel_vector,
     kelvin_spectrum,
+    relative_defect,
     rotate,
     to_mandel,
 )
@@ -442,6 +443,13 @@ class TestHomogenize:
             math.pi * 0.05**2, rel=1e-6
         )
         assert res.residual < 1e-8
+
+    @pytest.mark.parametrize("a", [1e-3, 1e-5])
+    def test_small_cell_gives_the_unit_cell_stiffness(self, a):
+        # the stiffness of a lattice scaled with its struts does not depend on the scale
+        unit = homogenize(simple_cubic(radius=0.05)).stiffness.components
+        small = homogenize(simple_cubic(radius=0.05 * a, a=a)).stiffness.components
+        assert relative_defect(unit, small) < 1e-12
 
     def test_raw_mandel_symmetric_without_postprocessing(self, catalogue_lattices):
         for lat in catalogue_lattices:

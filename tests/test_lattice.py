@@ -180,6 +180,16 @@ class TestLatticeInvariants:
         with pytest.raises(ValueError, match="radius"):
             simple_cubic(radius=-0.1)
 
+    @pytest.mark.parametrize("a", [1e-5, 1.0, 1e4])
+    def test_cell_verdicts_do_not_depend_on_scale(self, a):
+        assert simple_cubic(radius=0.05 * a, a=a).cell[0, 0] == a
+        flat = a * np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1e-13]])
+        with pytest.raises(ValueError, match="positive determinant"):
+            Lattice("flat", flat, [[0.5, 0.5, 0.5]], [[0, 0, 1, 0, 0]], 0.05 * a)
+        nodes = [[0.5, 0.5, 0.5], [0.5 + 1e-10, 0.5, 0.5]]
+        with pytest.raises(ValueError, match="near-zero length"):
+            Lattice("short", a * np.eye(3), nodes, [[0, 1, 0, 0, 0]], 0.05 * a)
+
 
 class TestWindow:
     def test_simple_cubic_split(self):

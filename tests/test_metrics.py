@@ -272,6 +272,15 @@ class TestReport:
         with pytest.raises(ValueError):
             MetricReport(l_comp=-1.0, l_dir=0, l_dir_rel=0, negative_eig_fraction=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "name", ["l_comp", "l_dir", "l_dir_rel", "negative_eig_fraction", "l_equiv"]
+    )
+    def test_rejects_non_finite_fields(self, name, value):
+        fields = dict(l_comp=1.0, l_dir=1.0, l_dir_rel=0.1, negative_eig_fraction=0.0)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            MetricReport(**dict(fields, **{name: value}))
+
     def test_optional_equiv(self):
         report = MetricReport(l_comp=1.0, l_dir=1.0, l_dir_rel=0.1, negative_eig_fraction=0.0)
         assert report.l_equiv is None
@@ -290,6 +299,27 @@ def unit_directions_one_row_at_a_time(n, seed, generator=None):
                 out[q] = v / norm
                 break
     return out
+
+
+def unit_draw_one_at_a_time(rng, size):
+    """Reference draw: redraw a normal ``size``-vector until its norm exceeds
+    1e-12, then normalize it."""
+    while True:
+        v = rng.standard_normal(size)
+        norm = np.linalg.norm(v)
+        if norm > 1e-12:
+            return v / norm
+
+
+def rotation_of_quaternion(q):
+    w, x, y, z = q
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ]
+    )
 
 
 class ScriptedNormals:
@@ -326,6 +356,30 @@ class TestDirectionSet:
         np.testing.assert_array_equal(sampling.unit_directions(8, 0), expected)
         np.testing.assert_array_equal(expected[1], values[6:9] / np.linalg.norm(values[6:9]))
 
+    def test_rejects_an_empty_set(self):
+        with pytest.raises(ValueError, match="at least one direction"):
+            DirectionSet.sample(0, seed=1)
+
+    @pytest.mark.parametrize("directions", [[[1.0, 0.0]], [[1.0, 1.0, 0.0]], [[math.nan] * 3]])
+    def test_rejects_non_unit_rows(self, directions):
+        with pytest.raises(ValueError, match="directions must be"):
+            DirectionSet(np.array(directions), seed=0)
+
+    def test_owns_a_read_only_copy(self, rng):
+        pred = ElasticTensor4(random_symmetric_tensor4(rng))
+        target = ElasticTensor4(random_symmetric_tensor4(rng))
+        directions = sampling.unit_directions(40, seed=3)
+        dirs = DirectionSet(directions, seed=3)
+        before = l_dir(pred, target, dirs)
+        directions[:] = directions[::-1] * -1.0
+        directions[0] = [1.0, 0.0, 0.0]
+        assert l_dir(pred, target, dirs) == before
+        assert negative_modulus_penalty(pred, dirs, 1.0) == negative_modulus_penalty(
+            pred, DirectionSet.sample(40, seed=3), 1.0
+        )
+        with pytest.raises(ValueError):
+            dirs.directions[0, 0] = 0.0
+
     def test_count_is_row_count(self):
         dirs = DirectionSet.sample(17, seed=2)
         assert dirs.n == 17
@@ -342,3 +396,35 @@ class TestDirectionSet:
 
     def test_default_count(self):
         assert DirectionSet.sample().n == 250
+
+
+class TestUnitDraws:
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_unit_vector_matches_one_draw_at_a_time(self, seed):
+        for index in range(20):
+            for domain in (sampling.DOMAIN_PERTURBATION, sampling.DOMAIN_DIRECTION):
+                rng = sampling.keyed_generator(seed, domain, index)
+                expected = unit_draw_one_at_a_time(rng, 3)
+                actual = sampling.unit_vector(seed, index, domain)
+                assert actual.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_random_rotation_matches_one_draw_at_a_time(self, seed):
+        for index in range(20):
+            rng = sampling.keyed_generator(seed, sampling.DOMAIN_ROTATION, index)
+            expected = rotation_of_quaternion(unit_draw_one_at_a_time(rng, 4))
+            assert sampling.random_rotation(seed, index).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_short_draws_are_redrawn(self, monkeypatch, rng, size):
+        values = rng.standard_normal(3 * size)
+        values[:size] = 0.0  # the first draw is rejected
+        values[size : 2 * size] = 1e-14  # and so is the second, of norm below 1e-12
+        monkeypatch.setattr(sampling, "keyed_generator", lambda *key: ScriptedNormals(values))
+        third = values[2 * size :] / np.linalg.norm(values[2 * size :])
+        assert unit_draw_one_at_a_time(ScriptedNormals(values), size).tobytes() == third.tobytes()
+        if size == 3:
+            assert sampling.unit_vector(0, 0).tobytes() == third.tobytes()
+        else:
+            expected = rotation_of_quaternion(third)
+            assert sampling.random_rotation(0, 0).tobytes() == expected.tobytes()

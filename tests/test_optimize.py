@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ def reference_solve(prob: DesignProblem) -> tuple[list, Lattice, int]:
     """The descent loop of :func:`solve` built from public functions, with a
     lattice per candidate: ``(objective_history, final_lattice, solves)``."""
     lat = prob.base
+    min_length = optimize.MIN_EDGE_LENGTH * np.cbrt(np.linalg.det(lat.cell))
     history = [objective(lat, prob.target)]
     solves = 1
     for _ in range(prob.max_steps):
@@ -44,7 +47,7 @@ def reference_solve(prob: DesignProblem) -> tuple[list, Lattice, int]:
         step, accepted = prob.step_size, None
         for _halving in range(optimize.MAX_HALVINGS + 1):
             candidate = displace_nodes(lat, step * direction)
-            if edge_lengths(candidate).min() < optimize.MIN_EDGE_LENGTH:
+            if edge_lengths(candidate).min() < min_length:
                 step *= 0.5
                 continue
             value = objective(candidate, prob.target)
@@ -285,7 +288,9 @@ class TestSolve:
         )
         shortest = [edge_lengths(t.final_lattice).min() for t in (full, half)]
         assert shortest[0] < shortest[1] < edge_lengths(lat).min()
-        monkeypatch.setattr(optimize, "MIN_EDGE_LENGTH", sum(shortest) / 2)
+        # the limit is in units of the cell's length scale det(A)^(1/3)
+        length_scale = np.cbrt(np.linalg.det(lat.cell))
+        monkeypatch.setattr(optimize, "MIN_EDGE_LENGTH", sum(shortest) / 2 / length_scale)
         halved = solve(DesignProblem(base=lat, target=target, max_steps=1, step_size=1000.0))
         assert halved.objective_history == half.objective_history
         np.testing.assert_array_equal(halved.final_lattice.nodes, half.final_lattice.nodes)
@@ -303,7 +308,8 @@ class TestSolve:
         )
         trace = solve(prob)
         halfway = displace_nodes(lat, 0.5 * direction)
-        assert edge_lengths(halfway).min() > optimize.MIN_EDGE_LENGTH
+        min_length = optimize.MIN_EDGE_LENGTH * np.cbrt(np.linalg.det(lat.cell))
+        assert edge_lengths(halfway).min() > min_length
         assert trace.objective_history == [objective(lat, target), objective(halfway, target)]
         assert trace.final_lattice.nodes.tobytes() == halfway.nodes.tobytes()
         assert trace.solves == 3
@@ -315,6 +321,21 @@ class TestSolve:
         trace = solve(DesignProblem(base=demo_lattice, target=target, max_steps=5))
         assert trace.objective_history == [objective(demo_lattice, target)]
         np.testing.assert_array_equal(trace.final_lattice.nodes, demo_lattice.nodes)
+
+    def test_collapse_guard_does_not_depend_on_scale(self, demo_lattice):
+        # scaling the cell and struts by a scales the loss gradient by 1/a, so
+        # a step size of 3e3 a^2 makes the same moves in units of the cell
+        traces = []
+        for a in (1.0, 1e-3):
+            lat = replace(demo_lattice, cell=demo_lattice.cell * a, radius=demo_lattice.radius * a)
+            prob = DesignProblem(
+                base=lat, target=scaled_y_target(lat), max_steps=3, step_size=3e3 * a * a
+            )
+            traces.append(solve(prob))
+        unit, small = traces
+        assert len(small.objective_history) == len(unit.objective_history) == 4
+        assert small.solves == unit.solves
+        np.testing.assert_allclose(small.objective_history, unit.objective_history, rtol=1e-9)
 
     def test_plain_mode_runs(self, demo_lattice):
         target = scaled_y_target(demo_lattice)

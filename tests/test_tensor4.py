@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latmech import sampling, tensor4
-from latmech.fe import homogenize
+from latmech.fe import BeamMaterial, beam_stiffness, homogenize
 from latmech.lattice import simple_cubic
+from latmech.metrics import DirectionSet
 from latmech.tensor4 import (
     SLOT_PAIRS,
+    UNIT_TOL,
     ElasticTensor4,
     KelvinSpectrum,
     MandelMatrix,
@@ -682,3 +684,38 @@ def test_property_mandel_check_verdicts_match_two_passes(seed, log_scale, case, 
             with pytest.raises(ValueError) as raised:
                 MandelMatrix(m)
             assert str(raised.value) == expected
+
+
+def _accepts(check, *args) -> bool:
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    offsets=st.lists(
+        st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-14.0, -9.0)), min_size=1, max_size=5
+    ),
+)
+def test_property_every_unit_check_gives_one_verdict(seed, offsets):
+    # rows off unit length by +-1e-14...1e-9, on both sides of UNIT_TOL
+    scale = np.array([1.0 + sign * 10.0**log_offset for sign, log_offset in offsets])
+    d = sampling.unit_directions(len(offsets), seed=seed % 1000) * scale[:, None]
+    c = ElasticTensor4.isotropic(1.0, 1.0)
+    rows = [
+        {
+            _accepts(DirectionSet, row[None, :], 0),
+            _accepts(directional_moduli, c, row[None, :]),
+            _accepts(directional_modulus, c, row),
+            _accepts(beam_stiffness, 1.0, 0.05, row, BeamMaterial()),
+        }
+        for row in d
+    ]
+    assert all(len(verdicts) == 1 for verdicts in rows)
+    whole = all(verdict for (verdict,) in rows)
+    assert _accepts(DirectionSet, d, 0) == _accepts(directional_moduli, c, d) == whole
+    assert whole == bool(np.abs(np.linalg.norm(d, axis=1) - 1.0).max() <= UNIT_TOL)
