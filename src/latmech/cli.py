@@ -26,7 +26,8 @@ from . import __version__, io, metrics, optimize, psd, sampling
 from .fe import BeamMaterial, homogenize_batch
 from .lattice import perturbed_realizations, rotate_lattice
 from .tensor4 import (
-    directional_moduli,
+    _dyad_moduli,
+    _unit_dyads,
     from_mandel,
     mandel_rotation,
     rotate_mandel,
@@ -124,6 +125,7 @@ def _cmd_homogenize(args) -> int:
     records = []
     surface_blocks = []
     directions = sampling.unit_directions(args.surface, args.seed)
+    dyads = _unit_dyads(directions)  # one table for every item
     failures = 0
     for item in items:
         if item.error is not None:
@@ -148,7 +150,7 @@ def _cmd_homogenize(args) -> int:
         )
         if args.surface:
             label = f"{item.name}\t{io.format_float(item.radius)}\t"
-            surface_blocks.append((label, directional_moduli(result.stiffness, directions)))
+            surface_blocks.append((label, _dyad_moduli(result.stiffness, dyads)))
     io.write_stiffness_records(args.out, records)
     write_manifest(args.out)
     if args.surface:
@@ -167,7 +169,7 @@ def _cmd_surface(args) -> int:
     write_manifest = _manifest(args)
     matrix, _ = records[args.index]
     directions = sampling.unit_directions(args.n, args.seed)
-    moduli = directional_moduli(from_mandel(matrix), directions)
+    moduli = _dyad_moduli(from_mandel(matrix), _unit_dyads(directions))
     _write_surface(args.out, "", directions, [("", moduli)])
     write_manifest(args.out)
     return 0

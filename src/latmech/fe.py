@@ -35,19 +35,20 @@ stored, and no n x n matrix is built unless a solve fails.  Each problem
 is then factored by LAPACK's banded Cholesky (``dpbtrf``/``dpbtrs``),
 checked and contracted on views of those buffers.  Mixed topologies share
 a chunk, and each problem's numbers are those of solving it alone, bit
-for bit.
+for bit.  A design run moves a cell's geometry (:func:`_moved`) and takes
+the node gradient of a solved cell's stiffness (:func:`_stiffness_gradient`).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
 
-from .lattice import Lattice, _cut_chains, _strut_vectors, window
+from .lattice import Lattice, _cut_chains, _folded, _strut_vectors, window
 from .tensor4 import (
     SLOT_PAIRS,
     ElasticTensor4,
@@ -140,14 +141,13 @@ def beam_stiffness(length: float, radius: float, axis, mat: BeamMaterial) -> np.
     makes the result independent of the choice of transverse axes; this is
     one element of the batched closed form :func:`_beam_kernel`.
     """
-    if not length > 0.0:
-        raise ValueError("beam length must be positive")
-    if not radius > 0.0:
-        raise ValueError("beam radius must be positive")
+    if not 0.0 < length < math.inf:
+        raise ValueError("beam length must be positive and finite")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("beam radius must be positive and finite")
     axis = np.asarray(axis, dtype=float)
     _unit_dyads([axis])  # the unit rule of every direction
-    k, _dk = _beam_kernel(length * axis[None, :], _strut_sections([radius], [1]), mat)
-    return k[0]
+    return _beam_kernel(length * axis[None, :], _strut_sections([radius], [1]), mat)[0]
 
 
 def _strut_sections(radii, counts) -> np.ndarray:
@@ -270,10 +270,19 @@ def _singular_system(cell: _Cell, k_e: np.ndarray) -> SingularSystemError:
     return SingularSystemError(cell.name, max(null_dim, 1))
 
 
-def _beam_kernel(
-    vectors: np.ndarray, sections: np.ndarray, mat: BeamMaterial, derivative: bool = False
-):
-    """Element stiffness matrices for (E, 3) strut vectors v, tail to head.
+def _kernel_features(vectors: np.ndarray, sections: np.ndarray, mat: BeamMaterial):
+    """``(length, n, m, coeff, pair)`` of (E, 3) strut vectors, named as in ``_FEATURES``."""
+    length = np.linalg.norm(vectors, axis=1)
+    n = vectors / length[:, None]
+    m = np.concatenate([n, np.ones((len(n), 1))], axis=1)
+    e_mod, g_mod = mat.youngs_modulus, mat.shear_modulus
+    moduli = np.array([e_mod, g_mod, 12.0 * e_mod, 4.0 * e_mod, 2.0 * e_mod, 6.0 * e_mod])
+    coeff = moduli * sections[:, _COEFF_SECTION] / length[:, None] ** _COEFF_POWER
+    return length, n, m, coeff, m[:, _FEATURE_A] * m[:, _FEATURE_B]
+
+
+def _beam_kernel(vectors: np.ndarray, sections: np.ndarray, mat: BeamMaterial) -> np.ndarray:
+    """(E, 12, 12) element stiffness matrices for (E, 3) strut vectors v, tail to head.
 
     ``sections`` holds each strut's (area, inertia, torsion) row, as
     :func:`_strut_sections` makes them.
@@ -283,28 +292,21 @@ def _beam_kernel(
     (translation-rotation coupling), ``gj P + b4 Q`` and ``-gj P + b2 Q``
     (rotation), so no local frame is needed.  Each matrix is linear in 36
     per-strut features (see ``_FEATURES``), so the whole stack is one
-    product of the (E, 36) features with the fixed (36, 144) basis, and its
-    derivative is the product of d(features)/dv with the same basis.  The
+    product of the (E, 36) features with the fixed (36, 144) basis.  The
     products go through ``np.einsum`` rather than a BLAS matrix product:
     the threaded BLAS product slows the banded factorization that follows
     it.  Each basis matrix is symmetric and the features are summed in one
-    order, so every element matrix is exactly symmetric.  Returns
-    ``(k, dk)`` with k of shape (E, 12, 12); dk is the derivative with
-    respect to v, shape (E, 3, 12, 12), when ``derivative`` is set and None
-    otherwise.
+    order, so every element matrix is exactly symmetric.
     """
-    length = np.linalg.norm(vectors, axis=1)
-    n = vectors / length[:, None]
-    m = np.concatenate([n, np.ones((len(n), 1))], axis=1)
-    e_mod, g_mod = mat.youngs_modulus, mat.shear_modulus
-    moduli = np.array([e_mod, g_mod, 12.0 * e_mod, 4.0 * e_mod, 2.0 * e_mod, 6.0 * e_mod])
-    coeff = moduli * sections[:, _COEFF_SECTION] / length[:, None] ** _COEFF_POWER
-    pair = m[:, _FEATURE_A] * m[:, _FEATURE_B]
+    _length, _n, _m, coeff, pair = _kernel_features(vectors, sections, mat)
     features = coeff[:, _FEATURE_COEFF] * pair
-    k = np.einsum("ef,fk->ek", features, _KERNEL_BASIS).reshape(-1, 12, 12)
-    if not derivative:
-        return k, None
+    return np.einsum("ef,fk->ek", features, _KERNEL_BASIS).reshape(-1, 12, 12)
 
+
+def _beam_kernel_derivative(vectors: np.ndarray, sections: np.ndarray, mat: BeamMaterial):
+    """(E, 3, 12, 12) derivative of :func:`_beam_kernel` with respect to each
+    strut vector: the product of d(features)/dv with the same basis."""
+    length, n, m, coeff, pair = _kernel_features(vectors, sections, mat)
     # d coeff / dv_c = -power coeff n_c / L, and dm_i / dv_c = Q_ci / L
     # (zero for the padding), since dL/dv = n and dn/dv = Q / L.
     inv = 1.0 / length
@@ -314,8 +316,7 @@ def _beam_kernel(
     a, b, c = _FEATURE_A, _FEATURE_B, _FEATURE_COEFF
     dpair = dm[:, :, a] * m[:, None, b] + m[:, None, a] * dm[:, :, b]
     dfeatures = dcoeff[:, :, c] * pair[:, None] + coeff[:, None, c] * dpair
-    dk = np.einsum("ecf,fk->eck", dfeatures, _KERNEL_BASIS).reshape(-1, 3, 12, 12)
-    return k, dk
+    return np.einsum("ecf,fk->eck", dfeatures, _KERNEL_BASIS).reshape(-1, 3, 12, 12)
 
 
 @dataclass(frozen=True)
@@ -420,6 +421,14 @@ def _cell_geometry(cell: np.ndarray, nodes: np.ndarray, edges: np.ndarray):
     return np.stack([positions[edges[:, 0]], heads], axis=1), _strut_vectors(cell, nodes, edges)
 
 
+def _moved(cell: _Cell, lattice_cell: np.ndarray, nodes: np.ndarray, edges: np.ndarray, deltas):
+    """``(nodes, edges, cell)`` of a lattice's fields and cell problem after
+    :func:`displace_nodes` by ``deltas``, building no lattice."""
+    nodes, edges = _folded(lattice_cell, nodes, edges, deltas)
+    end_positions, vectors = _cell_geometry(lattice_cell, nodes, edges)
+    return nodes, edges, replace(cell, end_positions=end_positions, vectors=vectors)
+
+
 def _checked_density(name: str, radius: float, cell: _Cell | ValueError) -> float:
     """Relative density of ``cell`` at ``radius``, or the first error found.
 
@@ -489,7 +498,7 @@ def _solve_chunk(chunk, mat: BeamMaterial) -> list[tuple]:
     # buffers; the last entries are the buffer lengths
     band_starts = list(accumulate((top.band_size for top in tops), initial=0))
     rhs_starts = list(accumulate((36 * top.node_count for top in tops), initial=0))
-    k_e, _dk = _beam_kernel(
+    k_e = _beam_kernel(
         np.concatenate([cell.vectors for cell in cells]),
         _strut_sections([radius for _cell, radius in chunk], counts),
         mat,
@@ -583,6 +592,29 @@ def _solve_one(cell: _Cell, radius: float, mat: BeamMaterial) -> tuple[float, _C
     if isinstance(outcome, Exception):
         raise outcome
     return density, outcome
+
+
+def _stiffness_gradient(
+    cell: _Cell, solution: _CellSolution, radius: float, weight: np.ndarray, mat: BeamMaterial
+) -> np.ndarray:
+    """(N, 3) gradient of <C, W> at every node of a solved cell, for its
+    homogenized Mandel matrix C and a fixed (6, 6) Mandel weight W.
+
+    With D_e the solved total end displacements of element e, the
+    derivative with respect to its strut vector v_e is
+    ``<dK_e/dv_e, D_e W D_e^T> / V``; it is added to the head node and
+    subtracted from the tail node, so self-edges cancel.  The affine load
+    needs no term: moving a node shifts its affine displacement exactly as
+    a change of its free fluctuation would, and the solved fluctuations make
+    the energy stationary (the envelope theorem).  No solve happens here.
+    """
+    dk = _beam_kernel_derivative(cell.vectors, _strut_sections([radius], [len(cell.vectors)]), mat)
+    d = solution.displacements
+    per_edge = np.einsum("emij,eij->em", dk, d @ weight @ d.transpose(0, 2, 1)) / cell.volume
+    full = np.zeros((cell.topology.node_count, 3))
+    np.add.at(full, cell.topology.ends[:, 1], per_edge)
+    np.add.at(full, cell.topology.ends[:, 0], -per_edge)
+    return full
 
 
 def homogenize(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> HomogenizationResult:

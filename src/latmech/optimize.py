@@ -1,14 +1,14 @@
 """Gradient-based design of nodal positions toward a target stiffness.
 
-The objective is the component loss between the homogenized and target
-Mandel matrices.  Its gradient is exact and comes from the same cell
-solve as the objective value: at equilibrium the homogenized matrix is
-stationary in the nodal fluctuations, so only the explicit dependence of
-each element stiffness on its strut vector contributes (the envelope
-theorem; the adjoint of inverse homogenization).  :func:`fd_gradient`,
-central differences of the full homogenization, is the reference it is
-tested against.  The descent loop defaults to backtracking, so the
-objective history is nonincreasing.  Nodes move in transformed
+This module owns the loss and the descent loop.  The objective is the
+component loss L between the homogenized and target Mandel matrices, and
+its derivative dL/dC = 2 (C - T) is the weight that :mod:`fe` turns into
+node gradients: the cell problem, its moves and its sensitivity
+(:func:`fe._stiffness_gradient`, exact, from the same solve as the
+objective value) belong to :mod:`fe`.  :func:`fd_gradient`, central
+differences of the full homogenization, is the reference the exact
+gradient is tested against.  The descent loop defaults to backtracking,
+so the objective history is nonincreasing.  Nodes move in transformed
 coordinates with the cell held fixed.  A run builds one cell problem, for
 its base lattice, and each candidate moves that cell's geometry; a step
 that would collapse a strut below the minimum length is halved, and only
@@ -23,21 +23,18 @@ import numpy as np
 
 from .fe import (
     BeamMaterial,
-    _beam_kernel,
-    _Cell,
-    _cell_geometry,
-    _CellSolution,
     _fundamental_cell,
+    _moved,
     _solve_one,
-    _strut_sections,
+    _stiffness_gradient,
     homogenize,
 )
-from .lattice import Lattice, _folded, displace_nodes
+from .lattice import Lattice, displace_nodes
 from .metrics import l_comp
 from .tensor4 import ElasticTensor4, MandelMatrix, to_mandel
 
 MIN_EDGE_LENGTH = 1e-3  # in units of det(A)^(1/3) of the base cell
-GRADIENT_STOP = 1e-8
+GRADIENT_STOP = 1e-8  # of ||gradient|| det(A)^(1/3) / ||T||_F^2, free of units
 MAX_HALVINGS = 20
 # Found on the tessellated simple-cubic demo: large because the component
 # loss of slender lattices is O(rho^2) while coordinates are O(1).
@@ -81,9 +78,7 @@ class DesignTrace:
     solves: int
 
 
-def _evaluate(
-    cell: _Cell, radius: float, target: MandelMatrix, mat: BeamMaterial
-) -> tuple[float, _CellSolution]:
+def _evaluate(cell, radius: float, target: MandelMatrix, mat: BeamMaterial):
     """:func:`objective` of a cell problem at ``radius``, and its solution.
 
     The value goes through the same Mandel round trip as :func:`homogenize`,
@@ -126,32 +121,6 @@ def fd_gradient(
     return grad
 
 
-def _node_gradient(
-    cell: _Cell, solution: _CellSolution, radius: float, target: MandelMatrix, mat: BeamMaterial
-) -> np.ndarray:
-    """(N, 3) exact gradient of :func:`objective` at every node of a solved cell.
-
-    With G = 2 (C - T) in Mandel form and D_e the solved total end
-    displacements of element e, the derivative with respect to its strut
-    vector v_e is ``<dK_e/dv_e, D_e G D_e^T> / V``; it is added to the head
-    node and subtracted from the tail node, so self-edges cancel.  The
-    affine load needs no term: moving a node shifts its affine displacement
-    exactly as a change of its free fluctuation would, and the solved
-    fluctuations make the energy stationary.  No solve happens here.
-    """
-    sections = _strut_sections([radius], [len(cell.vectors)])
-    _k, dk = _beam_kernel(cell.vectors, sections, mat, derivative=True)
-    weight = 2.0 * (solution.mandel - target.entries)
-    d = solution.displacements
-    w = d @ weight @ d.transpose(0, 2, 1)
-    per_edge = np.einsum("emij,eij->em", dk, w)
-    per_edge /= cell.volume
-    full = np.zeros((cell.topology.node_count, 3))
-    np.add.at(full, cell.topology.ends[:, 1], per_edge)
-    np.add.at(full, cell.topology.ends[:, 0], -per_edge)
-    return full
-
-
 def gradient(
     lat: Lattice,
     target: ElasticTensor4,
@@ -161,20 +130,14 @@ def gradient(
     """:func:`objective` and its exact gradient per free node, from one solve.
 
     Returns the objective value and a transformed-coordinate 3-vector for
-    each index in ``free_nodes``; see :func:`_node_gradient` for the formula.
+    each index in ``free_nodes``: the gradient of <C, dL/dC> with dL/dC =
+    2 (C - T) held fixed, see :func:`fe._stiffness_gradient`.
     """
     cell, target = _fundamental_cell(lat), to_mandel(target)
     value, solution = _evaluate(cell, lat.radius, target, mat)
-    full = _node_gradient(cell, solution, lat.radius, target, mat)
+    weight = 2.0 * (solution.mandel - target.entries)
+    full = _stiffness_gradient(cell, solution, lat.radius, weight, mat)
     return value, {int(k): full[int(k)] for k in free_nodes}
-
-
-def _moved(cell: _Cell, lattice_cell: np.ndarray, nodes: np.ndarray, edges: np.ndarray, deltas):
-    """``(nodes, edges, cell)`` of a lattice's fields and cell problem after
-    :func:`displace_nodes` by ``deltas``, building no lattice."""
-    nodes, edges = _folded(lattice_cell, nodes, edges, deltas)
-    end_positions, vectors = _cell_geometry(lattice_cell, nodes, edges)
-    return nodes, edges, replace(cell, end_positions=end_positions, vectors=vectors)
 
 
 def solve(
@@ -185,26 +148,29 @@ def solve(
     Each candidate is one move of the base lattice's cell problem, solved
     once: the solve that gives its objective value also gives the exact
     gradient of the next step.  Stops at ``max_steps`` or when the gradient
-    norm falls below 1e-8.  A step that would collapse a strut, or with
-    backtracking increase the objective, halves the step size, up to 20
-    times; if no acceptable step remains the loop terminates.  Only the
-    final nodes become a :class:`Lattice`.  ``threads`` is accepted and
-    ignored: the loop runs serially.
+    norm times det(A)^(1/3) is at most ``GRADIENT_STOP`` times the squared
+    norm of the target's Mandel matrix, a test free of the length unit and
+    the modulus.  A step that would collapse a strut, or with backtracking
+    increase the objective, halves the step size, up to 20 times; if no
+    acceptable step remains the loop terminates.  Only the final nodes
+    become a :class:`Lattice`.  ``threads`` is accepted and ignored.
     """
     lat, radius = prob.base, prob.base.radius
     target = to_mandel(prob.target)
     nodes, edges, cell = lat.nodes, lat.edges, _fundamental_cell(lat)
-    min_length = MIN_EDGE_LENGTH * np.cbrt(cell.volume)
+    length_scale = np.cbrt(cell.volume)
+    min_length = MIN_EDGE_LENGTH * length_scale
+    stop = GRADIENT_STOP * float(np.sum(target.entries**2))
     current, solution = _evaluate(cell, radius, target, mat)
     history = [current]
     solves = 1
     fixed = np.setdiff1d(np.arange(lat.node_count), prob.free_nodes)
 
     for _ in range(prob.max_steps):
-        direction = -_node_gradient(cell, solution, radius, target, mat)
+        weight = 2.0 * (solution.mandel - target.entries)
+        direction = -_stiffness_gradient(cell, solution, radius, weight, mat)
         direction[fixed] = 0.0
-        grad_norm = float(np.linalg.norm(direction))
-        if grad_norm < GRADIENT_STOP:
+        if np.linalg.norm(direction) * length_scale <= stop:
             break
 
         step = prob.step_size

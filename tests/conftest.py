@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from latmech import sampling
-from latmech.lattice import body_centred_cubic, diamond, simple_cubic
+from latmech.lattice import Lattice, body_centred_cubic, diamond, perturb, simple_cubic, tessellate
+
+# a shear of the cell, for cells that are not orthogonal
+SKEW = np.array([[1.0, 0.3, -0.2], [0.0, 0.9, 0.25], [0.1, 0.0, 1.1]])
 
 
 def random_symmetric_tensor4(rng) -> np.ndarray:
@@ -11,6 +16,15 @@ def random_symmetric_tensor4(rng) -> np.ndarray:
     minor = (raw + raw.transpose(1, 0, 2, 3) + raw.transpose(0, 1, 3, 2)
              + raw.transpose(1, 0, 3, 2)) / 4.0
     return (minor + minor.transpose(2, 3, 0, 1)) / 2.0
+
+
+def perturbed_cell(base, n: int, level: float, seed: int, skewed: bool) -> Lattice:
+    """``base()`` tessellated ``n`` times, sheared by ``SKEW`` if ``skewed``, and
+    perturbed by ``level`` unless it has a single node."""
+    lat = tessellate(base(), n)
+    if skewed:
+        lat = replace(lat, cell=SKEW @ lat.cell)
+    return perturb(lat, level, seed) if lat.node_count >= 2 else lat
 
 
 def random_symmetric_matrix(rng, n: int = 6) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import latmech
-from latmech import io, sampling
+from latmech import cli, io, sampling
 from latmech.cli import dispatch
 from latmech.fe import homogenize
 from latmech.lattice import body_centred_cubic, diamond, simple_cubic
@@ -202,6 +202,25 @@ class TestHomogenize:
             ) == 0
             body = table.read_text().splitlines()[1:]
             assert ["\t".join(cols[2:]) for cols in block] == body
+
+    def test_surface_builds_one_dyad_table(self, catalogue_path, tmp_path, monkeypatch):
+        # the directions are checked and turned into dyads once per command,
+        # not once per stiffness
+        built = []
+        unit_dyads = cli._unit_dyads
+
+        def counting(directions):
+            built.append(len(directions))
+            return unit_dyads(directions)
+
+        monkeypatch.setattr(cli, "_unit_dyads", counting)
+        out = tmp_path / "stiff.jsonl"
+        assert dispatch(
+            ["homogenize", "--catalogue", str(catalogue_path), "--radius", "0.05",
+             "--radius", "0.08", "--surface", "23", "--seed", "6", "--out", str(out)]
+        ) == 0
+        assert len(read_lines(out)) == 6
+        assert built == [23]
 
     def test_rerun_bit_identical(self, catalogue_path, tmp_path):
         a = tmp_path / "a.jsonl"

@@ -14,12 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-from latmech import fe, lattice, optimize, sampling
+from latmech import fe, lattice, sampling
 from latmech.fe import (
     BeamMaterial,
     DisconnectedLatticeError,
     SingularSystemError,
     _beam_kernel,
+    _beam_kernel_derivative,
     _strut_sections,
     beam_stiffness,
     homogenize,
@@ -48,6 +49,8 @@ from latmech.tensor4 import (
     rotate,
     to_mandel,
 )
+
+from conftest import perturbed_cell
 
 
 def block_rotation(r: np.ndarray) -> np.ndarray:
@@ -170,7 +173,7 @@ def dense_cell_system(ends, end_positions, vectors, node_count, radius):
     """Element matrices, element dofs, affine end displacements, and the dense
     stiffness matrix and right-hand sides of one cell problem in its own node
     numbering."""
-    k_e, _dk = _beam_kernel(vectors, _strut_sections([radius], [len(vectors)]), BeamMaterial())
+    k_e = _beam_kernel(vectors, _strut_sections([radius], [len(vectors)]), BeamMaterial())
     n_dof = 6 * node_count
     dofs = (6 * np.asarray(ends)[:, :, None] + np.arange(6)).reshape(-1, 12)
     d_aff = np.zeros((len(dofs), 2, 6, 6))
@@ -344,6 +347,11 @@ class TestBeamStiffness:
             beam_stiffness(0.0, 0.05, [1, 0, 0], BeamMaterial())
         with pytest.raises(ValueError):
             beam_stiffness(1.0, -0.05, [1, 0, 0], BeamMaterial())
+        # an infinite size passes "> 0" and would give a non-finite matrix
+        with pytest.raises(ValueError, match="length must be positive and finite"):
+            beam_stiffness(math.inf, 0.1, [1, 0, 0], BeamMaterial())
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            beam_stiffness(1.0, math.inf, [1, 0, 0], BeamMaterial())
 
 
 # Axis z-components near 0.9 are where the local-frame reference switches
@@ -380,8 +388,7 @@ def axis_examples(test):
 def test_property_kernel_matches_local_frame_reference(nz, azimuth, length, radius):
     mat = BeamMaterial(1.7, 0.27)
     v = _strut_vector(nz, azimuth, length)
-    k, dk = _beam_kernel(v[None], _strut_sections([radius], [1]), mat)
-    assert dk is None
+    k = _beam_kernel(v[None], _strut_sections([radius], [1]), mat)
     assert np.array_equal(k[0], k[0].T)
     reference = local_frame_beam_stiffness(length, radius, v / np.linalg.norm(v), mat)
     np.testing.assert_allclose(k[0], reference, rtol=0, atol=1e-13 * np.abs(reference).max())
@@ -399,30 +406,20 @@ def test_property_kernel_derivative_matches_central_differences(nz, azimuth, len
     mat = BeamMaterial(1.3, 0.3)
     v = _strut_vector(nz, azimuth, length)
     sections = _strut_sections([radius], [1])
-    k, dk = _beam_kernel(v[None], sections, mat, derivative=True)
+    k = _beam_kernel(v[None], sections, mat)
+    dk = _beam_kernel_derivative(v[None], sections, mat)
     assert np.array_equal(k[0], k[0].T)
     assert np.array_equal(dk[0], dk[0].transpose(0, 2, 1))
     h = 1e-5 * length
     for m in range(3):
         step = np.zeros(3)
         step[m] = h
-        plus, _ = _beam_kernel((v + step)[None], sections, mat)
-        minus, _ = _beam_kernel((v - step)[None], sections, mat)
+        plus = _beam_kernel((v + step)[None], sections, mat)
+        minus = _beam_kernel((v - step)[None], sections, mat)
         central = (plus[0] - minus[0]) / (2.0 * h)
         np.testing.assert_allclose(
             dk[0, m], central, rtol=0, atol=1e-7 * np.abs(dk[0]).max()
         )
-
-
-# a shear of the cell, for cells that are not orthogonal
-_SKEW = np.array([[1.0, 0.3, -0.2], [0.0, 0.9, 0.25], [0.1, 0.0, 1.1]])
-
-
-def perturbed_cell(base, n: int, level: float, seed: int, skewed: bool) -> Lattice:
-    lat = tessellate(base(), n)
-    if skewed:
-        lat = replace(lat, cell=_SKEW @ lat.cell)
-    return perturb(lat, level, seed) if lat.node_count >= 2 else lat
 
 
 _PERTURBED_CELLS = dict(
@@ -705,7 +702,7 @@ def test_property_moved_cell_is_the_displaced_lattices_cell(
     rng = np.random.default_rng(move_seed)
     shift = np.tile(rng.uniform(-0.5, 0.5, 3), (lat.node_count, 1))
     for deltas in (shift, shift + rng.uniform(-level, level, (lat.node_count, 3))):
-        nodes, edges, moved = optimize._moved(cell, lat.cell, lat.nodes, lat.edges, deltas)
+        nodes, edges, moved = fe._moved(cell, lat.cell, lat.nodes, lat.edges, deltas)
         displaced = lattice.displace_nodes(lat, deltas)
         assert_identical(nodes, displaced.nodes)
         assert_identical(edges, displaced.edges)
@@ -760,7 +757,7 @@ def energy_forms(lat: Lattice, radius: float):
     positions = lat.nodes @ lat.cell.T
     tails = positions[lat.edges[:, 0]]
     heads = positions[lat.edges[:, 1]] + lat.edges[:, 2:] @ lat.cell.T
-    k_e, _dk = _beam_kernel(heads - tails, _strut_sections([radius], [lat.edge_count]), mat)
+    k_e = _beam_kernel(heads - tails, _strut_sections([radius], [lat.edge_count]), mat)
     strains = np.array([from_mandel_vector(v) for v in np.eye(6)])
     d_aff = np.zeros((lat.edge_count, 2, 6, 6))
     d_aff[:, :, :3] = np.einsum("aij,enj->enia", strains, np.stack([tails, heads], axis=1))
@@ -948,7 +945,7 @@ class TestHomogenizeBatch:
         assert "unreachable" in items[1].error
 
     def test_programming_errors_propagate(self, monkeypatch):
-        def broken(vectors, sections, mat, derivative=False):
+        def broken(vectors, sections, mat):
             raise TypeError("not a domain error")
 
         monkeypatch.setattr(fe, "_beam_kernel", broken)

@@ -2,9 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latmech import fe, optimize, sampling
-from latmech.fe import homogenize
+from latmech.fe import BeamMaterial, homogenize
 from latmech.lattice import (
     Lattice,
     body_centred_cubic,
@@ -18,6 +20,8 @@ from latmech.lattice import (
 )
 from latmech.optimize import DesignProblem, fd_gradient, gradient, objective, solve
 from latmech.tensor4 import MandelMatrix, from_mandel, rotate, to_mandel
+
+from conftest import perturbed_cell
 
 
 def scaled_y_target(lat, factor: float = 0.8):
@@ -34,7 +38,9 @@ def reference_solve(prob: DesignProblem) -> tuple[list, Lattice, int]:
     """The descent loop of :func:`solve` built from public functions, with a
     lattice per candidate: ``(objective_history, final_lattice, solves)``."""
     lat = prob.base
-    min_length = optimize.MIN_EDGE_LENGTH * np.cbrt(np.linalg.det(lat.cell))
+    length_scale = np.cbrt(np.linalg.det(lat.cell))
+    min_length = optimize.MIN_EDGE_LENGTH * length_scale
+    stop = optimize.GRADIENT_STOP * np.sum(to_mandel(prob.target).entries ** 2)
     history = [objective(lat, prob.target)]
     solves = 1
     for _ in range(prob.max_steps):
@@ -42,7 +48,7 @@ def reference_solve(prob: DesignProblem) -> tuple[list, Lattice, int]:
         direction = np.zeros((lat.node_count, 3))
         for node, g in grad.items():
             direction[node] = -g
-        if np.linalg.norm(direction) < optimize.GRADIENT_STOP:
+        if np.linalg.norm(direction) * length_scale <= stop:
             break
         step, accepted = prob.step_size, None
         for _halving in range(optimize.MAX_HALVINGS + 1):
@@ -171,6 +177,52 @@ class TestGradient:
         np.testing.assert_allclose(grad[0], 0.0, atol=1e-12 * value)
 
 
+# perturbed cells, sheared or not, and targets off their own stiffness
+_DESIGN_CASES = dict(
+    cell=st.sampled_from([(simple_cubic, 2), (body_centred_cubic, 1), (diamond, 1)]),
+    level=st.floats(0.02, 0.1),
+    seed=st.integers(0, 10_000),
+    skewed=st.booleans(),
+    factor=st.floats(0.8, 0.95),
+)
+
+
+def design_case(cell, level, seed, skewed, factor):
+    """``(lattice, target, all node indices)`` of one ``_DESIGN_CASES`` draw."""
+    lat = perturbed_cell(*cell, level, seed, skewed)
+    return lat, scaled_y_target(lat, factor), range(lat.node_count)
+
+
+@settings(max_examples=10, deadline=None)
+@given(**_DESIGN_CASES, rotation_seed=st.integers(0, 10_000))
+def test_property_gradient_rotates_with_the_cell(cell, level, seed, skewed, factor, rotation_seed):
+    # a node gradient is a physical vector: rotating the lattice and the
+    # target together rotates every row
+    lat, target, nodes = design_case(cell, level, seed, skewed, factor)
+    r = sampling.random_rotation(rotation_seed)
+    _value, grad = gradient(lat, target, nodes)
+    _value, turned = gradient(rotate_lattice(lat, r), rotate(target, r), nodes)
+    expected = _stacked(grad, nodes) @ r.T
+    np.testing.assert_allclose(
+        _stacked(turned, nodes), expected, rtol=0.0, atol=1e-11 * np.abs(expected).max()
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(**_DESIGN_CASES)
+def test_property_gradient_sums_over_tessellated_copies(cell, level, seed, skewed, factor):
+    # moving the 8 copies of a node of tessellate(L, 2) together moves that
+    # node of L, so their gradients sum to its gradient
+    lat, target, nodes = design_case(cell, level, seed, skewed, factor)
+    value, grad = gradient(lat, target, nodes)
+    big = tessellate(lat, 2)
+    big_value, big_grad = gradient(big, target, range(big.node_count))
+    summed = _stacked(big_grad, range(big.node_count)).reshape(8, lat.node_count, 3).sum(axis=0)
+    expected = _stacked(grad, nodes)
+    assert big_value == pytest.approx(value, rel=1e-11)
+    np.testing.assert_allclose(summed, expected, rtol=0.0, atol=1e-11 * np.abs(expected).max())
+
+
 class TestSolve:
     def test_zero_step_trace_at_optimum(self):
         lat = perturb(body_centred_cubic(), 0.03, seed=2)
@@ -178,6 +230,8 @@ class TestSolve:
         prob = DesignProblem(base=lat, target=target, max_steps=50)
         trace = solve(prob)
         assert trace.objective_history == [0.0]
+        # the gradient there is roundoff, far below the stop: no line search
+        assert trace.solves == 2
 
     def test_objective_history_nonincreasing(self, demo_lattice):
         target = scaled_y_target(demo_lattice)
@@ -213,8 +267,8 @@ class TestSolve:
             base=rotate_lattice(demo_lattice, r), target=rotate(target, r), max_steps=3
         )
         rotated = solve(rotated_prob)
-        assert rotated.objective_history[-1] == pytest.approx(
-            plain.objective_history[-1], abs=1e-6
+        np.testing.assert_allclose(
+            rotated.objective_history, plain.objective_history, rtol=1e-10, atol=0.0
         )
 
     def test_solves_each_geometry_once(self, demo_lattice, monkeypatch):
@@ -302,7 +356,7 @@ class TestSolve:
         target = scaled_y_target(lat)
         direction = np.zeros((2, 3))
         direction[1] = lat.transformed_nodes()[0] - lat.transformed_nodes()[1]
-        monkeypatch.setattr(optimize, "_node_gradient", lambda *args: -direction)
+        monkeypatch.setattr(optimize, "_stiffness_gradient", lambda *args: -direction)
         prob = DesignProblem(
             base=lat, target=target, max_steps=1, step_size=1.0, backtracking=False
         )
@@ -336,6 +390,25 @@ class TestSolve:
         assert len(small.objective_history) == len(unit.objective_history) == 4
         assert small.solves == unit.solves
         np.testing.assert_allclose(small.objective_history, unit.objective_history, rtol=1e-9)
+
+    def test_stop_does_not_depend_on_scale(self, demo_lattice):
+        # the stop compares ||g|| det(A)^(1/3) with ||T||^2: scaling lengths by
+        # a (step 3e3 a^2) or the modulus and target by e (loss e^2, step
+        # 3e3 / e^2) leaves the run as long as at a = e = 1
+        target = to_mandel(scaled_y_target(demo_lattice)).entries
+        runs = []
+        for a, e in ((1.0, 1.0), (1e3, 1.0), (1e5, 1.0), (1.0, 1e4)):
+            lat = replace(demo_lattice, cell=demo_lattice.cell * a, radius=demo_lattice.radius * a)
+            prob = DesignProblem(
+                base=lat, target=from_mandel(MandelMatrix(e * target)), max_steps=10,
+                step_size=3e3 * a * a / (e * e),
+            )
+            runs.append((solve(prob, BeamMaterial(youngs_modulus=e)), e))
+        unit = runs[0][0].objective_history
+        for trace, e in runs:
+            assert len(trace.objective_history) == 11
+            assert trace.solves == 33
+            np.testing.assert_allclose(np.array(trace.objective_history) / e**2, unit, rtol=1e-9)
 
     def test_plain_mode_runs(self, demo_lattice):
         target = scaled_y_target(demo_lattice)
