@@ -16,15 +16,26 @@ on two checkouts and compare:
     PYTHONPATH=src python scripts/cli_fingerprint.py > after.txt
     (cd ../other && PYTHONPATH=src python /path/to/cli_fingerprint.py) > before.txt
     diff before.txt after.txt
+
+The bytes depend on the numpy, scipy and BLAS builds.  ``--json`` prints the
+hashes with that stack instead; ``tests/cli_fingerprint.json`` holds this
+output, and a Tier-1 test compares each run with it.  A change that moves
+the bytes on purpose regenerates it:
+
+    PYTHONPATH=src python scripts/cli_fingerprint.py --json > tests/cli_fingerprint.json
 """
 
 import contextlib
 import hashlib
 import json
 import os
+import platform
 import sys
 import tempfile
 from io import StringIO
+
+import numpy
+import scipy
 
 from latmech import io, psd
 from latmech.cli import dispatch
@@ -96,17 +107,46 @@ def manifest_bytes(path: str, out: str) -> bytes:
     return json.dumps(manifest, indent=2).encode()
 
 
+def hashes(out: str) -> dict[str, str]:
+    """SHA-256 of every file in ``out``, by name, manifests as ``manifest_bytes``."""
+    digests = {}
+    for name in sorted(os.listdir(out)):
+        path = os.path.join(out, name)
+        if name.endswith(".manifest.json"):
+            data = manifest_bytes(path, out)
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        digests[name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def stack() -> dict[str, str]:
+    """The builds the output bytes depend on."""
+    def blas(module) -> str:
+        found = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{found['name']} {found['version']}"
+
+    return {
+        "machine": platform.machine(),
+        "numpy": numpy.__version__,
+        "numpy_blas": blas(numpy),
+        "scipy": scipy.__version__,
+        "scipy_blas": blas(scipy),
+    }
+
+
 def main() -> None:
+    if sys.argv[1:] not in ([], ["--json"]):
+        sys.exit("usage: cli_fingerprint.py [--json]")
     with tempfile.TemporaryDirectory() as out:
         write_outputs(out)
-        for name in sorted(os.listdir(out)):
-            path = os.path.join(out, name)
-            if name.endswith(".manifest.json"):
-                data = manifest_bytes(path, out)
-            else:
-                with open(path, "rb") as fh:
-                    data = fh.read()
-            print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+        digests = hashes(out)
+    if sys.argv[1:] == ["--json"]:
+        print(json.dumps({"stack": stack(), "hashes": digests}, indent=2))
+    else:
+        for name, digest in digests.items():
+            print(f"{digest}  {name}")
 
 
 if __name__ == "__main__":

@@ -92,8 +92,8 @@ class BeamMaterial:
     poisson_ratio: float = 0.3
 
     def __post_init__(self):
-        if not self.youngs_modulus > 0.0:
-            raise ValueError("Young's modulus must be positive")
+        if not 0.0 < self.youngs_modulus < math.inf:
+            raise ValueError("Young's modulus must be positive and finite")
         if not -1.0 < self.poisson_ratio < 0.5:
             raise ValueError("Poisson ratio must lie in (-1, 0.5)")
 
@@ -250,9 +250,10 @@ def _kernel_basis() -> np.ndarray:
 _KERNEL_BASIS = _kernel_basis()
 
 
-def _singular_system(cell: _Cell, k_e: np.ndarray) -> SingularSystemError:
-    """The error for a reduced stiffness the band Cholesky rejected, with the
-    dimension of its null space.
+def _singular_system(cell: _Cell, k_e: np.ndarray) -> ValueError:
+    """The error for a reduced stiffness the band Cholesky rejected: a
+    :class:`SingularSystemError` with the dimension of its null space, or a
+    ``ValueError`` if the stiffness is not finite.
 
     K is assembled dense from the element matrices here, on the failure
     path only: the factor has overwritten the band.
@@ -261,6 +262,8 @@ def _singular_system(cell: _Cell, k_e: np.ndarray) -> SingularSystemError:
     dofs = cell.topology.dofs
     k = np.zeros((n, n))
     np.add.at(k, (dofs[:, :, None], dofs[:, None, :]), k_e)
+    if not np.all(np.isfinite(k)):
+        return ValueError(f"lattice {cell.name!r}: stiffness matrix is not finite")
     k_red = k[3:, 3:]
     # a dof no strut touches has a zero diagonal and counts as null
     diag = np.diag(k_red)
@@ -556,7 +559,8 @@ def _solve_problem(cell: _Cell, k_e, d_aff, band, rhs) -> _CellSolution:
     diag = band[:, 0].copy()
     factor, info = lapack.dpbtrf(band.T, lower=1, overwrite_ab=1)
     min_pivot_ratio = float(np.min(factor[0] ** 2 / diag)) if info == 0 else 0.0
-    if min_pivot_ratio <= _PIVOT_REL_TOL:
+    # both checks are written so that NaN, from an overflowed stiffness, fails them
+    if not min_pivot_ratio > _PIVOT_REL_TOL:
         raise _singular_system(cell, k_e)
     load = rhs[:, 3:]
     u_red, info = lapack.dpbtrs(factor, load.T, lower=1)
@@ -571,7 +575,7 @@ def _solve_problem(cell: _Cell, k_e, d_aff, band, rhs) -> _CellSolution:
     res_norm = np.linalg.norm(forces.reshape(6, -1)[:, 3:] - load, axis=1)
     rhs_norm = np.linalg.norm(load, axis=1)
     residual = float(np.max(res_norm / np.maximum(rhs_norm, 1e-300)))
-    if residual >= 1e-8:
+    if not residual < 1e-8:
         raise ValueError(
             f"lattice {cell.name!r}: linear solve residual {residual:.3e} exceeds 1e-8"
         )

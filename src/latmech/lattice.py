@@ -150,8 +150,8 @@ def classify_node(x) -> NodeType:
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise ValueError("reduced coordinate must be a 3-vector")
-    if np.any(x < -_BOUNDARY_TOL) or np.any(x > 1.0 + _BOUNDARY_TOL):
-        raise ValueError(f"reduced coordinate {x} outside [0, 1]")
+    if not np.all((x >= -_BOUNDARY_TOL) & (x <= 1.0 + _BOUNDARY_TOL)):
+        raise ValueError(f"reduced coordinate {x} is not finite or outside [0, 1]")
     on_boundary = int(np.sum((np.abs(x) <= _BOUNDARY_TOL) | (np.abs(x - 1.0) <= _BOUNDARY_TOL)))
     return (NodeType.INNER, NodeType.FACE, NodeType.EDGE, NodeType.CORNER)[on_boundary]
 
@@ -270,41 +270,30 @@ def perturbed_realizations(lat: Lattice, level: float, seed: int, count: int) ->
     ]
 
 
-def _crossing_groups(p: np.ndarray, q: np.ndarray) -> list[tuple[float, list[tuple[int, int]]]]:
-    """Sorted parameters s in (0, 1) where p + s (q - p) hits an integer plane.
-
-    Each group is (s, [(axis, direction), ...]); simultaneous crossings
-    (cell edges and corners) are merged into one group.
-    """
-    crossings: list[tuple[float, int, int]] = []
+def _crossings(p: np.ndarray, q: np.ndarray) -> list[float]:
+    """Sorted parameters s in (1e-12, 1 - 1e-12) where p + s (q - p) meets an
+    integer plane; parameters less than 1e-12 apart count once, at the first."""
+    found = []
     for axis in range(3):
         dp = q[axis] - p[axis]
-        if abs(dp) < 1e-14:
-            continue
-        direction = 1 if dp > 0 else -1
-        start, stop = sorted((p[axis], q[axis]))
-        first = math.floor(start) + 1
-        plane = first
-        while plane < stop + 1e-14:
-            s = (plane - p[axis]) / dp
-            if 1e-12 < s < 1.0 - 1e-12:
-                crossings.append((s, axis, direction))
-            plane += 1
-    crossings.sort()
-    groups: list[tuple[float, list[tuple[int, int]]]] = []
-    for s, axis, direction in crossings:
-        if groups and abs(s - groups[-1][0]) < 1e-12:
-            groups[-1][1].append((axis, direction))
-        else:
-            groups.append((s, [(axis, direction)]))
-    return groups
+        if abs(dp) >= 1e-14:
+            start, stop = sorted((p[axis], q[axis]))
+            for plane in range(math.floor(start) + 1, math.ceil(stop + 1e-14)):
+                found.append((plane - p[axis]) / dp)
+    crossings: list[float] = []
+    for s in sorted(found):
+        if 1e-12 < s < 1.0 - 1e-12 and (not crossings or s - crossings[-1] >= 1e-12):
+            crossings.append(s)
+    return crossings
 
 
 def window(lat: Lattice) -> WindowedLattice:
     """Windowed representation: split edges at periodic boundary crossings.
 
-    Every crossing introduces a fresh exit/entry image-node pair recorded
-    in ``periodic_pairs``; edges with zero shift pass through unchanged.
+    A strut's pieces lie between its :func:`_crossings`, each in the cell
+    that holds its midpoint, so every windowed node lies in the closed cell.
+    Each crossing, and each strut end outside its piece's cell, adds an
+    image node recorded in ``periodic_pairs``.
     """
     cell = lat.cell
     positions = [cell @ x for x in lat.nodes]
@@ -318,36 +307,23 @@ def window(lat: Lattice) -> WindowedLattice:
     for i, j, *t in lat.edges:
         p = lat.nodes[i].astype(float)
         q = lat.nodes[j] + np.asarray(t, dtype=float)
-        # Cell currently containing the walk; a start exactly on a face
-        # with the walk leaving through it belongs to the neighbor cell.
-        offset = np.zeros(3, dtype=int)
-        for axis in range(3):
-            if abs(p[axis] - round(p[axis])) < 1e-12 and q[axis] < p[axis] - 1e-12:
-                offset[axis] = int(round(p[axis])) - 1
-            else:
-                offset[axis] = math.floor(p[axis] + 1e-12)
-        if np.any(offset != 0):
-            tail = new_node(p - offset)
-            pairs.append((int(i), tail, cell @ (p - offset) - positions[i]))
-        else:
-            tail = int(i)
-        for s, axes in _crossing_groups(p, q):
+        cuts = _crossings(p, q)
+        bounds = np.array([0.0, *cuts, 1.0])
+        offsets = np.floor(p + 0.5 * (bounds[:-1] + bounds[1:])[:, None] * (q - p)).astype(int)
+        tail = int(i)
+        if offsets[0].any():
+            tail = new_node(p - offsets[0])
+            pairs.append((int(i), tail, cell @ (p - offsets[0]) - positions[i]))
+        for s, offset, following in zip(cuts, offsets, offsets[1:]):
             y = p + s * (q - p)
             far = new_node(y - offset)
             elements.append((tail, far))
-            step = np.zeros(3, dtype=int)
-            for axis, direction in axes:
-                step[axis] = direction
-            near = new_node(y - (offset + step))
-            pairs.append((near, far, cell @ step.astype(float)))
-            tail = near
-            offset = offset + step
-        shift = np.asarray(t, dtype=int)
-        if np.array_equal(offset, shift):
-            head = int(j)
-        else:
-            head = new_node(q - offset)
-            pairs.append((int(j), head, cell @ (shift - offset).astype(float)))
+            tail = new_node(y - following)
+            pairs.append((tail, far, cell @ (following - offset).astype(float)))
+        head = int(j)
+        if np.any(offsets[-1] != t):
+            head = new_node(q - offsets[-1])
+            pairs.append((int(j), head, cell @ (t - offsets[-1]).astype(float)))
         elements.append((tail, head))
 
     return WindowedLattice(

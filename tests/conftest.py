@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from latmech import sampling
 from latmech.lattice import Lattice, body_centred_cubic, diamond, perturb, simple_cubic, tessellate
@@ -25,6 +26,16 @@ def perturbed_cell(base, n: int, level: float, seed: int, skewed: bool) -> Latti
     if skewed:
         lat = replace(lat, cell=SKEW @ lat.cell)
     return perturb(lat, level, seed) if lat.node_count >= 2 else lat
+
+
+# the arguments of perturbed_cell, for Hypothesis
+PERTURBED_CELLS = dict(
+    base=st.sampled_from([simple_cubic, body_centred_cubic, diamond]),
+    n=st.integers(1, 3),
+    level=st.floats(0.02, 0.1),
+    seed=st.integers(0, 10_000),
+    skewed=st.booleans(),
+)
 
 
 def random_symmetric_matrix(rng, n: int = 6) -> np.ndarray:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -14,6 +15,8 @@ from latmech.cli import dispatch
 from latmech.fe import homogenize
 from latmech.lattice import body_centred_cubic, diamond, simple_cubic
 from latmech.tensor4 import ElasticTensor4, directional_modulus, to_mandel
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 @pytest.fixture
@@ -665,3 +668,23 @@ class TestModuleEntryPoint:
         proc = run_module("latmech", "validate", "--catalogue", str(tmp_path / "missing.lats"))
         assert proc.returncode != 0
         assert "error" in proc.stderr
+
+
+def test_seeded_outputs_match_the_recorded_hashes(tmp_path):
+    # Every output of scripts/cli_fingerprint.py keeps the bytes recorded in
+    # tests/cli_fingerprint.json.  The bytes depend on the numpy, scipy and
+    # BLAS builds, so on a stack other than the recorded one a difference is
+    # an expected failure that names both stacks, never a pass.
+    path = os.path.join(TESTS, os.pardir, "scripts", "cli_fingerprint.py")
+    spec = importlib.util.spec_from_file_location("cli_fingerprint", path)
+    fingerprint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fingerprint)
+    with open(os.path.join(TESTS, "cli_fingerprint.json"), encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    fingerprint.write_outputs(str(tmp_path))
+    got = fingerprint.hashes(str(tmp_path))
+    names = recorded["hashes"].keys() | got.keys()
+    changed = sorted(name for name in names if recorded["hashes"].get(name) != got.get(name))
+    if changed and fingerprint.stack() != recorded["stack"]:
+        pytest.xfail(f"{changed} differ on {fingerprint.stack()}, recorded on {recorded['stack']}")
+    assert not changed, "seeded outputs changed; if on purpose, regenerate the file as the script says"

@@ -50,7 +50,7 @@ from latmech.tensor4 import (
     to_mandel,
 )
 
-from conftest import perturbed_cell
+from conftest import PERTURBED_CELLS, perturbed_cell
 
 
 def block_rotation(r: np.ndarray) -> np.ndarray:
@@ -309,6 +309,40 @@ def windowed_mandel_reference(lat: Lattice) -> np.ndarray:
     )
 
 
+def master_slave_reference(lat: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """Homogenized Mandel matrix and (N, 6, 6) displacement and rotation of
+    each fundamental node per unit Mandel strain, by a dense master-slave
+    solve on the image nodes of ``window(lat)``, each cut piece its own beam.
+
+    The unknowns are the total displacements and rotations of the nodes that
+    are no pair's slave.  A slave moves with its root master plus eps . sep,
+    at equal rotations, and node 0's translations are pinned.
+    """
+    win = window(lat)
+    count = len(win.nodes)
+    resolved = resolve_master_reference(win)
+    roots = sorted({root for root, _sep in resolved})
+    column = {root: 6 * k for k, root in enumerate(roots)}
+    # total dofs = mapping @ free dofs + affine slave offsets, a column per unit strain
+    mapping = np.zeros((6 * count, 6 * len(roots)))
+    affine = np.zeros((6 * count, 6))
+    for node, (root, sep) in enumerate(resolved):
+        mapping[6 * node : 6 * node + 6, column[root] : column[root] + 6] = np.eye(6)
+        affine[6 * node : 6 * node + 3] = np.einsum("aij,j->ia", fe._UNIT_STRAINS, sep)
+    mapping = mapping[:, 3:]  # node 0 is the first root
+    tails, heads = win.elements.T
+    vectors = win.nodes[heads] - win.nodes[tails]
+    k_e = _beam_kernel(vectors, _strut_sections([lat.radius], [len(vectors)]), BeamMaterial())
+    dofs = (6 * win.elements[:, :, None] + np.arange(6)).reshape(-1, 12)
+    k_global = np.zeros((6 * count, 6 * count))
+    np.add.at(k_global, (dofs[:, :, None], dofs[:, None, :]), k_e)
+    reduced = mapping.T @ k_global @ mapping
+    free = scipy.linalg.solve(reduced, -mapping.T @ k_global @ affine, assume_a="pos")
+    total = mapping @ free + affine
+    mandel = total.T @ k_global @ total / np.linalg.det(lat.cell)
+    return mandel, total.reshape(count, 6, 6)[: lat.node_count]
+
+
 class TestBeamStiffness:
     def test_axial_entry(self):
         mat = BeamMaterial(youngs_modulus=2.0)
@@ -422,15 +456,6 @@ def test_property_kernel_derivative_matches_central_differences(nz, azimuth, len
         )
 
 
-_PERTURBED_CELLS = dict(
-    base=st.sampled_from([simple_cubic, body_centred_cubic, diamond]),
-    n=st.integers(1, 3),
-    level=st.floats(0.02, 0.1),
-    seed=st.integers(0, 10_000),
-    skewed=st.booleans(),
-)
-
-
 class TestHomogenize:
     def test_simple_cubic_axial_limit(self):
         # Under unit axial strain only the aligned strut works; the energy
@@ -468,7 +493,7 @@ class TestHomogenize:
 
     # both oracles also run on the unperturbed cells, as examples
     @settings(max_examples=25, deadline=None)
-    @given(**_PERTURBED_CELLS)
+    @given(**PERTURBED_CELLS)
     @example(base=simple_cubic, n=1, level=0.0, seed=0, skewed=False)
     @example(base=body_centred_cubic, n=1, level=0.0, seed=0, skewed=False)
     @example(base=diamond, n=1, level=0.0, seed=0, skewed=False)
@@ -479,7 +504,7 @@ class TestHomogenize:
         assert np.linalg.norm(single - doubled) < 1e-8 * np.linalg.norm(single)
 
     @settings(max_examples=40, deadline=None)
-    @given(**_PERTURBED_CELLS, rotation_seed=st.integers(0, 10_000))
+    @given(**PERTURBED_CELLS, rotation_seed=st.integers(0, 10_000))
     @example(base=simple_cubic, n=1, level=0.0, seed=0, skewed=False, rotation_seed=50)
     @example(base=body_centred_cubic, n=1, level=0.0, seed=0, skewed=False, rotation_seed=51)
     @example(base=diamond, n=1, level=0.0, seed=0, skewed=False, rotation_seed=52)
@@ -502,6 +527,31 @@ class TestHomogenize:
             windowed = to_mandel(homogenize_windowed(lat).stiffness).entries
             rel = np.linalg.norm(fundamental - windowed) / np.linalg.norm(fundamental)
             assert rel < 1e-9
+
+    @pytest.mark.parametrize(
+        "lat",
+        [simple_cubic(), tessellate(simple_cubic(), 2), body_centred_cubic(), diamond()],
+        ids=["sc", "sc_x2", "bcc", "diamond"],
+    )
+    def test_master_slave_solve_of_the_window_agrees(self, lat):
+        # The affine-jump kinematics of the fundamental solve against
+        # master-slave constraints on the cut pieces, a route through neither
+        # _cut_chains nor _Cell.  The end displacements are compared too: the
+        # stiffness alone does not change if every edge shift enters the
+        # affine jump with the wrong sign, since the fluctuation -w - 2 eps x
+        # with rotations -r then gives every element the negated end
+        # displacements, at the same energy.
+        expected = to_mandel(homogenize(lat).stiffness).entries
+        mandel, nodes = master_slave_reference(lat)
+        assert np.linalg.norm(mandel - expected) <= 1e-9 * np.linalg.norm(expected)
+        _density, solution = fe._solve_one(fe._fundamental_cell(lat), lat.radius, BeamMaterial())
+        # the solve pins node 0's fluctuation, not its displacement
+        nodes[:, :3] += np.einsum("aij,j->ia", fe._UNIT_STRAINS, lat.transformed_nodes()[0])
+        jumps = np.einsum("aij,ej->eia", fe._UNIT_STRAINS, lat.edges[:, 2:] @ lat.cell.T)
+        ends = np.concatenate([nodes[lat.edges[:, 0]], nodes[lat.edges[:, 1]]], axis=1)
+        ends[:, 6:9] += jumps
+        scale = np.abs(solution.displacements).max()
+        assert np.abs(solution.displacements - ends).max() <= 1e-9 * scale
 
     def test_windowed_path_agrees_with_loaded_self_edges(self):
         # Skewed cell and a diagonal self-strut: the corrector field is
@@ -691,7 +741,7 @@ def assert_identical(a, b):
 
 
 @settings(max_examples=30, deadline=None)
-@given(**_PERTURBED_CELLS, move_seed=st.integers(0, 10_000))
+@given(**PERTURBED_CELLS, move_seed=st.integers(0, 10_000))
 def test_property_moved_cell_is_the_displaced_lattices_cell(
     base, n, level, seed, skewed, move_seed
 ):
@@ -714,7 +764,7 @@ def test_property_moved_cell_is_the_displaced_lattices_cell(
 
 
 @settings(max_examples=30, deadline=None)
-@given(**_PERTURBED_CELLS)
+@given(**PERTURBED_CELLS)
 def test_property_cut_chains_match_dict_walk(base, n, level, seed, skewed):
     win = window(perturbed_cell(base, n, level, seed, skewed))
     ends, offsets, vectors = lattice._cut_chains(win)
@@ -725,7 +775,7 @@ def test_property_cut_chains_match_dict_walk(base, n, level, seed, skewed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(**_PERTURBED_CELLS)
+@given(**PERTURBED_CELLS)
 # each failed on the windowed path while it solved the cut pieces separately
 @example(base=diamond, n=2, level=0.02, seed=6, skewed=False)
 @example(base=diamond, n=2, level=0.02, seed=29, skewed=False)
@@ -773,7 +823,7 @@ _RADII = st.sampled_from([0.01, 0.05, 0.1])
 
 
 @settings(max_examples=40, deadline=None)
-@given(**_PERTURBED_CELLS, radius=_RADII)
+@given(**PERTURBED_CELLS, radius=_RADII)
 def test_property_affine_field_bounds_the_stiffness(base, n, level, seed, skewed, radius):
     # The zero fluctuation is admissible, so the minimum energy is at most
     # the affine energy: C <= C_aff in the Loewner order (Hill 1963).
@@ -783,7 +833,7 @@ def test_property_affine_field_bounds_the_stiffness(base, n, level, seed, skewed
 
 
 @settings(max_examples=40, deadline=None)
-@given(**_PERTURBED_CELLS, radius=_RADII)
+@given(**PERTURBED_CELLS, radius=_RADII)
 def test_property_hill_mandel_pairing_gives_the_stiffness(
     base, n, level, seed, skewed, radius
 ):
@@ -1018,3 +1068,30 @@ class TestBeamMaterial:
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
             BeamMaterial(youngs_modulus=0.0)
+
+    @pytest.mark.parametrize("modulus", [math.inf, math.nan])
+    def test_rejects_non_finite_modulus(self, modulus):
+        with pytest.raises(ValueError, match="positive and finite"):
+            BeamMaterial(youngs_modulus=modulus)
+
+    # 12 E overflows in the element kernel, and the band factor then
+    # succeeds with a NaN pivot ratio
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_modulus_fails_naming_the_lattice(self):
+        mat = BeamMaterial(youngs_modulus=1e308)
+        message = "lattice 'bcc': stiffness matrix is not finite"
+        with pytest.raises(ValueError, match=message):
+            homogenize(body_centred_cubic(), mat)
+        (item,) = homogenize_batch([body_centred_cubic()], [0.05], mat)
+        assert item.error == message
+
+    def test_nan_residual_fails_the_residual_check(self, monkeypatch):
+        def nan_solve(factor, load, lower):
+            return np.full(load.shape, np.nan), 0
+
+        monkeypatch.setattr(lapack, "dpbtrs", nan_solve)
+        message = "lattice 'bcc': linear solve residual nan exceeds 1e-8"
+        with pytest.raises(ValueError, match=message):
+            homogenize(body_centred_cubic())
+        (item,) = homogenize_batch([body_centred_cubic()], [0.05])
+        assert item.error == message

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latmech import sampling
@@ -25,6 +25,8 @@ from latmech.lattice import (
     tessellate,
     window,
 )
+
+from conftest import PERTURBED_CELLS, SKEW, perturbed_cell
 
 
 def min_image_distance(cell: np.ndarray, displacement: np.ndarray) -> float:
@@ -113,6 +115,11 @@ class TestClassifyNode:
 
     def test_boundary_tolerance(self):
         assert classify_node([1e-10, 0.5, 0.5]) is NodeType.FACE
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            classify_node([0.5, bad, 0.5])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
@@ -537,3 +544,46 @@ def test_property_edge_checks_match_row_reference(case):
         return
     assert expected is None
     assert edge_multiset(lat) == edge_multiset_reference(lat)
+
+
+@st.composite
+def near_face_cells(draw):
+    """Cells of 1-3 nodes, each coordinate on a quarter grid or 1e-15 .. 9e-13
+    above the face at 0, joined by 1-4 struts with shifts -1 .. 1."""
+    count = draw(st.integers(1, 3))
+    coordinate = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75]), st.floats(1e-15, 9e-13))
+    nodes = draw(st.lists(st.tuples(*[coordinate] * 3), min_size=count, max_size=count))
+    node = st.integers(0, count - 1)
+    edges = draw(st.lists(st.tuples(node, node, _SHIFT, _SHIFT, _SHIFT), min_size=1, max_size=4))
+    try:
+        return Lattice("near", SKEW if draw(st.booleans()) else np.eye(3), nodes, edges, 0.05)
+    except ValueError:
+        assume(False)
+
+
+# a node 5e-13 from the face at x = 0 whose strut leaves through that face
+NEAR_FACE = Lattice(
+    "near_face",
+    np.eye(3),
+    [[5e-13, 0.5, 0.5], [0.7, 0.5, 0.5]],
+    [[0, 1, -1, 0, 0], [0, 1, 0, 0, 0]],
+    0.05,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lat=st.one_of(st.builds(perturbed_cell, **PERTURBED_CELLS), near_face_cells()))
+@example(lat=NEAR_FACE)
+def test_property_window_invariants(lat):
+    # Nodes within 1e-12 of the face at 1 are left out: fold snaps them onto
+    # the face, where a lattice refuses them.
+    win = window(lat)
+    inverse = np.linalg.inv(lat.cell)
+    reduced = win.nodes @ inverse.T
+    assert reduced.min() >= -1e-9 and reduced.max() <= 1.0 + 1e-9
+    scale = np.abs(lat.cell).max()
+    for master, slave, sep in win.periodic_pairs:
+        assert np.abs(win.nodes[slave] - win.nodes[master] - sep).max() <= 1e-12 * scale
+        shift = inverse @ sep
+        assert np.abs(shift - np.rint(shift)).max() <= 1e-12
+    assert edge_multiset(fold(win)) == edge_multiset(lat)
