@@ -7,22 +7,23 @@ temporary directory, then runs the CLI in-process on it: ``homogenize``
 with ``--surface``, ``surface``, ``rotate`` on stiffness records and on the
 catalogue, ``perturb``, ``psd-project`` with each matrix method and with
 ``--eig-map exp``, ``metrics`` to a file and to stdout (whose report is
-saved as ``metrics.stdout.json``) and a five-step ``optimize``.  Prints
-``sha256  name`` for each output file.  A manifest is hashed without its
-``started`` and ``finished`` timestamps and with the temporary directory
-written as ``<tmp>``, so that it too hashes the same on every run.  Run it
-on two checkouts and compare:
+saved as ``metrics.stdout.json``) and a five-step ``optimize``.  Prints,
+as indented JSON, the SHA-256 of each output file under ``hashes`` and the
+stack the bytes depend on under ``stack``: the machine, the CPU (whose model
+and feature flags pick the OpenBLAS kernels) and the numpy and scipy
+versions.  A manifest is hashed without its ``started`` and ``finished``
+timestamps and with the temporary directory written as ``<tmp>``, so that
+it too hashes the same on every run.  Each hash is on its own line, so two
+checkouts compare with ``diff``:
 
-    PYTHONPATH=src python scripts/cli_fingerprint.py > after.txt
-    (cd ../other && PYTHONPATH=src python /path/to/cli_fingerprint.py) > before.txt
-    diff before.txt after.txt
+    PYTHONPATH=src python scripts/cli_fingerprint.py > after.json
+    (cd ../other && PYTHONPATH=src python /path/to/cli_fingerprint.py) > before.json
+    diff before.json after.json
 
-The bytes depend on the numpy, scipy and BLAS builds.  ``--json`` prints the
-hashes with that stack instead; ``tests/cli_fingerprint.json`` holds this
-output, and a Tier-1 test compares each run with it.  A change that moves
-the bytes on purpose regenerates it:
+``tests/cli_fingerprint.json`` holds this output, and a Tier-1 test compares
+each run with it.  A change that moves the bytes on purpose regenerates it:
 
-    PYTHONPATH=src python scripts/cli_fingerprint.py --json > tests/cli_fingerprint.json
+    PYTHONPATH=src python scripts/cli_fingerprint.py > tests/cli_fingerprint.json
 """
 
 import contextlib
@@ -121,32 +122,38 @@ def hashes(out: str) -> dict[str, str]:
     return digests
 
 
-def stack() -> dict[str, str]:
-    """The builds the output bytes depend on."""
-    def blas(module) -> str:
-        found = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        return f"{found['name']} {found['version']}"
+def cpu() -> str:
+    """The CPU model and a digest of its feature flags, from the first
+    processor in ``/proc/cpuinfo``; ``platform.processor()`` where that file
+    is missing."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            first = fh.read().split("\n\n")[0]
+    except OSError:
+        return platform.processor()
+    fields = {}
+    for line in first.splitlines():
+        key, _, value = line.partition(":")
+        fields[key.strip()] = value.strip()
+    flags = hashlib.sha256(fields.get("flags", "").encode()).hexdigest()[:12]
+    return f"{fields.get('model name', '')} flags {flags}"
 
+
+def stack() -> dict[str, str]:
+    """The machine, CPU and numpy and scipy versions the output bytes depend on."""
     return {
         "machine": platform.machine(),
+        "cpu": cpu(),
         "numpy": numpy.__version__,
-        "numpy_blas": blas(numpy),
         "scipy": scipy.__version__,
-        "scipy_blas": blas(scipy),
     }
 
 
 def main() -> None:
-    if sys.argv[1:] not in ([], ["--json"]):
-        sys.exit("usage: cli_fingerprint.py [--json]")
     with tempfile.TemporaryDirectory() as out:
         write_outputs(out)
         digests = hashes(out)
-    if sys.argv[1:] == ["--json"]:
-        print(json.dumps({"stack": stack(), "hashes": digests}, indent=2))
-    else:
-        for name, digest in digests.items():
-            print(f"{digest}  {name}")
+    print(json.dumps({"stack": stack(), "hashes": digests}, indent=2))
 
 
 if __name__ == "__main__":

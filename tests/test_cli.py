@@ -670,15 +670,22 @@ class TestModuleEntryPoint:
         assert "error" in proc.stderr
 
 
-def test_seeded_outputs_match_the_recorded_hashes(tmp_path):
-    # Every output of scripts/cli_fingerprint.py keeps the bytes recorded in
-    # tests/cli_fingerprint.json.  The bytes depend on the numpy, scipy and
-    # BLAS builds, so on a stack other than the recorded one a difference is
-    # an expected failure that names both stacks, never a pass.
+def load_fingerprint():
+    """``scripts/cli_fingerprint.py`` as a module."""
     path = os.path.join(TESTS, os.pardir, "scripts", "cli_fingerprint.py")
     spec = importlib.util.spec_from_file_location("cli_fingerprint", path)
     fingerprint = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fingerprint)
+    return fingerprint
+
+
+def test_seeded_outputs_match_the_recorded_hashes(tmp_path):
+    # Every output of scripts/cli_fingerprint.py keeps the bytes recorded in
+    # tests/cli_fingerprint.json.  The bytes depend on the numpy and scipy
+    # versions and on the BLAS kernels the CPU selects, so on another
+    # machine, CPU or version a difference is an expected failure that names
+    # both stacks, never a pass.
+    fingerprint = load_fingerprint()
     with open(os.path.join(TESTS, "cli_fingerprint.json"), encoding="utf-8") as fh:
         recorded = json.load(fh)
     fingerprint.write_outputs(str(tmp_path))
@@ -688,3 +695,15 @@ def test_seeded_outputs_match_the_recorded_hashes(tmp_path):
     if changed and fingerprint.stack() != recorded["stack"]:
         pytest.xfail(f"{changed} differ on {fingerprint.stack()}, recorded on {recorded['stack']}")
     assert not changed, "seeded outputs changed; if on purpose, regenerate the file as the script says"
+
+
+def test_fingerprint_stack_needs_no_build_config(monkeypatch):
+    # numpy < 1.26 and scipy < 1.11 have show_config() without mode=; the
+    # stack is read from versions and the CPU alone, so it works there too.
+    fingerprint = load_fingerprint()
+    for module in (fingerprint.numpy, fingerprint.scipy):
+        monkeypatch.setattr(module, "show_config", lambda: None)
+    stack = fingerprint.stack()
+    assert list(stack) == ["machine", "cpu", "numpy", "scipy"]
+    assert (stack["numpy"], stack["scipy"]) == (np.__version__, fingerprint.scipy.__version__)
+    assert all(isinstance(value, str) for value in stack.values())
