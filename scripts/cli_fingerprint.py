@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
 """SHA-256 of every seeded CLI output, to check that a change keeps their bytes.
 
-Writes the four built-in cells of ``scripts/make_catalogue.py`` and two
-seeded perturbed realizations of each multi-node cell to a catalogue in a
+Writes the four built-in cells of ``scripts/make_catalogue.py``, a sheared
+bcc cell whose det(A) = 1.0155 is not a power of two, and two seeded
+perturbed realizations of each multi-node cell to a catalogue in a
 temporary directory, then runs the CLI in-process on it: ``homogenize``
 with ``--surface``, ``surface``, ``rotate`` on stiffness records and on the
-catalogue, ``perturb``, ``psd-project`` with each matrix method and with
-``--eig-map exp``, ``metrics`` to a file and to stdout (whose report is
-saved as ``metrics.stdout.json``) and a five-step ``optimize``.  Prints,
-as indented JSON, the SHA-256 of each output file under ``hashes`` and the
-stack the bytes depend on under ``stack``: the machine, the CPU (whose model
-and feature flags pick the OpenBLAS kernels) and the numpy and scipy
-versions.  A manifest is hashed without its ``started`` and ``finished``
+catalogue, ``perturb``, ``psd-project`` with each matrix method,
+``metrics`` to a file and to stdout (whose report is saved as
+``metrics.stdout.json``) and a five-step ``optimize``.  It also runs the
+y-softening design problem of ``scripts/design_demo.py`` (a 2x2x2 simple
+cubic cell perturbed by 0.02, seeds 1-5, toward its own stiffness with the
+Mandel y row and column scaled by 0.8) as five 50-step ``optimize`` runs.
+Prints, as indented JSON, the SHA-256 of each output file under ``hashes``
+and the stack the bytes depend on under ``stack``: the machine, the CPU
+(whose model and feature flags pick the OpenBLAS kernels) and the numpy and
+scipy versions.  A manifest is hashed without its ``started`` and ``finished``
 timestamps and with the temporary directory written as ``<tmp>``, so that
 it too hashes the same on every run.  Each hash is on its own line, so two
 checkouts compare with ``diff``:
@@ -33,6 +37,7 @@ import os
 import platform
 import sys
 import tempfile
+from dataclasses import replace
 from io import StringIO
 
 import numpy
@@ -40,13 +45,18 @@ import scipy
 
 from latmech import io, psd
 from latmech.cli import dispatch
+from latmech.fe import homogenize
 from latmech.lattice import (
     body_centred_cubic,
     diamond,
+    perturb,
     perturbed_realizations,
     simple_cubic,
     tessellate,
 )
+from latmech.tensor4 import to_mandel
+
+SHEAR = numpy.array([[1.0, 0.3, -0.2], [0.0, 0.9, 0.25], [0.1, 0.0, 1.1]])
 
 
 def run(*argv: str) -> str:
@@ -65,7 +75,13 @@ def write_outputs(out: str) -> None:
     def path(name: str) -> str:
         return os.path.join(out, name)
 
-    cells = [simple_cubic(), tessellate(simple_cubic(), 2), body_centred_cubic(), diamond()]
+    cells = [
+        simple_cubic(),
+        tessellate(simple_cubic(), 2),
+        body_centred_cubic(),
+        diamond(),
+        replace(body_centred_cubic(), name="bcc_sheared", cell=SHEAR),
+    ]
     lattices = list(cells)
     for lat in cells:
         if lat.node_count >= 2:
@@ -85,8 +101,6 @@ def write_outputs(out: str) -> None:
     for method in sorted(m.value for m in psd.MATRIX_METHODS):
         run("psd-project", "--input", stiff, "--method", method,
             "--out", path(f"psd-{method}.jsonl"))
-    run("psd-project", "--input", stiff, "--method", "eigclamp", "--eig-map", "exp",
-        "--out", path("psd-eigclamp-exp.jsonl"))
     run("metrics", "--pred", path("rotated.jsonl"), "--target", stiff, "--dirs", "100",
         "--seed", "6", "--out", path("metrics.json"))
     report = run("metrics", "--pred", path("rotated.jsonl"), "--target", stiff, "--dirs", "100",
@@ -98,6 +112,19 @@ def write_outputs(out: str) -> None:
     io.write_stiffness_records(path("target.jsonl"), target[:1])
     run("optimize", "--catalogue", path("cells.lats"), "--name", "bcc",
         "--target", path("target.jsonl"), "--steps", "5", "--out", path("optimize.json"))
+
+    bases = [replace(perturb(tessellate(simple_cubic(), 2), 0.02, seed), name=f"design_s{seed}")
+             for seed in range(1, 6)]
+    io.write_catalogue(path("design.lats"), bases)
+    soften = numpy.outer([1.0, 0.8, 1.0, 1.0, 1.0, 1.0], [1.0, 0.8, 1.0, 1.0, 1.0, 1.0])
+    soften[1, 1] = 0.8
+    for base in bases:
+        target = to_mandel(homogenize(base).stiffness).entries * soften
+        io.write_stiffness_records(path(f"{base.name}.target.jsonl"),
+                                   [io.stiffness_record(target, name="y_softened")])
+        run("optimize", "--catalogue", path("design.lats"), "--name", base.name,
+            "--target", path(f"{base.name}.target.jsonl"), "--steps", "50",
+            "--out", path(f"{base.name}.json"))
 
 
 def manifest_bytes(path: str, out: str) -> bytes:

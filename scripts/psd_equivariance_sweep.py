@@ -21,16 +21,6 @@ from latmech.psd import (
 )
 from latmech.tensor4 import mandel_rotation
 
-METHODS = [
-    PsdMethod.SQUARE,
-    PsdMethod.FOURTH,
-    PsdMethod.EXP,
-    PsdMethod.TRUNC_EXP2,
-    PsdMethod.TRUNC_EXP4,
-    PsdMethod.EIGEN_CLAMP,
-]
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=200)
@@ -39,7 +29,7 @@ def main() -> None:
 
     rng = np.random.default_rng(args.seed)
     print(f"{'method':12s} {'min eig (worst)':>16s} {'equiv defect (worst)':>22s}")
-    for method in METHODS:
+    for method in PsdMethod:
         worst_eig = np.inf
         worst_defect = 0.0
         for k in range(args.samples):

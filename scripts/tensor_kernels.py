@@ -54,8 +54,7 @@ def kernels() -> dict:
         "l_dir (250)": lambda: metrics.l_dir(c, target, dirs),
     }
     for method in psd.PsdMethod:
-        if method in psd.MATRIX_METHODS:
-            cases[f"project {method.value}"] = lambda method=method: psd.project(m, method)
+        cases[f"project {method.value}"] = lambda method=method: psd.project(m, method)
     return cases
 
 

@@ -47,7 +47,7 @@ from .metrics import (
     negative_modulus_penalty,
 )
 from .optimize import DesignProblem, DesignTrace, fd_gradient, gradient, objective, solve
-from .psd import PsdMethod, cholesky_assemble, equivariance_defect, expm_symmetric, project
+from .psd import PsdMethod, cholesky_assemble, equivariance_defect, project
 from .tensor4 import (
     ElasticTensor4,
     KelvinSpectrum,

@@ -180,7 +180,7 @@ def _cmd_psd_project(args) -> int:
     write_manifest = _manifest(args)
     method = psd.PsdMethod(args.method)
     io.write_stiffness_records(args.out, [
-        io.with_mandel(raw, psd.project(matrix, method, eig_map=args.eig_map))
+        io.with_mandel(raw, psd.project(matrix, method))
         for matrix, raw in records
     ])
     write_manifest(args.out)
@@ -337,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method", choices=sorted(m.value for m in psd.MATRIX_METHODS), required=True
     )
-    p.add_argument("--eig-map", choices=("relu", "exp"), default="relu")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_psd_project)
 

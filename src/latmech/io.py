@@ -150,28 +150,27 @@ def lattice_from_record(obj: dict, line: int = 1) -> Lattice:
         raise CatalogueError(line, "field 'nodes' must hold 3N reals")
     if type(radius) not in _NUMBER_TYPES:
         raise CatalogueError(line, "field 'radius' must be a real")
-    try:
-        cell = np.asarray(cell, dtype=float)
-        nodes = np.asarray(nodes, dtype=float)
-        radius = float(radius)
-    except OverflowError as exc:
-        raise CatalogueError(line, str(exc)) from exc
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise CatalogueError(line, "field 'edges' must be a list")
-    rows = []
     for k, row in enumerate(edges):
         if not isinstance(row, list) or len(row) != 5:
             raise CatalogueError(line, f"edge {k} must be [i, j, tx, ty, tz]")
         if not set(map(type, row)) <= {int}:
             raise CatalogueError(line, f"edge {k} entries must be integers")
-        rows.append(row)
+    try:
+        cell = np.asarray(cell, dtype=float)
+        nodes = np.asarray(nodes, dtype=float)
+        radius = float(radius)
+        edges = np.asarray(edges, dtype=int)
+    except OverflowError as exc:
+        raise CatalogueError(line, str(exc)) from exc
     try:
         return Lattice(
             name=name,
             cell=cell.reshape(3, 3),
             nodes=nodes.reshape(-1, 3),
-            edges=np.asarray(rows, dtype=int).reshape(-1, 5),
+            edges=edges.reshape(-1, 5),
             radius=radius,
         )
     except ValueError as exc:

@@ -420,10 +420,11 @@ def fold(win: WindowedLattice) -> Lattice:
         raise ValueError("periodic pair separation is not a lattice vector")
 
     reduced = (inv_cell @ win.nodes[: win.fundamental_count].T).T
-    # the inverse transform reintroduces roundoff at exact-zero coordinates
-    near_int = np.rint(reduced)
-    snap = np.abs(reduced - near_int) < 1e-12
-    reduced[snap] = near_int[snap]
+    # the inverse transform reintroduces roundoff: a coordinate within 1e-12
+    # of the face at 0 goes onto it, and one that reaches the face at 1 stays
+    # just inside the half-open cell [0, 1)
+    reduced[np.abs(reduced) < 1e-12] = 0.0
+    reduced[(reduced >= 1.0) & (reduced < 1.0 + 1e-12)] = np.nextafter(1.0, 0.0)
     return Lattice(
         name=win.name,
         cell=win.cell,

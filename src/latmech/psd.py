@@ -1,12 +1,14 @@
 """Positive-(semi-)definite maps for symmetric 6x6 stiffness matrices.
 
-Implements the even-power family (square, fourth power), the matrix
-exponential and its truncations, eigenvalue clamping, and the
-Cholesky-style assembly of a PSD matrix from 21 free parameters.  The
-matrix-function methods commute with conjugation by orthonormal matrices
-and are therefore equivariant under the Mandel rotation representation;
-the Cholesky assembly, which treats its parameters as independent
-scalars, is not.  :func:`equivariance_defect` measures this directly.
+One table holds the six matrix maps that :func:`project` applies, named by
+:class:`PsdMethod`: the even powers (square, fourth power), the matrix
+exponential by scaling-and-squaring and its truncations (I + M/2)^2 and
+(I + M/4)^4, and eigenvalue clamping at zero.  :func:`cholesky_assemble`
+builds a PSD matrix from 21 free parameters instead.  The matrix maps
+commute with conjugation by orthonormal matrices and are therefore
+equivariant under the Mandel rotation representation; the Cholesky
+assembly, which treats its parameters as independent scalars, is not.
+:func:`equivariance_defect` measures this directly.
 
 Note on gradients: eigendecomposition-based maps are numerically unstable
 to differentiate; this toolkit performs no automatic differentiation, so
@@ -24,7 +26,7 @@ from .tensor4 import MandelMatrix, RotationPair
 
 
 class PsdMethod(Enum):
-    """Available positive-(semi-)definite maps."""
+    """The positive-(semi-)definite matrix maps of :func:`project`."""
 
     SQUARE = "square"
     FOURTH = "fourth"
@@ -32,19 +34,9 @@ class PsdMethod(Enum):
     TRUNC_EXP2 = "trunc2"
     TRUNC_EXP4 = "trunc4"
     EIGEN_CLAMP = "eigclamp"
-    CHOLESKY_ASSEMBLE = "cholesky"
 
 
-MATRIX_METHODS = frozenset(
-    {
-        PsdMethod.SQUARE,
-        PsdMethod.FOURTH,
-        PsdMethod.EXP,
-        PsdMethod.TRUNC_EXP2,
-        PsdMethod.TRUNC_EXP4,
-        PsdMethod.EIGEN_CLAMP,
-    }
-)
+MATRIX_METHODS = frozenset(PsdMethod)
 
 # Scaling threshold for the exponential: with a degree-6 Taylor kernel the
 # truncation error at ||X||_1 < 1/32 is below 1e-14, which the repeated
@@ -61,13 +53,8 @@ def _check_symmetric(m) -> np.ndarray:
     return 0.5 * (m.entries + m.entries.T)
 
 
-def expm_symmetric(m) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a Taylor kernel."""
-    return _expm(_check_symmetric(m))
-
-
 def _expm(m: np.ndarray) -> np.ndarray:
-    """:func:`expm_symmetric` of a matrix that is already exactly symmetric."""
+    """Matrix exponential by scaling-and-squaring with a Taylor kernel."""
     norm = np.linalg.norm(m, 1)
     squarings = 0 if norm <= _EXP_THETA else int(math.ceil(math.log2(norm / _EXP_THETA)))
     x = m / (2.0**squarings)
@@ -78,51 +65,36 @@ def _expm(m: np.ndarray) -> np.ndarray:
         acc = eye + (x @ acc) / k
     for _ in range(squarings):
         acc = acc @ acc
-    return 0.5 * (acc + acc.T)
+    return acc
 
 
-def project(m, method: PsdMethod, eig_map: str = "relu") -> np.ndarray:
-    """Apply a matrix-input PSD map to a symmetric 6x6 matrix.
-
-    ``eig_map`` selects the eigenvalue transform for ``EIGEN_CLAMP``
-    ("relu" for the semi-definite variant, "exp" for strictly definite);
-    it is ignored by the other methods.
-    """
-    _require_matrix_method(method)
-    return _project(_check_symmetric(m), method, eig_map)
+def _square(m: np.ndarray) -> np.ndarray:
+    return m @ m
 
 
-def _require_matrix_method(method: PsdMethod) -> None:
-    if method is PsdMethod.CHOLESKY_ASSEMBLE:
-        raise ValueError(
-            "CHOLESKY_ASSEMBLE consumes a 21-parameter vector; use cholesky_assemble"
-        )
+def _eigen_clamp(m: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(m)
+    return (v * np.maximum(w, 0.0)) @ v.T
 
 
-def _project(m: np.ndarray, method: PsdMethod, eig_map: str) -> np.ndarray:
+_MAPS = {
+    PsdMethod.SQUARE: _square,
+    PsdMethod.FOURTH: lambda m: _square(_square(m)),
+    PsdMethod.EXP: _expm,
+    PsdMethod.TRUNC_EXP2: lambda m: _square(np.eye(6) + m / 2.0),
+    PsdMethod.TRUNC_EXP4: lambda m: _square(_square(np.eye(6) + m / 4.0)),
+    PsdMethod.EIGEN_CLAMP: _eigen_clamp,
+}
+
+
+def project(m, method: PsdMethod) -> np.ndarray:
+    """Apply the PSD map ``method`` to a symmetric 6x6 matrix."""
+    return _project(_check_symmetric(m), method)
+
+
+def _project(m: np.ndarray, method: PsdMethod) -> np.ndarray:
     """:func:`project` of an exactly symmetric matrix, not validated again."""
-    if method is PsdMethod.SQUARE:
-        out = m @ m
-    elif method is PsdMethod.FOURTH:
-        m2 = m @ m
-        out = m2 @ m2
-    elif method is PsdMethod.EXP:
-        out = _expm(m)
-    elif method is PsdMethod.TRUNC_EXP2:
-        t = np.eye(6) + m / 2.0
-        out = t @ t
-    elif method is PsdMethod.TRUNC_EXP4:
-        t = np.eye(6) + m / 4.0
-        t2 = t @ t
-        out = t2 @ t2
-    elif method is PsdMethod.EIGEN_CLAMP:
-        if eig_map not in ("relu", "exp"):
-            raise ValueError(f"unknown eigenvalue map {eig_map!r}")
-        w, v = np.linalg.eigh(m)
-        w = np.maximum(w, 0.0) if eig_map == "relu" else np.exp(w)
-        out = (v * w) @ v.T
-    else:  # pragma: no cover - exhaustive over enum
-        raise ValueError(f"unknown method {method}")
+    out = _MAPS[method](m)
     return 0.5 * (out + out.T)
 
 
@@ -155,18 +127,17 @@ def lower_triangle_params(m) -> np.ndarray:
     return m[rows, cols]
 
 
-def equivariance_defect(method: PsdMethod, m, rp: RotationPair, eig_map: str = "relu") -> float:
+def equivariance_defect(method: PsdMethod, m, rp: RotationPair) -> float:
     """Relative commutation defect of a PSD map with a Mandel rotation.
 
     ``|| f(R M R^T) - R f(M) R^T ||_F / || f(M) ||_F`` for the orthonormal
     6x6 rotation ``R = rp.r_mandel``.
     """
     m = _check_symmetric(m)
-    _require_matrix_method(method)
     rm = rp.r_mandel
-    projected = _project(m, method, eig_map)
+    projected = _project(m, method)
     rotated = rm @ m @ rm.T
-    rotated_first = _project(0.5 * (rotated + rotated.T), method, eig_map)
+    rotated_first = _project(0.5 * (rotated + rotated.T), method)
     rotated_after = rm @ projected @ rm.T
     denom = np.linalg.norm(projected)
     if denom == 0.0:

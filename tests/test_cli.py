@@ -74,10 +74,12 @@ class TestValidate:
             ("radius", lambda v: "0.05"),
             ("radius", lambda v: [v]),
             ("radius", lambda v: 10**400),
+            ("edges", lambda v: v[:-1] + [[0, 0, 10**29, 0, 0]]),
+            ("edges", lambda v: v[:-1] + [[0, 0, 0, -(10**29), 0]]),
         ],
         ids=["nodes-strings", "nodes-bool", "nodes-null", "nodes-nested", "cell-nested",
              "cell-bool", "cell-huge-int", "radius-bool", "radius-string", "radius-list",
-             "radius-huge-int"],
+             "radius-huge-int", "edges-huge-shift", "edges-huge-negative-shift"],
     )
     def test_non_number_field_reports_line(self, tmp_path, capsys, field, value):
         good = io.lattice_record(simple_cubic())
@@ -326,6 +328,18 @@ class TestPsdProject:
             assert np.linalg.eigvalsh(loaded.entries).min() >= -1e-10 * np.linalg.norm(
                 loaded.entries
             )
+
+    def test_has_no_eigenvalue_map_option(self, tmp_path, rng):
+        from conftest import random_symmetric_matrix
+
+        src = tmp_path / "m.jsonl"
+        io.write_stiffness_records(src, [io.stiffness_record(random_symmetric_matrix(rng))])
+        out = tmp_path / "p.jsonl"
+        assert dispatch(
+            ["psd-project", "--input", str(src), "--method", "eigclamp", "--eig-map", "exp",
+             "--out", str(out)]
+        ) == 2
+        assert not out.exists()
 
 
 class TestMetrics:
@@ -601,7 +615,7 @@ class TestManifests:
         manifest = read_manifest(out)
         assert (manifest["command"], manifest["seed"]) == ("psd-project", 0)
         assert list(manifest["arguments"]) == [
-            "threads", "subcommand", "input", "method", "eig_map", "out"
+            "threads", "subcommand", "input", "method", "out"
         ]
 
     def test_rotate_ends_its_arguments_with_the_rotation(self, stiff, tmp_path):

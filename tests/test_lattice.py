@@ -548,10 +548,13 @@ def test_property_edge_checks_match_row_reference(case):
 
 @st.composite
 def near_face_cells(draw):
-    """Cells of 1-3 nodes, each coordinate on a quarter grid or 1e-15 .. 9e-13
-    above the face at 0, joined by 1-4 struts with shifts -1 .. 1."""
+    """Cells of 1-3 nodes, each coordinate on a quarter grid or 2^-53 .. 9e-13
+    inside the face at 0 or at 1, joined by 1-4 struts with shifts -1 .. 1."""
     count = draw(st.integers(1, 3))
-    coordinate = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75]), st.floats(1e-15, 9e-13))
+    gap = st.floats(2.0**-53, 9e-13)
+    coordinate = st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 0.75]), gap, gap.map(lambda d: 1.0 - d)
+    )
     nodes = draw(st.lists(st.tuples(*[coordinate] * 3), min_size=count, max_size=count))
     node = st.integers(0, count - 1)
     edges = draw(st.lists(st.tuples(node, node, _SHIFT, _SHIFT, _SHIFT), min_size=1, max_size=4))
@@ -570,13 +573,21 @@ NEAR_FACE = Lattice(
     0.05,
 )
 
+# a node 5e-13 inside the face at x = 1, which fold must keep inside the cell
+FAR = Lattice(
+    "far",
+    np.eye(3),
+    [[1 - 5e-13, 0.5, 0.5], [0.3, 0.5, 0.5]],
+    [[0, 1, 1, 0, 0], [0, 1, 0, 0, 0]],
+    0.05,
+)
+
 
 @settings(max_examples=80, deadline=None)
 @given(lat=st.one_of(st.builds(perturbed_cell, **PERTURBED_CELLS), near_face_cells()))
 @example(lat=NEAR_FACE)
+@example(lat=FAR)
 def test_property_window_invariants(lat):
-    # Nodes within 1e-12 of the face at 1 are left out: fold snaps them onto
-    # the face, where a lattice refuses them.
     win = window(lat)
     inverse = np.linalg.inv(lat.cell)
     reduced = win.nodes @ inverse.T

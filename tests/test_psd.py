@@ -9,7 +9,6 @@ from latmech.psd import (
     PsdMethod,
     cholesky_assemble,
     equivariance_defect,
-    expm_symmetric,
     lower_triangle_params,
     project,
 )
@@ -77,14 +76,6 @@ class TestProject:
             atol=1e-12,
         )
 
-    def test_eigclamp_exp_variant(self, rng):
-        m = random_symmetric_matrix(rng)
-        np.testing.assert_allclose(
-            project(m, PsdMethod.EIGEN_CLAMP, eig_map="exp"),
-            eig_oracle(m, np.exp),
-            atol=1e-10,
-        )
-
     def test_eigclamp_relu_idempotent(self, rng):
         m = random_symmetric_matrix(rng)
         once = project(m, PsdMethod.EIGEN_CLAMP)
@@ -105,10 +96,10 @@ class TestProject:
         with pytest.raises(ValueError, match="symmetric"):
             project(bad, PsdMethod.SQUARE)
 
-    def test_rejects_cholesky_arity(self):
-        with pytest.raises(ValueError, match="21-parameter"):
-            project(np.eye(6), PsdMethod.CHOLESKY_ASSEMBLE)
-
+    def test_cholesky_is_not_a_matrix_map(self):
+        # cholesky_assemble takes 21 parameters, not a matrix
+        with pytest.raises(ValueError, match="cholesky"):
+            PsdMethod("cholesky")
 
     def test_symmetry_check_is_relative(self):
         m = to_mandel(homogenize(simple_cubic(radius=0.01)).stiffness).entries.copy()
@@ -121,7 +112,7 @@ class TestExpKernel:
     def test_matches_eig_exp_tightly(self, rng):
         for scale in (0.1, 1.0, 5.0):
             m = scale * random_symmetric_matrix(rng)
-            rel = np.linalg.norm(expm_symmetric(m) - eig_oracle(m, np.exp))
+            rel = np.linalg.norm(project(m, PsdMethod.EXP) - eig_oracle(m, np.exp))
             rel /= np.linalg.norm(eig_oracle(m, np.exp))
             assert rel < 1e-12
 
@@ -130,7 +121,7 @@ class TestExpKernel:
         # the Frobenius error decreases in k for a fixed matrix.
         rng = np.random.default_rng(4)
         m = random_symmetric_matrix(rng)
-        exact = expm_symmetric(m)
+        exact = project(m, PsdMethod.EXP)
         errors = []
         for k in range(1, 9):
             approx = np.linalg.matrix_power(np.eye(6) + m / 2.0**k, 2**k)
