@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Best-of-n timings of the element kernels and the design step's fe layers.
+
+Times ``_beam_kernel`` on 24 struts (one design cell) and on 1536 struts
+(the 8x8x8 simple cubic supercell, more than one gather block),
+``_beam_kernel_derivative`` on 24 struts, and, on the cell of the
+y-softening design demo (2x2x2 simple cubic perturbed by 0.02 with seed 1,
+radius 0.05): ``_moved`` of one candidate step, ``_solve_one`` of the
+cell and ``_stiffness_gradient`` of its solution.  These are private
+functions, so the tracer of ``perfbench`` cannot see them.  Prints the core
+count, then one line per case with the best of 7 repeats, in microseconds
+per call.
+
+    PYTHONPATH=src python scripts/fe_layers.py
+"""
+
+import os
+import timeit
+
+import numpy as np
+
+from latmech import fe
+from latmech.lattice import perturb, simple_cubic, tessellate
+
+REPEATS = 7
+CALLS = 200
+
+
+def best_us(fn, calls: int = CALLS) -> float:
+    """Best of ``REPEATS`` runs of ``calls`` calls, in microseconds per call."""
+    return min(timeit.repeat(fn, number=calls, repeat=REPEATS)) / calls * 1e6
+
+
+def cases() -> dict:
+    mat = fe.BeamMaterial()
+    lat = perturb(tessellate(simple_cubic(), 2), 0.02, 1)
+    cell = fe._fundamental_cell(lat)
+    radius = lat.radius
+    sections = fe._strut_sections([radius], [len(cell.vectors)])
+    big = fe._fundamental_cell(perturb(tessellate(simple_cubic(), 8), 0.02, 1))
+    big_sections = fe._strut_sections([radius], [len(big.vectors)])
+    _density, solution = fe._solve_one(cell, radius, mat)
+    weight = 0.2 * solution.mandel  # dL/dC = 2 (C - T) for the target T = 0.9 C
+    inverse = np.linalg.inv(lat.cell)
+    deltas = np.random.default_rng(1).uniform(-1e-3, 1e-3, (lat.node_count, 3))
+    return {
+        f"_beam_kernel ({len(cell.vectors)})": (
+            lambda: fe._beam_kernel(cell.vectors, sections, mat), CALLS
+        ),
+        f"_beam_kernel ({len(big.vectors)})": (
+            lambda: fe._beam_kernel(big.vectors, big_sections, mat), CALLS // 20
+        ),
+        f"_beam_kernel_derivative ({len(cell.vectors)})": (
+            lambda: fe._beam_kernel_derivative(cell.vectors, sections, mat), CALLS
+        ),
+        "_moved": (
+            lambda: fe._moved(cell, lat.cell, inverse, lat.nodes, lat.edges, deltas), CALLS
+        ),
+        "_solve_one": (lambda: fe._solve_one(cell, radius, mat), CALLS),
+        "_stiffness_gradient": (
+            lambda: fe._stiffness_gradient(cell, solution, radius, weight, mat), CALLS
+        ),
+    }
+
+
+def main() -> None:
+    print(f"nproc {len(os.sched_getaffinity(0))}")
+    for name, (fn, calls) in cases().items():
+        print(f"{name:32s} {best_us(fn, calls):9.1f} us")
+
+
+if __name__ == "__main__":
+    main()

@@ -24,10 +24,10 @@ alone and is shared by the radii of a batch item and the candidates of a
 design run, plus the geometry.  The core gathers consecutive problems
 into chunks of at most about ``_CHUNK_STRUTS`` struts (a larger problem
 is a chunk of its own), builds the element matrices of a whole chunk in
-one kernel call (a fixed basis weighted by per-strut features, see
-:func:`_beam_kernel`), and scatters them, at the places each topology
-names, into one flat buffer of per-problem stiffness bands and one of
-right-hand sides.  A strut couples only the nodes at its two ends, so
+one kernel call (the nonzero terms of a fixed basis weighted by per-strut
+features, see :func:`_beam_kernel`), and scatters them, at the places each
+topology names, into one flat buffer of per-problem stiffness bands and
+one of right-hand sides.  A strut couples only the nodes at its two ends, so
 with the nodes numbered in Cuthill-McKee order (breadth-first from the
 pinned node 0, each level in the order the level before reached it)
 the stiffness matrix is a narrow band; only its lower (kd+1) x n band is
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -151,10 +151,11 @@ def beam_stiffness(length: float, radius: float, axis, mat: BeamMaterial) -> np.
 
 
 def _strut_sections(radii, counts) -> np.ndarray:
-    """Per-strut (area, inertia, torsion) rows of circular sections, shape
-    (sum(counts), 3): the row of ``radii[k]`` repeated ``counts[k]`` times."""
-    rows = [(math.pi * r**2, math.pi * r**4 / 4.0, math.pi * r**4 / 2.0) for r in radii]
-    return np.repeat(np.array(rows), counts, axis=0)
+    """Per-strut (area, inertia, torsion) rows of circular sections: the row
+    of ``radii[k]`` repeated ``counts[k]`` times, or one radius's (1, 3) row,
+    which broadcasts over the struts."""
+    rows = np.array([(math.pi * r**2, math.pi * r**4 / 4.0, math.pi * r**4 / 2.0) for r in radii])
+    return rows if len(rows) == 1 else np.repeat(rows, counts, axis=0)
 
 
 def _node_ranks(name: str, node_count: int, ends: np.ndarray) -> np.ndarray:
@@ -186,17 +187,10 @@ def _node_ranks(name: str, node_count: int, ends: np.ndarray) -> np.ndarray:
     return np.array(rank)
 
 
-def _mandel_unit_strains() -> np.ndarray:
-    """(6, 3, 3) strain tensors of the six unit Mandel basis vectors."""
-    strains = np.zeros((6, 3, 3))
-    for a in range(6):
-        v = np.zeros(6)
-        v[a] = 1.0
-        strains[a] = from_mandel_vector(v)
-    return strains
-
-
-_UNIT_STRAINS = _mandel_unit_strains()
+# the unit Mandel strains; row i of strain a has one nonzero at most, at _AFFINE_AT[i, a]
+_UNIT_STRAINS = np.array([from_mandel_vector(unit) for unit in np.eye(6)])
+_AFFINE_AT = np.argmax(_UNIT_STRAINS != 0.0, axis=2).T
+_AFFINE_SCALE = _UNIT_STRAINS.sum(axis=2).T
 
 # 4x4 node-block patterns of the element matrix, blocks ordered
 # (u_tail, r_tail, u_head, r_head); see _beam_kernel.
@@ -250,6 +244,15 @@ def _kernel_basis() -> np.ndarray:
 _KERNEL_BASIS = _kernel_basis()
 
 
+# _KERNEL_BASIS holds 0 and +-1; [level, k] is the level-th nonzero of flat entry k in feature
+# order, among the signed features f, then -f at 36 + f, then the zero at 72 once they run out
+_BASIS_TERMS = np.array([
+    [*np.flatnonzero(col) + 36 * (col[col != 0.0] < 0.0), *[72] * (3 - np.count_nonzero(col))]
+    for col in _KERNEL_BASIS.T
+]).T
+_GATHER_STRUTS = 256  # struts per gather: bounds a large stack's temporaries
+
+
 def _singular_system(cell: _Cell, k_e: np.ndarray) -> ValueError:
     """The error for a reduced stiffness the band Cholesky rejected: a
     :class:`SingularSystemError` with the dimension of its null space, or a
@@ -274,14 +277,33 @@ def _singular_system(cell: _Cell, k_e: np.ndarray) -> ValueError:
 
 
 def _kernel_features(vectors: np.ndarray, sections: np.ndarray, mat: BeamMaterial):
-    """``(length, n, m, coeff, pair)`` of (E, 3) strut vectors, named as in ``_FEATURES``."""
+    """``(length, n, m, coeff, pair)`` of (E, 3) strut vectors, named as in
+    ``_FEATURES``; ``m``, ``coeff`` and ``pair`` are (rows, E)."""
     length = np.linalg.norm(vectors, axis=1)
     n = vectors / length[:, None]
-    m = np.concatenate([n, np.ones((len(n), 1))], axis=1)
+    m = np.concatenate([n.T, np.ones((1, len(n)))])
     e_mod, g_mod = mat.youngs_modulus, mat.shear_modulus
     moduli = np.array([e_mod, g_mod, 12.0 * e_mod, 4.0 * e_mod, 2.0 * e_mod, 6.0 * e_mod])
-    coeff = moduli * sections[:, _COEFF_SECTION] / length[:, None] ** _COEFF_POWER
-    return length, n, m, coeff, m[:, _FEATURE_A] * m[:, _FEATURE_B]
+    coeff = (moduli * sections.take(_COEFF_SECTION, axis=1)).T / length ** _COEFF_POWER[:, None]
+    return length, n, m, coeff, m.take(_FEATURE_A, axis=0) * m.take(_FEATURE_B, axis=0)
+
+
+def _basis_sum(features: np.ndarray) -> np.ndarray:
+    """(E, ..., 144) C-contiguous basis sums of finite (36, ..., E) features,
+    bit for bit ``np.einsum("...f,fk->...k", features.T, _KERNEL_BASIS)``.
+    That adds all 36 products in feature order to +0.0, and a zero product
+    changes no sum except -0.0; so the nonzero terms are added level by level
+    to the features plus 0.0, which turns -0.0 into +0.0.  Not BLAS: a
+    threaded BLAS product slows the banded factorization after it."""
+    out = np.empty(features.shape[:0:-1] + (144,))
+    for start in range(0, len(out), _GATHER_STRUTS):
+        block = features[..., start : start + _GATHER_STRUTS]
+        signed = np.concatenate([block + 0.0, 0.0 - block, np.zeros((1,) + block.shape[1:])])
+        sums = signed.take(_BASIS_TERMS[0], axis=0)
+        for level in _BASIS_TERMS[1:]:
+            sums += signed.take(level, axis=0)
+        out[start : start + _GATHER_STRUTS] = sums.T
+    return out
 
 
 def _beam_kernel(vectors: np.ndarray, sections: np.ndarray, mat: BeamMaterial) -> np.ndarray:
@@ -294,32 +316,31 @@ def _beam_kernel(vectors: np.ndarray, sections: np.ndarray, mat: BeamMaterial) -
     the global-frame matrix are ``ea P + b12 Q`` (translation), ``-/+ b6 S``
     (translation-rotation coupling), ``gj P + b4 Q`` and ``-gj P + b2 Q``
     (rotation), so no local frame is needed.  Each matrix is linear in 36
-    per-strut features (see ``_FEATURES``), so the whole stack is one
-    product of the (E, 36) features with the fixed (36, 144) basis.  The
-    products go through ``np.einsum`` rather than a BLAS matrix product:
-    the threaded BLAS product slows the banded factorization that follows
-    it.  Each basis matrix is symmetric and the features are summed in one
-    order, so every element matrix is exactly symmetric.
+    per-strut features (see ``_FEATURES``) over a fixed basis of +-1
+    entries, and :func:`_basis_sum` adds the one to three signed features
+    of each entry.  Each basis matrix is symmetric and the features are
+    added in one order, so every element matrix is exactly symmetric.
     """
     _length, _n, _m, coeff, pair = _kernel_features(vectors, sections, mat)
-    features = coeff[:, _FEATURE_COEFF] * pair
-    return np.einsum("ef,fk->ek", features, _KERNEL_BASIS).reshape(-1, 12, 12)
+    return _basis_sum(coeff.take(_FEATURE_COEFF, axis=0) * pair).reshape(-1, 12, 12)
 
 
 def _beam_kernel_derivative(vectors: np.ndarray, sections: np.ndarray, mat: BeamMaterial):
     """(E, 3, 12, 12) derivative of :func:`_beam_kernel` with respect to each
-    strut vector: the product of d(features)/dv with the same basis."""
+    strut vector: the basis sums of d(features)/dv."""
     length, n, m, coeff, pair = _kernel_features(vectors, sections, mat)
     # d coeff / dv_c = -power coeff n_c / L, and dm_i / dv_c = Q_ci / L
-    # (zero for the padding), since dL/dv = n and dn/dv = Q / L.
+    # (zero for the padding), since dL/dv = n and dn/dv = Q / L; (rows, c, E).
     inv = 1.0 / length
-    dcoeff = (-_COEFF_POWER * coeff * inv[:, None])[:, None, :] * n[:, :, None]
-    dm = np.zeros((len(n), 3, 4))
-    dm[:, :, :3] = (np.eye(3) - n[:, :, None] * n[:, None, :]) * inv[:, None, None]
+    dcoeff = (-_COEFF_POWER[:, None] * coeff * inv)[:, None, :] * n.T
+    dm = np.zeros((4, 3, len(n)))
+    dm[:3] = (np.eye(3)[:, :, None] - n.T * n.T[:, None]) * inv
     a, b, c = _FEATURE_A, _FEATURE_B, _FEATURE_COEFF
-    dpair = dm[:, :, a] * m[:, None, b] + m[:, None, a] * dm[:, :, b]
-    dfeatures = dcoeff[:, :, c] * pair[:, None] + coeff[:, None, c] * dpair
-    return np.einsum("ecf,fk->eck", dfeatures, _KERNEL_BASIS).reshape(-1, 3, 12, 12)
+    dpair = dm.take(a, axis=0) * m.take(b, axis=0)[:, None]
+    dpair += m.take(a, axis=0)[:, None] * dm.take(b, axis=0)
+    dfeatures = dcoeff.take(c, axis=0) * pair[:, None]
+    dfeatures += coeff.take(c, axis=0)[:, None] * dpair
+    return _basis_sum(dfeatures).reshape(-1, 3, 12, 12)
 
 
 @dataclass(frozen=True)
@@ -419,17 +440,17 @@ def _fundamental_cell(lat: Lattice) -> _Cell:
 
 def _cell_geometry(cell: np.ndarray, nodes: np.ndarray, edges: np.ndarray):
     """``(end_positions, vectors)`` of a lattice's :class:`_Cell`, from its fields."""
-    positions = nodes @ cell.T
-    heads = positions[edges[:, 1]] + edges[:, 2:] @ cell.T
-    return np.stack([positions[edges[:, 0]], heads], axis=1), _strut_vectors(cell, nodes, edges)
+    end_positions = (nodes @ cell.T).take(edges[:, :2], axis=0)
+    end_positions[:, 1] += edges[:, 2:] @ cell.T
+    return end_positions, _strut_vectors(cell, nodes, edges)
 
 
-def _moved(cell: _Cell, lattice_cell: np.ndarray, nodes: np.ndarray, edges: np.ndarray, deltas):
+def _moved(cell: _Cell, lattice_cell, inverse, nodes: np.ndarray, edges: np.ndarray, deltas):
     """``(nodes, edges, cell)`` of a lattice's fields and cell problem after
     :func:`displace_nodes` by ``deltas``, building no lattice."""
-    nodes, edges = _folded(lattice_cell, nodes, edges, deltas)
-    end_positions, vectors = _cell_geometry(lattice_cell, nodes, edges)
-    return nodes, edges, replace(cell, end_positions=end_positions, vectors=vectors)
+    nodes, edges = _folded(inverse, nodes, edges, deltas)
+    geometry = _cell_geometry(lattice_cell, nodes, edges)
+    return nodes, edges, _Cell(cell.name, cell.topology, *geometry, cell.volume)
 
 
 def _checked_density(name: str, radius: float, cell: _Cell | ValueError) -> float:
@@ -477,12 +498,17 @@ def _solve_cells(problems, mat: BeamMaterial):
         yield from _solve_chunk(chunk, mat)
 
 
-def _placed(patterns, starts) -> np.ndarray:
-    """The problems' scatter patterns, each moved to its place in the chunk;
-    a one-problem chunk uses its pattern as it is, without a copy."""
-    if len(patterns) == 1:
-        return patterns[0]
-    return np.concatenate([pattern + start for pattern, start in zip(patterns, starts)])
+def _joined(arrays) -> np.ndarray:
+    """The arrays end to end; a single array as it is, without a copy."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _affine_displacements(end_positions: np.ndarray) -> np.ndarray:
+    """(E, 12, 6) ``np.einsum("aij,enj->enia", _UNIT_STRAINS, x)`` of (E, 2, 3)
+    end positions x, bit for bit: each entry is one product or none, plus 0.0."""
+    d_aff = np.zeros((len(end_positions), 2, 6, 6))
+    d_aff[:, :, :3] = end_positions.take(_AFFINE_AT, axis=2) * _AFFINE_SCALE + 0.0
+    return d_aff.reshape(-1, 12, 6)
 
 
 def _solve_chunk(chunk, mat: BeamMaterial) -> list[tuple]:
@@ -501,22 +527,15 @@ def _solve_chunk(chunk, mat: BeamMaterial) -> list[tuple]:
     # buffers; the last entries are the buffer lengths
     band_starts = list(accumulate((top.band_size for top in tops), initial=0))
     rhs_starts = list(accumulate((36 * top.node_count for top in tops), initial=0))
-    k_e = _beam_kernel(
-        np.concatenate([cell.vectors for cell in cells]),
-        _strut_sections([radius for _cell, radius in chunk], counts),
-        mat,
-    )
-    d_aff = np.zeros((len(k_e), 2, 6, 6))
-    d_aff[:, :, :3] = np.einsum(
-        "aij,enj->enia", _UNIT_STRAINS, np.concatenate([cell.end_positions for cell in cells])
-    )
-    d_aff = d_aff.reshape(-1, 12, 6)
+    sections = _strut_sections([radius for _cell, radius in chunk], counts)
+    k_e = _beam_kernel(_joined([cell.vectors for cell in cells]), sections, mat)
+    d_aff = _affine_displacements(_joined([cell.end_positions for cell in cells]))
 
     # bincount adds in element order and accumulates over the repeated dofs
-    # of self-edges
-    lower = np.concatenate([top.lower for top in tops])
-    band_at = _placed([top.band_at for top in tops], band_starts)
-    rhs_at = _placed([top.rhs_at for top in tops], rhs_starts)
+    # of self-edges; the first problem's patterns need no shift
+    lower = _joined([top.lower for top in tops])
+    band_at = _joined([t.band_at + b if b else t.band_at for t, b in zip(tops, band_starts)])
+    rhs_at = _joined([t.rhs_at + r if r else t.rhs_at for t, r in zip(tops, rhs_starts)])
     k_flat = np.bincount(band_at, k_e[lower], minlength=band_starts[-1])
     rhs = np.bincount(rhs_at.ravel(), -(k_e @ d_aff).ravel(), minlength=rhs_starts[-1])
     share = (time.perf_counter() - started) / len(chunk)
@@ -568,7 +587,7 @@ def _solve_problem(cell: _Cell, k_e, d_aff, band, rhs) -> _CellSolution:
         raise RuntimeError(f"dpbtrs rejected argument {-info}")
     u_full = np.zeros((rhs.shape[1], 6))
     u_full[3:] = u_red
-    u_e = u_full[cell.topology.dofs]
+    u_e = u_full.take(cell.topology.dofs, axis=0)
     # the residual sum_e K_e u_e - f over the free dofs, taken from the
     # element matrices rather than the band, so that a scatter error shows
     forces = np.bincount(cell.topology.rhs_at.ravel(), (k_e @ u_e).ravel(), minlength=rhs.size)
@@ -615,10 +634,10 @@ def _stiffness_gradient(
     dk = _beam_kernel_derivative(cell.vectors, _strut_sections([radius], [len(cell.vectors)]), mat)
     d = solution.displacements
     per_edge = np.einsum("emij,eij->em", dk, d @ weight @ d.transpose(0, 2, 1)) / cell.volume
-    full = np.zeros((cell.topology.node_count, 3))
-    np.add.at(full, cell.topology.ends[:, 1], per_edge)
-    np.add.at(full, cell.topology.ends[:, 0], -per_edge)
-    return full
+    # one ordered sum: every head's term, then every tail's negated term
+    at = (3 * cell.topology.ends[:, ::-1].T.reshape(-1, 1) + np.arange(3)).ravel()
+    signed = np.concatenate([per_edge, -per_edge]).ravel()
+    return np.bincount(at, signed, minlength=3 * cell.topology.node_count).reshape(-1, 3)
 
 
 def homogenize(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> HomogenizationResult:

@@ -223,13 +223,13 @@ def displace_nodes(lat: Lattice, deltas) -> Lattice:
     deltas = np.asarray(deltas, dtype=float)
     if deltas.shape != (lat.node_count, 3):
         raise ValueError(f"expected ({lat.node_count}, 3) displacements")
-    nodes, edges = _folded(lat.cell, lat.nodes, lat.edges, deltas)
+    nodes, edges = _folded(np.linalg.inv(lat.cell), lat.nodes, lat.edges, deltas)
     return replace(lat, nodes=nodes, edges=edges)
 
 
-def _folded(cell: np.ndarray, nodes: np.ndarray, edges: np.ndarray, deltas: np.ndarray):
-    """The ``(nodes, edges)`` of :func:`displace_nodes`, from a lattice's fields."""
-    reduced = nodes + deltas @ np.linalg.inv(cell).T
+def _folded(inverse: np.ndarray, nodes: np.ndarray, edges: np.ndarray, deltas: np.ndarray):
+    """The ``(nodes, edges)`` of :func:`displace_nodes`, from fields and the cell inverse."""
+    reduced = nodes + deltas @ inverse.T
     wraps = np.floor(reduced).astype(int)
     folded = reduced - wraps
     # floor can leave a coordinate at exactly 1.0 after cancellation
@@ -251,8 +251,8 @@ def perturb(lat: Lattice, level: float, seed: int) -> Lattice:
     """
     if lat.node_count < 2:
         raise ValueError(f"lattice {lat.name!r}: perturbation needs at least 2 nodes")
-    if level < 0.0:
-        raise ValueError("perturbation level must be nonnegative")
+    if not 0.0 <= level < math.inf:
+        raise ValueError("perturbation level must be finite and nonnegative")
     if level == 0.0:
         return lat
     dirs = np.array(
@@ -264,6 +264,8 @@ def perturb(lat: Lattice, level: float, seed: int) -> Lattice:
 def perturbed_realizations(lat: Lattice, level: float, seed: int, count: int) -> list[Lattice]:
     """``count`` perturbations of ``lat``; realization ``k`` uses seed ``seed + k``
     and is named ``<name>_l<level>_r<k>``."""
+    if count < 0:
+        raise ValueError("realization count must be nonnegative")
     return [
         replace(perturb(lat, level, seed + k), name=f"{lat.name}_l{level:g}_r{k}")
         for k in range(count)

@@ -165,6 +165,7 @@ def solve(
     history = [current]
     solves = 1
     fixed = np.setdiff1d(np.arange(lat.node_count), prob.free_nodes)
+    inverse = np.linalg.inv(lat.cell)
 
     for _ in range(prob.max_steps):
         weight = 2.0 * (solution.mandel - target.entries)
@@ -175,7 +176,7 @@ def solve(
 
         step = prob.step_size
         for _halving in range(MAX_HALVINGS + 1):
-            moved = _moved(cell, lat.cell, nodes, edges, step * direction)
+            moved = _moved(cell, lat.cell, inverse, nodes, edges, step * direction)
             candidate = moved[2]
             if np.linalg.norm(candidate.vectors, axis=1).min(initial=np.inf) < min_length:
                 step *= 0.5

@@ -79,6 +79,8 @@ def random_rotations(count: int, seed: int) -> np.ndarray:
 def axis_angle_rotation(axis, angle: float) -> np.ndarray:
     """Rotation by ``angle`` radians about ``axis`` (Rodrigues formula)."""
     a = np.asarray(axis, dtype=float)
+    if not (np.all(np.isfinite(a)) and np.isfinite(angle)):
+        raise ValueError("rotation axis and angle must be finite")
     norm = np.linalg.norm(a)
     if norm < 1e-12:
         raise ValueError("rotation axis must be nonzero")

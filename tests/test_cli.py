@@ -434,8 +434,43 @@ class TestPerturbCommand:
             )
         assert a.read_text() == b.read_text()
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--level", "nan"], "perturbation level must be finite and nonnegative"),
+            (["--level", "inf"], "perturbation level must be finite and nonnegative"),
+            (["--level", "0.1", "--realizations", "-2"], "realization count must be nonnegative"),
+        ],
+    )
+    def test_bad_level_or_count_fails_without_warning(
+        self, catalogue_path, tmp_path, capsys, option, message
+    ):
+        out = tmp_path / "perturbed.lats"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = dispatch(
+                ["perturb", "--catalogue", str(catalogue_path), *option, "--out", str(out)]
+            )
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
 
 class TestRotateCommand:
+    @pytest.mark.parametrize(
+        "option", [["--axis", "nan,0,0"], ["--axis", "inf,0,0"], ["--angle-deg", "inf"]]
+    )
+    def test_non_finite_rotation_fails_without_warning(
+        self, catalogue_path, tmp_path, capsys, option
+    ):
+        out = tmp_path / "rot.lats"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = dispatch(["rotate", "--catalogue", str(catalogue_path), *option, "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: rotation axis and angle must be finite\n"
+
     def test_rotate_catalogue(self, catalogue_path, tmp_path):
         out = tmp_path / "rot.lats"
         code = dispatch(

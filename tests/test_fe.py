@@ -456,6 +456,101 @@ def test_property_kernel_derivative_matches_central_differences(nz, azimuth, len
         )
 
 
+def dense_kernel_reference(vectors, sections, mat):
+    """The element matrices and their derivative as one dense product of
+    strut-major features with the (36, 144) basis: the reference for the
+    kernels, which add only the nonzero terms of feature-major features."""
+    length = np.linalg.norm(vectors, axis=1)
+    n = vectors / length[:, None]
+    m = np.concatenate([n, np.ones((len(n), 1))], axis=1)
+    e_mod, g_mod = mat.youngs_modulus, mat.shear_modulus
+    moduli = np.array([e_mod, g_mod, 12.0 * e_mod, 4.0 * e_mod, 2.0 * e_mod, 6.0 * e_mod])
+    coeff = moduli * sections[:, fe._COEFF_SECTION] / length[:, None] ** fe._COEFF_POWER
+    a, b, c = fe._FEATURE_A, fe._FEATURE_B, fe._FEATURE_COEFF
+    pair = m[:, a] * m[:, b]
+    inv = 1.0 / length
+    dcoeff = (-fe._COEFF_POWER * coeff * inv[:, None])[:, None, :] * n[:, :, None]
+    dm = np.zeros((len(n), 3, 4))
+    dm[:, :, :3] = (np.eye(3) - n[:, :, None] * n[:, None, :]) * inv[:, None, None]
+    dpair = dm[:, :, a] * m[:, None, b] + m[:, None, a] * dm[:, :, b]
+    dfeatures = dcoeff[:, :, c] * pair[:, None] + coeff[:, None, c] * dpair
+    k = np.einsum("ef,fk->ek", coeff[:, c] * pair, fe._KERNEL_BASIS)
+    dk = np.einsum("ecf,fk->eck", dfeatures, fe._KERNEL_BASIS)
+    return k.reshape(-1, 12, 12), dk.reshape(-1, 3, 12, 12)
+
+
+def strut_stack(seed: int, count: int, aligned: float, log_lengths) -> np.ndarray:
+    """(count, 3) strut vectors: a share ``aligned`` of them along a
+    coordinate axis with signed zeros elsewhere, so that features are exactly
+    0.0 or -0.0, and the rest in random directions; lengths log-uniform."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((count, 3))
+    along = rng.random(count) < aligned
+    axis = rng.integers(0, 3, count)
+    signed_zeros = np.where(rng.random((count, 3)) < 0.5, -0.0, 0.0)
+    ones = np.where(rng.random((count, 3)) < 0.5, -1.0, 1.0)
+    vectors[along] = np.where(np.eye(3, dtype=bool)[axis], ones, signed_zeros)[along]
+    lengths = 10.0 ** rng.uniform(*log_lengths, count)
+    return vectors / np.linalg.norm(vectors, axis=1)[:, None] * lengths[:, None]
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape and actual.flags.c_contiguous
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.sampled_from([1, 24, 2 * fe._GATHER_STRUTS + 5]),
+    aligned=st.sampled_from([0.0, 0.5, 1.0]),
+    log_lengths=st.sampled_from([(-5.0, 4.0), (-5.0, -5.0), (4.0, 4.0), (0.0, 0.0)]),
+    radii=st.lists(st.floats(1e-4, 0.2), min_size=1, max_size=3),
+)
+@example(seed=0, count=24, aligned=1.0, log_lengths=(0.0, 0.0), radii=[0.05])
+def test_property_gathering_kernels_equal_the_dense_product_bit_for_bit(
+    seed, count, aligned, log_lengths, radii
+):
+    # the kernels add only the nonzero basis terms; the dense product adds
+    # all 36, and both must give the same bits, signed zeros included
+    vectors = strut_stack(seed, count, aligned, log_lengths)
+    counts = [count // len(radii)] * (len(radii) - 1)
+    counts.append(count - sum(counts))
+    sections = _strut_sections(radii, counts)
+    mat = BeamMaterial(1.7, 0.27)
+    k, dk = dense_kernel_reference(vectors, np.broadcast_to(sections, (count, 3)), mat)
+    assert_same_bits(_beam_kernel(vectors, sections, mat), k)
+    assert_same_bits(_beam_kernel_derivative(vectors, sections, mat), dk)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(36, 1), (36, 24), (36, 3, 24), (36, 2 * fe._GATHER_STRUTS + 5)]),
+    log_scale=st.floats(-290.0, 290.0),
+)
+def test_property_basis_sum_equals_the_dense_product_bit_for_bit(seed, shape, log_scale):
+    # feature-major (36, ..., E) features against the strut-major product
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal(shape) * 10.0 ** (log_scale + rng.uniform(-8.0, 8.0, shape))
+    features[rng.random(shape) < 0.2] = 0.0
+    features[rng.random(shape) < 0.2] = -0.0
+    dense = np.einsum("...f,fk->...k", np.ascontiguousarray(features.T), fe._KERNEL_BASIS)
+    assert_same_bits(fe._basis_sum(features), dense)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.sampled_from([1, 24, 300]))
+def test_property_affine_displacements_equal_the_einsum_bit_for_bit(seed, count):
+    rng = np.random.default_rng(seed)
+    end_positions = rng.standard_normal((count, 2, 3)) * 10.0 ** rng.uniform(-5, 4, (count, 2, 3))
+    end_positions[rng.random((count, 2, 3)) < 0.2] = 0.0
+    end_positions[rng.random((count, 2, 3)) < 0.2] = -0.0
+    expected = np.zeros((count, 2, 6, 6))
+    expected[:, :, :3] = np.einsum("aij,enj->enia", fe._UNIT_STRAINS, end_positions)
+    assert_same_bits(fe._affine_displacements(end_positions), expected.reshape(-1, 12, 6))
+
+
 class TestHomogenize:
     def test_simple_cubic_axial_limit(self):
         # Under unit axial strain only the aligned strut works; the energy
@@ -752,7 +847,9 @@ def test_property_moved_cell_is_the_displaced_lattices_cell(
     rng = np.random.default_rng(move_seed)
     shift = np.tile(rng.uniform(-0.5, 0.5, 3), (lat.node_count, 1))
     for deltas in (shift, shift + rng.uniform(-level, level, (lat.node_count, 3))):
-        nodes, edges, moved = fe._moved(cell, lat.cell, lat.nodes, lat.edges, deltas)
+        nodes, edges, moved = fe._moved(
+            cell, lat.cell, np.linalg.inv(lat.cell), lat.nodes, lat.edges, deltas
+        )
         displaced = lattice.displace_nodes(lat, deltas)
         assert_identical(nodes, displaced.nodes)
         assert_identical(edges, displaced.edges)

@@ -429,6 +429,15 @@ class TestPerturb:
         with pytest.raises(ValueError, match="nonnegative"):
             perturb(diamond(), -0.1, seed=0)
 
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_level(self, level):
+        with pytest.raises(ValueError, match="perturbation level must be finite and nonnegative"):
+            perturb(diamond(), level, seed=0)
+
+    def test_realizations_reject_negative_count(self):
+        with pytest.raises(ValueError, match="realization count must be nonnegative"):
+            perturbed_realizations(diamond(), 0.05, seed=0, count=-3)
+
     def test_connectivity_preserved_under_wrap(self):
         # Large level forces nodes across the boundary; edge vectors must
         # keep the same multiset of lengths as direct displacement.

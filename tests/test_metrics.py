@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -428,3 +429,20 @@ class TestUnitDraws:
         else:
             expected = rotation_of_quaternion(third)
             assert sampling.random_rotation(0, 0).tobytes() == expected.tobytes()
+
+
+class TestAxisAngleRotation:
+    @pytest.mark.parametrize(
+        "axis, angle",
+        [((math.nan, 0.0, 0.0), 1.0), ((math.inf, 0.0, 0.0), 1.0), ((0.0, 0.0, 1.0), math.inf),
+         ((0.0, 0.0, 1.0), math.nan)],
+    )
+    def test_rejects_non_finite_axis_or_angle(self, axis, angle):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rotation axis and angle must be finite"):
+                sampling.axis_angle_rotation(axis, angle)
+
+    def test_quarter_turn_about_z(self):
+        r = sampling.axis_angle_rotation((0.0, 0.0, 2.0), math.pi / 2)
+        np.testing.assert_allclose(r, [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], atol=1e-15)
