@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, io, metrics, optimize, psd, sampling
 from .fe import BeamMaterial, homogenize_batch
-from .lattice import perturbed_realizations, rotate_lattice
+from .lattice import check_perturbation, perturbed_realizations, rotate_lattice
 from .tensor4 import (
     _dyad_moduli,
     _unit_dyads,
@@ -218,6 +218,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
+    check_perturbation(args.level, args.realizations)
     lattices = io.read_catalogue(args.catalogue)
     write_manifest = _manifest(args)
     out = []

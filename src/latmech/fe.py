@@ -151,11 +151,10 @@ def beam_stiffness(length: float, radius: float, axis, mat: BeamMaterial) -> np.
 
 
 def _strut_sections(radii, counts) -> np.ndarray:
-    """Per-strut (area, inertia, torsion) rows of circular sections: the row
-    of ``radii[k]`` repeated ``counts[k]`` times, or one radius's (1, 3) row,
-    which broadcasts over the struts."""
-    rows = np.array([(math.pi * r**2, math.pi * r**4 / 4.0, math.pi * r**4 / 2.0) for r in radii])
-    return rows if len(rows) == 1 else np.repeat(rows, counts, axis=0)
+    """Per-strut (area, inertia, torsion) rows of circular sections, shape
+    (sum(counts), 3): the row of ``radii[k]`` repeated ``counts[k]`` times."""
+    rows = [(math.pi * r**2, math.pi * r**4 / 4.0, math.pi * r**4 / 2.0) for r in radii]
+    return np.repeat(np.array(rows), counts, axis=0)
 
 
 def _node_ranks(name: str, node_count: int, ends: np.ndarray) -> np.ndarray:
@@ -187,10 +186,8 @@ def _node_ranks(name: str, node_count: int, ends: np.ndarray) -> np.ndarray:
     return np.array(rank)
 
 
-# the unit Mandel strains; row i of strain a has one nonzero at most, at _AFFINE_AT[i, a]
+# (6, 3, 3) strain tensors of the six unit Mandel basis vectors
 _UNIT_STRAINS = np.array([from_mandel_vector(unit) for unit in np.eye(6)])
-_AFFINE_AT = np.argmax(_UNIT_STRAINS != 0.0, axis=2).T
-_AFFINE_SCALE = _UNIT_STRAINS.sum(axis=2).T
 
 # 4x4 node-block patterns of the element matrix, blocks ordered
 # (u_tail, r_tail, u_head, r_head); see _beam_kernel.
@@ -242,8 +239,6 @@ def _kernel_basis() -> np.ndarray:
 
 
 _KERNEL_BASIS = _kernel_basis()
-
-
 # _KERNEL_BASIS holds 0 and +-1; [level, k] is the level-th nonzero of flat entry k in feature
 # order, among the signed features f, then -f at 36 + f, then the zero at 72 once they run out
 _BASIS_TERMS = np.array([
@@ -277,8 +272,7 @@ def _singular_system(cell: _Cell, k_e: np.ndarray) -> ValueError:
 
 
 def _kernel_features(vectors: np.ndarray, sections: np.ndarray, mat: BeamMaterial):
-    """``(length, n, m, coeff, pair)`` of (E, 3) strut vectors, named as in
-    ``_FEATURES``; ``m``, ``coeff`` and ``pair`` are (rows, E)."""
+    """``(length, n, m, coeff, pair)`` of (E, 3) strut vectors as in ``_FEATURES``, rows first."""
     length = np.linalg.norm(vectors, axis=1)
     n = vectors / length[:, None]
     m = np.concatenate([n.T, np.ones((1, len(n)))])
@@ -289,12 +283,10 @@ def _kernel_features(vectors: np.ndarray, sections: np.ndarray, mat: BeamMateria
 
 
 def _basis_sum(features: np.ndarray) -> np.ndarray:
-    """(E, ..., 144) C-contiguous basis sums of finite (36, ..., E) features,
-    bit for bit ``np.einsum("...f,fk->...k", features.T, _KERNEL_BASIS)``.
-    That adds all 36 products in feature order to +0.0, and a zero product
-    changes no sum except -0.0; so the nonzero terms are added level by level
-    to the features plus 0.0, which turns -0.0 into +0.0.  Not BLAS: a
-    threaded BLAS product slows the banded factorization after it."""
+    """(E, ..., 144) C-contiguous basis sums of finite (36, ..., E) features, bit for bit
+    ``np.einsum("...f,fk->...k", features.T, _KERNEL_BASIS)``: that adds the 36 products in
+    order to +0.0, where a zero product changes only -0.0, so the nonzero terms are added in
+    order to the features plus 0.0.  Not BLAS: it slows the banded factorization after it."""
     out = np.empty(features.shape[:0:-1] + (144,))
     for start in range(0, len(out), _GATHER_STRUTS):
         block = features[..., start : start + _GATHER_STRUTS]
@@ -503,14 +495,6 @@ def _joined(arrays) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _affine_displacements(end_positions: np.ndarray) -> np.ndarray:
-    """(E, 12, 6) ``np.einsum("aij,enj->enia", _UNIT_STRAINS, x)`` of (E, 2, 3)
-    end positions x, bit for bit: each entry is one product or none, plus 0.0."""
-    d_aff = np.zeros((len(end_positions), 2, 6, 6))
-    d_aff[:, :, :3] = end_positions.take(_AFFINE_AT, axis=2) * _AFFINE_SCALE + 0.0
-    return d_aff.reshape(-1, 12, 6)
-
-
 def _solve_chunk(chunk, mat: BeamMaterial) -> list[tuple]:
     """:func:`_solve_cells` on one chunk: one kernel call, one scatter into
     the flat buffer of lower stiffness bands and one into the right-hand
@@ -529,7 +513,11 @@ def _solve_chunk(chunk, mat: BeamMaterial) -> list[tuple]:
     rhs_starts = list(accumulate((36 * top.node_count for top in tops), initial=0))
     sections = _strut_sections([radius for _cell, radius in chunk], counts)
     k_e = _beam_kernel(_joined([cell.vectors for cell in cells]), sections, mat)
-    d_aff = _affine_displacements(_joined([cell.end_positions for cell in cells]))
+    d_aff = np.zeros((len(k_e), 2, 6, 6))
+    d_aff[:, :, :3] = np.einsum(
+        "aij,enj->enia", _UNIT_STRAINS, _joined([cell.end_positions for cell in cells])
+    )
+    d_aff = d_aff.reshape(-1, 12, 6)
 
     # bincount adds in element order and accumulates over the repeated dofs
     # of self-edges; the first problem's patterns need no shift
@@ -634,10 +622,10 @@ def _stiffness_gradient(
     dk = _beam_kernel_derivative(cell.vectors, _strut_sections([radius], [len(cell.vectors)]), mat)
     d = solution.displacements
     per_edge = np.einsum("emij,eij->em", dk, d @ weight @ d.transpose(0, 2, 1)) / cell.volume
-    # one ordered sum: every head's term, then every tail's negated term
-    at = (3 * cell.topology.ends[:, ::-1].T.reshape(-1, 1) + np.arange(3)).ravel()
-    signed = np.concatenate([per_edge, -per_edge]).ravel()
-    return np.bincount(at, signed, minlength=3 * cell.topology.node_count).reshape(-1, 3)
+    full = np.zeros((cell.topology.node_count, 3))
+    np.add.at(full, cell.topology.ends[:, 1], per_edge)
+    np.add.at(full, cell.topology.ends[:, 0], -per_edge)
+    return full
 
 
 def homogenize(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> HomogenizationResult:

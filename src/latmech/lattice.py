@@ -241,6 +241,14 @@ def _folded(inverse: np.ndarray, nodes: np.ndarray, edges: np.ndarray, deltas: n
     return folded, edges
 
 
+def check_perturbation(level: float, count: int = 0) -> None:
+    """Reject a level that is not finite and nonnegative, or a negative count."""
+    if not 0.0 <= level < math.inf:
+        raise ValueError("perturbation level must be finite and nonnegative")
+    if count < 0:
+        raise ValueError("realization count must be nonnegative")
+
+
 def perturb(lat: Lattice, level: float, seed: int) -> Lattice:
     """Displace every node by exactly ``level`` along an independent random direction.
 
@@ -251,8 +259,7 @@ def perturb(lat: Lattice, level: float, seed: int) -> Lattice:
     """
     if lat.node_count < 2:
         raise ValueError(f"lattice {lat.name!r}: perturbation needs at least 2 nodes")
-    if not 0.0 <= level < math.inf:
-        raise ValueError("perturbation level must be finite and nonnegative")
+    check_perturbation(level)
     if level == 0.0:
         return lat
     dirs = np.array(
@@ -264,8 +271,7 @@ def perturb(lat: Lattice, level: float, seed: int) -> Lattice:
 def perturbed_realizations(lat: Lattice, level: float, seed: int, count: int) -> list[Lattice]:
     """``count`` perturbations of ``lat``; realization ``k`` uses seed ``seed + k``
     and is named ``<name>_l<level>_r<k>``."""
-    if count < 0:
-        raise ValueError("realization count must be nonnegative")
+    check_perturbation(level, count)
     return [
         replace(perturb(lat, level, seed + k), name=f"{lat.name}_l{level:g}_r{k}")
         for k in range(count)

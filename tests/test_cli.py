@@ -439,6 +439,10 @@ class TestPerturbCommand:
         [
             (["--level", "nan"], "perturbation level must be finite and nonnegative"),
             (["--level", "inf"], "perturbation level must be finite and nonnegative"),
+            (
+                ["--level", "nan", "--realizations", "0"],
+                "perturbation level must be finite and nonnegative",
+            ),
             (["--level", "0.1", "--realizations", "-2"], "realization count must be nonnegative"),
         ],
     )
@@ -454,6 +458,17 @@ class TestPerturbCommand:
         assert code == 1
         assert not out.exists()
         assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+    def test_bad_level_fails_on_single_node_cells(self, tmp_path, capsys):
+        # every cell would be skipped, but the options are checked first
+        catalogue, out = tmp_path / "sc.lats", tmp_path / "perturbed.lats"
+        io.write_catalogue(catalogue, [simple_cubic()])
+        code = dispatch(
+            ["perturb", "--catalogue", str(catalogue), "--level", "nan", "--out", str(out)]
+        )
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: perturbation level must be finite and nonnegative\n"
 
 
 class TestRotateCommand:

@@ -434,9 +434,16 @@ class TestPerturb:
         with pytest.raises(ValueError, match="perturbation level must be finite and nonnegative"):
             perturb(diamond(), level, seed=0)
 
-    def test_realizations_reject_negative_count(self):
-        with pytest.raises(ValueError, match="realization count must be nonnegative"):
-            perturbed_realizations(diamond(), 0.05, seed=0, count=-3)
+    @pytest.mark.parametrize(
+        "level, count, message",
+        [
+            (math.nan, 0, "perturbation level must be finite and nonnegative"),
+            (0.05, -3, "realization count must be nonnegative"),
+        ],
+    )
+    def test_realizations_reject_bad_level_or_count(self, level, count, message):
+        with pytest.raises(ValueError, match=message):
+            perturbed_realizations(diamond(), level, seed=0, count=count)
 
     def test_connectivity_preserved_under_wrap(self):
         # Large level forces nodes across the boundary; edge vectors must
