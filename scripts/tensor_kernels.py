@@ -8,9 +8,14 @@ over 250 directions, and ``psd.project`` with each of the six matrix
 maps.  A tensor keeps its Mandel form, so the repeated
 ``directional_moduli`` and ``l_dir`` calls on one tensor time the
 contraction and the direction check, not a conversion; the round trip
-builds a new tensor each call and so times both conversions.  Prints the
-core count, then one line per kernel with the best of 7 repeats, in
-microseconds per call.
+builds a new tensor each call and so times both conversions.  It also
+times the per-item constructors and checks on their own: the
+``MandelMatrix`` check of a 6x6 array, ``from_mandel`` of a checked
+matrix, ``mandel_rotation`` (which builds and checks a ``RotationPair``),
+``check_rotation``, the ``ElasticTensor4`` checks of a 3x3x3x3 array
+(with its first Mandel conversion) and the keyed ``random_rotation``
+draw.  Prints the core count, then one line per kernel with the best of
+7 repeats, in microseconds per call.
 
     PYTHONPATH=src python scripts/tensor_kernels.py
 """
@@ -22,6 +27,9 @@ from latmech import metrics, psd, sampling
 from latmech.fe import homogenize
 from latmech.lattice import body_centred_cubic
 from latmech.tensor4 import (
+    ElasticTensor4,
+    MandelMatrix,
+    check_rotation,
     directional_moduli,
     from_mandel,
     mandel_rotation,
@@ -55,6 +63,15 @@ def kernels() -> dict:
     }
     for method in psd.PsdMethod:
         cases[f"project {method.value}"] = lambda method=method: psd.project(m, method)
+    entries, components = m.entries.copy(), c.components.copy()
+    cases.update({
+        "MandelMatrix(a)": lambda: MandelMatrix(entries),
+        "from_mandel": lambda: from_mandel(m),
+        "mandel_rotation": lambda: mandel_rotation(r),
+        "check_rotation": lambda: check_rotation(r),
+        "ElasticTensor4(c)": lambda: ElasticTensor4(components),
+        "random_rotation": lambda: sampling.random_rotation(0, 7),
+    })
     return cases
 
 

@@ -53,6 +53,7 @@ from .tensor4 import (
     SLOT_PAIRS,
     ElasticTensor4,
     MandelMatrix,
+    _row_norms,
     _unit_dyads,
     from_mandel,
     from_mandel_vector,
@@ -273,7 +274,7 @@ def _singular_system(cell: _Cell, k_e: np.ndarray) -> ValueError:
 
 def _kernel_features(vectors: np.ndarray, sections: np.ndarray, mat: BeamMaterial):
     """``(length, n, m, coeff, pair)`` of (E, 3) strut vectors as in ``_FEATURES``, rows first."""
-    length = np.linalg.norm(vectors, axis=1)
+    length = _row_norms(vectors)
     n = vectors / length[:, None]
     m = np.concatenate([n.T, np.ones((1, len(n)))])
     e_mod, g_mod = mat.youngs_modulus, mat.shear_modulus
@@ -457,7 +458,7 @@ def _checked_density(name: str, radius: float, cell: _Cell | ValueError) -> floa
         raise ValueError(f"lattice {name!r}: radius must be positive")
     if isinstance(cell, ValueError):
         raise cell
-    density = float(math.pi * radius**2 * np.linalg.norm(cell.vectors, axis=1).sum() / cell.volume)
+    density = float(math.pi * radius**2 * _row_norms(cell.vectors).sum() / cell.volume)
     if density >= 1.0:
         raise ValueError(
             f"lattice {name!r}: relative density {density:.3f} >= 1 (struts too thick)"
@@ -579,8 +580,8 @@ def _solve_problem(cell: _Cell, k_e, d_aff, band, rhs) -> _CellSolution:
     # the residual sum_e K_e u_e - f over the free dofs, taken from the
     # element matrices rather than the band, so that a scatter error shows
     forces = np.bincount(cell.topology.rhs_at.ravel(), (k_e @ u_e).ravel(), minlength=rhs.size)
-    res_norm = np.linalg.norm(forces.reshape(6, -1)[:, 3:] - load, axis=1)
-    rhs_norm = np.linalg.norm(load, axis=1)
+    res_norm = _row_norms(forces.reshape(6, -1)[:, 3:] - load)
+    rhs_norm = _row_norms(load)
     residual = float(np.max(res_norm / np.maximum(rhs_norm, 1e-300)))
     if not residual < 1e-8:
         raise ValueError(

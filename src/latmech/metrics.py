@@ -19,6 +19,7 @@ from .lattice import Lattice, rotate_lattice
 from .tensor4 import (
     ElasticTensor4,
     MandelMatrix,
+    _checked_mandel,
     _dyad_moduli,
     _unit_dyads,
     rotate,
@@ -81,15 +82,18 @@ class MetricReport:
 
 
 def l_comp(pred: MandelMatrix, target: MandelMatrix) -> float:
-    """Sum of squared deviations over the 36 Mandel entries (one lattice)."""
-    diff = np.asarray(pred, dtype=float) - np.asarray(target, dtype=float)
-    return float(np.sum(diff * diff))
+    """Sum of squared deviations over the 36 Mandel entries (one lattice).
+
+    Either matrix may also be given as an array, which is checked as a
+    :class:`MandelMatrix`; a :class:`MandelMatrix` is not checked again."""
+    diff = _checked_mandel(pred).entries - _checked_mandel(target).entries
+    return float(np.add.reduce(diff * diff, axis=None))
 
 
 def target_mean_square(target: MandelMatrix) -> float:
-    """Normalizer: mean square of the 36 target entries."""
-    t = np.asarray(target, dtype=float)
-    return float(np.sum(t * t) / 36.0)
+    """Normalizer: mean square of the 36 target entries, checked as :func:`l_comp` checks."""
+    t = _checked_mandel(target).entries
+    return float(np.add.reduce(t * t, axis=None) / 36.0)
 
 
 def aggregate_training_loss(pairs: Sequence[tuple[MandelMatrix, MandelMatrix]]) -> float:
@@ -99,6 +103,7 @@ def aggregate_training_loss(pairs: Sequence[tuple[MandelMatrix, MandelMatrix]]) 
         raise ValueError("needs at least one (pred, target) pair")
     total = 0.0
     for index, (pred, target) in enumerate(pairs):
+        pred, target = _checked_mandel(pred), _checked_mandel(target)
         gamma = target_mean_square(target)
         if gamma == 0.0:
             raise ValueError(f"pair {index}: zero target stiffness (normalizer undefined)")

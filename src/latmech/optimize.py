@@ -31,7 +31,7 @@ from .fe import (
 )
 from .lattice import Lattice, displace_nodes
 from .metrics import l_comp
-from .tensor4 import ElasticTensor4, MandelMatrix, to_mandel
+from .tensor4 import ElasticTensor4, MandelMatrix, _row_norms, to_mandel
 
 MIN_EDGE_LENGTH = 1e-3  # in units of det(A)^(1/3) of the base cell
 GRADIENT_STOP = 1e-8  # of ||gradient|| det(A)^(1/3) / ||T||_F^2, free of units
@@ -178,7 +178,7 @@ def solve(
         for _halving in range(MAX_HALVINGS + 1):
             moved = _moved(cell, lat.cell, inverse, nodes, edges, step * direction)
             candidate = moved[2]
-            if np.linalg.norm(candidate.vectors, axis=1).min(initial=np.inf) < min_length:
+            if _row_norms(candidate.vectors).min(initial=np.inf) < min_length:
                 step *= 0.5
                 continue
             value, candidate_solution = _evaluate(candidate, radius, target, mat)

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .tensor4 import MandelMatrix, RotationPair
+from .tensor4 import _EYE6, RotationPair, _checked_mandel
 
 
 class PsdMethod(Enum):
@@ -48,21 +48,20 @@ def _check_symmetric(m) -> np.ndarray:
     """``m`` validated as a :class:`MandelMatrix`, then exactly symmetrized.
     A :class:`MandelMatrix` passed the checks when it was built and its
     entries are read-only, so it is not checked again."""
-    if not isinstance(m, MandelMatrix):
-        m = MandelMatrix(m)
-    return 0.5 * (m.entries + m.entries.T)
+    entries = _checked_mandel(m).entries
+    return 0.5 * (entries + entries.T)
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a Taylor kernel."""
-    norm = np.linalg.norm(m, 1)
+    # the 1-norm by the ops np.linalg.norm(m, 1) runs, without its wrapper
+    norm = np.add.reduce(np.abs(m), axis=0).max()
     squarings = 0 if norm <= _EXP_THETA else int(math.ceil(math.log2(norm / _EXP_THETA)))
     x = m / (2.0**squarings)
     # Horner evaluation of the degree-6 Taylor polynomial.
-    eye = np.eye(6)
-    acc = eye + x / 6.0
+    acc = _EYE6 + x / 6.0
     for k in (5.0, 4.0, 3.0, 2.0, 1.0):
-        acc = eye + (x @ acc) / k
+        acc = _EYE6 + (x @ acc) / k
     for _ in range(squarings):
         acc = acc @ acc
     return acc
@@ -81,8 +80,8 @@ _MAPS = {
     PsdMethod.SQUARE: _square,
     PsdMethod.FOURTH: lambda m: _square(_square(m)),
     PsdMethod.EXP: _expm,
-    PsdMethod.TRUNC_EXP2: lambda m: _square(np.eye(6) + m / 2.0),
-    PsdMethod.TRUNC_EXP4: lambda m: _square(_square(np.eye(6) + m / 4.0)),
+    PsdMethod.TRUNC_EXP2: lambda m: _square(_EYE6 + m / 2.0),
+    PsdMethod.TRUNC_EXP4: lambda m: _square(_square(_EYE6 + m / 4.0)),
     PsdMethod.EIGEN_CLAMP: _eigen_clamp,
 }
 

@@ -73,7 +73,9 @@ def random_rotation(seed: int, index: int = 0) -> np.ndarray:
 
 def random_rotations(count: int, seed: int) -> np.ndarray:
     """``(count, 3, 3)`` array of independent uniformly random rotations."""
-    return np.array([random_rotation(seed, s) for s in range(count)])
+    if count < 0:
+        raise ValueError("rotation count must be nonnegative")
+    return np.array([random_rotation(seed, s) for s in range(count)]).reshape(count, 3, 3)
 
 
 def axis_angle_rotation(axis, angle: float) -> np.ndarray:

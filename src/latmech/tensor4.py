@@ -37,6 +37,32 @@ _I6 = np.arange(6)
 _PAIR_I = np.array([p[0] for p in SLOT_PAIRS])
 _PAIR_J = np.array([p[1] for p in SLOT_PAIRS])
 
+# An index map of a small fixed-size array is one ``take`` from a flat table
+# built once here: a flat gather costs a fraction of fancy indexing with
+# several index arrays.  (One index array on a 1-D array, or the column
+# picks of an (n, 3) array, are cheaper as they are.)
+_FLAT3 = np.arange(9).reshape(3, 3)
+_FLAT4 = np.arange(81).reshape(3, 3, 3, 3)
+# C_ijkl over slot pairs (ij), (kl)
+_SLOT_TABLE = _FLAT4[_PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I[None, :], _PAIR_J[None, :]]
+# Mandel entry (SLOT_OF[i, j], SLOT_OF[k, l]) of each component C_ijkl
+_COMPONENT_SLOTS = 6 * _SLOT_OF[:, :, None, None] + _SLOT_OF[None, None, :, :]
+# r_ik, r_jl, r_il and r_jk over slot pairs (ij), (kl)
+_R_IK = _FLAT3[_PAIR_I[:, None], _PAIR_I[None, :]]
+_R_JL = _FLAT3[_PAIR_J[:, None], _PAIR_J[None, :]]
+_R_IL = _FLAT3[_PAIR_I[:, None], _PAIR_J[None, :]]
+_R_JK = _FLAT3[_PAIR_J[:, None], _PAIR_I[None, :]]
+# C_jikl and C_ijlk: the images of C_ijkl under the two minor symmetries
+_MINOR_IMAGES = (
+    ((1, 0, 2, 3), _FLAT4.transpose(1, 0, 2, 3).copy()),
+    ((0, 1, 3, 2), _FLAT4.transpose(0, 1, 3, 2).copy()),
+)
+
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
+_EYE6 = np.eye(6)
+_EYE6.setflags(write=False)
+
 # Divisors turning the table of r_ik r_jl + r_il r_jk into each rotation form.
 _MANDEL_ROTATION_DIVISORS = np.full((6, 6), _SQRT2)
 _MANDEL_ROTATION_DIVISORS[:3, :3] = 2.0
@@ -57,6 +83,12 @@ def relative_defect(a, b) -> float:
     return float(abs(a - b).max()) / max(float(abs(a).max()), 1e-30)
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1)`` of a 2-D float array, bit for bit: the
+    ops it runs for one axis, without its wrapper."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 def _as_square(a, n: int, what: str) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.shape != (n, n):
@@ -65,10 +97,15 @@ def _as_square(a, n: int, what: str) -> np.ndarray:
 
 
 def rotation_defect(r) -> float:
-    """Max of the orthonormality defect ``|R^T R - I|`` and ``|det R - 1|``."""
+    """Max of the orthonormality defect ``|R^T R - I|`` and ``|det R - 1|``.
+
+    The determinant is the cofactor expansion along the first row, within
+    about an ulp of LAPACK's, at a fraction of ``np.linalg.det``'s cost."""
     r = _as_square(r, 3, "rotation")
-    ortho = np.abs(r.T @ r - np.eye(3)).max()
-    return max(ortho, abs(np.linalg.det(r) - 1.0))
+    ortho = np.abs(r.T @ r - _EYE3).max()
+    (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return max(ortho, abs(det - 1.0))
 
 
 def check_rotation(r) -> np.ndarray:
@@ -99,10 +136,13 @@ class ElasticTensor4:
         c.setflags(write=False)
         if c.shape != (3, 3, 3, 3):
             raise ValueError(f"stiffness tensor must be 3x3x3x3, got {c.shape}")
-        if not np.all(np.isfinite(c)):
+        # as in MandelMatrix, one reduction gives the finiteness verdict and
+        # the scale that both minor-symmetry defects are relative to
+        scale = float(abs(c).max())
+        if not math.isfinite(scale):
             raise ValueError("stiffness tensor has non-finite entries")
-        for axes in ((1, 0, 2, 3), (0, 1, 3, 2)):
-            defect = relative_defect(c, c.transpose(axes))
+        for axes, image in _MINOR_IMAGES:
+            defect = float(abs(c - c.take(image)).max()) / max(scale, 1e-30)
             if defect > self._SYM_TOL:
                 raise ValueError(
                     f"tensor violates index symmetry {axes}: relative defect {defect:.3e}"
@@ -166,6 +206,13 @@ class MandelMatrix:
         return np.asarray(self.entries, dtype=dtype)
 
 
+def _checked_mandel(m) -> MandelMatrix:
+    """``m`` as a :class:`MandelMatrix`: one that is passed in already passed
+    the checks when it was built and its entries are read-only, so it is
+    returned as it is; anything else is checked."""
+    return m if isinstance(m, MandelMatrix) else MandelMatrix(m)
+
+
 @dataclass(frozen=True)
 class VoigtMatrix:
     """6x6 stiffness matrix in conventional (stress-form) Voigt notation."""
@@ -192,7 +239,7 @@ class RotationPair:
     def __post_init__(self):
         r = check_rotation(self.r)
         rm = _as_square(self.r_mandel, 6, "Mandel rotation")
-        defect = np.abs(rm.T @ rm - np.eye(6)).max()
+        defect = np.abs(rm.T @ rm - _EYE6).max()
         if not defect <= ROTATION_TOL:
             raise ValueError(f"Mandel rotation not orthonormal: defect {defect:.3e}")
         object.__setattr__(self, "r", r)
@@ -238,7 +285,7 @@ def symmetrize(raw) -> ElasticTensor4:
 
 def _slot_table(c: ElasticTensor4) -> np.ndarray:
     """6x6 table of ``C_ijkl`` over slot pairs ``(ij)``, ``(kl)``."""
-    return c.components[_PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I[None, :], _PAIR_J[None, :]]
+    return c.components.take(_SLOT_TABLE)
 
 
 def to_mandel(c: ElasticTensor4) -> MandelMatrix:
@@ -272,12 +319,9 @@ def from_mandel(m: MandelMatrix | np.ndarray) -> ElasticTensor4:
     :func:`to_mandel` call and cached from then on, that every Mandel-form
     operation on the tensor reads.
     """
-    if not isinstance(m, MandelMatrix):
-        m = MandelMatrix(m)
-    entries = m.entries
-    slot_left = _SLOT_OF[:, :, None, None]
-    slot_right = _SLOT_OF[None, None, :, :]
-    comp = entries[slot_left, slot_right] / _WEIGHT_PRODUCTS[slot_left, slot_right]
+    # dividing the 36 entries, then gathering, divides each component as a
+    # gather of both tables would
+    comp = (_checked_mandel(m).entries / _WEIGHT_PRODUCTS).take(_COMPONENT_SLOTS)
     return ElasticTensor4._unchecked(comp)
 
 
@@ -288,9 +332,7 @@ def to_voigt(c: ElasticTensor4) -> VoigtMatrix:
 
 def _pair_products(r: np.ndarray) -> np.ndarray:
     """6x6 table of ``r_ik r_jl + r_il r_jk`` over slot pairs ``(ij)``, ``(kl)``."""
-    i, j = _PAIR_I[:, None], _PAIR_J[:, None]
-    k, l = _PAIR_I[None, :], _PAIR_J[None, :]
-    return r[i, k] * r[j, l] + r[i, l] * r[j, k]
+    return r.take(_R_IK) * r.take(_R_JL) + r.take(_R_IL) * r.take(_R_JK)
 
 
 def mandel_rotation(r) -> RotationPair:
@@ -347,7 +389,7 @@ def _unit_dyads(directions) -> np.ndarray:
     d = np.asarray(directions, dtype=float)
     if d.ndim != 2 or d.shape[1] != 3:
         raise ValueError("directions must be an (n, 3) array")
-    off = np.abs(np.linalg.norm(d, axis=1) - 1.0).max(initial=0.0)
+    off = np.abs(_row_norms(d) - 1.0).max(initial=0.0)
     if not off <= UNIT_TOL:
         raise ValueError(f"directions must be unit length, |1 - |d|| = {off:.3e}")
     return _WEIGHTS * d[:, _PAIR_I] * d[:, _PAIR_J]
@@ -356,7 +398,7 @@ def _unit_dyads(directions) -> np.ndarray:
 def _dyad_moduli(c: ElasticTensor4, dyads: np.ndarray) -> np.ndarray:
     """``C_ijkl d_i d_j d_k d_l = v^T M v`` for each row ``v`` of a
     :func:`_unit_dyads` table."""
-    return np.sum((dyads @ to_mandel(c).entries) * dyads, axis=1)
+    return np.add.reduce((dyads @ to_mandel(c).entries) * dyads, axis=1)
 
 
 def to_mandel_vector(t) -> np.ndarray:

@@ -101,6 +101,54 @@ class TestAggregateLoss:
             aggregate_training_loss([])
 
 
+class TestPairChecks:
+    """Raw pairs are checked as :class:`MandelMatrix` inputs; checked ones are not again."""
+
+    @staticmethod
+    def bad_matrix(kind: str, good: np.ndarray) -> np.ndarray:
+        if kind == "5x5":
+            return np.eye(5)
+        bad = good.copy()
+        bad[0, 1] = math.nan if kind == "nan" else bad[0, 1] + 1e-6 * np.abs(good).max()
+        return bad
+
+    @pytest.mark.parametrize("kind", ["5x5", "asymmetric", "nan"])
+    def test_raw_pairs_are_rejected(self, rng, kind):
+        good = random_symmetric_matrix(rng)
+        bad = self.bad_matrix(kind, good)
+        calls = [
+            lambda: l_comp(bad, good),
+            lambda: l_comp(good, bad),
+            lambda: target_mean_square(bad),
+            lambda: aggregate_training_loss([(bad, good)]),
+            lambda: aggregate_training_loss([(good, bad)]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="Mandel matrix"):
+                call()
+
+    def test_five_by_five_identities_are_not_scored(self):
+        with pytest.raises(ValueError, match="must be 6x6"):
+            aggregate_training_loss([(np.eye(5), np.eye(5))])
+
+    def test_raw_and_checked_pairs_score_the_same(self, rng):
+        pred, target = random_symmetric_matrix(rng), random_symmetric_matrix(rng)
+        checked = MandelMatrix(pred), MandelMatrix(target)
+        assert l_comp(pred, target) == l_comp(*checked)
+        assert target_mean_square(target) == target_mean_square(checked[1])
+        assert aggregate_training_loss([(pred, target)]) == aggregate_training_loss([checked])
+
+    def test_checked_pairs_are_not_checked_again(self, monkeypatch, rng):
+        pairs = [(MandelMatrix(random_symmetric_matrix(rng)),) * 2 for _ in range(3)]
+        calls = []
+        check = MandelMatrix.__post_init__
+        monkeypatch.setattr(MandelMatrix, "__post_init__", lambda self: calls.append(1) or check(self))
+        aggregate_training_loss(pairs)
+        l_comp(*pairs[0])
+        target_mean_square(pairs[0][1])
+        assert calls == []
+
+
 class TestLDir:
     def test_zero_on_equal(self, rng):
         c = ElasticTensor4(random_symmetric_tensor4(rng))
@@ -429,6 +477,22 @@ class TestUnitDraws:
         else:
             expected = rotation_of_quaternion(third)
             assert sampling.random_rotation(0, 0).tobytes() == expected.tobytes()
+
+
+class TestRandomRotations:
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_shape_is_count_by_3_by_3(self, count):
+        assert sampling.random_rotations(count, 3).shape == (count, 3, 3)
+
+    def test_rows_are_the_keyed_rotations(self):
+        rotations = sampling.random_rotations(6, 11)
+        for index, r in enumerate(rotations):
+            assert r.tobytes() == sampling.random_rotation(11, index).tobytes()
+
+    @pytest.mark.parametrize("count", [-1, -2])
+    def test_rejects_a_negative_count(self, count):
+        with pytest.raises(ValueError, match="rotation count must be nonnegative"):
+            sampling.random_rotations(count, 3)
 
 
 class TestAxisAngleRotation:
