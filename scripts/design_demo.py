@@ -4,8 +4,8 @@
 Starts from a slightly perturbed 2x2x2 simple-cubic cell (the pristine
 tessellation is a symmetric stationary point of the homogenization map),
 targets its own stiffness with the Mandel 22-row/column scaled by the
-requested factor, and runs backtracking gradient descent on the nodal
-positions with exact gradients.
+requested factor, and runs L-BFGS on the nodal positions with exact
+gradients, halving any step that would increase the objective.
 """
 
 import argparse

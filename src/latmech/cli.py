@@ -275,7 +275,6 @@ def _cmd_optimize(args) -> int:
         target=target,
         step_size=args.lr,
         max_steps=args.steps,
-        backtracking=not args.plain,
     )
     trace = optimize.solve(problem, args.material)
     payload = {
@@ -374,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="stiffness record file")
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--lr", type=float, default=optimize.DEFAULT_STEP_SIZE)
-    p.add_argument("--plain", action="store_true", help="disable backtracking")
     p.add_argument("--material", type=_parse_material, default=BeamMaterial())
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_optimize)

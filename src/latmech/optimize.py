@@ -1,13 +1,14 @@
 """Gradient-based design of nodal positions toward a target stiffness.
 
-This module owns the loss and the descent loop.  The objective is the
+This module owns the loss and the design loop.  The objective is the
 component loss L between the homogenized and target Mandel matrices, and
 its derivative dL/dC = 2 (C - T) is the weight that :mod:`fe` turns into
 node gradients: the cell problem, its moves and its sensitivity
 (:func:`fe._stiffness_gradient`, exact, from the same solve as the
 objective value) belong to :mod:`fe`.  :func:`fd_gradient`, central
 differences of the full homogenization, is the reference the exact
-gradient is tested against.  The descent loop defaults to backtracking,
+gradient is tested against.  The loop takes L-BFGS steps on the exact
+gradient and accepts only a step that does not increase the objective,
 so the objective history is nonincreasing.  Nodes move in transformed
 coordinates with the cell held fixed.  A run builds one cell problem, for
 its base lattice, and each candidate moves that cell's geometry; a step
@@ -17,6 +18,7 @@ the final nodes become a :class:`Lattice`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,8 +38,8 @@ from .tensor4 import ElasticTensor4, MandelMatrix, _row_norms, to_mandel
 MIN_EDGE_LENGTH = 1e-3  # in units of det(A)^(1/3) of the base cell
 GRADIENT_STOP = 1e-8  # of ||gradient|| det(A)^(1/3) / ||T||_F^2, free of units
 MAX_HALVINGS = 20
-# Found on the tessellated simple-cubic demo: large because the component
-# loss of slender lattices is O(rho^2) while coordinates are O(1).
+MAX_PAIRS = 10  # curvature pairs kept for the L-BFGS direction
+# The first step's scale, found on the tessellated simple-cubic demo.
 DEFAULT_STEP_SIZE = 3.0e3
 DEFAULT_FD_STEP = 1e-5
 
@@ -50,7 +52,6 @@ class DesignProblem:
     step_size: float = DEFAULT_STEP_SIZE
     max_steps: int = 50
     fd_step: float = DEFAULT_FD_STEP  # step of the fd_gradient reference check
-    backtracking: bool = True
 
     def __post_init__(self):
         free = tuple(int(k) for k in self.free_nodes) or tuple(range(self.base.node_count))
@@ -140,20 +141,38 @@ def gradient(
     return value, {int(k): full[int(k)] for k in free_nodes}
 
 
+def _two_loop(grad: np.ndarray, pairs) -> np.ndarray:
+    """The L-BFGS direction -H g from the curvature pairs ``(s, y, s.y)``,
+    oldest first, with the initial inverse Hessian s.y / y.y of the newest."""
+    q = grad.copy()
+    alphas = []
+    for s, y, sy in reversed(pairs):
+        alphas.append(np.vdot(s, q) / sy)
+        q -= alphas[-1] * y
+    s, y, sy = pairs[-1]
+    q *= sy / np.vdot(y, y)
+    for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - np.vdot(y, q) / sy) * s
+    return -q
+
+
 def solve(
     prob: DesignProblem, mat: BeamMaterial = BeamMaterial(), threads: int = 1
 ) -> DesignTrace:
-    """Run the descent loop and re-verify the final stiffness by a fresh solve.
+    """Run the design loop and re-verify the final stiffness by a fresh solve.
 
     Each candidate is one move of the base lattice's cell problem, solved
     once: the solve that gives its objective value also gives the exact
-    gradient of the next step.  Stops at ``max_steps`` or when the gradient
-    norm times det(A)^(1/3) is at most ``GRADIENT_STOP`` times the squared
-    norm of the target's Mandel matrix, a test free of the length unit and
-    the modulus.  A step that would collapse a strut, or with backtracking
-    increase the objective, halves the step size, up to 20 times; if no
-    acceptable step remains the loop terminates.  Only the final nodes
-    become a :class:`Lattice`.  ``threads`` is accepted and ignored.
+    gradient of the next step.  The first step is ``step_size`` times the
+    negative gradient; later ones are the L-BFGS direction at step 1, from
+    up to ``MAX_PAIRS`` accepted moves s and gradient changes y with s.y > 0
+    (with none kept, the first step's rule).  Stops at ``max_steps`` or when
+    the gradient norm times det(A)^(1/3) is at most ``GRADIENT_STOP`` times
+    the squared norm of the target's Mandel matrix, a test free of the
+    length unit and the modulus.  A step that would collapse a strut or
+    increase the objective is halved, up to 20 times; if no acceptable step
+    remains the loop terminates.  Only the final nodes become a
+    :class:`Lattice`.  ``threads`` is accepted and ignored.
     """
     lat, radius = prob.base, prob.base.radius
     target = to_mandel(prob.target)
@@ -166,24 +185,31 @@ def solve(
     solves = 1
     fixed = np.setdiff1d(np.arange(lat.node_count), prob.free_nodes)
     inverse = np.linalg.inv(lat.cell)
+    pairs, previous = deque(maxlen=MAX_PAIRS), None
 
     for _ in range(prob.max_steps):
         weight = 2.0 * (solution.mandel - target.entries)
-        direction = -_stiffness_gradient(cell, solution, radius, weight, mat)
-        direction[fixed] = 0.0
-        if np.linalg.norm(direction) * length_scale <= stop:
+        grad = _stiffness_gradient(cell, solution, radius, weight, mat)
+        grad[fixed] = 0.0
+        if np.linalg.norm(grad) * length_scale <= stop:
             break
+        if previous is not None:
+            move, y = previous[0], grad - previous[1]
+            sy = np.vdot(move, y)
+            if sy > 0.0:
+                pairs.append((move, y, sy))
+        direction, step = (_two_loop(grad, pairs), 1.0) if pairs else (-grad, prob.step_size)
 
-        step = prob.step_size
         for _halving in range(MAX_HALVINGS + 1):
-            moved = _moved(cell, lat.cell, inverse, nodes, edges, step * direction)
+            move = step * direction
+            moved = _moved(cell, lat.cell, inverse, nodes, edges, move)
             candidate = moved[2]
             if _row_norms(candidate.vectors).min(initial=np.inf) < min_length:
                 step *= 0.5
                 continue
             value, candidate_solution = _evaluate(candidate, radius, target, mat)
             solves += 1
-            if not (prob.backtracking and value > current):
+            if not value > current:
                 break
             step *= 0.5
         else:
@@ -191,6 +217,7 @@ def solve(
         nodes, edges, cell = moved
         current, solution = value, candidate_solution
         history.append(current)
+        previous = move, grad
 
     lat = replace(lat, nodes=nodes, edges=edges)
     final = homogenize(lat, mat)

@@ -202,8 +202,8 @@ class MandelMatrix:
             raise ValueError(f"Mandel matrix not symmetric: relative defect {defect:.3e}")
         object.__setattr__(self, "entries", m)
 
-    def __array__(self, dtype=None):
-        return np.asarray(self.entries, dtype=dtype)
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.entries, dtype=dtype, copy=copy)
 
 
 def _checked_mandel(m) -> MandelMatrix:
@@ -225,8 +225,8 @@ class VoigtMatrix:
             raise ValueError("Voigt matrix has non-finite entries")
         object.__setattr__(self, "entries", m)
 
-    def __array__(self, dtype=None):
-        return np.asarray(self.entries, dtype=dtype)
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.entries, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)

@@ -572,6 +572,18 @@ class TestOptimizeCommand:
              "--target", str(target), "--out", str(tmp_path / "t.json")]
         ) == 1
 
+    def test_plain_is_a_usage_error(self, catalogue_path, tmp_path):
+        # every step accepts only a candidate that does not increase the
+        # objective, so there is no plain mode to ask for
+        target = tmp_path / "target.jsonl"
+        io.write_stiffness_records(target, [io.stiffness_record(np.eye(6))])
+        out = tmp_path / "t.json"
+        assert dispatch(
+            ["optimize", "--catalogue", str(catalogue_path), "--name", "bcc",
+             "--target", str(target), "--plain", "--out", str(out)]
+        ) == 2
+        assert not out.exists()
+
 
 class TestRecordRoundTrip:
     def test_bit_exact_floats(self, tmp_path, rng):
@@ -705,8 +717,8 @@ class TestManifests:
         manifest = read_manifest(out)
         assert (manifest["command"], manifest["seed"]) == ("optimize", 0)
         assert list(manifest["arguments"]) == [
-            "threads", "subcommand", "catalogue", "name", "target", "steps", "lr", "plain",
-            "material", "out",
+            "threads", "subcommand", "catalogue", "name", "target", "steps", "lr", "material",
+            "out",
         ]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from latmech.tensor4 import (
     KelvinSpectrum,
     MandelMatrix,
     RotationPair,
+    VoigtMatrix,
     _ROTATE_PATH,
     check_rotation,
     directional_moduli,
@@ -561,6 +563,25 @@ class TestTypeInvariants:
     def test_kelvin_shape_check(self):
         with pytest.raises(ValueError):
             KelvinSpectrum(np.zeros(5), np.zeros((6, 3, 3)))
+
+    @pytest.mark.parametrize("kind", [MandelMatrix, VoigtMatrix])
+    def test_array_protocol_takes_the_copy_keyword(self, kind):
+        # numpy 2 passes copy= to __array__ and warns when it is not accepted
+        matrix = kind(np.eye(6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fresh = np.array(matrix)
+            shared = np.asarray(matrix)
+            uncopied = np.array(matrix, copy=False)
+            single = np.asarray(matrix, dtype=np.float32)
+            with pytest.raises(ValueError):
+                np.array(matrix, dtype=np.float32, copy=False)
+        assert fresh is not matrix.entries and fresh.flags.writeable
+        np.testing.assert_array_equal(fresh, matrix.entries)
+        assert shared is matrix.entries and uncopied is matrix.entries
+        assert single.dtype == np.float32
+        if kind is MandelMatrix:
+            assert not shared.flags.writeable
 
 
 @settings(max_examples=30, deadline=None)
