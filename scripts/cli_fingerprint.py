@@ -8,10 +8,13 @@ temporary directory, then runs the CLI in-process on it: ``homogenize``
 with ``--surface``, ``surface``, ``rotate`` on stiffness records and on the
 catalogue, ``perturb``, ``psd-project`` with each matrix method,
 ``metrics`` to a file and to stdout (whose report is saved as
-``metrics.stdout.json``) and a five-step ``optimize``.  It also runs the
-y-softening design problem of ``scripts/design_demo.py`` (a 2x2x2 simple
-cubic cell perturbed by 0.02, seeds 1-5, toward its own stiffness with the
-Mandel y row and column scaled by 0.8) as five 50-step ``optimize`` runs.
+``metrics.stdout.json``) and a five-step ``optimize`` that designs the
+perturbed ``bcc_l0.05_r1`` toward the stiffness of ``bcc_l0.05_r0`` (the
+pristine bcc cell is a stationary point, where the loop takes no step).
+It also runs the y-softening design problem of ``scripts/design_demo.py``
+(a 2x2x2 simple cubic cell perturbed by 0.02, seeds 1-5, toward its own
+stiffness with the Mandel y row and column scaled by 0.8) as five 50-step
+``optimize`` runs.
 Prints, as indented JSON, the SHA-256 of each output file under ``hashes``
 and the stack the bytes depend on under ``stack``: the machine, the CPU
 (whose model and feature flags pick the OpenBLAS kernels) and the numpy and
@@ -110,7 +113,7 @@ def write_outputs(out: str) -> None:
 
     target = [raw for _m, raw in io.read_stiffness_records(stiff) if raw["name"] == "bcc_l0.05_r0"]
     io.write_stiffness_records(path("target.jsonl"), target[:1])
-    run("optimize", "--catalogue", path("cells.lats"), "--name", "bcc",
+    run("optimize", "--catalogue", path("cells.lats"), "--name", "bcc_l0.05_r1",
         "--target", path("target.jsonl"), "--steps", "5", "--out", path("optimize.json"))
 
     bases = [replace(perturb(tessellate(simple_cubic(), 2), 0.02, seed), name=f"design_s{seed}")

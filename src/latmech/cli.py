@@ -94,15 +94,35 @@ def _parse_vector(text: str) -> np.ndarray:
     return np.asarray(parts)
 
 
-def _write_surface(path: str, label_columns: str, directions: np.ndarray, blocks) -> None:
+# Lines per chunk of whole blocks that _write_surface formats at once: large
+# enough to spread numpy's per-call cost, small enough that no table-sized
+# temporary raises the peak memory.
+_SURFACE_CHUNK_LINES = 2048
+
+
+def _write_surface(path: str, label_columns: str, directions: np.ndarray, blocks: list) -> None:
     """Directional-modulus table: one line per direction of each ``(label, moduli)``
     block, where ``label`` is the tab-terminated text under ``label_columns``.
-    Numbers are written as :func:`io.format_float` writes them."""
-    prefixes = [f"{x:.17g}\t{y:.17g}\t{z:.17g}\t" for x, y, z in directions.tolist()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{label_columns}dx\tdy\tdz\tmodulus\n")
-        for label, moduli in blocks:
-            fh.write("".join([f"{label}{p}{m:.17g}\n" for p, m in zip(prefixes, moduli.tolist())]))
+    Numbers are written as :func:`io.format_floats` writes them; a block's
+    lines are joined with its label as the separator."""
+    count = len(directions)
+    tab = b"\t"
+    dx, dy, dz = io.format_floats(directions).T
+    prefix = np.char.add(np.char.add(np.char.add(dx, tab), np.char.add(dy, tab)),
+                         np.char.add(dz, tab))
+    with open(path, "wb") as fh:
+        fh.write(f"{label_columns}dx\tdy\tdz\tmodulus\n".encode())
+        if count == 0:
+            return  # a table of no directions is its header alone
+        per_chunk = max(1, _SURFACE_CHUNK_LINES // count)
+        for start in range(0, len(blocks), per_chunk):
+            chunk = blocks[start : start + per_chunk]
+            moduli = io.format_floats(np.array([m for _, m in chunk]))
+            parts = []
+            for (label, _), tails in zip(chunk, np.char.add(prefix, moduli)):
+                label = label.encode()
+                parts += [label, (b"\n" + label).join(tails.tolist()), b"\n"]
+            fh.write(b"".join(parts))
 
 
 # ---------------------------------------------------------------------------

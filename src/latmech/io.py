@@ -7,10 +7,16 @@ metadata such as ``name``.  A catalogue record has keys ``name``,
 ``cell`` (9 reals, row-major), ``nodes`` (flat list of 3N reduced
 coordinates), ``edges`` (lists ``[i, j, tx, ty, tz]``), and ``radius``.
 
-Floats are serialized with Python's shortest round-trip representation
-(at most 17 significant digits), so write/read cycles are bit-exact.  Both
-readers reject a malformed record with a :class:`CatalogueError` holding
-its line number and the reason.
+Floats in records are serialized with Python's shortest round-trip
+representation (at most 17 significant digits), so write/read cycles are
+bit-exact.  Both readers reject a malformed record with a
+:class:`CatalogueError` holding its line number and the reason.
+
+Directional-modulus tables write every number as ``format(x, ".17g")``
+does, through :func:`format_floats`, which computes that text for a whole
+array at once.  Any element it cannot vouch for (zero, inf, nan, a decimal
+exponent outside [-29, 16], a value within 1e-9 of a rounding tie) is
+written by ``format(x, ".17g")`` itself.
 """
 
 from __future__ import annotations
@@ -36,6 +42,156 @@ class CatalogueError(ValueError):
 def format_float(x: float) -> str:
     """17-significant-digit formatting for plot tables."""
     return format(float(x), ".17g")
+
+
+# ---------------------------------------------------------------------------
+# ``%.17g`` text of whole arrays
+# ---------------------------------------------------------------------------
+#
+# A finite x whose decimal exponent e lies in [_E_MIN, _E_MAX] is written
+# from the 17-digit integer N = round(|x| 10^q), q = 16 - e.  For
+# 0 <= q <= 45, 10^q = 5^q 2^q splits exactly into two doubles hi + lo, and
+# |x| hi is an exact Dekker two-product (no FMA needed).  Only |x| lo (at
+# most about 11) and the sum of the small terms round, so the fraction of
+# |x| 10^q is known to about 1e-14, far inside the 1e-9 tie margin.
+
+_E_MIN, _E_MAX = -29, 16
+_SIGNIFICANT = 17
+_TIE_MARGIN = 1e-9
+_SPLITTER = 134217729.0  # 2^27 + 1
+
+
+def _power10_parts():
+    """``hi``, ``lo``, and ``hi``'s Veltkamp halves, for 10^q, q = 0 .. 16 - _E_MIN."""
+    powers = [10**q for q in range(_E_MAX - _E_MIN + 1)]
+    hi = np.array([float(p) for p in powers])
+    lo = np.array([float(p - int(float(p))) for p in powers])
+    scaled = hi * _SPLITTER
+    high = scaled - (scaled - hi)
+    return hi, lo, high, hi - high
+
+
+_P10_HI, _P10_LO, _P10_HIGH, _P10_LOW = _power10_parts()
+
+
+def _quad_tables():
+    """The four ASCII digits of each 0 .. 9999 as one native uint32, and
+    the number of trailing zero digits of each (4 for 0)."""
+    quads = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for j in range(4):
+        quads[..., j] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - j))
+    zero = (np.arange(10) == 0).astype(np.uint8)
+    zeros = zero * (1 + zero[:, None] * (1 + zero[:, None, None] * (1 + zero[:, None, None, None])))
+    return quads.reshape(10000, 4).view(np.uint32).reshape(10000), zeros.reshape(10000)
+
+
+_QUADS, _QUAD_ZEROS = _quad_tables()
+
+# A value's row of source bytes: five four-digit groups holding its 17
+# digits at bytes 3 .. 19, then a tail of three words chosen by e: the two
+# digits of |e| and the constants.  A layout names its bytes by the letters
+# A .. Q (digits), X and Y (exponent digits) and the constants themselves.
+_CONSTANTS = b"\0-.e0"
+_TAILS = np.frombuffer(b"".join(
+    f"{abs(e):02d}".encode() + _CONSTANTS.ljust(10, b"\0") for e in range(_E_MIN, _E_MAX + 1)
+), np.uint32).reshape(-1, 3)
+_ROW_BYTES = 32
+_WIDTH = 24  # the longest %.17g text, as in "-2.2250738585072014e-308"
+_GATHER_ROWS = 512
+
+
+def _layout(e: int, k: int) -> str:
+    """The ``%.17g`` text of a positive value with exponent ``e`` (any
+    e < -4 reads as e = -5) and ``k`` significant digits, in layout letters."""
+    digits = "ABCDEFGHIJKLMNOPQ"
+    if e >= 0:
+        return digits[: e + 1] + ("." + digits[e + 1 : k] if k > e + 1 else "")
+    if e >= -4:
+        return "0." + "0" * (-e - 1) + digits[:k]
+    return digits[0] + ("." + digits[1:k] if k > 1 else "") + "e-XY"
+
+
+def _layout_tables():
+    """Source-byte index of each layout, by ``(max(e, -5) + 5) * 17 + k - 1``,
+    plus 374 for a negative value."""
+    texts = [_layout(e, k) for e in range(-5, _E_MAX + 1) for k in range(1, _SIGNIFICANT + 1)]
+    texts += ["-" + t for t in texts]
+    raw = np.frombuffer("".join(t.ljust(_WIDTH, "\0") for t in texts).encode(), np.uint8)
+    source = np.zeros(256, np.uint8)
+    source[np.frombuffer(b"ABCDEFGHIJKLMNOPQXY", np.uint8)] = [*range(3, 22)]
+    source[np.frombuffer(_CONSTANTS, np.uint8)] = range(22, 22 + len(_CONSTANTS))
+    return source[raw].reshape(len(texts), _WIDTH)
+
+
+_LAYOUT_SOURCE = _layout_tables()
+
+
+def _significands(magnitude: np.ndarray):
+    """The decimal exponent e and 17-digit integer N = round(m 10^(16 - e))
+    of each magnitude m, and whether the array path cannot vouch for N."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exponent = np.floor(np.log10(magnitude))
+    inside = (exponent >= _E_MIN) & (exponent <= _E_MAX)
+    e = np.where(inside, exponent, 0.0).astype(np.intp)
+    q = _E_MAX - e
+    m = np.where(inside, magnitude, 1.0)
+    # m 10^q = product + error + m lo, the first two exactly.
+    product = m * _P10_HI.take(q)
+    scaled = m * _SPLITTER
+    m_high = scaled - (scaled - m)
+    m_low = m - m_high
+    high, low = _P10_HIGH.take(q), _P10_LOW.take(q)
+    error = ((m_high * high - product) + m_high * low + m_low * high) + m_low * low
+    rest = error + m * _P10_LO.take(q)
+    step = np.rint(rest)
+    fraction = rest - step
+    big = product.astype(np.int64) + step.astype(np.int64)
+    fallback = (
+        ~inside
+        | (np.abs(np.abs(fraction) - 0.5) < _TIE_MARGIN)
+        | (big < 10**16)
+        | (big >= 10**17)
+        | ((big == 10**16) & (fraction < 0))  # m 10^q < 1e16: e is one too high
+    )
+    big[fallback] = 10**16
+    return e, big, fallback
+
+
+def format_floats(values) -> np.ndarray:
+    """``format(x, ".17g")`` of every element of ``values``, as a bytes
+    array of the same shape (dtype ``S24``, wide enough for any float).
+
+    Computed in whole-array steps; an element outside the exponent window
+    [-29, 16], non-finite or zero, or whose rounding falls within 1e-9 of a
+    tie, is written by ``format`` itself."""
+    x = np.asarray(values, dtype=float)
+    flat = x.reshape(-1)
+    n = flat.size
+    e, big, fallback = _significands(np.abs(flat))
+    head, tail = np.divmod(big, 10**8)
+    g1, g2 = np.divmod(head % 10**8, 10**4)
+    g3, g4 = np.divmod(tail, 10**4)
+    source = np.empty((n, _ROW_BYTES // 4), np.uint32)
+    for j, group in enumerate((head // 10**8, g1, g2, g3, g4)):
+        source[:, j] = _QUADS.take(group)
+    source[:, 5:] = _TAILS.take(e - _E_MIN, axis=0)
+    # Trailing zero digits of an 8-digit half (8 if it is 0), then of N.
+    tail_zeros = np.where(g4 != 0, _QUAD_ZEROS.take(g4), 4 + _QUAD_ZEROS.take(g3))
+    head_zeros = np.where(g2 != 0, _QUAD_ZEROS.take(g2), 4 + _QUAD_ZEROS.take(g1))
+    zeros = np.where(tail != 0, tail_zeros, 8 + head_zeros)
+    layout = np.maximum(e + 5, 0) * _SIGNIFICANT + (_SIGNIFICANT - 1 - zeros)
+    layout += np.signbit(flat) * (len(_LAYOUT_SOURCE) // 2)
+
+    out = np.empty((n, _WIDTH), np.uint8)
+    row_bytes = source.view(np.uint8).reshape(-1)
+    offsets = (np.arange(n) * _ROW_BYTES)[:, None]
+    for start in range(0, n, _GATHER_ROWS):  # bounds the index array
+        rows = slice(start, start + _GATHER_ROWS)
+        index = _LAYOUT_SOURCE.take(layout[rows], axis=0) + offsets[rows]
+        row_bytes.take(index, out=out[rows], mode="clip")
+    out = out.view(f"S{_WIDTH}").reshape(n)
+    out[fallback] = [format(v, ".17g").encode() for v in flat[fallback].tolist()]
+    return out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

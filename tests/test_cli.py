@@ -14,7 +14,13 @@ from latmech import cli, io, sampling
 from latmech.cli import dispatch
 from latmech.fe import homogenize
 from latmech.lattice import body_centred_cubic, diamond, simple_cubic
-from latmech.tensor4 import ElasticTensor4, directional_modulus, to_mandel
+from latmech.tensor4 import (
+    ElasticTensor4,
+    directional_moduli,
+    directional_modulus,
+    from_mandel,
+    to_mandel,
+)
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 
@@ -272,7 +278,44 @@ class TestSurface:
         assert dispatch(
             ["surface", "--stiffness", str(stiff), "-n", "0", "--out", str(table)]
         ) == 0
-        assert len(table.read_text().strip().splitlines()) == 1
+        assert table.read_bytes() == b"dx\tdy\tdz\tmodulus\n"
+
+    def test_all_failed_homogenize_writes_only_the_header(self, tmp_path):
+        lat = io.lattice_record(simple_cubic())
+        lat["name"] = "split"
+        lat["nodes"] = [0.5, 0.5, 0.5, 0.25, 0.25, 0.25]
+        path = tmp_path / "bad.lats"
+        path.write_text(json.dumps(lat) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert dispatch(
+            ["homogenize", "--catalogue", str(path), "--radius", "0.05", "--surface", "10",
+             "--out", str(out)]
+        ) == 1
+        table = tmp_path / "out.jsonl.surface.tsv"
+        assert table.read_bytes() == b"name\tradius\tdx\tdy\tdz\tmodulus\n"
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-31])
+    def test_signed_and_tiny_moduli_read_as_format_17g(self, tmp_path, scale):
+        # An indefinite record has negative moduli in some directions; scaled
+        # to 1e-31 every modulus lies below the formatter's exponent window,
+        # so each is written by format itself.
+        a = np.random.default_rng(3).standard_normal((6, 6))
+        stiff = tmp_path / "indefinite.jsonl"
+        io.write_stiffness_records(stiff, [io.stiffness_record(scale * (a + a.T))])
+        table = tmp_path / "surf.tsv"
+        assert dispatch(
+            ["surface", "--stiffness", str(stiff), "-n", "60", "--seed", "5", "--out", str(table)]
+        ) == 0
+        matrix, _ = io.read_stiffness_records(stiff)[0]
+        directions = sampling.unit_directions(60, 5)
+        moduli = directional_moduli(from_mandel(matrix), directions)
+        assert (moduli < 0).any() and (moduli > 0).any()
+        assert (np.abs(moduli) < 1e-29).all() == (scale < 1.0)
+        expected = ["dx\tdy\tdz\tmodulus"] + [
+            "\t".join(format(v, ".17g") for v in (*d, m))
+            for d, m in zip(directions.tolist(), moduli.tolist())
+        ]
+        assert table.read_text().splitlines() == expected
 
     def test_isotropic_constant_column(self, tmp_path):
         stiff = tmp_path / "iso.jsonl"
