@@ -1,34 +1,76 @@
 #!/usr/bin/env python3
-"""Best-of-n timings of the element kernels and the design step's fe layers.
+"""Best-of-n timings of the element kernels, the design step's fe layers
+and the catalogue path.
 
 Times ``_beam_kernel`` on 24 struts (one design cell) and on 1536 struts
 (the 8x8x8 simple cubic supercell, more than one gather block),
 ``_beam_kernel_derivative`` on 24 struts, and, on the cell of the
 y-softening design demo (2x2x2 simple cubic perturbed by 0.02 with seed 1,
 radius 0.05): ``_moved`` of one candidate step, ``_solve_one`` of the
-cell and ``_stiffness_gradient`` of its solution.  These are private
-functions, so the tracer of ``perfbench`` cannot see them.  Prints the core
-count, then one line per case with the best of 7 repeats, in microseconds
-per call.
+cell and ``_stiffness_gradient`` of its solution.  On a 64-cell catalogue
+like the benchmark's (the 4 built-in cells plus 20 realizations each of
+sc_x2, bcc and diamond perturbed by 0.02), written to a temporary
+directory, it times ``homogenize_batch`` at radii 0.05 and 0.08,
+``io.read_catalogue`` and ``io.read_stiffness_records`` of the 128
+records.  The tracer of ``perfbench`` sees none of these layers.  Prints
+the core count, then one line per case with the best of 7 repeats, in
+microseconds per call.
 
     PYTHONPATH=src python scripts/fe_layers.py
 """
 
 import os
+import tempfile
 import timeit
 
 import numpy as np
 
-from latmech import fe
-from latmech.lattice import perturb, simple_cubic, tessellate
+from latmech import fe, io
+from latmech.lattice import (
+    body_centred_cubic,
+    diamond,
+    perturb,
+    perturbed_realizations,
+    simple_cubic,
+    tessellate,
+)
+from latmech.tensor4 import to_mandel
 
 REPEATS = 7
 CALLS = 200
+CATALOGUE_RADII = (0.05, 0.08)
 
 
 def best_us(fn, calls: int = CALLS) -> float:
     """Best of ``REPEATS`` runs of ``calls`` calls, in microseconds per call."""
     return min(timeit.repeat(fn, number=calls, repeat=REPEATS)) / calls * 1e6
+
+
+def catalogue() -> list:
+    """The 4 built-in cells, then 20 realizations of each multi-node one."""
+    bases = [simple_cubic(), tessellate(simple_cubic(), 2), body_centred_cubic(), diamond()]
+    return bases + [
+        lat for k, base in enumerate(bases[1:])
+        for lat in perturbed_realizations(base, 0.02, 100 * k, 20)
+    ]
+
+
+def catalogue_cases(workdir: str) -> dict:
+    lattices = catalogue()
+    cells = os.path.join(workdir, "catalogue.lats")
+    records = os.path.join(workdir, "stiffness.jsonl")
+    io.write_catalogue(cells, lattices)
+    io.write_stiffness_records(records, [
+        io.stiffness_record(to_mandel(item.result.stiffness), name=item.name, radius=item.radius)
+        for item in fe.homogenize_batch(lattices, CATALOGUE_RADII)
+    ])
+    return {
+        f"homogenize_batch ({len(lattices)} x 2)": (
+            lambda: fe.homogenize_batch(lattices, CATALOGUE_RADII), 5
+        ),
+        "io.read_catalogue": (lambda: io.read_catalogue(cells), 5),
+        "io.read_stiffness_records": (lambda: io.read_stiffness_records(records), 5),
+    }
 
 
 def cases() -> dict:
@@ -65,8 +107,9 @@ def cases() -> dict:
 
 def main() -> None:
     print(f"nproc {len(os.sched_getaffinity(0))}")
-    for name, (fn, calls) in cases().items():
-        print(f"{name:32s} {best_us(fn, calls):9.1f} us")
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, (fn, calls) in {**cases(), **catalogue_cases(workdir)}.items():
+            print(f"{name:32s} {best_us(fn, calls):9.1f} us")
 
 
 if __name__ == "__main__":

@@ -21,13 +21,10 @@ from .fe import (
 )
 from .lattice import (
     Lattice,
-    NodeType,
     WindowedLattice,
     body_centred_cubic,
-    classify_node,
     diamond,
     displace_nodes,
-    edge_vector,
     fold,
     perturb,
     relative_density,
@@ -63,7 +60,6 @@ from .tensor4 import (
     rotate,
     rotate_mandel,
     strain_energy,
-    symmetrize,
     to_mandel,
     to_mandel_vector,
     to_voigt,

@@ -26,7 +26,7 @@ from . import __version__, io, metrics, optimize, psd, sampling
 from .fe import BeamMaterial, homogenize_batch
 from .lattice import check_perturbation, perturbed_realizations, rotate_lattice
 from .tensor4 import (
-    _dyad_moduli,
+    _mandel_moduli,
     _unit_dyads,
     from_mandel,
     mandel_rotation,
@@ -101,11 +101,14 @@ _SURFACE_CHUNK_LINES = 2048
 
 
 def _write_surface(path: str, label_columns: str, directions: np.ndarray, blocks: list) -> None:
-    """Directional-modulus table: one line per direction of each ``(label, moduli)``
-    block, where ``label`` is the tab-terminated text under ``label_columns``.
-    Numbers are written as :func:`io.format_floats` writes them; a block's
-    lines are joined with its label as the separator."""
+    """Directional-modulus table: one line per direction of each ``(label, mandel)``
+    block, where ``label`` is the tab-terminated text under ``label_columns`` and
+    ``mandel`` the (6, 6) Mandel entries of a stiffness.  A chunk's moduli are
+    one stacked product, with the bits of each matrix's own; numbers are
+    written as :func:`io.format_floats` writes them, and a block's lines are
+    joined with its label as the separator."""
     count = len(directions)
+    dyads = _unit_dyads(directions)
     tab = b"\t"
     dx, dy, dz = io.format_floats(directions).T
     prefix = np.char.add(np.char.add(np.char.add(dx, tab), np.char.add(dy, tab)),
@@ -117,7 +120,7 @@ def _write_surface(path: str, label_columns: str, directions: np.ndarray, blocks
         per_chunk = max(1, _SURFACE_CHUNK_LINES // count)
         for start in range(0, len(blocks), per_chunk):
             chunk = blocks[start : start + per_chunk]
-            moduli = io.format_floats(np.array([m for _, m in chunk]))
+            moduli = io.format_floats(_mandel_moduli(np.array([m for _, m in chunk]), dyads))
             parts = []
             for (label, _), tails in zip(chunk, np.char.add(prefix, moduli)):
                 label = label.encode()
@@ -145,7 +148,6 @@ def _cmd_homogenize(args) -> int:
     records = []
     surface_blocks = []
     directions = sampling.unit_directions(args.surface, args.seed)
-    dyads = _unit_dyads(directions)  # one table for every item
     failures = 0
     for item in items:
         if item.error is not None:
@@ -153,9 +155,10 @@ def _cmd_homogenize(args) -> int:
             print(f"error: {item.name} (r={item.radius:g}): {item.error}", file=sys.stderr)
             continue
         result = item.result
+        mandel = to_mandel(result.stiffness)
         records.append(
             io.stiffness_record(
-                to_mandel(result.stiffness),
+                mandel,
                 relative_density=result.relative_density,
                 name=item.name,
                 radius=item.radius,
@@ -170,7 +173,7 @@ def _cmd_homogenize(args) -> int:
         )
         if args.surface:
             label = f"{item.name}\t{io.format_float(item.radius)}\t"
-            surface_blocks.append((label, _dyad_moduli(result.stiffness, dyads)))
+            surface_blocks.append((label, mandel.entries))
     io.write_stiffness_records(args.out, records)
     write_manifest(args.out)
     if args.surface:
@@ -189,8 +192,7 @@ def _cmd_surface(args) -> int:
     write_manifest = _manifest(args)
     matrix, _ = records[args.index]
     directions = sampling.unit_directions(args.n, args.seed)
-    moduli = _dyad_moduli(from_mandel(matrix), _unit_dyads(directions))
-    _write_surface(args.out, "", directions, [("", moduli)])
+    _write_surface(args.out, "", directions, [("", to_mandel(from_mandel(matrix)).entries)])
     write_manifest(args.out)
     return 0
 

@@ -20,23 +20,26 @@ semi-definite by construction.  Joint overlap at nodes is ignored
 Every cell problem, single or batched, fundamental or windowed, goes
 through one chunked core, :func:`_solve_cells`.  A problem is a
 :class:`_Cell`: a :class:`_Topology`, which depends on the strut graph
-alone and is shared by the radii of a batch item and the candidates of a
-design run, plus the geometry.  The core gathers consecutive problems
-into chunks of at most about ``_CHUNK_STRUTS`` struts (a larger problem
-is a chunk of its own), builds the element matrices of a whole chunk in
-one kernel call (the nonzero terms of a fixed basis weighted by per-strut
-features, see :func:`_beam_kernel`), and scatters them, at the places each
-topology names, into one flat buffer of per-problem stiffness bands and
-one of right-hand sides.  A strut couples only the nodes at its two ends, so
+alone and is shared by every lattice of a batch with that graph, at every
+radius, and by the candidates of a design run, plus the geometry.  The
+core gathers consecutive problems into chunks of at most about
+``_CHUNK_STRUTS`` struts (a larger problem is a chunk of its own), builds
+the element matrices of a whole chunk in one kernel call (the nonzero
+terms of a fixed basis weighted by per-strut features, see
+:func:`_beam_kernel`), and scatters them, at the places each topology
+names, into one flat buffer of per-problem stiffness bands and one of
+right-hand sides.  A strut couples only the nodes at its two ends, so
 with the nodes numbered in Cuthill-McKee order (breadth-first from the
-pinned node 0, each level in the order the level before reached it)
-the stiffness matrix is a narrow band; only its lower (kd+1) x n band is
+pinned node 0, each level in the order the level before reached it) the
+stiffness matrix is a narrow band; only its lower (kd+1) x n band is
 stored, and no n x n matrix is built unless a solve fails.  Each problem
-is then factored by LAPACK's banded Cholesky (``dpbtrf``/``dpbtrs``),
-checked and contracted on views of those buffers.  Mixed topologies share
-a chunk, and each problem's numbers are those of solving it alone, bit
-for bit.  A design run moves a cell's geometry (:func:`_moved`) and takes
-the node gradient of a solved cell's stiffness (:func:`_stiffness_gradient`).
+is then factored by LAPACK's banded Cholesky (``dpbtrf``/``dpbtrs``) on
+a view of those buffers, and the rest runs in whole-chunk steps: the
+residual, the contraction's products and the Mandel check (see
+:func:`_solve_chunk`).  Mixed topologies share a chunk, and each
+problem's numbers are those of solving it alone, bit for bit.  A design
+run moves a cell's geometry (:func:`_moved`) and takes the node gradient
+of a solved cell's stiffness (:func:`_stiffness_gradient`).
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .lattice import Lattice, _cut_chains, _folded, _strut_vectors, window
 from .tensor4 import (
     SLOT_PAIRS,
     ElasticTensor4,
-    MandelMatrix,
+    _mandel_stack,
     _row_norms,
     _unit_dyads,
     from_mandel,
@@ -123,8 +126,9 @@ class HomogenizationResult:
 class BatchItem:
     """One (lattice, radius) outcome; exactly one of result/error is set.
 
-    ``seconds`` is the item's own solve, contraction and validation plus an
-    equal share of its chunk's kernel call and scatters; an item rejected
+    ``seconds`` is the item's own band factor and solve plus an equal share
+    of the rest of its chunk: the kernel call, the scatters, and the
+    whole-chunk residual, contraction and validation.  An item rejected
     before the solve reports 0.
     """
 
@@ -155,7 +159,7 @@ def _strut_sections(radii, counts) -> np.ndarray:
     """Per-strut (area, inertia, torsion) rows of circular sections, shape
     (sum(counts), 3): the row of ``radii[k]`` repeated ``counts[k]`` times."""
     rows = [(math.pi * r**2, math.pi * r**4 / 4.0, math.pi * r**4 / 2.0) for r in radii]
-    return np.repeat(np.array(rows), counts, axis=0)
+    return np.array(rows).repeat(counts, axis=0)
 
 
 def _node_ranks(name: str, node_count: int, ends: np.ndarray) -> np.ndarray:
@@ -419,14 +423,21 @@ class _CellSolution:
         )
 
 
-def _fundamental_cell(lat: Lattice) -> _Cell:
+def _fundamental_cell(lat: Lattice, topologies: dict | None = None) -> _Cell:
     """The cell problem of a lattice's fundamental representation.
 
-    Raises :class:`DisconnectedLatticeError`.
+    ``topologies`` maps each ``(node_count, edge ends)`` seen so far to the
+    :class:`_Topology` that a lattice with that strut graph then shares.
+    Raises :class:`DisconnectedLatticeError`, which is never kept, so it
+    names its own lattice.
     """
-    topology = _topology(lat.name, lat.node_count, lat.edges[:, :2])
+    ends = lat.edges[:, :2]
+    key = (lat.node_count, ends.tobytes())
+    topologies = {} if topologies is None else topologies
+    if key not in topologies:
+        topologies[key] = _topology(lat.name, lat.node_count, ends)
     return _Cell(
-        lat.name, topology, *_cell_geometry(lat.cell, lat.nodes, lat.edges),
+        lat.name, topologies[key], *_cell_geometry(lat.cell, lat.nodes, lat.edges),
         float(np.linalg.det(lat.cell)),
     )
 
@@ -475,9 +486,8 @@ def _solve_cells(problems, mat: BeamMaterial):
     keeps only part of each solution holds one chunk's solutions at a time.
     The outcome is a :class:`_CellSolution`, or the ``ValueError`` or
     ``LinAlgError`` that its solve or its stiffness validation raised; any
-    other exception propagates.  ``seconds`` is the problem's own solve,
-    contraction and validation plus an equal share of its chunk's kernel
-    and scatter.
+    other exception propagates.  ``seconds`` is the problem's own band
+    factor and solve plus an equal share of the rest of its chunk.
     """
     chunk, struts = [], 0
     for problem in problems:
@@ -497,22 +507,31 @@ def _joined(arrays) -> np.ndarray:
 
 
 def _solve_chunk(chunk, mat: BeamMaterial) -> list[tuple]:
-    """:func:`_solve_cells` on one chunk: one kernel call, one scatter into
-    the flat buffer of lower stiffness bands and one into the right-hand
-    sides, then a banded Cholesky solve and contraction per problem on
-    views of them."""
+    """:func:`_solve_cells` on one chunk, in whole-chunk steps.
+
+    One kernel call and one scatter each into the flat buffers of lower
+    stiffness bands and right-hand sides; each problem's band factor and
+    solve, into one chunk-wide displacement buffer; once per chunk the
+    element gather, K u with its residual forces, D and K D; each problem's
+    residual norms and 6x6 contraction; one Mandel check of the stack.  A
+    problem's outcome is its first failure in that order.  Every step is
+    elementwise, per element, over disjoint ``bincount`` bins or on one
+    problem's rows, so each problem's numbers are those of a chunk of its
+    own, bit for bit.
+    """
     # loaded before the clock starts, so that no item's seconds include it
-    import scipy.linalg.lapack  # noqa: F401
+    from scipy.linalg import lapack
 
     started = time.perf_counter()
     cells = [cell for cell, _radius in chunk]
     tops = [cell.topology for cell in cells]
-    counts = [len(top.ends) for top in tops]
-    # where each problem's band and right-hand sides start in the chunk's
-    # buffers; the last entries are the buffer lengths
+    # where each problem's elements, band and dofs start in the chunk's
+    # arrays, the last entries being their lengths; its right-hand sides
+    # are a (6, n) block at six times its first dof
+    edge_starts = list(accumulate((len(top.ends) for top in tops), initial=0))
     band_starts = list(accumulate((top.band_size for top in tops), initial=0))
-    rhs_starts = list(accumulate((36 * top.node_count for top in tops), initial=0))
-    sections = _strut_sections([radius for _cell, radius in chunk], counts)
+    dof_starts = list(accumulate((6 * top.node_count for top in tops), initial=0))
+    sections = _strut_sections([radius for _cell, radius in chunk], [len(t.ends) for t in tops])
     k_e = _beam_kernel(_joined([cell.vectors for cell in cells]), sections, mat)
     d_aff = np.zeros((len(k_e), 2, 6, 6))
     d_aff[:, :, :3] = np.einsum(
@@ -524,76 +543,67 @@ def _solve_chunk(chunk, mat: BeamMaterial) -> list[tuple]:
     # of self-edges; the first problem's patterns need no shift
     lower = _joined([top.lower for top in tops])
     band_at = _joined([t.band_at + b if b else t.band_at for t, b in zip(tops, band_starts)])
-    rhs_at = _joined([t.rhs_at + r if r else t.rhs_at for t, r in zip(tops, rhs_starts)])
+    rhs_at = _joined([t.rhs_at + 6 * d if d else t.rhs_at for t, d in zip(tops, dof_starts)])
+    dofs = _joined([t.dofs + d if d else t.dofs for t, d in zip(tops, dof_starts)])
     k_flat = np.bincount(band_at, k_e[lower], minlength=band_starts[-1])
-    rhs = np.bincount(rhs_at.ravel(), -(k_e @ d_aff).ravel(), minlength=rhs_starts[-1])
-    share = (time.perf_counter() - started) / len(chunk)
+    rhs = np.bincount(rhs_at.ravel(), -(k_e @ d_aff).ravel(), minlength=6 * dof_starts[-1])
 
-    solved = []
-    e0 = 0
-    for cell, count, b0, r0 in zip(cells, counts, band_starts, rhs_starts):
-        started = time.perf_counter()
-        e1 = e0 + count
-        top = cell.topology
-        n = 6 * top.node_count
+    u = np.zeros((dof_starts[-1], 6))  # a row per dof; pinned dofs stay zero
+    outcomes, pivots, loads, own = [None] * len(chunk), [0.0] * len(chunk), [], []
+    for p, (cell, top) in enumerate(zip(cells, tops)):
+        clock = time.perf_counter()
+        d0, n = dof_starts[p], 6 * top.node_count
+        band = k_flat[band_starts[p] : band_starts[p + 1]].reshape(n - 3, top.half_bandwidth + 1)
+        loads.append(rhs[6 * d0 : 6 * (d0 + n)].reshape(6, n)[:, 3:])
         try:
-            outcome = _solve_problem(
-                cell, k_e[e0:e1], d_aff[e0:e1],
-                k_flat[b0 : b0 + top.band_size].reshape(n - 3, top.half_bandwidth + 1),
-                rhs[r0 : r0 + 6 * n].reshape(6, n),
-            )
+            # band row j holds K[j:j+kd+1, j], so its transpose is LAPACK's
+            # lower band storage; it is factored in place
+            diag = band[:, 0].copy()
+            factor, info = lapack.dpbtrf(band.T, lower=1, overwrite_ab=1)
+            pivots[p] = float((factor[0] ** 2 / diag).min()) if info == 0 else 0.0
+            # each pivot against its own diagonal entry, since a per-column floor
+            # is blind to the scale of other struts (the very short pieces of a
+            # windowed cell); NaN, from an overflowed stiffness, fails here and
+            # in the residual check
+            if not pivots[p] > _PIVOT_REL_TOL:
+                raise _singular_system(cell, k_e[edge_starts[p] : edge_starts[p + 1]])
+            u[d0 + 3 : d0 + n], info = lapack.dpbtrs(factor, loads[p].T, lower=1)
+            if info != 0:
+                raise RuntimeError(f"dpbtrs rejected argument {-info}")
         except (ValueError, np.linalg.LinAlgError) as exc:
-            outcome = exc
-        solved.append((outcome, share + time.perf_counter() - started))
-        e0 = e1
-    return solved
+            outcomes[p] = exc
+        own.append(time.perf_counter() - clock)
 
-
-def _solve_problem(cell: _Cell, k_e, d_aff, band, rhs) -> _CellSolution:
-    """Solve, check and contract one problem of :func:`_solve_chunk`.
-
-    ``band`` is its reduced stiffness K as an (n-3, kd+1) lower band, row j
-    holding K[j:j+kd+1, j], so that its transpose is LAPACK's band storage;
-    it is factored in place.  ``rhs`` holds the six right-hand sides as
-    (6, n) rows over every dof; ``k_e`` and ``d_aff`` are the problem's rows
-    of the chunk arrays.  Raises SingularSystemError when a pivot falls to
-    the relative tolerance times its own diagonal entry; a per-column floor
-    is blind to the scale of other struts, such as the very short pieces
-    of a windowed cell.
-    """
-    # imported here so that commands which never solve skip its load time
-    from scipy.linalg import lapack
-
-    diag = band[:, 0].copy()
-    factor, info = lapack.dpbtrf(band.T, lower=1, overwrite_ab=1)
-    min_pivot_ratio = float(np.min(factor[0] ** 2 / diag)) if info == 0 else 0.0
-    # both checks are written so that NaN, from an overflowed stiffness, fails them
-    if not min_pivot_ratio > _PIVOT_REL_TOL:
-        raise _singular_system(cell, k_e)
-    load = rhs[:, 3:]
-    u_red, info = lapack.dpbtrs(factor, load.T, lower=1)
-    if info != 0:
-        raise RuntimeError(f"dpbtrs rejected argument {-info}")
-    u_full = np.zeros((rhs.shape[1], 6))
-    u_full[3:] = u_red
-    u_e = u_full.take(cell.topology.dofs, axis=0)
+    u_e = u.take(dofs, axis=0)
     # the residual sum_e K_e u_e - f over the free dofs, taken from the
-    # element matrices rather than the band, so that a scatter error shows
-    forces = np.bincount(cell.topology.rhs_at.ravel(), (k_e @ u_e).ravel(), minlength=rhs.size)
-    res_norm = _row_norms(forces.reshape(6, -1)[:, 3:] - load)
-    rhs_norm = _row_norms(load)
-    residual = float(np.max(res_norm / np.maximum(rhs_norm, 1e-300)))
-    if not residual < 1e-8:
-        raise ValueError(
-            f"lattice {cell.name!r}: linear solve residual {residual:.3e} exceeds 1e-8"
-        )
+    # element matrices rather than the bands, so that a scatter error shows
+    forces = np.bincount(rhs_at.ravel(), (k_e @ u_e).ravel(), minlength=len(rhs))
     d_total = d_aff + u_e
-    # C_ab = sum_e D_e^T K_e D_e / V, as one product over the stacked element rows
-    rows = d_total.reshape(-1, 6)
-    mandel = rows.T @ (k_e @ d_total).reshape(-1, 6) / cell.volume
-    return _CellSolution(
-        mandel, from_mandel(MandelMatrix(mandel)), residual, min_pivot_ratio, d_total
-    )
+    k_d = k_e @ d_total
+    mandels = np.zeros((len(chunk), 6, 6))
+    residuals = [math.nan] * len(chunk)
+    for p, (cell, top) in enumerate(zip(cells, tops)):
+        if outcomes[p] is None:
+            d0, n = dof_starts[p], 6 * top.node_count
+            res_norm = _row_norms(forces[6 * d0 : 6 * (d0 + n)].reshape(6, n)[:, 3:] - loads[p])
+            residuals[p] = float((res_norm / np.maximum(_row_norms(loads[p]), 1e-300)).max())
+            if not residuals[p] < 1e-8:
+                outcomes[p] = ValueError(
+                    f"lattice {cell.name!r}: linear solve residual {residuals[p]:.3e} exceeds 1e-8"
+                )
+                continue
+            # C_ab = sum_e D_e^T K_e D_e / V, as one product over the stacked element rows
+            rows = slice(edge_starts[p], edge_starts[p + 1])
+            mandels[p] = d_total[rows].reshape(-1, 6).T @ k_d[rows].reshape(-1, 6) / cell.volume
+
+    for p, matrix in enumerate(_mandel_stack(mandels)):
+        if outcomes[p] is None:
+            outcomes[p] = matrix if isinstance(matrix, ValueError) else _CellSolution(
+                mandels[p], from_mandel(matrix), residuals[p], pivots[p],
+                d_total[edge_starts[p] : edge_starts[p + 1]],
+            )
+    share = (time.perf_counter() - started - sum(own)) / len(chunk)
+    return [(outcome, share + seconds) for outcome, seconds in zip(outcomes, own)]
 
 
 def _solve_one(cell: _Cell, radius: float, mat: BeamMaterial) -> tuple[float, _CellSolution]:
@@ -683,11 +693,14 @@ def homogenize_batch(
     """Homogenize every (lattice, radius) pair, collecting per-item errors.
 
     Output order follows the input nesting (lattice-major, then radius).
-    Each lattice is checked once; each radius is then checked in the
-    order :func:`homogenize` of the lattice rebuilt at that radius would
-    check it, with the same messages.  The items that pass are solved in
-    stacked chunks (see the module docstring), and every result equals
-    that of :func:`homogenize` bit for bit.  Domain failures
+    Lattices with the same strut graph (node count and edge ends) share one
+    topology, built once; a lattice whose graph fails builds and fails on
+    its own, so its error names it.  Each lattice is checked once; each
+    radius is then checked in the order :func:`homogenize` of the lattice
+    rebuilt at that radius would check it, with the same messages.  The
+    items that pass are solved in stacked chunks (see the module
+    docstring), and every result equals that of :func:`homogenize` bit for
+    bit.  Domain failures
     (``ValueError``, which covers :class:`DisconnectedLatticeError` and
     :class:`SingularSystemError`, and ``LinAlgError``) are reported as
     ``BatchItem.error`` without aborting the rest; any other exception is a
@@ -696,10 +709,10 @@ def homogenize_batch(
     measurable over the serial path on any batch tried.
     """
     radii = [float(radius) for radius in radii]
-    items, pending, problems = [], [], []
+    items, pending, problems, topologies = [], [], [], {}
     for lat in catalogue:
         try:
-            cell = _fundamental_cell(lat)
+            cell = _fundamental_cell(lat, topologies)
         except ValueError as exc:
             cell = exc
         for radius in radii:

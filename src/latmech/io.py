@@ -10,7 +10,9 @@ coordinates), ``edges`` (lists ``[i, j, tx, ty, tz]``), and ``radius``.
 Floats in records are serialized with Python's shortest round-trip
 representation (at most 17 significant digits), so write/read cycles are
 bit-exact.  Both readers reject a malformed record with a
-:class:`CatalogueError` holding its line number and the reason.
+:class:`CatalogueError` holding its line number and the reason.  The
+stiffness reader checks the matrices of a file as one stack, after every
+line is parsed, and still names the first bad line.
 
 Directional-modulus tables write every number as ``format(x, ".17g")``
 does, through :func:`format_floats`, which computes that text for a whole
@@ -22,12 +24,13 @@ written by ``format(x, ".17g")`` itself.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 from .lattice import Lattice
-from .tensor4 import MandelMatrix
+from .tensor4 import MandelMatrix, _mandel_stack
 
 
 class CatalogueError(ValueError):
@@ -221,6 +224,15 @@ def with_mandel(raw: dict, mandel: MandelMatrix | np.ndarray) -> dict:
 
 def parse_stiffness_record(obj: dict, line: int) -> tuple[MandelMatrix, dict]:
     """Validate the record object on line ``line``; returns the matrix and the raw record."""
+    values = _mandel_field(obj, line)
+    try:
+        return MandelMatrix(np.asarray(values, dtype=float).reshape(6, 6)), obj
+    except (ValueError, OverflowError) as exc:
+        raise CatalogueError(line, str(exc)) from exc
+
+
+def _mandel_field(obj: dict, line: int) -> list:
+    """The 36 numbers of a stiffness record object, its fields checked."""
     if not isinstance(obj, dict):
         raise CatalogueError(line, "stiffness record must be an object")
     if obj.get("basis") != "mandel":
@@ -228,10 +240,7 @@ def parse_stiffness_record(obj: dict, line: int) -> tuple[MandelMatrix, dict]:
     values = obj.get("mandel")
     if not _reals(values) or len(values) != 36:
         raise CatalogueError(line, "field 'mandel' must hold 36 reals")
-    try:
-        return MandelMatrix(np.asarray(values, dtype=float).reshape(6, 6)), obj
-    except (ValueError, OverflowError) as exc:
-        raise CatalogueError(line, str(exc)) from exc
+    return values
 
 
 # A bool is an int to Python, and numpy would read a one-element list or a
@@ -244,20 +253,17 @@ def _reals(values) -> bool:
     return isinstance(values, list) and set(map(type, values)) <= _NUMBER_TYPES
 
 
-def _read_lines(path, parse) -> list:
-    """``parse(obj, line)`` of each nonblank line's JSON object, in file order."""
-    out = []
+def _json_lines(path):
+    """``(line, obj)`` for each nonblank line's JSON object, in file order."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                yield line_no, json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CatalogueError(line_no, f"invalid JSON ({exc.msg})") from exc
-            out.append(parse(obj, line_no))
-    return out
 
 
 def write_json_lines(path, objects: Iterable[dict]) -> None:
@@ -272,7 +278,31 @@ def write_stiffness_records(path, records: Iterable[dict]) -> None:
 
 
 def read_stiffness_records(path) -> list[tuple[MandelMatrix, dict]]:
-    return _read_lines(path, parse_stiffness_record)
+    """Parse a stiffness-record file into ``(matrix, raw record)`` pairs.
+
+    Each line's JSON and fields are checked as it is read, and then the
+    matrices of the lines before the first fault as one stack; the error
+    names the earliest bad line, whatever its fault.
+    """
+    lines, objects, fault = [], [], None
+    try:
+        for line, obj in _json_lines(path):
+            _mandel_field(obj, line)
+            lines.append(line)
+            objects.append(obj)
+    except CatalogueError as exc:
+        fault = exc
+    try:
+        values = np.array([obj["mandel"] for obj in objects], dtype=float)
+        matrices = _mandel_stack(values.reshape(-1, 6, 6))
+    except OverflowError:  # an integer beyond the float range: record by record
+        matrices = [parse_stiffness_record(obj, line)[0] for line, obj in zip(lines, objects)]
+    for line, matrix in zip(lines, matrices):
+        if isinstance(matrix, ValueError):
+            raise CatalogueError(line, str(matrix)) from matrix
+    if fault is not None:
+        raise fault
+    return list(zip(matrices, objects))
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +339,15 @@ def lattice_from_record(obj: dict, line: int = 1) -> Lattice:
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise CatalogueError(line, "field 'edges' must be a list")
-    for k, row in enumerate(edges):
-        if not isinstance(row, list) or len(row) != 5:
-            raise CatalogueError(line, f"edge {k} must be [i, j, tx, ty, tz]")
-        if not set(map(type, row)) <= {int}:
-            raise CatalogueError(line, f"edge {k} entries must be integers")
+    # one pass over all rows gives the verdict; a bad list is walked again
+    # row by row for the first bad row and its message
+    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {5}
+            and set(map(type, chain.from_iterable(edges))) <= {int}):
+        for k, row in enumerate(edges):
+            if not isinstance(row, list) or len(row) != 5:
+                raise CatalogueError(line, f"edge {k} must be [i, j, tx, ty, tz]")
+            if not set(map(type, row)) <= {int}:
+                raise CatalogueError(line, f"edge {k} entries must be integers")
     try:
         cell = np.asarray(cell, dtype=float)
         nodes = np.asarray(nodes, dtype=float)
@@ -335,7 +369,7 @@ def lattice_from_record(obj: dict, line: int = 1) -> Lattice:
 
 def read_catalogue(path) -> list[Lattice]:
     """Parse a catalogue file, rejecting bad records with line and reason."""
-    return _read_lines(path, lattice_from_record)
+    return [lattice_from_record(obj, line) for line, obj in _json_lines(path)]
 
 
 def write_catalogue(path, lattices: Iterable[Lattice]) -> None:

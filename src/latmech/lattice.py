@@ -15,22 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
 from . import sampling
-from .tensor4 import check_rotation
+from .tensor4 import _row_norms, check_rotation
 
 _EDGE_LENGTH_TOL = 1e-9  # in units of det(A)^(1/3)
-_BOUNDARY_TOL = 1e-9
-
-
-class NodeType(Enum):
-    INNER = "inner"
-    FACE = "face"
-    EDGE = "edge"
-    CORNER = "corner"
 
 
 @dataclass(frozen=True)
@@ -53,16 +44,16 @@ class Lattice:
         cell = np.asarray(self.cell, dtype=float)
         nodes = np.asarray(self.nodes, dtype=float).reshape(-1, 3)
         edges = np.asarray(self.edges, dtype=int).reshape(-1, 5)
-        if cell.shape != (3, 3) or not np.all(np.isfinite(cell)):
+        if cell.shape != (3, 3) or not np.isfinite(cell).all():
             raise ValueError(f"lattice {self.name!r}: cell must be a finite 3x3 matrix")
         volume = np.linalg.det(cell)
         if volume <= 1e-12 * math.prod(math.hypot(*column) for column in cell.T.tolist()):
             raise ValueError(f"lattice {self.name!r}: cell must have positive determinant")
         if nodes.shape[0] == 0:
             raise ValueError(f"lattice {self.name!r}: needs at least one node")
-        if not np.all(np.isfinite(nodes)):
+        if not np.isfinite(nodes).all():
             raise ValueError(f"lattice {self.name!r}: non-finite node coordinates")
-        if np.any(nodes < 0.0) or np.any(nodes >= 1.0):
+        if nodes.min() < 0.0 or nodes.max() >= 1.0:
             bad = int(np.argwhere((nodes < 0.0) | (nodes >= 1.0))[0][0])
             raise ValueError(
                 f"lattice {self.name!r}: node {bad} outside the reduced cell [0, 1)"
@@ -85,8 +76,8 @@ class Lattice:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "radius", float(self.radius))
-        lengths = np.linalg.norm(edge_matrix(self), axis=1) if edges.size else np.array([])
-        if lengths.size and lengths.min() <= _EDGE_LENGTH_TOL * np.cbrt(volume):
+        lengths = _row_norms(_strut_vectors(cell, nodes, edges))
+        if edges.size and lengths.min() <= _EDGE_LENGTH_TOL * np.cbrt(volume):
             bad = int(np.argmin(lengths))
             raise ValueError(
                 f"lattice {self.name!r}: edge {bad} has near-zero length {lengths.min():.3e}"
@@ -143,26 +134,6 @@ def _canonical_edges(edges: np.ndarray) -> np.ndarray:
     reverse = edges @ _REVERSE
     flip = np.sign(reverse - edges) @ _LEX_WEIGHTS < 0
     return np.where(flip[:, None], reverse, edges)
-
-
-def classify_node(x) -> NodeType:
-    """Node type from the number of reduced coordinates on the cell boundary."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise ValueError("reduced coordinate must be a 3-vector")
-    if not np.all((x >= -_BOUNDARY_TOL) & (x <= 1.0 + _BOUNDARY_TOL)):
-        raise ValueError(f"reduced coordinate {x} is not finite or outside [0, 1]")
-    on_boundary = int(np.sum((np.abs(x) <= _BOUNDARY_TOL) | (np.abs(x - 1.0) <= _BOUNDARY_TOL)))
-    return (NodeType.INNER, NodeType.FACE, NodeType.EDGE, NodeType.CORNER)[on_boundary]
-
-
-def edge_vector(lat: Lattice, edge) -> np.ndarray:
-    """Transformed strut vector A (x_j - x_i + shift) for one edge."""
-    e = np.asarray(edge, dtype=int).reshape(5)
-    i, j = int(e[0]), int(e[1])
-    if not (0 <= i < lat.node_count and 0 <= j < lat.node_count):
-        raise ValueError(f"edge ({i}, {j}) references a missing node")
-    return lat.cell @ (lat.nodes[j] - lat.nodes[i] + e[2:].astype(float))
 
 
 def edge_matrix(lat: Lattice) -> np.ndarray:
@@ -440,13 +411,6 @@ def fold(win: WindowedLattice) -> Lattice:
         edges=np.hstack([ends, rounded.astype(int)]),
         radius=win.radius,
     )
-
-
-def edge_multiset(lat: Lattice) -> dict:
-    """Canonical multiset of edges, orientation-insensitive."""
-    rows, counts = np.unique(_canonical_edges(lat.edges), axis=0, return_counts=True)
-    keys = zip(rows[:, 0].tolist(), rows[:, 1].tolist(), map(tuple, rows[:, 2:].tolist()))
-    return dict(zip(keys, counts.tolist()))
 
 
 # ---------------------------------------------------------------------------

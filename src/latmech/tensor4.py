@@ -4,7 +4,7 @@ The stiffness tensor ``C_ijkl`` carries minor (``ij``/``ji``, ``kl``/``lk``)
 and major (``ij``/``kl``) index symmetries, leaving 21 independent
 components.  This module provides:
 
-* construction and symmetry projection of such tensors,
+* construction and validation of such tensors,
 * the orthonormal Mandel matrix form (slot order 11, 22, 33, 23, 13, 12,
   with sqrt(2) weights on the shear slots) and its exact inverse,
 * the conventional Voigt matrix form (kept for comparison; its rotation
@@ -206,6 +206,39 @@ class MandelMatrix:
         return np.array(self.entries, dtype=dtype, copy=copy)
 
 
+def _mandel_stack(stack: np.ndarray) -> list:
+    """The :class:`MandelMatrix` of each matrix of a float (B, 6, 6) ``stack``,
+    or the ``ValueError`` that ``MandelMatrix`` raises for it.
+
+    Each verdict is MandelMatrix's, from the same maxima and quotient taken
+    in whole-stack steps.  A failing matrix, and a stack of one, which
+    MandelMatrix checks faster, go through MandelMatrix, so the messages
+    have one owner.  A longer stack becomes read-only, and its passing
+    matrices are views of it.
+    """
+    passed = [False] * len(stack)
+    if len(stack) > 1:
+        stack.setflags(write=False)
+        flat = stack.reshape(-1, 36)
+        scale = abs(flat).max(axis=1)
+        finite = np.isfinite(scale)
+        # as in MandelMatrix, a non-finite matrix fails before its defect is taken
+        flat = flat if finite.all() else np.where(finite[:, None], flat, 0.0)
+        defect = abs(flat - flat.reshape(-1, 6, 6).transpose(0, 2, 1).reshape(-1, 36)).max(axis=1)
+        passed = (finite & (defect / np.maximum(scale, 1e-30) <= MandelMatrix._SYM_TOL)).tolist()
+    out = []
+    for m, ok in zip(stack, passed):
+        if ok:
+            out.append(object.__new__(MandelMatrix))
+            object.__setattr__(out[-1], "entries", m)
+            continue
+        try:
+            out.append(MandelMatrix(m))
+        except ValueError as exc:
+            out.append(exc)
+    return out
+
+
 def _checked_mandel(m) -> MandelMatrix:
     """``m`` as a :class:`MandelMatrix`: one that is passed in already passed
     the checks when it was built and its entries are read-only, so it is
@@ -260,27 +293,6 @@ class KelvinSpectrum:
             raise ValueError("Kelvin spectrum needs 6 eigenvalues and 6 3x3 eigentensors")
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigentensors", e)
-
-
-def symmetrize(raw) -> ElasticTensor4:
-    """Orthogonal projection of a raw 3x3x3x3 array onto the symmetric subspace.
-
-    Averages the 8 index permutations generated by ij<->ji, kl<->lk and
-    ij<->kl; idempotent, and the identity on already-symmetric tensors.
-    """
-    c = np.asarray(raw, dtype=float)
-    if c.shape != (3, 3, 3, 3):
-        raise ValueError(f"expected a 3x3x3x3 array, got {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("non-finite entries in raw tensor")
-    minor = (
-        c
-        + c.transpose(1, 0, 2, 3)
-        + c.transpose(0, 1, 3, 2)
-        + c.transpose(1, 0, 3, 2)
-    ) / 4.0
-    full = (minor + minor.transpose(2, 3, 0, 1)) / 2.0
-    return ElasticTensor4(full)
 
 
 def _slot_table(c: ElasticTensor4) -> np.ndarray:
@@ -398,7 +410,13 @@ def _unit_dyads(directions) -> np.ndarray:
 def _dyad_moduli(c: ElasticTensor4, dyads: np.ndarray) -> np.ndarray:
     """``C_ijkl d_i d_j d_k d_l = v^T M v`` for each row ``v`` of a
     :func:`_unit_dyads` table."""
-    return np.add.reduce((dyads @ to_mandel(c).entries) * dyads, axis=1)
+    return _mandel_moduli(to_mandel(c).entries, dyads)
+
+
+def _mandel_moduli(m: np.ndarray, dyads: np.ndarray) -> np.ndarray:
+    """:func:`_dyad_moduli` of Mandel entries ``m``, one (6, 6) matrix or a
+    (B, 6, 6) stack; a stack gives each matrix the bits of its own call."""
+    return np.add.reduce((dyads @ m) * dyads, axis=-1)
 
 
 def to_mandel_vector(t) -> np.ndarray:

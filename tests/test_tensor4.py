@@ -32,7 +32,6 @@ from latmech.tensor4 import (
     rotate_mandel,
     rotation_defect,
     strain_energy,
-    symmetrize,
     to_mandel,
     to_mandel_vector,
     to_voigt,
@@ -42,6 +41,27 @@ from latmech.tensor4 import (
 from conftest import random_symmetric_matrix, random_symmetric_tensor4
 
 SQRT2 = math.sqrt(2.0)
+
+
+def symmetrize(raw) -> ElasticTensor4:
+    """Orthogonal projection of a raw 3x3x3x3 array onto the symmetric subspace.
+
+    Averages the 8 index permutations generated by ij<->ji, kl<->lk and
+    ij<->kl; idempotent, and the identity on already-symmetric tensors.
+    """
+    c = np.asarray(raw, dtype=float)
+    if c.shape != (3, 3, 3, 3):
+        raise ValueError(f"expected a 3x3x3x3 array, got {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("non-finite entries in raw tensor")
+    minor = (
+        c
+        + c.transpose(1, 0, 2, 3)
+        + c.transpose(0, 1, 3, 2)
+        + c.transpose(1, 0, 3, 2)
+    ) / 4.0
+    full = (minor + minor.transpose(2, 3, 0, 1)) / 2.0
+    return ElasticTensor4(full)
 
 
 def brute_force_rotate(c: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -740,3 +760,60 @@ def test_property_every_unit_check_gives_one_verdict(seed, offsets):
     whole = all(verdict for (verdict,) in rows)
     assert _accepts(DirectionSet, d, 0) == _accepts(directional_moduli, c, d) == whole
     assert whole == bool(np.abs(np.linalg.norm(d, axis=1) - 1.0).max() <= UNIT_TOL)
+
+
+@st.composite
+def verdict_cases(draw) -> np.ndarray:
+    """A 6x6 matrix at a scale from 1e-300 to 1e300 on or near a line of
+    MandelMatrix's verdict: the zero matrix, a NaN or infinite entry, huge
+    entries whose defect overflows, or a symmetry defect just either side
+    of the 1e-10 tolerance."""
+    case = draw(st.sampled_from(["zero", "nan", "inf", "-inf", "huge-opposite", "defect"]))
+    if case == "zero":
+        return np.zeros((6, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = random_symmetric_matrix(rng)
+    m *= 10.0 ** draw(st.floats(-300.0, 300.0)) / np.abs(m).max()
+    a, b = rng.choice(6, size=2, replace=False)
+    if case == "huge-opposite":
+        m[a, b], m[b, a] = 1.7e308, -1.7e308
+    elif case == "defect":
+        side = draw(st.sampled_from([-1e-3, -1e-9, -1e-14, 0.0, 1e-14, 1e-9, 1e-3]))
+        m[a, b] += 1e-10 * (1.0 + side) * np.abs(m).max()
+    else:
+        m[a, b] = float(case)
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices=st.lists(verdict_cases(), min_size=1, max_size=6))
+def test_property_stacked_mandel_verdicts_are_mandelmatrixs(matrices):
+    # the stacked form takes NaN and inf without an invalid-value warning;
+    # an overflowing defect warns in MandelMatrix too
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        got = tensor4._mandel_stack(np.array(matrices))
+    assert len(got) == len(matrices)
+    for m, result in zip(matrices, got):
+        try:
+            with np.errstate(over="ignore"):
+                expected = MandelMatrix(m)
+        except ValueError as exc:
+            assert isinstance(result, ValueError) and str(result) == str(exc)
+        else:
+            assert isinstance(result, MandelMatrix)
+            assert result.entries.tobytes() == expected.entries.tobytes()
+            assert not result.entries.flags.writeable
+
+
+def test_stacked_moduli_are_each_matrixs_own_bit_for_bit(rng):
+    dyads = tensor4._unit_dyads(sampling.unit_directions(200, seed=3))
+    tensors = [from_mandel(random_symmetric_matrix(rng) * 10.0**k) for k in range(-9, 3)]
+    tensors += [homogenize(simple_cubic(radius)).stiffness for radius in (0.02, 0.05, 0.08)]
+    stack = np.array([to_mandel(c).entries for c in tensors])
+    moduli = tensor4._mandel_moduli(stack, dyads)
+    for c, row in zip(tensors, moduli):
+        # the per-item product over one (6, 6) matrix, as _dyad_moduli had it
+        alone = np.add.reduce((dyads @ to_mandel(c).entries) * dyads, axis=1)
+        assert row.tobytes() == alone.tobytes()
+        assert row.tobytes() == tensor4._dyad_moduli(c, dyads).tobytes()
