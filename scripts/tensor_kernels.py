@@ -14,8 +14,12 @@ times the per-item constructors and checks on their own: the
 matrix, ``mandel_rotation`` (which builds and checks a ``RotationPair``),
 ``check_rotation``, the ``ElasticTensor4`` checks of a 3x3x3x3 array
 (with its first Mandel conversion) and the keyed ``random_rotation``
-draw.  Prints the core count, then one line per kernel with the best of
-7 repeats, in microseconds per call.
+draw.  Then the batch metrics: 48 ``random_rotations``, ``l_equiv`` of a
+constant predictor over 8 perturbed body-centred cells and 4 rotations,
+and ``negative_eig_fraction`` of 32 tensors built fresh by ``from_mandel``
+in each call, so that their Mandel forms are converted and checked.
+Prints the core count, then one line per kernel with the best of 7
+repeats, in microseconds per call.
 
     PYTHONPATH=src python scripts/tensor_kernels.py
 """
@@ -25,7 +29,7 @@ import timeit
 
 from latmech import metrics, psd, sampling
 from latmech.fe import homogenize
-from latmech.lattice import body_centred_cubic
+from latmech.lattice import body_centred_cubic, perturb
 from latmech.tensor4 import (
     ElasticTensor4,
     MandelMatrix,
@@ -71,7 +75,15 @@ def kernels() -> dict:
         "check_rotation": lambda: check_rotation(r),
         "ElasticTensor4(c)": lambda: ElasticTensor4(components),
         "random_rotation": lambda: sampling.random_rotation(0, 7),
+        "random_rotations (48)": lambda: sampling.random_rotations(48, 0),
     })
+    cells = [perturb(body_centred_cubic(), 0.05, seed=s) for s in range(8)]
+    rotations = sampling.random_rotations(4, 1)
+    cases["l_equiv (8 x 4)"] = lambda: metrics.l_equiv(lambda lat: c, cells, rotations, dirs)
+    rotated = [rotate_mandel(m, mandel_rotation(q)) for q in sampling.random_rotations(32, 2)]
+    cases["negative_eig_fraction (32)"] = lambda: metrics.negative_eig_fraction(
+        [from_mandel(a) for a in rotated]
+    )
     return cases
 
 

@@ -15,6 +15,7 @@ variables are consulted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -27,6 +28,7 @@ from .fe import BeamMaterial, homogenize_batch
 from .lattice import check_perturbation, perturbed_realizations, rotate_lattice
 from .tensor4 import (
     _mandel_moduli,
+    _to_mandel_stack,
     _unit_dyads,
     from_mandel,
     mandel_rotation,
@@ -148,6 +150,7 @@ def _cmd_homogenize(args) -> int:
     records = []
     surface_blocks = []
     directions = sampling.unit_directions(args.surface, args.seed)
+    mandels = iter(_to_mandel_stack([i.result.stiffness for i in items if i.error is None]))
     failures = 0
     for item in items:
         if item.error is not None:
@@ -155,7 +158,7 @@ def _cmd_homogenize(args) -> int:
             print(f"error: {item.name} (r={item.radius:g}): {item.error}", file=sys.stderr)
             continue
         result = item.result
-        mandel = to_mandel(result.stiffness)
+        mandel = next(mandels)
         records.append(
             io.stiffness_record(
                 mandel,
@@ -402,11 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`dispatch` call, built at the first."""
+    return build_parser()
+
+
 def dispatch(argv) -> int:
     """Route argv to a subcommand: 0 success, 1 domain error, 2 usage error."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

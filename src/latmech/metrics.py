@@ -5,6 +5,8 @@ aggregate training-style loss normalizes each pair by the mean-square of
 the target entries.  Directional losses probe the tensors along random
 unit directions, and the rotation-consistency loss measures how far a
 predictor is from commuting with rigid rotations of its input lattice.
+It rotates no tensor: ``rotate(C, R)`` along ``d`` has exactly ``C``'s
+modulus along ``R^T d``, so it reads ``C`` along the rotated directions.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ from .tensor4 import (
     MandelMatrix,
     _checked_mandel,
     _dyad_moduli,
+    _dyad_table,
+    _mandel_moduli,
+    _to_mandel_stack,
     _unit_dyads,
-    rotate,
     to_mandel,
 )
 
@@ -134,8 +138,12 @@ def l_equiv(
 
     Mean absolute directional projection of
     ``rotate(predict(L), R) - predict(rotate_lattice(L, R))`` over all
-    (lattice, rotation, direction) triples.  ``threads`` is accepted and
-    ignored: the predictor is called serially, every base lattice first.
+    (lattice, rotation, direction) triples.  No tensor is rotated: the
+    modulus of ``rotate(C, R)`` along ``d`` is exactly ``C``'s modulus along
+    ``R^T d``, so each rotation gets one dyad table of the rows
+    ``dirs.directions @ R``, which equals the rotated form up to rounding.
+    ``threads`` is accepted and ignored: the predictor is called serially,
+    every base lattice first, then each lattice under each rotation.
     """
     if len(rotations) < 1:
         raise ValueError("needs at least one rotation")
@@ -149,13 +157,19 @@ def l_equiv(
             raise RuntimeError(f"predictor failed on lattice {lat.name!r}: {exc}") from exc
 
     base = [prediction(lat) for lat in lattices]
+    tables = None
     total = 0.0
     for lat, base_prediction in zip(lattices, base):
-        for r in rotations:
-            reference = rotate(base_prediction, r)
-            rotated = prediction(rotate_lattice(lat, r))
-            values = _dyad_moduli(reference, dirs._dyads) - _dyad_moduli(rotated, dirs._dyads)
-            total += float(np.mean(np.abs(values)))
+        rotated = [prediction(rotate_lattice(lat, r)) for r in rotations]
+        if tables is None:
+            # rotate_lattice has checked every rotation, and the rows d R are
+            # images of checked unit directions, so they are not checked again
+            tables = _dyad_table(dirs.directions @ np.array(rotations, dtype=float))
+        forms = [m.entries for m in _to_mandel_stack([base_prediction, *rotated])]
+        values = _mandel_moduli(forms[0], tables) - _mandel_moduli(np.array(forms[1:]), dirs._dyads)
+        # per pair, the ops np.mean runs, summed in lattice-major order
+        for mean in (np.add.reduce(abs(values), axis=1) / dirs.n).tolist():
+            total += mean
     return total / (len(lattices) * len(rotations))
 
 
@@ -173,7 +187,7 @@ def negative_eig_fraction(preds: Sequence[ElasticTensor4]) -> float:
         raise ValueError("needs at least one tensor")
     # the Kelvin eigenvalues, without the eigentensors: a stacked eigh gives
     # each matrix the bits of its own call
-    eigenvalues = np.linalg.eigh(np.array([to_mandel(c).entries for c in preds]))[0]
+    eigenvalues = np.linalg.eigh(np.array([m.entries for m in _to_mandel_stack(preds)]))[0]
     floor = -NEGATIVE_EIG_REL_TOL * np.abs(eigenvalues).max(axis=1)
     return int(np.count_nonzero(eigenvalues.min(axis=1) < floor)) / len(preds)
 

@@ -2,7 +2,9 @@
 
 All randomness in the package flows through counter-based Philox streams
 keyed by ``(seed, domain, index)``, so any draw is reproducible from its
-key alone, independent of draw order, platform, and thread count.
+key alone, independent of draw order, platform, and thread count.  A run
+of rotations moves one generator from stream to stream by setting it to a
+fresh keyed Philox's state (:func:`_rekey`), so no stream changes by a bit.
 """
 
 from __future__ import annotations
@@ -18,15 +20,26 @@ DOMAIN_DIRECTION = 2
 DOMAIN_ROTATION = 3
 
 
-def keyed_generator(seed: int, domain: int, index: int = 0) -> np.random.Generator:
-    """Philox generator for stream ``(seed, domain, index)``."""
+def _stream_key(seed: int, domain: int, index: int) -> tuple[int, int]:
+    """The two 64-bit words of the Philox key of stream ``(seed, domain, index)``."""
     if not 0 <= index < (1 << 48):
         raise ValueError(f"stream index {index} out of range")
-    key = np.array(
-        [seed & _MASK64, ((domain & 0xFFFF) << 48) | index],
-        dtype=np.uint64,
-    )
+    return seed & _MASK64, ((domain & 0xFFFF) << 48) | index
+
+
+def keyed_generator(seed: int, domain: int, index: int = 0) -> np.random.Generator:
+    """Philox generator for stream ``(seed, domain, index)``."""
+    key = np.array(_stream_key(seed, domain, index), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _rekey(rng: np.random.Generator, key: tuple[int, int]) -> None:
+    """Give a :func:`keyed_generator` the state of a fresh ``Philox(key=key)``:
+    counter 0 and an empty buffer.  Building one costs more, since a Philox
+    given a key still draws a seed sequence from OS entropy."""
+    zeros = (0, 0, 0, 0)
+    rng.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                               "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _unit_draw(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -61,21 +74,32 @@ def unit_directions(n: int, seed: int) -> np.ndarray:
 
 def random_rotation(seed: int, index: int = 0) -> np.ndarray:
     """Uniformly random proper rotation (unit-quaternion method)."""
-    w, x, y, z = _unit_draw(keyed_generator(seed, DOMAIN_ROTATION, index), 4)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    return _rotations(seed, index, 1)[0]
 
 
 def random_rotations(count: int, seed: int) -> np.ndarray:
     """``(count, 3, 3)`` array of independent uniformly random rotations."""
     if count < 0:
         raise ValueError("rotation count must be nonnegative")
-    return np.array([random_rotation(seed, s) for s in range(count)]).reshape(count, 3, 3)
+    return _rotations(seed, 0, count)
+
+
+def _rotations(seed: int, start: int, count: int) -> np.ndarray:
+    """The rotations of streams ``start`` to ``start + count - 1``, from one
+    generator re-keyed; Python floats round as numpy's float64 scalars do."""
+    out = np.empty((count, 3, 3))
+    for k in range(count):
+        if k == 0:
+            rng = keyed_generator(seed, DOMAIN_ROTATION, start)
+        else:
+            _rekey(rng, _stream_key(seed, DOMAIN_ROTATION, start + k))
+        w, x, y, z = _unit_draw(rng, 4).tolist()
+        out[k] = (
+            (1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)),
+            (2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)),
+            (2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)),
+        )
+    return out
 
 
 def axis_angle_rotation(axis, angle: float) -> np.ndarray:

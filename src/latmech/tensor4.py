@@ -315,6 +315,20 @@ def to_mandel(c: ElasticTensor4) -> MandelMatrix:
     return m
 
 
+def _to_mandel_stack(tensors) -> list:
+    """:func:`to_mandel` of each tensor, the unconverted ones as one gather, one
+    weight product and one :func:`_mandel_stack` check.  As a loop would, each
+    keeps its matrix up to the first that fails, whose error is raised."""
+    todo = [c for c in tensors if c._mandel is None]
+    if todo:
+        flat = np.array([c.components for c in todo]).reshape(len(todo), 81)
+        for c, m in zip(todo, _mandel_stack(_WEIGHT_PRODUCTS * flat.take(_SLOT_TABLE, axis=1))):
+            if isinstance(m, ValueError):
+                raise m
+            object.__setattr__(c, "_mandel", m)
+    return [c._mandel for c in tensors]
+
+
 def from_mandel(m: MandelMatrix | np.ndarray) -> ElasticTensor4:
     """Exact inverse of :func:`to_mandel`.
 
@@ -404,7 +418,13 @@ def _unit_dyads(directions) -> np.ndarray:
     off = np.abs(_row_norms(d) - 1.0).max(initial=0.0)
     if not off <= UNIT_TOL:
         raise ValueError(f"directions must be unit length, |1 - |d|| = {off:.3e}")
-    return _WEIGHTS * d[:, _PAIR_I] * d[:, _PAIR_J]
+    return _dyad_table(d)
+
+
+def _dyad_table(d: np.ndarray) -> np.ndarray:
+    """:func:`_unit_dyads` of a float ``(..., 3)`` array of directions, unchecked:
+    for rows known to be unit, such as checked directions under a checked rotation."""
+    return _WEIGHTS * d[..., _PAIR_I] * d[..., _PAIR_J]
 
 
 def _dyad_moduli(c: ElasticTensor4, dyads: np.ndarray) -> np.ndarray:

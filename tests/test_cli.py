@@ -125,6 +125,24 @@ class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         assert dispatch(["validate"]) == 2
 
+    def test_parser_is_built_once(self, monkeypatch, catalogue_path, capsys):
+        builds = []
+
+        def counting():
+            builds.append(1)
+            return build_parser()
+
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            assert dispatch(["validate", "--catalogue", str(catalogue_path)]) == 0
+            assert dispatch(["frobnicate"]) == 2
+            assert dispatch(["validate", "--catalogue", str(catalogue_path)]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
 
 class TestHomogenize:
     def test_writes_records_and_manifest(self, catalogue_path, tmp_path):

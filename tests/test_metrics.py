@@ -201,23 +201,56 @@ class TestLEquiv:
         lattices = [perturb(body_centred_cubic(), 0.05, seed=s) for s in range(2)] + [diamond()]
         rotations = sampling.random_rotations(3, seed=5)
         dirs = DirectionSet.sample(60, seed=4)
+        pairs = len(lattices) * len(rotations)
 
         def squared_entries(lat):  # not equivariant, and built by from_mandel
             return from_mandel(to_mandel(homogenize(lat).stiffness).entries ** 2)
 
         for predict in (lambda lat: homogenize(lat).stiffness, squared_entries):
-            total = 0.0
+            total = rotated_total = 0.0
             d = dirs.directions
             for lat in lattices:
                 for r in rotations:
-                    reference = rotate(predict(lat), r)
-                    rotated = predict(rotate_lattice(lat, r))
-                    values = directional_moduli_per_call(reference, d) - (
-                        directional_moduli_per_call(rotated, d)
-                    )
+                    rotated = directional_moduli_per_call(predict(rotate_lattice(lat, r)), d)
+                    # C's modulus along R^T d, the row d R
+                    values = directional_moduli_per_call(predict(lat), d @ r) - rotated
                     total += float(np.mean(np.abs(values)))
-            expected = total / (len(lattices) * len(rotations))
-            assert l_equiv(predict, lattices, rotations, dirs) == expected
+                    # the same modulus of the rotated tensor, equal up to rounding
+                    values = directional_moduli_per_call(rotate(predict(lat), r), d) - rotated
+                    rotated_total += float(np.mean(np.abs(values)))
+            value = l_equiv(predict, lattices, rotations, dirs)
+            assert value == total / pairs
+            scale = np.mean([np.abs(directional_moduli_per_call(predict(lat), d)).mean()
+                             for lat in lattices])
+            assert abs(value - rotated_total / pairs) <= 1e-14 * scale
+
+    def test_calls_every_base_lattice_first(self):
+        lattices = [simple_cubic(), body_centred_cubic(), diamond()]
+        rotations = sampling.random_rotations(2, seed=3)
+        calls = []
+
+        def recording(lat):
+            calls.append((lat.name, lat.cell.tobytes()))
+            return homogenize(lat).stiffness
+
+        l_equiv(recording, lattices, rotations, DirectionSet.sample(10, seed=1))
+        expected = [(lat.name, lat.cell.tobytes()) for lat in lattices] + [
+            (lat.name, (r @ lat.cell).tobytes()) for lat in lattices for r in rotations
+        ]
+        assert calls == expected
+
+    def test_a_bad_rotation_fails_where_it_is_reached(self):
+        calls = []
+
+        def recording(lat):
+            calls.append(lat.cell.tobytes())
+            return homogenize(lat).stiffness
+
+        lattices, good = [simple_cubic(), diamond()], sampling.random_rotation(3)
+        with pytest.raises(ValueError, match="not a proper rotation"):
+            l_equiv(recording, lattices, [good, 1.1 * good], DirectionSet.sample(10, seed=1))
+        cells = [lat.cell for lat in lattices] + [good @ lattices[0].cell]
+        assert calls == [cell.tobytes() for cell in cells]
 
     def test_homogenizer_is_equivariant(self):
         lattices = [
@@ -488,6 +521,26 @@ class TestRandomRotations:
         rotations = sampling.random_rotations(6, 11)
         for index, r in enumerate(rotations):
             assert r.tobytes() == sampling.random_rotation(11, index).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("count", [1, 2, 50])
+    def test_rows_match_one_fresh_stream_each(self, seed, count):
+        for index, r in enumerate(sampling.random_rotations(count, seed)):
+            rng = sampling.keyed_generator(seed, sampling.DOMAIN_ROTATION, index)
+            expected = rotation_of_quaternion(unit_draw_one_at_a_time(rng, 4))
+            assert r.tobytes() == expected.tobytes()
+
+    def test_rekeyed_state_is_a_fresh_keyed_state(self):
+        def plain(state):
+            return {k: plain(v) if isinstance(v, dict) else np.asarray(v).tolist()
+                    for k, v in state.items()}
+
+        rng = sampling.keyed_generator(7, sampling.DOMAIN_ROTATION, 0)
+        rng.standard_normal(5)
+        sampling._rekey(rng, sampling._stream_key(7, sampling.DOMAIN_ROTATION, 9))
+        fresh = sampling.keyed_generator(7, sampling.DOMAIN_ROTATION, 9)
+        assert plain(rng.bit_generator.state) == plain(fresh.bit_generator.state)
+        assert rng.standard_normal(9).tobytes() == fresh.standard_normal(9).tobytes()
 
     @pytest.mark.parametrize("count", [-1, -2])
     def test_rejects_a_negative_count(self, count):

@@ -817,3 +817,40 @@ def test_stacked_moduli_are_each_matrixs_own_bit_for_bit(rng):
         alone = np.add.reduce((dyads @ to_mandel(c).entries) * dyads, axis=1)
         assert row.tobytes() == alone.tobytes()
         assert row.tobytes() == tensor4._dyad_moduli(c, dyads).tobytes()
+
+
+def major_asymmetric(rng, scale: float) -> ElasticTensor4:
+    """A tensor with both minor symmetries whose Mandel form is not symmetric,
+    built without the checks that would refuse it."""
+    a, b = random_symmetric_matrix(rng, 3), random_symmetric_matrix(rng, 3)
+    c = random_symmetric_tensor4(rng) + scale * np.einsum("ij,kl->ijkl", a, b)
+    return ElasticTensor4._unchecked(c)
+
+
+@pytest.mark.parametrize("count", [1, 2, 7])
+def test_stacked_to_mandel_is_each_tensors_own(rng, count):
+    tensors = [from_mandel(random_symmetric_matrix(rng) * 10.0**k) for k in range(count)]
+    fresh = [ElasticTensor4._unchecked(c.components.copy()) for c in tensors]
+    kept = to_mandel(tensors[-1])  # a tensor that already keeps its matrix
+    got = tensor4._to_mandel_stack(tensors)
+    assert got[-1] is kept
+    for c, alone, m in zip(tensors, fresh, got):
+        assert m.entries.tobytes() == to_mandel(alone).entries.tobytes()
+        assert to_mandel(c) is m
+
+
+@pytest.mark.parametrize("bad", ["asymmetric", "nan"])
+def test_stacked_to_mandel_fails_as_the_loop_does(rng, bad):
+    tensors = [from_mandel(random_symmetric_matrix(rng)) for _ in range(5)]
+    if bad == "nan":
+        components = tensors[2].components.copy()
+        components[0, 1, 0, 1] = components[1, 0, 1, 0] = math.nan
+        tensors[2] = ElasticTensor4._unchecked(components)
+    else:
+        tensors[2] = major_asymmetric(rng, 1e-3)
+    with pytest.raises(ValueError) as expected:
+        to_mandel(ElasticTensor4._unchecked(tensors[2].components.copy()))
+    with pytest.raises(ValueError) as got:
+        tensor4._to_mandel_stack(tensors)
+    assert str(got.value) == str(expected.value)
+    assert [c._mandel is not None for c in tensors] == [True, True, False, False, False]
