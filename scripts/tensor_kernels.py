@@ -7,16 +7,19 @@ one seeded rotation: the Mandel round trip ``to_mandel(from_mandel(m))``,
 over 250 directions, and ``psd.project`` with each of the six matrix
 maps.  A tensor keeps its Mandel form, so the repeated
 ``directional_moduli`` and ``l_dir`` calls on one tensor time the
-contraction and the direction check, not a conversion; the round trip
+contraction, not a conversion; ``directional_moduli`` is timed on a
+``DirectionSet``'s own array, whose kept dyad table it reads, and on a
+fresh copy, which it checks and builds a table for.  The round trip
 builds a new tensor each call and so times both conversions.  It also
 times the per-item constructors and checks on their own: the
 ``MandelMatrix`` check of a 6x6 array, ``from_mandel`` of a checked
 matrix, ``mandel_rotation`` (which builds and checks a ``RotationPair``),
 ``check_rotation``, the ``ElasticTensor4`` checks of a 3x3x3x3 array
-(with its first Mandel conversion) and the keyed ``random_rotation``
-draw.  Then the batch metrics: 48 ``random_rotations``, ``l_equiv`` of a
-constant predictor over 8 perturbed body-centred cells and 4 rotations,
-and ``negative_eig_fraction`` of 32 tensors built fresh by ``from_mandel``
+(with its first Mandel conversion), the keyed ``random_rotation`` draw
+and ``rotate_lattice`` of a perturbed body-centred cell.  Then the batch
+metrics: 48 ``random_rotations``, ``l_equiv`` of a constant predictor
+over 8 perturbed body-centred cells and 4 rotations, and
+``negative_eig_fraction`` of 32 tensors built fresh by ``from_mandel``
 in each call, so that their Mandel forms are converted and checked.
 Prints the core count, then one line per kernel with the best of 7
 repeats, in microseconds per call.
@@ -27,9 +30,11 @@ repeats, in microseconds per call.
 import os
 import timeit
 
+import numpy as np
+
 from latmech import metrics, psd, sampling
 from latmech.fe import homogenize
-from latmech.lattice import body_centred_cubic, perturb
+from latmech.lattice import body_centred_cubic, perturb, rotate_lattice
 from latmech.tensor4 import (
     ElasticTensor4,
     MandelMatrix,
@@ -57,12 +62,14 @@ def kernels() -> dict:
     r = sampling.random_rotation(0)
     rp = mandel_rotation(r)
     dirs = metrics.DirectionSet.sample(250, seed=0)
+    fresh = np.array(dirs.directions)
     target = rotate(c, r)
     cases = {
         "mandel round trip": lambda: to_mandel(from_mandel(m)),
         "rotate": lambda: rotate(c, r),
         "rotate_mandel": lambda: rotate_mandel(m, rp),
-        "directional_moduli (250)": lambda: directional_moduli(c, dirs.directions),
+        "directional_moduli (250, own)": lambda: directional_moduli(c, dirs.directions),
+        "directional_moduli (250, fresh)": lambda: directional_moduli(c, fresh),
         "l_dir (250)": lambda: metrics.l_dir(c, target, dirs),
     }
     for method in psd.PsdMethod:
@@ -78,6 +85,7 @@ def kernels() -> dict:
         "random_rotations (48)": lambda: sampling.random_rotations(48, 0),
     })
     cells = [perturb(body_centred_cubic(), 0.05, seed=s) for s in range(8)]
+    cases["rotate_lattice"] = lambda: rotate_lattice(cells[0], r)
     rotations = sampling.random_rotations(4, 1)
     cases["l_equiv (8 x 4)"] = lambda: metrics.l_equiv(lambda lat: c, cells, rotations, dirs)
     rotated = [rotate_mandel(m, mandel_rotation(q)) for q in sampling.random_rotations(32, 2)]
@@ -90,7 +98,7 @@ def kernels() -> dict:
 def main() -> None:
     print(f"nproc {len(os.sched_getaffinity(0))}")
     for name, fn in kernels().items():
-        print(f"{name:26s} {best_us(fn):9.1f} us")
+        print(f"{name:31s} {best_us(fn):9.1f} us")
 
 
 if __name__ == "__main__":

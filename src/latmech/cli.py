@@ -223,11 +223,12 @@ def _cmd_metrics(args) -> int:
     pairs = [(p, t) for (p, _), (t, _) in zip(preds, targets)]
     pred_tensors = [from_mandel(p) for p, _ in preds]
     target_tensors = [from_mandel(t) for t, _ in targets]
+    l_comp = metrics.aggregate_training_loss(pairs)  # first: it names a zero target's pair
     dir_losses = [
         metrics.l_dir(p, t, dirs) for p, t in zip(pred_tensors, target_tensors)
     ]
     report = metrics.MetricReport(
-        l_comp=metrics.aggregate_training_loss(pairs),
+        l_comp=l_comp,
         l_dir=float(np.mean([v[0] for v in dir_losses])),
         l_dir_rel=float(np.mean([v[1] for v in dir_losses])),
         negative_eig_fraction=metrics.negative_eig_fraction(pred_tensors),

@@ -42,46 +42,13 @@ class Lattice:
 
     def __post_init__(self):
         cell = np.asarray(self.cell, dtype=float)
-        nodes = np.asarray(self.nodes, dtype=float).reshape(-1, 3)
-        edges = np.asarray(self.edges, dtype=int).reshape(-1, 5)
-        if cell.shape != (3, 3) or not np.isfinite(cell).all():
-            raise ValueError(f"lattice {self.name!r}: cell must be a finite 3x3 matrix")
-        volume = np.linalg.det(cell)
-        if volume <= 1e-12 * math.prod(math.hypot(*column) for column in cell.T.tolist()):
-            raise ValueError(f"lattice {self.name!r}: cell must have positive determinant")
-        if nodes.shape[0] == 0:
-            raise ValueError(f"lattice {self.name!r}: needs at least one node")
-        if not np.isfinite(nodes).all():
-            raise ValueError(f"lattice {self.name!r}: non-finite node coordinates")
-        if nodes.min() < 0.0 or nodes.max() >= 1.0:
-            bad = int(np.argwhere((nodes < 0.0) | (nodes >= 1.0))[0][0])
-            raise ValueError(
-                f"lattice {self.name!r}: node {bad} outside the reduced cell [0, 1)"
-            )
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError(f"lattice {self.name!r}: radius must be positive")
-        if edges.size and (edges[:, :2].min() < 0 or edges[:, :2].max() >= nodes.shape[0]):
-            raise ValueError(f"lattice {self.name!r}: edge references a missing node")
-        canonical = _canonical_edges(edges)
-        # a set of row tuples is the cheapest repeat test on cells of a few edges
-        if len(set(map(tuple, canonical.tolist()))) < len(canonical):
-            _, first, inverse = np.unique(
-                canonical, axis=0, return_index=True, return_inverse=True
-            )
-            bad = np.flatnonzero(first[inverse.reshape(-1)] != np.arange(len(canonical)))[0]
-            raise ValueError(
-                f"lattice {self.name!r}: duplicate edge {tuple(edges[bad].tolist())}"
-            )
+        volume = _cell_volume(self.name, cell)
+        nodes, edges = _checked_graph(self.name, self.nodes, self.edges, self.radius)
         object.__setattr__(self, "cell", cell)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "radius", float(self.radius))
-        lengths = _row_norms(_strut_vectors(cell, nodes, edges))
-        if edges.size and lengths.min() <= _EDGE_LENGTH_TOL * np.cbrt(volume):
-            bad = int(np.argmin(lengths))
-            raise ValueError(
-                f"lattice {self.name!r}: edge {bad} has near-zero length {lengths.min():.3e}"
-            )
+        _check_lengths(self.name, cell, volume, nodes, edges)
 
     @property
     def node_count(self) -> int:
@@ -94,6 +61,48 @@ class Lattice:
     def transformed_nodes(self) -> np.ndarray:
         """Physical node positions A x, shape (N, 3)."""
         return self.nodes @ self.cell.T
+
+
+def _cell_volume(name: str, cell: np.ndarray) -> float:
+    """det(A) of a float cell A, checked: finite 3x3, det(A) > 1e-12 prod |A_k|."""
+    if cell.shape != (3, 3) or not np.isfinite(cell).all():
+        raise ValueError(f"lattice {name!r}: cell must be a finite 3x3 matrix")
+    volume = np.linalg.det(cell)
+    if volume <= 1e-12 * math.prod(math.hypot(*column) for column in cell.T.tolist()):
+        raise ValueError(f"lattice {name!r}: cell must have positive determinant")
+    return volume
+
+
+def _checked_graph(name: str, nodes, edges, radius) -> tuple[np.ndarray, np.ndarray]:
+    """The checked (nodes, edges) of a lattice, with its radius: the fields a rotation keeps."""
+    nodes = np.asarray(nodes, dtype=float).reshape(-1, 3)
+    edges = np.asarray(edges, dtype=int).reshape(-1, 5)
+    if nodes.shape[0] == 0:
+        raise ValueError(f"lattice {name!r}: needs at least one node")
+    if not np.isfinite(nodes).all():
+        raise ValueError(f"lattice {name!r}: non-finite node coordinates")
+    if nodes.min() < 0.0 or nodes.max() >= 1.0:
+        bad = int(np.argwhere((nodes < 0.0) | (nodes >= 1.0))[0][0])
+        raise ValueError(f"lattice {name!r}: node {bad} outside the reduced cell [0, 1)")
+    if not (radius > 0.0 and math.isfinite(radius)):
+        raise ValueError(f"lattice {name!r}: radius must be positive")
+    if edges.size and (edges[:, :2].min() < 0 or edges[:, :2].max() >= nodes.shape[0]):
+        raise ValueError(f"lattice {name!r}: edge references a missing node")
+    canonical = _canonical_edges(edges)
+    # a set of row tuples is the cheapest repeat test on cells of a few edges
+    if len(set(map(tuple, canonical.tolist()))) < len(canonical):
+        _, first, inverse = np.unique(canonical, axis=0, return_index=True, return_inverse=True)
+        bad = np.flatnonzero(first[inverse.reshape(-1)] != np.arange(len(canonical)))[0]
+        raise ValueError(f"lattice {name!r}: duplicate edge {tuple(edges[bad].tolist())}")
+    return nodes, edges
+
+
+def _check_lengths(name: str, cell, volume: float, nodes, edges) -> None:
+    """Reject a strut no longer than ``_EDGE_LENGTH_TOL * det(A)^(1/3)``."""
+    lengths = _row_norms(_strut_vectors(cell, nodes, edges))
+    if edges.size and lengths.min() <= _EDGE_LENGTH_TOL * np.cbrt(volume):
+        bad = int(np.argmin(lengths))
+        raise ValueError(f"lattice {name!r}: edge {bad} has near-zero length {lengths.min():.3e}")
 
 
 @dataclass(frozen=True)
@@ -157,9 +166,21 @@ def relative_density(lat: Lattice) -> float:
 
 
 def rotate_lattice(lat: Lattice, r) -> Lattice:
-    """Rigid rotation of the embedding: cell <- R A, reduced data unchanged."""
-    r = check_rotation(r)
-    return replace(lat, cell=r @ lat.cell)
+    """Rigid rotation of the embedding: cell <- R A, reduced data unchanged.
+
+    Only the rotation, the cell and the strut lengths are checked: the nodes,
+    edges and radius are the lattice's own, so verdicts and messages are a
+    full rebuild's."""
+    return _rotated(lat, check_rotation(r))
+
+
+def _rotated(lat: Lattice, r: np.ndarray) -> Lattice:
+    """:func:`rotate_lattice` by a rotation ``r`` that is already checked."""
+    cell = r @ lat.cell
+    _check_lengths(lat.name, cell, _cell_volume(lat.name, cell), lat.nodes, lat.edges)
+    rotated = object.__new__(type(lat))
+    vars(rotated).update(vars(lat), cell=cell)
+    return rotated
 
 
 def tessellate(lat: Lattice, n: int) -> Lattice:

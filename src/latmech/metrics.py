@@ -11,22 +11,24 @@ modulus along ``R^T d``, so it reads ``C`` along the rotated directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import sampling
-from .lattice import Lattice, rotate_lattice
+from .lattice import Lattice, _rotated, rotate_lattice
 from .tensor4 import (
     ElasticTensor4,
     MandelMatrix,
     _checked_mandel,
     _dyad_moduli,
     _dyad_table,
+    _kept_directions,
     _mandel_moduli,
     _to_mandel_stack,
     _unit_dyads,
+    directional_moduli,
     to_mandel,
 )
 
@@ -38,20 +40,22 @@ NEGATIVE_EIG_REL_TOL = 1e-10
 class DirectionSet:
     """Deterministic, nonempty set of unit directions on the sphere.
 
-    It owns a read-only copy of ``directions``, checked once, and keeps
-    their Mandel dyads, the table every metric contracts against."""
+    It owns a copy of ``directions`` that cannot be made writable, checked
+    once; ``tensor4`` keeps their Mandel dyad table, which every metric and
+    :func:`~latmech.tensor4.directional_moduli`, given the set or its
+    ``directions``, read without checking again."""
 
     directions: np.ndarray
     seed: int
-    _dyads: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = np.array(self.directions, dtype=float)
-        d.setflags(write=False)
-        object.__setattr__(self, "_dyads", _unit_dyads(d))
+        d = _kept_directions(self.directions)
         if not len(d):
             raise ValueError("a direction set needs at least one direction")
         object.__setattr__(self, "directions", d)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.directions, dtype=dtype, copy=copy)
 
     @property
     def n(self) -> int:
@@ -119,8 +123,10 @@ def l_dir(
     pred: ElasticTensor4, target: ElasticTensor4, dirs: DirectionSet
 ) -> tuple[float, float]:
     """Mean absolute directional-stiffness deviation, raw and target-relative."""
-    values = _dyad_moduli(pred, dirs._dyads) - _dyad_moduli(target, dirs._dyads)
-    raw = float(np.mean(np.abs(values)))
+    dyads = _unit_dyads(dirs.directions)
+    values = _dyad_moduli(pred, dyads) - _dyad_moduli(target, dyads)
+    # the ops np.mean runs, without its wrapper
+    raw = float(np.add.reduce(abs(values)) / dirs.n)
     gamma = target_mean_square(to_mandel(target))
     if gamma == 0.0:
         raise ValueError("zero target stiffness (relative directional loss undefined)")
@@ -157,16 +163,21 @@ def l_equiv(
             raise RuntimeError(f"predictor failed on lattice {lat.name!r}: {exc}") from exc
 
     base = [prediction(lat) for lat in lattices]
+    dyads = _unit_dyads(dirs.directions)
     tables = None
     total = 0.0
     for lat, base_prediction in zip(lattices, base):
-        rotated = [prediction(rotate_lattice(lat, r)) for r in rotations]
         if tables is None:
-            # rotate_lattice has checked every rotation, and the rows d R are
-            # images of checked unit directions, so they are not checked again
-            tables = _dyad_table(dirs.directions @ np.array(rotations, dtype=float))
+            # rotate_lattice checks each rotation where the first lattice reaches
+            # it; later lattices, and the rows d R, images of checked unit
+            # directions, are not checked again
+            rotated = [prediction(rotate_lattice(lat, r)) for r in rotations]
+            turns = np.array(rotations, dtype=float)
+            tables = _dyad_table(dirs.directions @ turns)
+        else:
+            rotated = [prediction(_rotated(lat, r)) for r in turns]
         forms = [m.entries for m in _to_mandel_stack([base_prediction, *rotated])]
-        values = _mandel_moduli(forms[0], tables) - _mandel_moduli(np.array(forms[1:]), dirs._dyads)
+        values = _mandel_moduli(forms[0], tables) - _mandel_moduli(np.array(forms[1:]), dyads)
         # per pair, the ops np.mean runs, summed in lattice-major order
         for mean in (np.add.reduce(abs(values), axis=1) / dirs.n).tolist():
             total += mean
@@ -196,4 +207,4 @@ def negative_modulus_penalty(
     c: ElasticTensor4, dirs: DirectionSet, multiplier: float
 ) -> float:
     """Mean hinge penalty ``k * relu(-c_q)`` on directional stiffness samples."""
-    return float(multiplier * np.mean(np.maximum(-_dyad_moduli(c, dirs._dyads), 0.0)))
+    return float(multiplier * np.mean(np.maximum(-directional_moduli(c, dirs), 0.0)))

@@ -14,12 +14,16 @@ components.  This module provides:
 * directional stiffness, strain energy, and the Kelvin eigendecomposition.
 
 All values are pure data; every function is side-effect free, apart from
-a tensor keeping its Mandel matrix once :func:`to_mandel` has built it.
+a tensor keeping its Mandel matrix once :func:`to_mandel` has built it, and
+the kept dyad tables of :func:`_kept_directions`.  Tensor components, Mandel
+entries and kept directions lie over immutable bytes, so no caller can make
+them writable and leave a kept form stale.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +93,11 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A copy of a float array over immutable bytes, which cannot be made writable."""
+    return np.frombuffer(a.tobytes()).reshape(a.shape)
+
+
 def _as_square(a, n: int, what: str) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.shape != (n, n):
@@ -132,8 +141,7 @@ class ElasticTensor4:
     _SYM_TOL = 1e-8
 
     def __post_init__(self):
-        c = np.array(self.components, dtype=float)
-        c.setflags(write=False)
+        c = _frozen(np.asarray(self.components, dtype=float))
         if c.shape != (3, 3, 3, 3):
             raise ValueError(f"stiffness tensor must be 3x3x3x3, got {c.shape}")
         # as in MandelMatrix, one reduction gives the finiteness verdict and
@@ -153,11 +161,10 @@ class ElasticTensor4:
     @classmethod
     def _unchecked(cls, components: np.ndarray) -> "ElasticTensor4":
         """A tensor of float (3, 3, 3, 3) ``components`` that are known to
-        pass every check of ``__post_init__``, built without repeating them;
-        it takes ownership of the array and makes it read-only."""
+        pass every check of ``__post_init__``, built without repeating them
+        on a copy that cannot be made writable."""
         tensor = object.__new__(cls)
-        components.setflags(write=False)
-        object.__setattr__(tensor, "components", components)
+        object.__setattr__(tensor, "components", _frozen(components))
         object.__setattr__(tensor, "_mandel", None)
         return tensor
 
@@ -181,17 +188,16 @@ class ElasticTensor4:
 class MandelMatrix:
     """Symmetric 6x6 stiffness matrix in the orthonormal Mandel basis.
 
-    ``entries`` is a read-only copy that the matrix owns, so a matrix that
-    passed its checks stays valid whatever the caller does to its input."""
+    ``entries`` is a copy that the matrix owns and that cannot be made
+    writable, so a matrix that passed its checks stays valid whatever the
+    caller does to its input."""
 
     entries: np.ndarray
 
     _SYM_TOL = 1e-10
 
     def __post_init__(self):
-        m = _as_square(self.entries, 6, "Mandel matrix").copy()
-        # setflags costs a quarter of what the ``flags`` attribute does
-        m.setflags(write=False)
+        m = _frozen(_as_square(self.entries, 6, "Mandel matrix"))
         # one reduction serves both checks: the largest magnitude is NaN or
         # inf exactly when an entry is, and it is relative_defect's scale
         scale = float(abs(m).max())
@@ -213,12 +219,12 @@ def _mandel_stack(stack: np.ndarray) -> list:
     Each verdict is MandelMatrix's, from the same maxima and quotient taken
     in whole-stack steps.  A failing matrix, and a stack of one, which
     MandelMatrix checks faster, go through MandelMatrix, so the messages
-    have one owner.  A longer stack becomes read-only, and its passing
-    matrices are views of it.
+    have one owner.  The passing matrices of a longer stack are views of
+    one copy of it that cannot be made writable.
     """
     passed = [False] * len(stack)
     if len(stack) > 1:
-        stack.setflags(write=False)
+        stack = _frozen(stack)
         flat = stack.reshape(-1, 36)
         scale = abs(flat).max(axis=1)
         finite = np.isfinite(scale)
@@ -241,7 +247,7 @@ def _mandel_stack(stack: np.ndarray) -> list:
 
 def _checked_mandel(m) -> MandelMatrix:
     """``m`` as a :class:`MandelMatrix`: one that is passed in already passed
-    the checks when it was built and its entries are read-only, so it is
+    the checks when it was built and its entries cannot be written, so it is
     returned as it is; anything else is checked."""
     return m if isinstance(m, MandelMatrix) else MandelMatrix(m)
 
@@ -404,15 +410,35 @@ def directional_modulus(c: ElasticTensor4, d) -> float:
 
 
 def directional_moduli(c: ElasticTensor4, directions) -> np.ndarray:
-    """Vectorized :func:`directional_modulus` over an ``(n, 3)`` direction array."""
+    """Vectorized :func:`directional_modulus` over an ``(n, 3)`` direction array
+    or a :class:`~latmech.metrics.DirectionSet`, whose kept dyad table it reads."""
     return _dyad_moduli(c, _unit_dyads(directions))
+
+
+# id of each live array made by _kept_directions -> its checked dyad table
+_KEPT_DYADS: dict[int, np.ndarray] = {}
+
+
+def _kept_directions(directions) -> np.ndarray:
+    """Checked ``directions`` as a copy that can never be written, whose dyad
+    table :func:`_unit_dyads` returns for that very array, without checking
+    again, for as long as it lives."""
+    d = _frozen(np.asarray(directions, dtype=float))
+    _KEPT_DYADS[id(d)] = _unit_dyads(d)
+    # the entry goes with the array, so no later array that reuses its id finds it
+    weakref.finalize(d, _KEPT_DYADS.pop, id(d))
+    return d
 
 
 def _unit_dyads(directions) -> np.ndarray:
     """Mandel vectors of ``d (x) d`` for an ``(n, 3)`` array of directions, each
     checked to lie within :data:`UNIT_TOL` of unit length: the one check of every
-    direction and beam axis.  One table serves any number of tensors."""
+    direction and beam axis.  One table serves any number of tensors.  The
+    array of :func:`_kept_directions` gets its kept table; any other array, a
+    copy or a view of it included, is checked."""
     d = np.asarray(directions, dtype=float)
+    if id(d) in _KEPT_DYADS:
+        return _KEPT_DYADS[id(d)]
     if d.ndim != 2 or d.shape[1] != 3:
         raise ValueError("directions must be an (n, 3) array")
     off = np.abs(_row_norms(d) - 1.0).max(initial=0.0)

@@ -471,6 +471,20 @@ class TestMetrics:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "direction" in captured.err
 
+    def test_a_zero_target_is_named_by_its_pair(self, tmp_path, capsys):
+        from conftest import random_symmetric_matrix
+
+        rng = np.random.default_rng(8)
+        matrices = [random_symmetric_matrix(rng) for _ in range(4)]
+        pred, target = tmp_path / "pred.jsonl", tmp_path / "target.jsonl"
+        io.write_stiffness_records(pred, [io.stiffness_record(m) for m in matrices])
+        matrices[2] = np.zeros((6, 6))
+        io.write_stiffness_records(target, [io.stiffness_record(m) for m in matrices])
+        code = dispatch(["metrics", "--pred", str(pred), "--target", str(target), "--dirs", "9"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: pair 2: zero target stiffness")
+
 
 class TestPerturbCommand:
     def test_expands_catalogue(self, catalogue_path, tmp_path, capsys):

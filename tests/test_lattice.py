@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from latmech import lattice as lattice_module
 from latmech import sampling
 from latmech.lattice import (
     Lattice,
@@ -23,6 +24,7 @@ from latmech.lattice import (
     tessellate,
     window,
 )
+from latmech.tensor4 import check_rotation
 
 from conftest import PERTURBED_CELLS, SKEW, perturbed_cell
 
@@ -526,6 +528,101 @@ class TestRotateLattice:
     def test_rejects_non_rotation(self):
         with pytest.raises(ValueError):
             rotate_lattice(diamond(), 2 * np.eye(3))
+
+    def test_checks_only_what_a_rotation_changes(self, monkeypatch):
+        lat = perturb(diamond(), 0.05, seed=2)
+        monkeypatch.setattr(lattice_module, "_checked_graph", None)  # never called
+        rotated = rotate_lattice(lat, sampling.random_rotation(4))
+        assert rotated.nodes is lat.nodes and rotated.edges is lat.edges
+
+
+def rebuilt(lat: Lattice, r) -> Lattice:
+    """Reference :func:`rotate_lattice`: every ``Lattice`` check on ``R A``."""
+    r = check_rotation(r)
+    return Lattice(lat.name, r @ lat.cell, lat.nodes, lat.edges, lat.radius)
+
+
+def rotation_outcome(rotate, lat: Lattice, r):
+    """Each field of ``rotate(lat, r)`` with its type, or the error message."""
+    try:
+        with np.errstate(over="ignore"):
+            out = rotate(lat, r)
+    except ValueError as exc:
+        return str(exc)
+    return [
+        (type(v), v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else (type(v), v)
+        for v in (out.name, out.cell, out.nodes, out.edges, out.radius)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(**PERTURBED_CELLS, rotation_seed=st.integers(0, 10_000))
+def test_property_rotate_lattice_is_the_full_rebuild(base, n, level, seed, skewed, rotation_seed):
+    lat = perturbed_cell(base, n, level, seed, skewed)
+    r = sampling.random_rotation(rotation_seed)
+    assert rotation_outcome(rotate_lattice, lat, r) == rotation_outcome(rebuilt, lat, r)
+
+
+def smallest_passing(make, fails: float, passes: float) -> Lattice:
+    """``make(v)`` at the least float ``v`` in ``(fails, passes]`` that
+    ``Lattice`` accepts, found by bisection: a lattice on a check's edge."""
+    while True:
+        mid = 0.5 * (fails + passes)
+        if mid in (fails, passes):
+            return make(passes)
+        try:
+            make(mid)
+            passes = mid
+        except ValueError:
+            fails = mid
+
+
+def floor_strut() -> Lattice:
+    """A strut at the length floor, to rounding."""
+    return smallest_passing(
+        lambda x: Lattice("short", SKEW, [[0.0, 0.5, 0.5], [x, 0.5, 0.5]],
+                          [[0, 1, 0, 0, 0], [0, 0, 0, 1, 0]], 0.05), 0.0, 0.1)
+
+
+def near_singular_cell() -> Lattice:
+    """A cell at the determinant floor, to rounding."""
+    return smallest_passing(
+        lambda d: Lattice("flat", SKEW @ [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, d]],
+                          [[0.5, 0.5, 0.5]], [[0, 0, 1, 0, 0]], 0.05), 0.0, 1e-9)
+
+
+def overflowing_cell() -> Lattice:
+    """A cell whose first column is one ulp longer than max / sqrt(2) along (1, 1, 0)."""
+    huge = np.nextafter(np.finfo(float).max / math.sqrt(2.0), np.inf)
+    with np.errstate(over="ignore"):
+        return Lattice("huge", [[huge, -0.25, 0.0], [huge, 0.25, 0.0], [0.0, 0.0, 0.25]],
+                       [[0.5, 0.5, 0.5]], [[0, 0, 1, 0, 0]], 0.05)
+
+
+# the eighth turn about z that takes (1, 1, 0) onto the x axis
+_C = math.sqrt(0.5)
+EIGHTH_TURN = np.array([[_C, _C, 0.0], [-_C, _C, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "make, failures",
+    [
+        (floor_strut, {"edge 0 has near-zero length"}),
+        (near_singular_cell, {"cell must have positive determinant"}),
+        (overflowing_cell, {"cell must have positive determinant", "cell must be a finite"}),
+    ],
+)
+def test_rotate_lattice_raises_the_full_rebuilds_messages(make, failures):
+    lat = make()
+    rotations = [*sampling.random_rotations(60, seed=2), EIGHTH_TURN]
+    rotations.append((1 + 1e-9) * rotations[0])
+    outcomes = [rotation_outcome(rotate_lattice, lat, r) for r in rotations]
+    assert outcomes == [rotation_outcome(rebuilt, lat, r) for r in rotations]
+    # a rotation can move a lattice either way across the edge of its check
+    messages = [o for o in outcomes[:-1] if isinstance(o, str)]
+    assert 0 < len(messages) < len(outcomes) - 1
+    assert {next(f for f in failures if f in m) for m in messages} == failures
+    assert "not a proper rotation" in outcomes[-1]
 
 
 class TestRelativeDensity:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from latmech import sampling
+from latmech import lattice, sampling
 from latmech.fe import homogenize
 from latmech.lattice import (
     body_centred_cubic,
@@ -251,6 +251,16 @@ class TestLEquiv:
             l_equiv(recording, lattices, [good, 1.1 * good], DirectionSet.sample(10, seed=1))
         cells = [lat.cell for lat in lattices] + [good @ lattices[0].cell]
         assert calls == [cell.tobytes() for cell in cells]
+
+    def test_checks_each_rotation_once(self, monkeypatch):
+        checked = []
+        check = lattice.check_rotation
+        monkeypatch.setattr(lattice, "check_rotation", lambda r: checked.append(r) or check(r))
+        lattices = [simple_cubic(), body_centred_cubic(), diamond()]
+        rotations = sampling.random_rotations(2, seed=3)
+        l_equiv(lambda lat: homogenize(lat).stiffness, lattices, rotations,
+                DirectionSet.sample(10, seed=1))
+        np.testing.assert_array_equal(checked, rotations)
 
     def test_homogenizer_is_equivariant(self):
         lattices = [

@@ -445,6 +445,74 @@ class TestDirectionalModulus:
             assert values[q] == pytest.approx(directional_modulus(c, dirs[q]), rel=1e-12)
 
 
+def count_unit_checks(monkeypatch) -> list:
+    """Record each unit-length check that :func:`tensor4._unit_dyads` makes."""
+    calls = []
+    row_norms = tensor4._row_norms
+
+    def counting(x):
+        calls.append(x.shape)
+        return row_norms(x)
+
+    monkeypatch.setattr(tensor4, "_row_norms", counting)
+    return calls
+
+
+class TestKeptDyads:
+    def test_a_sets_own_array_and_the_set_read_the_kept_table(self, monkeypatch, rng):
+        c = ElasticTensor4(random_symmetric_tensor4(rng))
+        dirs = DirectionSet.sample(250, seed=4)
+        checks = count_unit_checks(monkeypatch)
+        own = directional_moduli(c, dirs.directions)
+        of_set = directional_moduli(c, dirs)
+        assert checks == []
+        fresh = directional_moduli(c, np.array(dirs.directions))
+        assert checks == [(250, 3)]
+        assert own.tobytes() == of_set.tobytes() == fresh.tobytes()
+
+    def test_copies_and_views_are_checked(self, monkeypatch):
+        dirs = DirectionSet.sample(30, seed=2)
+        c = ElasticTensor4.isotropic(1.0, 2.0)
+        checks = count_unit_checks(monkeypatch)
+        head = directional_moduli(c, dirs.directions[:5])
+        assert checks == [(5, 3)]
+        assert head.tobytes() == directional_moduli(c, dirs)[:5].tobytes()
+        written = np.array(dirs.directions)
+        written[1] *= 2.0
+        for rows in (written, written[:3], written[1:2]):
+            with pytest.raises(ValueError, match="unit length"):
+                directional_moduli(c, rows)
+        with pytest.raises(ValueError, match="unit length"):
+            directional_moduli(c, [[1.0, 1.0, 0.0]])
+
+    def test_the_kept_table_goes_with_its_array(self):
+        dirs = DirectionSet.sample(8, seed=1)
+        key = id(dirs.directions)
+        assert tensor4._KEPT_DYADS[key] is tensor4._unit_dyads(dirs.directions)
+        del dirs
+        assert key not in tensor4._KEPT_DYADS
+
+
+class TestImmutableArrays:
+    def arrays(self, rng):
+        c = ElasticTensor4(random_symmetric_tensor4(rng))
+        stacked = tensor4._mandel_stack(np.array([np.eye(6), 2.0 * np.eye(6)]))
+        return {
+            "components": c.components,
+            "from_mandel components": from_mandel(to_mandel(c)).components,
+            "entries": MandelMatrix(random_symmetric_matrix(rng)).entries,
+            "to_mandel entries": to_mandel(c).entries,
+            "stacked entries": stacked[1].entries,
+            "directions": DirectionSet.sample(5, seed=0).directions,
+        }
+
+    def test_no_attribute_can_be_made_writable(self, rng):
+        for name, array in self.arrays(rng).items():
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.setflags(write=True)
+            assert not array.flags.writeable, name
+
+
 class TestStrainEnergy:
     def test_zero_strain(self, rng):
         c = ElasticTensor4(random_symmetric_tensor4(rng))
