@@ -13,8 +13,8 @@ perturbed ``bcc_l0.05_r1`` toward the stiffness of ``bcc_l0.05_r0`` (the
 pristine bcc cell is a stationary point, where the loop takes no step).
 It also runs the y-softening design problem of ``scripts/design_demo.py``
 (a 2x2x2 simple cubic cell perturbed by 0.02, seeds 1-5, toward its own
-stiffness with the Mandel y row and column scaled by 0.8) as five 50-step
-``optimize`` runs.
+stiffness with the Mandel y row and column scaled by 0.8) as five
+``optimize`` runs of at most 50 steps, each ended by the misfit stop.
 Prints, as indented JSON, the SHA-256 of each output file under ``hashes``
 and the stack the bytes depend on under ``stack``: the machine, the CPU
 (whose model and feature flags pick the OpenBLAS kernels) and the numpy and

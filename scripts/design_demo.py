@@ -5,7 +5,8 @@ Starts from a slightly perturbed 2x2x2 simple-cubic cell (the pristine
 tessellation is a symmetric stationary point of the homogenization map),
 targets its own stiffness with the Mandel 22-row/column scaled by the
 requested factor, and runs L-BFGS on the nodal positions with exact
-gradients, halving any step that would increase the objective.
+gradients, halving any step that would increase the objective, until the
+misfit or gradient stop or ``--steps``; it prints which rule ended the run.
 """
 
 import argparse
@@ -48,7 +49,10 @@ def main() -> None:
     print(f"{trace.solves} cell solves in {seconds:.3f} s", file=sys.stderr)
 
     axes = {"x": [1.0, 0.0, 0.0], "y": [0.0, 1.0, 0.0], "z": [0.0, 0.0, 1.0]}
-    print(f"objective: {history[0]:.4e} -> {history[-1]:.4e} in {len(history) - 1} steps")
+    print(
+        f"objective: {history[0]:.4e} -> {history[-1]:.4e} in {len(history) - 1} steps"
+        f" ({trace.stop} stop)"
+    )
     for label, d in axes.items():
         before = directional_modulus(start, d)
         after = directional_modulus(trace.final_stiffness, d)

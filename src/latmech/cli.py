@@ -314,7 +314,7 @@ def _cmd_optimize(args) -> int:
     write_manifest(args.out)
     print(
         f"objective {trace.objective_history[0]:.6g} -> {trace.objective_history[-1]:.6g} "
-        f"in {len(trace.objective_history) - 1} steps",
+        f"in {len(trace.objective_history) - 1} steps ({trace.stop} stop)",
         file=sys.stderr,
     )
     return 0

@@ -9,10 +9,10 @@ coordinates), ``edges`` (lists ``[i, j, tx, ty, tz]``), and ``radius``.
 
 Floats in records are serialized with Python's shortest round-trip
 representation (at most 17 significant digits), so write/read cycles are
-bit-exact.  Both readers reject a malformed record with a
-:class:`CatalogueError` holding its line number and the reason.  The
-stiffness reader checks the matrices of a file as one stack, after every
-line is parsed, and still names the first bad line.
+bit-exact.  Both readers reject a malformed record, or a byte that is
+not UTF-8, with a :class:`CatalogueError` holding its line number and the
+reason.  The stiffness reader checks the matrices of a file as one stack,
+after every line is parsed, and still names the first bad line.
 
 Directional-modulus tables write every number as ``format(x, ".17g")``
 does, through :func:`format_floats`, which computes that text for a whole
@@ -254,9 +254,16 @@ def _reals(values) -> bool:
 
 
 def _json_lines(path):
-    """``(line, obj)`` for each nonblank line's JSON object, in file order."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """``(line, obj)`` for each nonblank line's JSON object, in file order;
+    a byte that is not UTF-8 is read as a lone surrogate, a fault of its line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise CatalogueError(line_no, f"not UTF-8 (byte 0x{byte:02x})") from None
             line = line.strip()
             if not line:
                 continue

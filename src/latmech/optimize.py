@@ -9,11 +9,13 @@ objective value) belong to :mod:`fe`.  :func:`fd_gradient`, central
 differences of the full homogenization, is the reference the exact
 gradient is tested against.  The loop takes L-BFGS steps on the exact
 gradient and accepts only a step that does not increase the objective,
-so the objective history is nonincreasing.  Nodes move in transformed
-coordinates with the cell held fixed.  A run builds one cell problem, for
-its base lattice, and each candidate moves that cell's geometry; a step
-that would collapse a strut below the minimum length is halved, and only
-the final nodes become a :class:`Lattice`.
+so the objective history is nonincreasing; it ends at the misfit stop
+(which ends runs toward a target that cannot be reached), the gradient
+stop or ``max_steps``, and the trace names which.  Nodes move in
+transformed coordinates with the cell held fixed.  A run builds one cell
+problem, for its base lattice, and each candidate moves that cell's
+geometry; a step that would collapse a strut below the minimum length is
+halved, and only the final nodes become a :class:`Lattice`.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .tensor4 import ElasticTensor4, MandelMatrix, _row_norms, to_mandel
 
 MIN_EDGE_LENGTH = 1e-3  # in units of det(A)^(1/3) of the base cell
 GRADIENT_STOP = 1e-8  # of ||gradient|| det(A)^(1/3) / ||T||_F^2, free of units
+MISFIT_STOP = 1e-8  # of the objective / ||T||_F^2, a relative Frobenius misfit of 1e-4
 MAX_HALVINGS = 20
 MAX_PAIRS = 10  # curvature pairs kept for the L-BFGS direction
 # The first step's scale, found on the tessellated simple-cubic demo.
@@ -71,12 +74,15 @@ class DesignProblem:
 @dataclass(frozen=True)
 class DesignTrace:
     """A design run: ``solves`` counts its cell solves, the first one, every
-    line-search candidate and the final re-verification."""
+    line-search candidate and the final re-verification; ``stop`` names the
+    rule that ended it, ``"misfit"``, ``"gradient"``, ``"max_steps"`` or
+    ``"no_step"`` (no acceptable step remains)."""
 
     objective_history: list[float]
     final_lattice: Lattice
     final_stiffness: ElasticTensor4
     solves: int
+    stop: str
 
 
 def _evaluate(cell, radius: float, target: MandelMatrix, mat: BeamMaterial):
@@ -166,20 +172,23 @@ def solve(
     gradient of the next step.  The first step is ``step_size`` times the
     negative gradient; later ones are the L-BFGS direction at step 1, from
     up to ``MAX_PAIRS`` accepted moves s and gradient changes y with s.y > 0
-    (with none kept, the first step's rule).  Stops at ``max_steps`` or when
-    the gradient norm times det(A)^(1/3) is at most ``GRADIENT_STOP`` times
-    the squared norm of the target's Mandel matrix, a test free of the
-    length unit and the modulus.  A step that would collapse a strut or
-    increase the objective is halved, up to 20 times; if no acceptable step
-    remains the loop terminates.  Only the final nodes become a
-    :class:`Lattice`.  ``threads`` is accepted and ignored.
+    (with none kept, the first step's rule).  Stops at ``max_steps``; when
+    the objective is at most ``MISFIT_STOP`` times the squared norm of the
+    target's Mandel matrix, tested before the step's gradient is taken; or
+    when the gradient norm times det(A)^(1/3) is at most ``GRADIENT_STOP``
+    times that squared norm: tests free of the length unit and the modulus.
+    A step that would collapse a strut or increase the objective is halved,
+    up to 20 times; if no acceptable step remains the loop terminates.
+    Only the final nodes become a :class:`Lattice`.  ``threads`` is
+    accepted and ignored.
     """
     lat, radius = prob.base, prob.base.radius
     target = to_mandel(prob.target)
     nodes, edges, cell = lat.nodes, lat.edges, _fundamental_cell(lat)
     length_scale = np.cbrt(cell.volume)
     min_length = MIN_EDGE_LENGTH * length_scale
-    stop = GRADIENT_STOP * float(np.sum(target.entries**2))
+    target_norm = float(np.sum(target.entries**2))  # ||T||_F^2, the scale of both stops
+    misfit_stop, gradient_stop = MISFIT_STOP * target_norm, GRADIENT_STOP * target_norm
     current, solution = _evaluate(cell, radius, target, mat)
     history = [current]
     solves = 1
@@ -187,11 +196,16 @@ def solve(
     inverse = np.linalg.inv(lat.cell)
     pairs, previous = deque(maxlen=MAX_PAIRS), None
 
+    stop = "max_steps"
     for _ in range(prob.max_steps):
+        if current <= misfit_stop:
+            stop = "misfit"
+            break
         weight = 2.0 * (solution.mandel - target.entries)
         grad = _stiffness_gradient(cell, solution, radius, weight, mat)
         grad[fixed] = 0.0
-        if np.linalg.norm(grad) * length_scale <= stop:
+        if np.linalg.norm(grad) * length_scale <= gradient_stop:
+            stop = "gradient"
             break
         if previous is not None:
             move, y = previous[0], grad - previous[1]
@@ -213,7 +227,8 @@ def solve(
                 break
             step *= 0.5
         else:
-            break  # no acceptable step remains
+            stop = "no_step"
+            break
         nodes, edges, cell = moved
         current, solution = value, candidate_solution
         history.append(current)
@@ -226,4 +241,5 @@ def solve(
         final_lattice=lat,
         final_stiffness=final.stiffness,
         solves=solves + 1,  # with the final homogenize
+        stop=stop,
     )

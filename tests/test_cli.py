@@ -55,6 +55,28 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert dispatch(["validate", "--catalogue", str(tmp_path / "nope")]) == 1
 
+    @pytest.mark.parametrize("line", [1, 2, 3])
+    @pytest.mark.parametrize("command", ["homogenize", "surface"])
+    def test_a_byte_that_is_not_utf8_names_its_line(
+        self, catalogue_path, tmp_path, capsys, command, line
+    ):
+        # the byte 0xa3 inside a name on the given line, in a catalogue or a
+        # stiffness-record file of three lines
+        if command == "homogenize":
+            path = catalogue_path
+            argv = ["homogenize", "--catalogue", str(path), "--radius", "0.05"]
+        else:
+            path = tmp_path / "stiff.jsonl"
+            io.write_stiffness_records(
+                path, [io.stiffness_record(np.eye(6), name=f"m{k}") for k in range(3)]
+            )
+            argv = ["surface", "--stiffness", str(path)]
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1].replace(b'"name": "', b'"name": "\xa3', 1)
+        path.write_bytes(b"\n".join(lines))
+        assert dispatch(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: line {line}: not UTF-8 (byte 0xa3)\n"
+
     @pytest.mark.parametrize(
         "field, value", [("radius", None), ("cell", {"x": 1}), ("nodes", "abc")]
     )
@@ -638,6 +660,28 @@ class TestOptimizeCommand:
         assert all(b <= a for a, b in zip(history, history[1:]))
         assert payload["final_stiffness"]["basis"] == "mandel"
         io.lattice_from_record(payload["final_lattice"])
+
+    @pytest.mark.parametrize("steps, ending", [("5", "5 steps (max_steps stop)"),
+                                               ("50", "24 steps (misfit stop)")])
+    def test_stderr_names_the_rule_that_ended_the_run(self, tmp_path, capsys, steps, ending):
+        # the y-softening demo of seed 11; stdout stays empty
+        from latmech.lattice import perturb, tessellate
+
+        lat = perturb(tessellate(simple_cubic(), 2), 0.02, seed=11)
+        cat = tmp_path / "cells.lats"
+        io.write_catalogue(cat, [lat])
+        soften = np.outer([1.0, 0.8, 1.0, 1.0, 1.0, 1.0], [1.0, 0.8, 1.0, 1.0, 1.0, 1.0])
+        soften[1, 1] = 0.8
+        target = tmp_path / "target.jsonl"
+        m = to_mandel(homogenize(lat).stiffness).entries
+        io.write_stiffness_records(target, [io.stiffness_record(m * soften)])
+        assert dispatch(
+            ["optimize", "--catalogue", str(cat), "--name", lat.name, "--target", str(target),
+             "--steps", steps, "--out", str(tmp_path / "trace.json")]
+        ) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f" in {ending}\n")
 
     def test_unknown_lattice_name(self, catalogue_path, tmp_path):
         target = tmp_path / "target.jsonl"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latmech import io
-from latmech.lattice import simple_cubic
+from latmech.lattice import body_centred_cubic, diamond, simple_cubic
 
 
 def assert_formats_like_format(values):
@@ -196,3 +196,86 @@ def test_edge_rows_report_the_first_bad_row(edges):
         with pytest.raises(io.CatalogueError) as got:
             io.lattice_from_record(record, 7)
         assert (got.value.line, got.value.reason) == (7, expected)
+
+
+def mutated(data: bytes, edits) -> bytes:
+    """``data`` with each edit ``(at, cut, insert)`` in turn: the ``cut``
+    bytes from ``at`` (modulo the length plus one) replaced by ``insert``."""
+    for at, cut, insert in edits:
+        at %= len(data) + 1
+        data = data[:at] + insert + data[at + cut:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def written_files(tmp_path_factory):
+    """A catalogue of three cells and a stiffness-record file of three
+    matrices, each written by ``io``, and a directory for mutated copies."""
+    from conftest import random_symmetric_matrix
+
+    folder = tmp_path_factory.mktemp("written")
+    io.write_catalogue(folder / "cells.lats", [simple_cubic(), body_centred_cubic(), diamond()])
+    rng = np.random.default_rng(3)
+    io.write_stiffness_records(
+        folder / "stiff.jsonl",
+        [io.stiffness_record(random_symmetric_matrix(rng), name=f"m{k}") for k in range(3)],
+    )
+    return folder
+
+
+def lattice_fields(lattices) -> list:
+    """Each lattice's name and radius, and its arrays' bytes."""
+    return [(lat.name, float(lat.radius), lat.cell.tobytes(), lat.nodes.tobytes(),
+             lat.edges.tobytes()) for lat in lattices]
+
+
+def record_fields(records) -> list:
+    """Each record's matrix bytes and its raw JSON text."""
+    return [(matrix.entries.tobytes(), json.dumps(raw)) for matrix, raw in records]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    catalogue=st.booleans(),
+    edits=st.lists(
+        st.tuples(st.integers(0, 2**16), st.integers(0, 4), st.binary(max_size=4)),
+        min_size=1, max_size=4,
+    ),
+)
+def test_property_a_mutated_file_reads_as_a_value_or_a_catalogue_error(
+    written_files, catalogue, edits
+):
+    # arbitrary bytes, not only text: a byte that is not UTF-8 is a fault
+    # of its line like any other; a value read writes and reads back the same
+    name = "cells.lats" if catalogue else "stiff.jsonl"
+    path, again = written_files / "mutated", written_files / "again"
+    path.write_bytes(mutated((written_files / name).read_bytes(), edits))
+    try:
+        read = io.read_catalogue(path) if catalogue else io.read_stiffness_records(path)
+    except io.CatalogueError:
+        return
+    if catalogue:
+        io.write_catalogue(again, read)
+        assert lattice_fields(io.read_catalogue(again)) == lattice_fields(read)
+    else:
+        io.write_stiffness_records(again, [raw for _matrix, raw in read])
+        assert record_fields(io.read_stiffness_records(again)) == record_fields(read)
+
+
+def test_a_byte_that_is_not_utf8_is_a_fault_of_its_line(tmp_path):
+    # a bad byte far past the reader's first buffer, at the end of the file
+    # (a cut sequence) or after a lone carriage return, which ends a line;
+    # an earlier fault of another kind is named first
+    path = tmp_path / "records.jsonl"
+    head = ((GOOD + "\n") * 300 + "\n").encode()
+    cases = [
+        (head + b"x\xe2\x82\n" + GOOD.encode(), (302, "not UTF-8 (byte 0xe2)")),
+        (head + b"x\xe2\x82", (302, "not UTF-8 (byte 0xe2)")),
+        (head + b"{not json\nx\xe2\x82\n", (302, JSON_REASON)),
+        (head + b"\r\r\n\xa3", (304, "not UTF-8 (byte 0xa3)")),
+    ]
+    for data, expected in cases:
+        path.write_bytes(data)
+        with pytest.raises(io.CatalogueError) as got:
+            io.read_stiffness_records(path)
+        assert (got.value.line, got.value.reason) == expected

@@ -40,11 +40,14 @@ def reference_solve(prob: DesignProblem) -> tuple[list, Lattice, int]:
     lat = prob.base
     length_scale = np.cbrt(np.linalg.det(lat.cell))
     min_length = optimize.MIN_EDGE_LENGTH * length_scale
-    stop = optimize.GRADIENT_STOP * np.sum(to_mandel(prob.target).entries ** 2)
+    target_norm = np.sum(to_mandel(prob.target).entries ** 2)
+    stop = optimize.GRADIENT_STOP * target_norm
     history = [objective(lat, prob.target)]
     solves = 1
     pairs, previous = [], None  # (s, y, s.y), oldest first
     for _ in range(prob.max_steps):
+        if history[-1] <= optimize.MISFIT_STOP * target_norm:
+            break
         _value, grad = gradient(lat, prob.target, prob.free_nodes)
         g = np.zeros((lat.node_count, 3))
         for node, row in grad.items():
@@ -87,6 +90,23 @@ def reference_solve(prob: DesignProblem) -> tuple[list, Lattice, int]:
         history.append(value)
         previous = step * direction, g
     return history, lat, solves + 1
+
+
+def misfit_bar(prob: DesignProblem) -> float:
+    """1e-8 ||T||_F^2, the objective at which the misfit stop fires."""
+    return 1e-8 * float(np.sum(to_mandel(prob.target).entries ** 2))
+
+
+@pytest.fixture(scope="module")
+def demo_runs():
+    """``(problem, trace)`` of the y-softening demo of ``scripts/design_demo.py``
+    on seeds 1-5, each run to its stop."""
+    runs = []
+    for seed in range(1, 6):
+        lat = perturb(tessellate(simple_cubic(), 2), 0.02, seed=seed)
+        prob = DesignProblem(base=lat, target=scaled_y_target(lat))
+        runs.append((prob, solve(prob)))
+    return runs
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +320,22 @@ def test_property_gradient_matches_complex_step(base, n, level, seed, skewed, fa
     assert np.abs(complex_step_gradient(lat, target, node) - grad[node]).max() <= 1e-12 * scale
 
 
+def scaled_runs(lat: Lattice, scales, max_steps: int) -> list:
+    """``(trace, e)`` of the y-softening design of ``lat`` for each ``(a, e)``:
+    lengths scaled by a with step 3e3 a^2, and the modulus and target by e
+    with step 3e3 / e^2."""
+    target = to_mandel(scaled_y_target(lat)).entries
+    runs = []
+    for a, e in scales:
+        scaled = replace(lat, cell=lat.cell * a, radius=lat.radius * a)
+        prob = DesignProblem(
+            base=scaled, target=from_mandel(MandelMatrix(e * target)), max_steps=max_steps,
+            step_size=3e3 * a * a / (e * e),
+        )
+        runs.append((solve(prob, BeamMaterial(youngs_modulus=e)), e))
+    return runs
+
+
 class TestSolve:
     def test_zero_step_trace_at_optimum(self):
         lat = perturb(body_centred_cubic(), 0.03, seed=2)
@@ -377,6 +413,14 @@ class TestSolve:
         assert trace.final_lattice.edges.tobytes() == lat.edges.tobytes()
         expected = homogenize(lat).stiffness.components
         assert trace.final_stiffness.components.tobytes() == expected.tobytes()
+
+    def test_matches_the_loop_built_from_public_functions_to_the_stop(self, demo_runs):
+        # seed 5 meets the misfit stop at step 15
+        prob, trace = demo_runs[4]
+        assert trace.stop == "misfit"
+        history, lat, solves = reference_solve(prob)
+        assert (trace.objective_history, trace.solves) == (history, solves)
+        assert trace.final_lattice.nodes.tobytes() == lat.nodes.tobytes()
 
     def test_builds_one_lattice_per_run(self, demo_lattice, monkeypatch):
         prob = DesignProblem(base=demo_lattice, target=scaled_y_target(demo_lattice))
@@ -472,32 +516,86 @@ class TestSolve:
         # the stop compares ||g|| det(A)^(1/3) with ||T||^2: scaling lengths by
         # a (step 3e3 a^2) or the modulus and target by e (loss e^2, step
         # 3e3 / e^2) leaves the run as long as at a = e = 1
-        target = to_mandel(scaled_y_target(demo_lattice)).entries
-        runs = []
-        for a, e in ((1.0, 1.0), (1e3, 1.0), (1e5, 1.0), (1.0, 1e4)):
-            lat = replace(demo_lattice, cell=demo_lattice.cell * a, radius=demo_lattice.radius * a)
-            prob = DesignProblem(
-                base=lat, target=from_mandel(MandelMatrix(e * target)), max_steps=10,
-                step_size=3e3 * a * a / (e * e),
-            )
-            runs.append((solve(prob, BeamMaterial(youngs_modulus=e)), e))
+        runs = scaled_runs(demo_lattice, ((1.0, 1.0), (1e3, 1.0), (1e5, 1.0), (1.0, 1e4)), 10)
         unit = runs[0][0].objective_history
         for trace, e in runs:
             assert len(trace.objective_history) == 11
             assert trace.solves == 14
             np.testing.assert_allclose(np.array(trace.objective_history) / e**2, unit, rtol=1e-9)
 
-    def test_demo_reaches_a_millionth_in_few_solves(self):
-        # L-BFGS on the y-softening demo: 50 steps cut the objective by 1e6
-        # on every seed, spending fewer than 80 solves where steepest
-        # descent spent 145-162
-        for seed in range(1, 6):
-            lat = perturb(tessellate(simple_cubic(), 2), 0.02, seed=seed)
-            trace = solve(DesignProblem(base=lat, target=scaled_y_target(lat)))
+    def test_misfit_stop_does_not_depend_on_scale(self, demo_lattice):
+        # the misfit stop compares the loss with ||T||^2, so the same scalings,
+        # run to the stop, stop at the same step
+        runs = scaled_runs(demo_lattice, ((1.0, 1.0), (1e3, 1.0), (1.0, 1e4)), 50)
+        unit = runs[0][0]
+        for trace, e in runs:
+            assert trace.stop == "misfit"
+            assert len(trace.objective_history) == len(unit.objective_history) < 51
+            assert trace.solves == unit.solves
+            # the scaled runs drift apart by up to 4e-9 over 24 steps
+            np.testing.assert_allclose(
+                np.array(trace.objective_history) / e**2, unit.objective_history, rtol=1e-7
+            )
+
+    def test_demo_reaches_a_millionth_in_few_solves(self, demo_runs):
+        # L-BFGS on the y-softening demo cuts the objective by 1e6 on every
+        # seed, spending fewer than 80 solves where steepest descent spent
+        # 145-162, and the misfit stop ends the run before 50 steps, at the
+        # first objective within its bar
+        for prob, trace in demo_runs:
             history = trace.objective_history
-            assert len(history) == 51
+            assert trace.stop == "misfit"
+            assert len(history) < 51
+            assert history[-1] <= misfit_bar(prob) < history[-2]
             assert history[-1] <= 1e-6 * history[0]
             assert trace.solves <= 80
+
+    def test_a_stopped_history_is_a_prefix_of_the_unstopped_one(self, demo_runs, monkeypatch):
+        # the stop changes no step before it: without it the run goes on to
+        # max_steps through the same objectives, bit for bit
+        monkeypatch.setattr(optimize, "MISFIT_STOP", 0.0)
+        for prob, trace in demo_runs:
+            stopped = trace.objective_history
+            longer = solve(prob)
+            history, bar = longer.objective_history, misfit_bar(prob)
+            assert (longer.stop, len(history)) == ("max_steps", 51)
+            assert history[: len(stopped)] == stopped
+            assert next(k for k, v in enumerate(history) if v <= bar) == len(stopped) - 1
+
+    def test_misfit_stop_takes_no_gradient(self, demo_runs, monkeypatch):
+        # the stop is tested before the step's gradient: a run stopped after
+        # n steps takes the gradient n times
+        prob, trace = demo_runs[0]
+        calls = []
+        stiffness_gradient = optimize._stiffness_gradient
+
+        def counting(*args):
+            calls.append(1)
+            return stiffness_gradient(*args)
+
+        monkeypatch.setattr(optimize, "_stiffness_gradient", counting)
+        assert solve(prob).objective_history == trace.objective_history
+        assert len(calls) == len(trace.objective_history) - 1
+
+    def test_an_exact_match_stops_by_misfit(self, monkeypatch):
+        # the bar is inclusive: at the target the misfit stop fires before
+        # the gradient stop, even with a zero tolerance
+        monkeypatch.setattr(optimize, "MISFIT_STOP", 0.0)
+        lat = perturb(body_centred_cubic(), 0.03, seed=2)
+        trace = solve(DesignProblem(base=lat, target=homogenize(lat).stiffness))
+        assert (trace.objective_history, trace.stop, trace.solves) == ([0.0], "misfit", 2)
+
+    def test_stop_names_the_rule_that_ended_the_run(self, demo_lattice, monkeypatch):
+        # the one-node cell's self-edges cancel, so its gradient is roundoff
+        # off the target; the demo cell runs out of steps, or of acceptable
+        # ones when every candidate collapses a strut
+        lat = simple_cubic()
+        assert solve(DesignProblem(base=lat, target=scaled_y_target(lat))).stop == "gradient"
+        prob = DesignProblem(base=demo_lattice, target=scaled_y_target(demo_lattice), max_steps=2)
+        assert solve(prob).stop == "max_steps"
+        assert solve(replace(prob, max_steps=0)).stop == "max_steps"
+        monkeypatch.setattr(optimize, "MIN_EDGE_LENGTH", np.inf)
+        assert solve(prob).stop == "no_step"
 
     @pytest.mark.parametrize("seed", [2, 3, 4, 5])
     def test_converges_on_perturbed_diamond(self, seed):
