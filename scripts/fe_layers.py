@@ -7,7 +7,7 @@ Times ``_beam_kernel`` on 24 struts (one design cell) and on 1536 struts
 ``_beam_kernel_derivative`` on 24 struts, and, on the cell of the
 y-softening design demo (2x2x2 simple cubic perturbed by 0.02 with seed 1,
 radius 0.05): ``_moved`` of one candidate step, ``_solve_one`` of the
-cell and ``_stiffness_gradient`` of its solution.  On a 64-cell catalogue
+cell and ``_stiffness_jacobian`` of its solution.  On a 64-cell catalogue
 like the benchmark's (the 4 built-in cells plus 20 realizations each of
 sc_x2, bcc and diamond perturbed by 0.02), written to a temporary
 directory, it times ``homogenize_batch`` at radii 0.05 and 0.08,
@@ -82,7 +82,6 @@ def cases() -> dict:
     big = fe._fundamental_cell(perturb(tessellate(simple_cubic(), 8), 0.02, 1))
     big_sections = fe._strut_sections([radius], [len(big.vectors)])
     _density, solution = fe._solve_one(cell, radius, mat)
-    weight = 0.2 * solution.mandel  # dL/dC = 2 (C - T) for the target T = 0.9 C
     inverse = np.linalg.inv(lat.cell)
     deltas = np.random.default_rng(1).uniform(-1e-3, 1e-3, (lat.node_count, 3))
     return {
@@ -99,8 +98,8 @@ def cases() -> dict:
             lambda: fe._moved(cell, lat.cell, inverse, lat.nodes, lat.edges, deltas), CALLS
         ),
         "_solve_one": (lambda: fe._solve_one(cell, radius, mat), CALLS),
-        "_stiffness_gradient": (
-            lambda: fe._stiffness_gradient(cell, solution, radius, weight, mat), CALLS
+        "_stiffness_jacobian": (
+            lambda: fe._stiffness_jacobian(cell, solution, radius, mat), CALLS
         ),
     }
 

@@ -299,7 +299,6 @@ def _cmd_optimize(args) -> int:
     problem = optimize.DesignProblem(
         base=by_name[args.name],
         target=target,
-        step_size=args.lr,
         max_steps=args.steps,
     )
     trace = optimize.solve(problem, args.material)
@@ -312,11 +311,7 @@ def _cmd_optimize(args) -> int:
     }
     io.write_json_lines(args.out, [payload])
     write_manifest(args.out)
-    print(
-        f"objective {trace.objective_history[0]:.6g} -> {trace.objective_history[-1]:.6g} "
-        f"in {len(trace.objective_history) - 1} steps ({trace.stop} stop)",
-        file=sys.stderr,
-    )
+    print(trace.summary(), file=sys.stderr)
     return 0
 
 
@@ -393,12 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_rotate)
 
-    p = subs.add_parser("optimize", help="gradient-descent design toward a target stiffness")
+    p = subs.add_parser("optimize", help="Levenberg-Marquardt design toward a target stiffness")
     p.add_argument("--catalogue", required=True)
     p.add_argument("--name", required=True)
     p.add_argument("--target", required=True, help="stiffness record file")
     p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--lr", type=float, default=optimize.DEFAULT_STEP_SIZE)
     p.add_argument("--material", type=_parse_material, default=BeamMaterial())
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_optimize)

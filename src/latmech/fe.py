@@ -38,8 +38,8 @@ a view of those buffers, and the rest runs in whole-chunk steps: the
 residual, the contraction's products and the Mandel check (see
 :func:`_solve_chunk`).  Mixed topologies share a chunk, and each
 problem's numbers are those of solving it alone, bit for bit.  A design
-run moves a cell's geometry (:func:`_moved`) and takes the node gradient
-of a solved cell's stiffness (:func:`_stiffness_gradient`).
+run moves a cell's geometry (:func:`_moved`) and takes the node Jacobian
+of a solved cell's stiffness (:func:`_stiffness_jacobian`).
 """
 
 from __future__ import annotations
@@ -616,27 +616,29 @@ def _solve_one(cell: _Cell, radius: float, mat: BeamMaterial) -> tuple[float, _C
     return density, outcome
 
 
-def _stiffness_gradient(
-    cell: _Cell, solution: _CellSolution, radius: float, weight: np.ndarray, mat: BeamMaterial
+def _stiffness_jacobian(
+    cell: _Cell, solution: _CellSolution, radius: float, mat: BeamMaterial
 ) -> np.ndarray:
-    """(N, 3) gradient of <C, W> at every node of a solved cell, for its
-    homogenized Mandel matrix C and a fixed (6, 6) Mandel weight W.
+    """(N, 3, 6, 6) derivative dC/dx of a solved cell's homogenized Mandel
+    matrix C with respect to every node's position.
 
     With D_e the solved total end displacements of element e, the
     derivative with respect to its strut vector v_e is
-    ``<dK_e/dv_e, D_e W D_e^T> / V``; it is added to the head node and
-    subtracted from the tail node, so self-edges cancel.  The affine load
+    ``D_e^T (dK_e/dv_e) D_e / V``; it is added to the head node and
+    subtracted from the tail node, so self-edges cancel exactly.  The affine load
     needs no term: moving a node shifts its affine displacement exactly as
     a change of its free fluctuation would, and the solved fluctuations make
-    the energy stationary (the envelope theorem).  No solve happens here.
+    every entry of C stationary in them (the envelope theorem, which holds
+    for the energy of any fixed Mandel weight).  No solve happens here.
     """
     dk = _beam_kernel_derivative(cell.vectors, _strut_sections([radius], [len(cell.vectors)]), mat)
-    d = solution.displacements
-    per_edge = np.einsum("emij,eij->em", dk, d @ weight @ d.transpose(0, 2, 1)) / cell.volume
-    full = np.zeros((cell.topology.node_count, 3))
-    np.add.at(full, cell.topology.ends[:, 1], per_edge)
-    np.add.at(full, cell.topology.ends[:, 0], -per_edge)
-    return full
+    d = solution.displacements[:, None]
+    per_edge = d.transpose(0, 1, 3, 2) @ dk @ d / cell.volume
+    ends, struts = cell.topology.ends, np.arange(len(d))
+    incidence = np.zeros((cell.topology.node_count, len(d)))
+    incidence[ends[:, 1], struts] = 1.0
+    incidence[ends[:, 0], struts] -= 1.0
+    return (incidence @ per_edge.reshape(len(d), -1)).reshape(-1, 3, 6, 6)
 
 
 def homogenize(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> HomogenizationResult:

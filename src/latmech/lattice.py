@@ -58,10 +58,6 @@ class Lattice:
     def edge_count(self) -> int:
         return self.edges.shape[0]
 
-    def transformed_nodes(self) -> np.ndarray:
-        """Physical node positions A x, shape (N, 3)."""
-        return self.nodes @ self.cell.T
-
 
 def _cell_volume(name: str, cell: np.ndarray) -> float:
     """det(A) of a float cell A, checked: finite 3x3, det(A) > 1e-12 prod |A_k|."""

@@ -1,26 +1,26 @@
 """Gradient-based design of nodal positions toward a target stiffness.
 
 This module owns the loss and the design loop.  The objective is the
-component loss L between the homogenized and target Mandel matrices, and
-its derivative dL/dC = 2 (C - T) is the weight that :mod:`fe` turns into
-node gradients: the cell problem, its moves and its sensitivity
-(:func:`fe._stiffness_gradient`, exact, from the same solve as the
-objective value) belong to :mod:`fe`.  :func:`fd_gradient`, central
-differences of the full homogenization, is the reference the exact
-gradient is tested against.  The loop takes L-BFGS steps on the exact
-gradient and accepts only a step that does not increase the objective,
-so the objective history is nonincreasing; it ends at the misfit stop
-(which ends runs toward a target that cannot be reached), the gradient
-stop or ``max_steps``, and the trace names which.  Nodes move in
-transformed coordinates with the cell held fixed.  A run builds one cell
-problem, for its base lattice, and each candidate moves that cell's
-geometry; a step that would collapse a strut below the minimum length is
-halved, and only the final nodes become a :class:`Lattice`.
+component loss L = |C - T|^2 over the 36 entries of the homogenized and
+target Mandel matrices, a least-squares misfit whose residual r = C - T
+has the node Jacobian dC/dx that :mod:`fe` takes from the same solve as
+the objective value: the cell problem, its moves and its sensitivity
+(:func:`fe._stiffness_jacobian`, exact) belong to :mod:`fe`.  The
+gradient is 2 J^T r.  :func:`fd_gradient`, central differences of the
+full homogenization, is the reference the exact gradient is tested
+against.  The loop takes Levenberg-Marquardt steps on that Jacobian and
+accepts only a step that does not increase the objective, so the
+objective history is nonincreasing; it ends at the misfit stop (which
+ends runs toward a target that cannot be reached), the gradient stop or
+``max_steps``, and the trace names which.  Nodes move in transformed
+coordinates with the cell held fixed.  A run builds one cell problem,
+for its base lattice, and each candidate moves that cell's geometry; a
+step that would collapse a strut below the minimum length is damped
+further, and only the final nodes become a :class:`Lattice`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,7 +30,7 @@ from .fe import (
     _fundamental_cell,
     _moved,
     _solve_one,
-    _stiffness_gradient,
+    _stiffness_jacobian,
     homogenize,
 )
 from .lattice import Lattice, displace_nodes
@@ -40,10 +40,8 @@ from .tensor4 import ElasticTensor4, MandelMatrix, _row_norms, to_mandel
 MIN_EDGE_LENGTH = 1e-3  # in units of det(A)^(1/3) of the base cell
 GRADIENT_STOP = 1e-8  # of ||gradient|| det(A)^(1/3) / ||T||_F^2, free of units
 MISFIT_STOP = 1e-8  # of the objective / ||T||_F^2, a relative Frobenius misfit of 1e-4
-MAX_HALVINGS = 20
-MAX_PAIRS = 10  # curvature pairs kept for the L-BFGS direction
-# The first step's scale, found on the tessellated simple-cubic demo.
-DEFAULT_STEP_SIZE = 3.0e3
+DAMPING = 1e-3  # the first step's damping, of tr(J^T J) / (3N)
+MAX_REJECTIONS = 20
 DEFAULT_FD_STEP = 1e-5
 
 
@@ -52,7 +50,6 @@ class DesignProblem:
     base: Lattice
     target: ElasticTensor4
     free_nodes: tuple = ()
-    step_size: float = DEFAULT_STEP_SIZE
     max_steps: int = 50
     fd_step: float = DEFAULT_FD_STEP  # step of the fd_gradient reference check
 
@@ -62,8 +59,6 @@ class DesignProblem:
             raise ValueError("free_nodes contains an index outside the lattice")
         if len(set(free)) != len(free):
             raise ValueError("free_nodes contains duplicates")
-        if not 0.0 < self.step_size < np.inf:
-            raise ValueError("step_size must be positive and finite")
         if not self.fd_step > 0.0:
             raise ValueError("fd_step must be positive")
         if self.max_steps < 0:
@@ -74,7 +69,7 @@ class DesignProblem:
 @dataclass(frozen=True)
 class DesignTrace:
     """A design run: ``solves`` counts its cell solves, the first one, every
-    line-search candidate and the final re-verification; ``stop`` names the
+    candidate and the final re-verification; ``stop`` names the
     rule that ended it, ``"misfit"``, ``"gradient"``, ``"max_steps"`` or
     ``"no_step"`` (no acceptable step remains)."""
 
@@ -83,6 +78,14 @@ class DesignTrace:
     final_stiffness: ElasticTensor4
     solves: int
     stop: str
+
+    def summary(self) -> str:
+        """The objective's first and last values, the steps, the solves and the stop."""
+        history = self.objective_history
+        return (
+            f"objective {history[0]:.6g} -> {history[-1]:.6g} in {len(history) - 1} steps, "
+            f"{self.solves} solves ({self.stop} stop)"
+        )
 
 
 def _evaluate(cell, radius: float, target: MandelMatrix, mat: BeamMaterial):
@@ -137,29 +140,14 @@ def gradient(
     """:func:`objective` and its exact gradient per free node, from one solve.
 
     Returns the objective value and a transformed-coordinate 3-vector for
-    each index in ``free_nodes``: the gradient of <C, dL/dC> with dL/dC =
-    2 (C - T) held fixed, see :func:`fe._stiffness_gradient`.
+    each index in ``free_nodes``: the Jacobian dC/dx of
+    :func:`fe._stiffness_jacobian` contracted with dL/dC = 2 (C - T).
     """
     cell, target = _fundamental_cell(lat), to_mandel(target)
     value, solution = _evaluate(cell, lat.radius, target, mat)
-    weight = 2.0 * (solution.mandel - target.entries)
-    full = _stiffness_gradient(cell, solution, lat.radius, weight, mat)
+    jacobian = _stiffness_jacobian(cell, solution, lat.radius, mat)
+    full = jacobian.reshape(-1, 3, 36) @ (2.0 * (solution.mandel - target.entries)).ravel()
     return value, {int(k): full[int(k)] for k in free_nodes}
-
-
-def _two_loop(grad: np.ndarray, pairs) -> np.ndarray:
-    """The L-BFGS direction -H g from the curvature pairs ``(s, y, s.y)``,
-    oldest first, with the initial inverse Hessian s.y / y.y of the newest."""
-    q = grad.copy()
-    alphas = []
-    for s, y, sy in reversed(pairs):
-        alphas.append(np.vdot(s, q) / sy)
-        q -= alphas[-1] * y
-    s, y, sy = pairs[-1]
-    q *= sy / np.vdot(y, y)
-    for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - np.vdot(y, q) / sy) * s
-    return -q
 
 
 def solve(
@@ -169,17 +157,19 @@ def solve(
 
     Each candidate is one move of the base lattice's cell problem, solved
     once: the solve that gives its objective value also gives the exact
-    gradient of the next step.  The first step is ``step_size`` times the
-    negative gradient; later ones are the L-BFGS direction at step 1, from
-    up to ``MAX_PAIRS`` accepted moves s and gradient changes y with s.y > 0
-    (with none kept, the first step's rule).  Stops at ``max_steps``; when
-    the objective is at most ``MISFIT_STOP`` times the squared norm of the
-    target's Mandel matrix, tested before the step's gradient is taken; or
-    when the gradient norm times det(A)^(1/3) is at most ``GRADIENT_STOP``
-    times that squared norm: tests free of the length unit and the modulus.
-    A step that would collapse a strut or increase the objective is halved,
-    up to 20 times; if no acceptable step remains the loop terminates.
-    Only the final nodes become a :class:`Lattice`.  ``threads`` is
+    Jacobian J = dC/dx of the next step, with the columns of fixed nodes
+    zero.  The step is the Levenberg-Marquardt move -(J^T J + mu I)^-1 J^T r
+    for the residual r = C - T.  The damping mu starts at ``DAMPING``
+    times tr(J^T J) / (3N) and is divided by 3 after an accepted candidate;
+    a candidate that would collapse a strut or increase the objective is
+    rejected, mu is multiplied by 4 and the move re-solved, up to
+    ``MAX_REJECTIONS`` times; if no acceptable candidate remains the loop
+    terminates.  Stops at ``max_steps``; when the objective is at most
+    ``MISFIT_STOP`` times the squared norm of the target's Mandel matrix,
+    tested before the step's Jacobian is taken; or when the gradient norm
+    |2 J^T r| times det(A)^(1/3) is at most ``GRADIENT_STOP`` times that
+    squared norm: tests free of the length unit and the modulus, as is the
+    step.  Only the final nodes become a :class:`Lattice`.  ``threads`` is
     accepted and ignored.
     """
     lat, radius = prob.base, prob.base.radius
@@ -194,45 +184,43 @@ def solve(
     solves = 1
     fixed = np.setdiff1d(np.arange(lat.node_count), prob.free_nodes)
     inverse = np.linalg.inv(lat.cell)
-    pairs, previous = deque(maxlen=MAX_PAIRS), None
+    identity, damping = np.eye(3 * lat.node_count), None
 
     stop = "max_steps"
     for _ in range(prob.max_steps):
         if current <= misfit_stop:
             stop = "misfit"
             break
-        weight = 2.0 * (solution.mandel - target.entries)
-        grad = _stiffness_gradient(cell, solution, radius, weight, mat)
-        grad[fixed] = 0.0
-        if np.linalg.norm(grad) * length_scale <= gradient_stop:
+        jacobian = _stiffness_jacobian(cell, solution, radius, mat)
+        jacobian[fixed] = 0.0
+        jacobian = jacobian.reshape(len(identity), 36)  # J^T
+        slope = jacobian @ (solution.mandel - target.entries).ravel()  # J^T r, half the gradient
+        if 2.0 * np.linalg.norm(slope) * length_scale <= gradient_stop:
             stop = "gradient"
             break
-        if previous is not None:
-            move, y = previous[0], grad - previous[1]
-            sy = np.vdot(move, y)
-            if sy > 0.0:
-                pairs.append((move, y, sy))
-        direction, step = (_two_loop(grad, pairs), 1.0) if pairs else (-grad, prob.step_size)
+        normal = jacobian @ jacobian.T
+        if damping is None:
+            damping = DAMPING * np.trace(normal) / len(identity)
 
-        for _halving in range(MAX_HALVINGS + 1):
-            move = step * direction
+        for _rejection in range(MAX_REJECTIONS + 1):
+            move = np.linalg.solve(normal + damping * identity, -slope).reshape(-1, 3)
             moved = _moved(cell, lat.cell, inverse, nodes, edges, move)
             candidate = moved[2]
             if _row_norms(candidate.vectors).min(initial=np.inf) < min_length:
-                step *= 0.5
+                damping *= 4.0
                 continue
             value, candidate_solution = _evaluate(candidate, radius, target, mat)
             solves += 1
             if not value > current:
                 break
-            step *= 0.5
+            damping *= 4.0
         else:
             stop = "no_step"
             break
+        damping /= 3.0
         nodes, edges, cell = moved
         current, solution = value, candidate_solution
         history.append(current)
-        previous = move, grad
 
     lat = replace(lat, nodes=nodes, edges=edges)
     final = homogenize(lat, mat)

@@ -11,6 +11,11 @@ from latmech.lattice import Lattice, body_centred_cubic, diamond, perturb, simpl
 SKEW = np.array([[1.0, 0.3, -0.2], [0.0, 0.9, 0.25], [0.1, 0.0, 1.1]])
 
 
+def transformed_nodes(lat: Lattice) -> np.ndarray:
+    """Physical node positions A x of a lattice, shape (N, 3)."""
+    return lat.nodes @ lat.cell.T
+
+
 def random_symmetric_tensor4(rng) -> np.ndarray:
     """Random stiffness-like tensor with both index symmetries."""
     raw = rng.standard_normal((3, 3, 3, 3))

@@ -661,8 +661,8 @@ class TestOptimizeCommand:
         assert payload["final_stiffness"]["basis"] == "mandel"
         io.lattice_from_record(payload["final_lattice"])
 
-    @pytest.mark.parametrize("steps, ending", [("5", "5 steps (max_steps stop)"),
-                                               ("50", "24 steps (misfit stop)")])
+    @pytest.mark.parametrize("steps, ending", [("2", "2 steps, 4 solves (max_steps stop)"),
+                                               ("50", "3 steps, 5 solves (misfit stop)")])
     def test_stderr_names_the_rule_that_ended_the_run(self, tmp_path, capsys, steps, ending):
         # the y-softening demo of seed 11; stdout stays empty
         from latmech.lattice import perturb, tessellate
@@ -836,8 +836,7 @@ class TestManifests:
         manifest = read_manifest(out)
         assert (manifest["command"], manifest["seed"]) == ("optimize", 0)
         assert list(manifest["arguments"]) == [
-            "threads", "subcommand", "catalogue", "name", "target", "steps", "lr", "material",
-            "out",
+            "threads", "subcommand", "catalogue", "name", "target", "steps", "material", "out",
         ]
 
 

@@ -50,7 +50,7 @@ from latmech.tensor4 import (
     to_mandel,
 )
 
-from conftest import PERTURBED_CELLS, perturbed_cell
+from conftest import PERTURBED_CELLS, perturbed_cell, transformed_nodes
 
 
 def block_rotation(r: np.ndarray) -> np.ndarray:
@@ -226,7 +226,7 @@ def single_cell_mandel_reference(ends, end_positions, vectors, node_count, radiu
 def dense_mandel_reference(lat: Lattice) -> np.ndarray:
     """Homogenized Mandel matrix by the dense pinned Cholesky of the whole
     stiffness matrix, in the lattice's own node numbering."""
-    positions = lat.transformed_nodes()
+    positions = transformed_nodes(lat)
     ends = lat.edges[:, :2]
     heads = positions[ends[:, 1]] + lat.edges[:, 2:] @ lat.cell.T
     k_e, dofs, d_aff, k_global, rhs = dense_cell_system(
@@ -239,7 +239,7 @@ def dense_mandel_reference(lat: Lattice) -> np.ndarray:
 
 
 def fundamental_mandel_reference(lat: Lattice) -> np.ndarray:
-    positions = lat.transformed_nodes()
+    positions = transformed_nodes(lat)
     ends = lat.edges[:, :2]
     heads = positions[ends[:, 1]] + lat.edges[:, 2:] @ lat.cell.T
     return single_cell_mandel_reference(
@@ -629,7 +629,7 @@ class TestHomogenize:
         assert np.linalg.norm(mandel - expected) <= 1e-9 * np.linalg.norm(expected)
         _density, solution = fe._solve_one(fe._fundamental_cell(lat), lat.radius, BeamMaterial())
         # the solve pins node 0's fluctuation, not its displacement
-        nodes[:, :3] += np.einsum("aij,j->ia", fe._UNIT_STRAINS, lat.transformed_nodes()[0])
+        nodes[:, :3] += np.einsum("aij,j->ia", fe._UNIT_STRAINS, transformed_nodes(lat)[0])
         jumps = np.einsum("aij,ej->eia", fe._UNIT_STRAINS, lat.edges[:, 2:] @ lat.cell.T)
         ends = np.concatenate([nodes[lat.edges[:, 0]], nodes[lat.edges[:, 1]]], axis=1)
         ends[:, 6:9] += jumps

@@ -26,7 +26,7 @@ from latmech.lattice import (
 )
 from latmech.tensor4 import check_rotation
 
-from conftest import PERTURBED_CELLS, SKEW, perturbed_cell
+from conftest import PERTURBED_CELLS, SKEW, perturbed_cell, transformed_nodes
 
 
 def min_image_distance(cell: np.ndarray, displacement: np.ndarray) -> float:
@@ -425,8 +425,8 @@ class TestPerturb:
         for lat in catalogue_lattices[1:]:
             for seed in (0, 1, 99):
                 moved = perturb(lat, 0.1, seed)
-                before = lat.transformed_nodes()
-                after = moved.transformed_nodes()
+                before = transformed_nodes(lat)
+                after = transformed_nodes(moved)
                 for k in range(lat.node_count):
                     dist = min_image_distance(lat.cell, after[k] - before[k])
                     assert dist == pytest.approx(0.1, abs=1e-12)
@@ -491,7 +491,7 @@ class TestPerturb:
         )
         level = 0.4
         moved = perturb(lat, level, seed=77)
-        raw_nodes = lat.transformed_nodes() + level * dirs
+        raw_nodes = transformed_nodes(lat) + level * dirs
         raw_vectors = []
         for i, j, *t in lat.edges:
             raw_vectors.append(
@@ -647,8 +647,8 @@ def test_property_perturb_distance_and_determinism(seed, level):
     a = perturb(lat, level, seed)
     b = perturb(lat, level, seed)
     np.testing.assert_array_equal(a.nodes, b.nodes)
-    before = lat.transformed_nodes()
-    after = a.transformed_nodes()
+    before = transformed_nodes(lat)
+    after = transformed_nodes(a)
     for k in range(lat.node_count):
         dist = min_image_distance(lat.cell, after[k] - before[k])
         assert dist == pytest.approx(level, abs=1e-12)

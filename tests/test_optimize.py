@@ -21,7 +21,7 @@ from latmech.lattice import (
 from latmech.optimize import DesignProblem, fd_gradient, gradient, objective, solve
 from latmech.tensor4 import MandelMatrix, from_mandel, rotate, to_mandel
 
-from conftest import PERTURBED_CELLS, perturbed_cell
+from conftest import PERTURBED_CELLS, perturbed_cell, transformed_nodes
 
 
 def scaled_y_target(lat, factor: float = 0.8):
@@ -35,60 +35,50 @@ def scaled_y_target(lat, factor: float = 0.8):
 
 
 def reference_solve(prob: DesignProblem) -> tuple[list, Lattice, int]:
-    """The L-BFGS loop of :func:`solve` built from public functions, with a
-    lattice per candidate: ``(objective_history, final_lattice, solves)``."""
-    lat = prob.base
+    """The Levenberg-Marquardt loop of :func:`solve` built from public functions
+    and a lattice per candidate, each Jacobian from a fresh cell problem:
+    ``(objective_history, final_lattice, solves)``."""
+    lat, mat = prob.base, BeamMaterial()
     length_scale = np.cbrt(np.linalg.det(lat.cell))
     min_length = optimize.MIN_EDGE_LENGTH * length_scale
-    target_norm = np.sum(to_mandel(prob.target).entries ** 2)
-    stop = optimize.GRADIENT_STOP * target_norm
+    target = to_mandel(prob.target).entries
+    target_norm = np.sum(target**2)
+    fixed = [k for k in range(lat.node_count) if k not in prob.free_nodes]
     history = [objective(lat, prob.target)]
-    solves = 1
-    pairs, previous = [], None  # (s, y, s.y), oldest first
+    solves, damping = 1, None
     for _ in range(prob.max_steps):
         if history[-1] <= optimize.MISFIT_STOP * target_norm:
             break
-        _value, grad = gradient(lat, prob.target, prob.free_nodes)
-        g = np.zeros((lat.node_count, 3))
-        for node, row in grad.items():
-            g[node] = row
-        if np.linalg.norm(g) * length_scale <= stop:
+        cell = fe._fundamental_cell(lat)
+        _density, solution = fe._solve_one(cell, lat.radius, mat)
+        jacobian = fe._stiffness_jacobian(cell, solution, lat.radius, mat)
+        jacobian[fixed] = 0.0
+        j = jacobian.reshape(-1, 36).T  # (36, 3N), a column per coordinate
+        g = j.T @ (solution.mandel - target).ravel()
+        if 2.0 * np.linalg.norm(g) * length_scale <= optimize.GRADIENT_STOP * target_norm:
             break
-        if previous is not None:
-            s, y = previous[0], g - previous[1]
-            if np.vdot(s, y) > 0.0:
-                pairs = (pairs + [(s, y, np.vdot(s, y))])[-optimize.MAX_PAIRS:]
-        if pairs:
-            # two-loop recursion: newest pair first, then oldest first
-            q, alphas = g.copy(), []
-            for s, y, sy in pairs[::-1]:
-                alphas.append(np.vdot(s, q) / sy)
-                q -= alphas[-1] * y
-            s, y, sy = pairs[-1]
-            q *= sy / np.vdot(y, y)
-            for (s, y, sy), alpha in zip(pairs, alphas[::-1]):
-                q += (alpha - np.vdot(y, q) / sy) * s
-            direction, step = -q, 1.0
-        else:
-            direction, step = -g, prob.step_size
+        normal = j.T @ j
+        if damping is None:
+            damping = optimize.DAMPING * np.trace(normal) / len(normal)
         accepted = None
-        for _halving in range(optimize.MAX_HALVINGS + 1):
-            candidate = displace_nodes(lat, step * direction)
+        for _rejection in range(optimize.MAX_REJECTIONS + 1):
+            move = np.linalg.solve(normal + damping * np.eye(len(normal)), -g)
+            candidate = displace_nodes(lat, move.reshape(-1, 3))
             if edge_lengths(candidate).min() < min_length:
-                step *= 0.5
+                damping *= 4.0
                 continue
             value = objective(candidate, prob.target)
             solves += 1
             if value > history[-1]:
-                step *= 0.5
+                damping *= 4.0
                 continue
             accepted = candidate
             break
         if accepted is None:
             break
+        damping /= 3.0
         lat = accepted
         history.append(value)
-        previous = step * direction, g
     return history, lat, solves + 1
 
 
@@ -267,24 +257,24 @@ def complex_bincount(index, values, length) -> np.ndarray:
     return np.bincount(index, values.real, length) + 1j * np.bincount(index, values.imag, length)
 
 
-def complex_step_gradient(lat: Lattice, target, node: int, h: float = 1e-30) -> np.ndarray:
-    """The gradient of :func:`objective` at one node, by complex step.
+def complex_step_jacobian(lat: Lattice, node: int, h: float = 1e-30):
+    """The Mandel matrix C of a lattice and its (3, 6, 6) derivative with
+    respect to one node's position, by complex step.
 
     Each coordinate of the node moves by i h.  The element matrices are the
     dense feature-basis product of ``fe._kernel_features``, assembled dense
     and solved by LU on the pinned dofs, without conjugation, so C is
     analytic in the move.  Then dC/dx = Im(C) / h to roundoff, with no
-    cancellation, and dL/dx = <2 (C - T), dC/dx>.
+    cancellation.
     """
-    target = to_mandel(target).entries
     ends, n = lat.edges[:, :2], 6 * lat.node_count
     dofs = (6 * ends[:, :, None] + np.arange(6)).reshape(-1, 12)
     flat = (dofs[:, :, None] * n + dofs[:, None, :]).ravel()
     rhs_at = (6 * dofs[:, :, None] + np.arange(6)).ravel()
     sections = fe._strut_sections([lat.radius], [len(ends)])
-    grad = np.empty(3)
+    jacobian = np.empty((3, 6, 6))
     for axis in range(3):
-        positions = lat.transformed_nodes().astype(complex)
+        positions = transformed_nodes(lat).astype(complex)
         positions[node, axis] += 1j * h
         tails = positions[ends[:, 0]]
         heads = positions[ends[:, 1]] + lat.edges[:, 2:] @ lat.cell.T
@@ -300,8 +290,8 @@ def complex_step_gradient(lat: Lattice, target, node: int, h: float = 1e-30) -> 
         u[3:] = np.linalg.solve(k[3:, 3:], rhs[3:])
         d = d_aff + u[dofs]
         c = d.reshape(-1, 6).T @ (k_e @ d).reshape(-1, 6) / np.linalg.det(lat.cell)
-        grad[axis] = np.sum(2.0 * (c.real - target) * c.imag) / h
-    return grad
+        jacobian[axis] = c.imag / h
+    return c.real, jacobian
 
 
 # up to two copies a side, since each dense complex solve costs n^3
@@ -317,20 +307,26 @@ def test_property_gradient_matches_complex_step(base, n, level, seed, skewed, fa
     target, node = scaled_y_target(lat, factor), node % lat.node_count
     _value, grad = gradient(lat, target, range(lat.node_count))
     scale = np.abs(_stacked(grad, range(lat.node_count))).max()
-    assert np.abs(complex_step_gradient(lat, target, node) - grad[node]).max() <= 1e-12 * scale
+    c, reference = complex_step_jacobian(lat, node)
+    complex_step_gradient = np.sum(2.0 * (c - to_mandel(target).entries) * reference, axis=(1, 2))
+    assert np.abs(complex_step_gradient - grad[node]).max() <= 1e-12 * scale
+    # the whole Jacobian, each of the 36 entries of C, not only its
+    # contraction with the loss's weight
+    cell = fe._fundamental_cell(lat)
+    _density, solution = fe._solve_one(cell, lat.radius, BeamMaterial())
+    jacobian = fe._stiffness_jacobian(cell, solution, lat.radius, BeamMaterial())
+    assert np.abs(reference - jacobian[node]).max() <= 1e-12 * np.abs(jacobian).max()
 
 
 def scaled_runs(lat: Lattice, scales, max_steps: int) -> list:
     """``(trace, e)`` of the y-softening design of ``lat`` for each ``(a, e)``:
-    lengths scaled by a with step 3e3 a^2, and the modulus and target by e
-    with step 3e3 / e^2."""
+    lengths scaled by a, and the modulus and target by e."""
     target = to_mandel(scaled_y_target(lat)).entries
     runs = []
     for a, e in scales:
         scaled = replace(lat, cell=lat.cell * a, radius=lat.radius * a)
         prob = DesignProblem(
-            base=scaled, target=from_mandel(MandelMatrix(e * target)), max_steps=max_steps,
-            step_size=3e3 * a * a / (e * e),
+            base=scaled, target=from_mandel(MandelMatrix(e * target)), max_steps=max_steps
         )
         runs.append((solve(prob, BeamMaterial(youngs_modulus=e)), e))
     return runs
@@ -402,11 +398,14 @@ class TestSolve:
         assert len(set(solved[:-1])) == len(solved) - 1
         assert len(solved) > len(trace.objective_history)
 
-    def test_matches_the_loop_built_from_public_functions(self, demo_lattice):
-        # 15 steps keep more curvature pairs than MAX_PAIRS holds
+    def test_matches_the_loop_built_from_public_functions(self, demo_lattice, monkeypatch):
+        # past the misfit stop, 15 steps take 26 solves: rejected candidates
+        # raise the damping, and accepted ones lower it
+        monkeypatch.setattr(optimize, "MISFIT_STOP", 0.0)
         prob = DesignProblem(base=demo_lattice, target=scaled_y_target(demo_lattice), max_steps=15)
         trace = solve(prob)
         history, lat, solves = reference_solve(prob)
+        assert (trace.stop, trace.solves) == ("max_steps", 26)
         assert trace.objective_history == history
         assert trace.solves == solves
         assert trace.final_lattice.nodes.tobytes() == lat.nodes.tobytes()
@@ -415,7 +414,7 @@ class TestSolve:
         assert trace.final_stiffness.components.tobytes() == expected.tobytes()
 
     def test_matches_the_loop_built_from_public_functions_to_the_stop(self, demo_runs):
-        # seed 5 meets the misfit stop at step 15
+        # seed 5 meets the misfit stop at step 4
         prob, trace = demo_runs[4]
         assert trace.stop == "misfit"
         history, lat, solves = reference_solve(prob)
@@ -452,75 +451,84 @@ class TestSolve:
         # the first solve, at least one candidate per step, and the final one
         assert trace.solves >= len(trace.objective_history) + 1
 
-    def test_collapsing_step_is_halved(self, monkeypatch):
-        # On this cell the first step shortens the shortest strut, so a limit
-        # between its full-step and half-step lengths rejects the full step
-        # as a collapse, and the loop goes on as if it had started at half
-        lat = perturb(body_centred_cubic(), 0.03, seed=2)
-        target = scaled_y_target(lat)
-        full, half = (
-            solve(DesignProblem(base=lat, target=target, max_steps=1, step_size=step))
-            for step in (1000.0, 500.0)
-        )
-        shortest = [edge_lengths(t.final_lattice).min() for t in (full, half)]
+    def test_collapsing_candidate_is_damped_further(self, monkeypatch):
+        # On this cell the first candidate shortens the shortest strut, and
+        # four times the damping shortens it less, so a limit between the two
+        # lengths rejects the first as a collapse, and the loop goes on as if
+        # it had started at four times the damping, with no solve between
+        lat = perturb(body_centred_cubic(), 0.03, seed=3)
+        prob = DesignProblem(base=lat, target=scaled_y_target(lat), max_steps=1)
+        full = solve(prob)
+        monkeypatch.setattr(optimize, "DAMPING", 4.0 * optimize.DAMPING)
+        damped = solve(prob)
+        monkeypatch.undo()
+        assert full.solves == damped.solves == 3
+        shortest = [edge_lengths(t.final_lattice).min() for t in (full, damped)]
         assert shortest[0] < shortest[1] < edge_lengths(lat).min()
         # the limit is in units of the cell's length scale det(A)^(1/3)
         length_scale = np.cbrt(np.linalg.det(lat.cell))
         monkeypatch.setattr(optimize, "MIN_EDGE_LENGTH", sum(shortest) / 2 / length_scale)
-        halved = solve(DesignProblem(base=lat, target=target, max_steps=1, step_size=1000.0))
-        assert halved.objective_history == half.objective_history
-        np.testing.assert_array_equal(halved.final_lattice.nodes, half.final_lattice.nodes)
+        guarded = solve(prob)
+        assert guarded.objective_history == damped.objective_history
+        assert guarded.solves == 3
+        np.testing.assert_array_equal(guarded.final_lattice.nodes, damped.final_lattice.nodes)
 
-    def test_step_onto_another_node_is_halved(self, monkeypatch):
-        # the full step puts node 1 onto node 0, collapsing the strut between
-        # them; the loop halves it rather than building the collapsed lattice,
-        # and the half step, whose stiffness is the target, is accepted
+    def test_increasing_candidate_is_damped_further(self, monkeypatch):
+        # On this cell the first five candidates raise the objective: each is
+        # solved, rejected and re-solved at four times the damping, and the
+        # sixth is the first candidate of a run that starts at 4^5 times it
         lat = perturb(body_centred_cubic(), 0.03, seed=2)
-        direction = np.zeros((2, 3))
-        direction[1] = lat.transformed_nodes()[0] - lat.transformed_nodes()[1]
-        halfway = displace_nodes(lat, 0.5 * direction)
-        target = homogenize(halfway).stiffness
-        monkeypatch.setattr(optimize, "_stiffness_gradient", lambda *args: -direction)
-        prob = DesignProblem(base=lat, target=target, max_steps=1, step_size=1.0)
+        prob = DesignProblem(base=lat, target=scaled_y_target(lat), max_steps=1)
         trace = solve(prob)
-        min_length = optimize.MIN_EDGE_LENGTH * np.cbrt(np.linalg.det(lat.cell))
-        assert edge_lengths(halfway).min() > min_length
-        assert trace.objective_history == [objective(lat, target), objective(halfway, target)]
-        assert trace.final_lattice.nodes.tobytes() == halfway.nodes.tobytes()
-        assert trace.solves == 3
+        assert trace.objective_history[1] < trace.objective_history[0]
+        assert trace.solves == 1 + 6 + 1
+        monkeypatch.setattr(optimize, "DAMPING", 4.0**5 * optimize.DAMPING)
+        damped = solve(prob)
+        assert (damped.objective_history, damped.solves) == (trace.objective_history, 3)
+        np.testing.assert_array_equal(trace.final_lattice.nodes, damped.final_lattice.nodes)
 
     def test_stops_when_no_halving_is_accepted(self, demo_lattice, monkeypatch):
-        # every candidate collapses a strut, so no step is taken
+        # every candidate collapses a strut, so no step is taken: the move is
+        # re-solved at four times the damping MAX_REJECTIONS times, and no
+        # candidate is solved
         monkeypatch.setattr(optimize, "MIN_EDGE_LENGTH", np.inf)
+        moves = []
+        moved = optimize._moved
+
+        def counting(*args):
+            moves.append(1)
+            return moved(*args)
+
+        monkeypatch.setattr(optimize, "_moved", counting)
         target = scaled_y_target(demo_lattice)
         trace = solve(DesignProblem(base=demo_lattice, target=target, max_steps=5))
         assert trace.objective_history == [objective(demo_lattice, target)]
+        assert (trace.stop, trace.solves, len(moves)) == ("no_step", 2, optimize.MAX_REJECTIONS + 1)
         np.testing.assert_array_equal(trace.final_lattice.nodes, demo_lattice.nodes)
 
     def test_collapse_guard_does_not_depend_on_scale(self, demo_lattice):
-        # scaling the cell and struts by a scales the loss gradient by 1/a, so
-        # a step size of 3e3 a^2 makes the same moves in units of the cell
+        # scaling the cell and struts by a scales the Jacobian by 1/a and its
+        # damping by 1/a^2, so the step makes the same moves in units of the cell
         traces = []
         for a in (1.0, 1e-3):
             lat = replace(demo_lattice, cell=demo_lattice.cell * a, radius=demo_lattice.radius * a)
-            prob = DesignProblem(
-                base=lat, target=scaled_y_target(lat), max_steps=3, step_size=3e3 * a * a
-            )
+            prob = DesignProblem(base=lat, target=scaled_y_target(lat), max_steps=2)
             traces.append(solve(prob))
         unit, small = traces
-        assert len(small.objective_history) == len(unit.objective_history) == 4
+        assert len(small.objective_history) == len(unit.objective_history) == 3
         assert small.solves == unit.solves
         np.testing.assert_allclose(small.objective_history, unit.objective_history, rtol=1e-9)
 
-    def test_stop_does_not_depend_on_scale(self, demo_lattice):
+    def test_stop_does_not_depend_on_scale(self, demo_lattice, monkeypatch):
         # the stop compares ||g|| det(A)^(1/3) with ||T||^2: scaling lengths by
-        # a (step 3e3 a^2) or the modulus and target by e (loss e^2, step
-        # 3e3 / e^2) leaves the run as long as at a = e = 1
+        # a or the modulus and target by e (loss e^2) leaves the run as long
+        # as at a = e = 1, past the misfit stop, with the same rejections
+        monkeypatch.setattr(optimize, "MISFIT_STOP", 0.0)
         runs = scaled_runs(demo_lattice, ((1.0, 1.0), (1e3, 1.0), (1e5, 1.0), (1.0, 1e4)), 10)
         unit = runs[0][0].objective_history
         for trace, e in runs:
             assert len(trace.objective_history) == 11
-            assert trace.solves == 14
+            assert trace.solves == 17
             np.testing.assert_allclose(np.array(trace.objective_history) / e**2, unit, rtol=1e-9)
 
     def test_misfit_stop_does_not_depend_on_scale(self, demo_lattice):
@@ -532,23 +540,23 @@ class TestSolve:
             assert trace.stop == "misfit"
             assert len(trace.objective_history) == len(unit.objective_history) < 51
             assert trace.solves == unit.solves
-            # the scaled runs drift apart by up to 4e-9 over 24 steps
+            # the scaled runs drift apart by roundoff, less than the bound
             np.testing.assert_allclose(
                 np.array(trace.objective_history) / e**2, unit.objective_history, rtol=1e-7
             )
 
     def test_demo_reaches_a_millionth_in_few_solves(self, demo_runs):
-        # L-BFGS on the y-softening demo cuts the objective by 1e6 on every
-        # seed, spending fewer than 80 solves where steepest descent spent
-        # 145-162, and the misfit stop ends the run before 50 steps, at the
-        # first objective within its bar
+        # Levenberg-Marquardt steps on the y-softening demo cut the objective
+        # by 1e6 on every seed in at most 8 steps and 16 solves, where L-BFGS
+        # took 15-33 steps and steepest descent 145-162 solves, and the misfit
+        # stop ends the run at the first objective within its bar
         for prob, trace in demo_runs:
             history = trace.objective_history
             assert trace.stop == "misfit"
-            assert len(history) < 51
+            assert len(history) <= 9
             assert history[-1] <= misfit_bar(prob) < history[-2]
             assert history[-1] <= 1e-6 * history[0]
-            assert trace.solves <= 80
+            assert trace.solves <= 16
 
     def test_a_stopped_history_is_a_prefix_of_the_unstopped_one(self, demo_runs, monkeypatch):
         # the stop changes no step before it: without it the run goes on to
@@ -563,17 +571,17 @@ class TestSolve:
             assert next(k for k, v in enumerate(history) if v <= bar) == len(stopped) - 1
 
     def test_misfit_stop_takes_no_gradient(self, demo_runs, monkeypatch):
-        # the stop is tested before the step's gradient: a run stopped after
-        # n steps takes the gradient n times
+        # the stop is tested before the step's Jacobian: a run stopped after
+        # n steps takes the Jacobian n times
         prob, trace = demo_runs[0]
         calls = []
-        stiffness_gradient = optimize._stiffness_gradient
+        stiffness_jacobian = optimize._stiffness_jacobian
 
         def counting(*args):
             calls.append(1)
-            return stiffness_gradient(*args)
+            return stiffness_jacobian(*args)
 
-        monkeypatch.setattr(optimize, "_stiffness_gradient", counting)
+        monkeypatch.setattr(optimize, "_stiffness_jacobian", counting)
         assert solve(prob).objective_history == trace.objective_history
         assert len(calls) == len(trace.objective_history) - 1
 
@@ -622,14 +630,3 @@ class TestDesignProblem:
         lat = body_centred_cubic()
         with pytest.raises(ValueError, match="outside"):
             DesignProblem(base=lat, target=homogenize(lat).stiffness, free_nodes=(5,))
-
-    def test_rejects_nonpositive_step(self):
-        lat = body_centred_cubic()
-        with pytest.raises(ValueError, match="step_size"):
-            DesignProblem(base=lat, target=homogenize(lat).stiffness, step_size=0.0)
-
-    def test_rejects_infinite_step(self):
-        # no candidate lattice is built to reject the non-finite nodes it makes
-        lat = body_centred_cubic()
-        with pytest.raises(ValueError, match="step_size must be positive and finite"):
-            DesignProblem(base=lat, target=homogenize(lat).stiffness, step_size=np.inf)
