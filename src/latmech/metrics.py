@@ -7,6 +7,7 @@ unit directions, and the rotation-consistency loss measures how far a
 predictor is from commuting with rigid rotations of its input lattice.
 It rotates no tensor: ``rotate(C, R)`` along ``d`` has exactly ``C``'s
 modulus along ``R^T d``, so it reads ``C`` along the rotated directions.
+:class:`DirectionSet` lives in :mod:`tensor4`, beside the dyad table it keeps.
 """
 
 from __future__ import annotations
@@ -16,15 +17,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import sampling
 from .lattice import Lattice, _rotated, rotate_lattice
 from .tensor4 import (
+    DirectionSet,
     ElasticTensor4,
     MandelMatrix,
     _checked_mandel,
-    _dyad_moduli,
     _dyad_table,
-    _kept_directions,
     _mandel_moduli,
     _to_mandel_stack,
     _unit_dyads,
@@ -34,36 +33,6 @@ from .tensor4 import (
 
 # Relative floor below which a Kelvin eigenvalue counts as negative.
 NEGATIVE_EIG_REL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class DirectionSet:
-    """Deterministic, nonempty set of unit directions on the sphere.
-
-    It owns a copy of ``directions`` that cannot be made writable, checked
-    once; ``tensor4`` keeps their Mandel dyad table, which every metric and
-    :func:`~latmech.tensor4.directional_moduli`, given the set or its
-    ``directions``, read without checking again."""
-
-    directions: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        d = _kept_directions(self.directions)
-        if not len(d):
-            raise ValueError("a direction set needs at least one direction")
-        object.__setattr__(self, "directions", d)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.directions, dtype=dtype, copy=copy)
-
-    @property
-    def n(self) -> int:
-        return self.directions.shape[0]
-
-    @classmethod
-    def sample(cls, n: int = 250, seed: int = 0) -> "DirectionSet":
-        return cls(directions=sampling.unit_directions(n, seed), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -123,8 +92,7 @@ def l_dir(
     pred: ElasticTensor4, target: ElasticTensor4, dirs: DirectionSet
 ) -> tuple[float, float]:
     """Mean absolute directional-stiffness deviation, raw and target-relative."""
-    dyads = _unit_dyads(dirs.directions)
-    values = _dyad_moduli(pred, dyads) - _dyad_moduli(target, dyads)
+    values = directional_moduli(pred, dirs.directions) - directional_moduli(target, dirs.directions)
     # the ops np.mean runs, without its wrapper
     raw = float(np.add.reduce(abs(values)) / dirs.n)
     gamma = target_mean_square(to_mandel(target))

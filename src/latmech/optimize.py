@@ -2,26 +2,27 @@
 
 This module owns the loss and the design loop.  The objective is the
 component loss L = |C - T|^2 over the 36 entries of the homogenized and
-target Mandel matrices, a least-squares misfit whose residual r = C - T
-has the node Jacobian dC/dx that :mod:`fe` takes from the same solve as
-the objective value: the cell problem, its moves and its sensitivity
-(:func:`fe._stiffness_jacobian`, exact) belong to :mod:`fe`.  The
-gradient is 2 J^T r.  :func:`fd_gradient`, central differences of the
-full homogenization, is the reference the exact gradient is tested
-against.  The loop takes Levenberg-Marquardt steps on that Jacobian and
-accepts only a step that does not increase the objective, so the
-objective history is nonincreasing; it ends at the misfit stop (which
-ends runs toward a target that cannot be reached), the gradient stop or
-``max_steps``, and the trace names which.  Nodes move in transformed
-coordinates with the cell held fixed.  A run builds one cell problem,
-for its base lattice, and each candidate moves that cell's geometry; a
-step that would collapse a strut below the minimum length is damped
-further, and only the final nodes become a :class:`Lattice`.
+target Mandel matrices, a least-squares misfit whose residual r = C - T has
+the node Jacobian dC/dx that :mod:`fe` takes from the same solve as the
+objective value: the cell problem, its moves and its sensitivity
+(:func:`fe._stiffness_jacobian`, exact) belong to :mod:`fe`.  The gradient
+is 2 J^T r.  :func:`fd_gradient`, central differences of the full
+homogenization, is the reference the exact gradient is tested against, at
+the class-wide step ``DesignProblem.fd_step``.  The loop takes
+Levenberg-Marquardt steps on that Jacobian and accepts only a step that does
+not increase the objective, so the objective history is nonincreasing; it
+ends at the misfit stop (which ends runs toward a target that cannot be
+reached), the gradient stop or ``max_steps``, and the trace names which.
+Nodes move in transformed coordinates with the cell held fixed.  A run
+builds one cell problem, for its base lattice, and each candidate moves that
+cell's geometry; a step that would collapse a strut below the minimum length
+is damped further, and only the final nodes become a :class:`Lattice`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,7 +43,6 @@ GRADIENT_STOP = 1e-8  # of ||gradient|| det(A)^(1/3) / ||T||_F^2, free of units
 MISFIT_STOP = 1e-8  # of the objective / ||T||_F^2, a relative Frobenius misfit of 1e-4
 DAMPING = 1e-3  # the first step's damping, of tr(J^T J) / (3N)
 MAX_REJECTIONS = 20
-DEFAULT_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class DesignProblem:
     target: ElasticTensor4
     free_nodes: tuple = ()
     max_steps: int = 50
-    fd_step: float = DEFAULT_FD_STEP  # step of the fd_gradient reference check
+    fd_step: ClassVar[float] = 1e-5  # class-wide step of the fd_gradient reference check
 
     def __post_init__(self):
         free = tuple(int(k) for k in self.free_nodes) or tuple(range(self.base.node_count))
@@ -59,8 +59,6 @@ class DesignProblem:
             raise ValueError("free_nodes contains an index outside the lattice")
         if len(set(free)) != len(free):
             raise ValueError("free_nodes contains duplicates")
-        if not self.fd_step > 0.0:
-            raise ValueError("fd_step must be positive")
         if self.max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
         object.__setattr__(self, "free_nodes", free)

@@ -93,7 +93,10 @@ def project(m, method: PsdMethod) -> np.ndarray:
 
 def _project(m: np.ndarray, method: PsdMethod) -> np.ndarray:
     """:func:`project` of an exactly symmetric matrix, not validated again."""
-    out = _MAPS[method](m)
+    if (apply := _MAPS.get(method)) is None:
+        names = ", ".join(p.value for p in PsdMethod)
+        raise ValueError(f"unknown PSD method {method!r}: expected a PsdMethod, one of {names}")
+    out = apply(m)
     return 0.5 * (out + out.T)
 
 

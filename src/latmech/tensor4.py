@@ -15,9 +15,9 @@ components.  This module provides:
 
 All values are pure data; every function is side-effect free, apart from
 a tensor keeping its Mandel matrix once :func:`to_mandel` has built it, and
-the kept dyad tables of :func:`_kept_directions`.  Tensor components, Mandel
-entries and kept directions lie over immutable bytes, so no caller can make
-them writable and leave a kept form stale.
+a :class:`DirectionSet`, defined here, keeping its dyad table here.  Tensor
+components, Mandel entries and a set's directions lie over immutable bytes,
+so no caller can make them writable and leave a kept form stale.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import sampling
 
 # Mandel/Voigt slot order: 11, 22, 33, 23, 13, 12 (0-based pairs).
 SLOT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
@@ -217,21 +219,18 @@ def _mandel_stack(stack: np.ndarray) -> list:
     or the ``ValueError`` that ``MandelMatrix`` raises for it.
 
     Each verdict is MandelMatrix's, from the same maxima and quotient taken
-    in whole-stack steps.  A failing matrix, and a stack of one, which
-    MandelMatrix checks faster, go through MandelMatrix, so the messages
-    have one owner.  The passing matrices of a longer stack are views of
-    one copy of it that cannot be made writable.
+    in whole-stack steps.  A failing matrix goes through MandelMatrix, so the
+    messages have one owner.  The passing matrices are views of one copy of
+    the stack that cannot be made writable.
     """
-    passed = [False] * len(stack)
-    if len(stack) > 1:
-        stack = _frozen(stack)
-        flat = stack.reshape(-1, 36)
-        scale = abs(flat).max(axis=1)
-        finite = np.isfinite(scale)
-        # as in MandelMatrix, a non-finite matrix fails before its defect is taken
-        flat = flat if finite.all() else np.where(finite[:, None], flat, 0.0)
-        defect = abs(flat - flat.reshape(-1, 6, 6).transpose(0, 2, 1).reshape(-1, 36)).max(axis=1)
-        passed = (finite & (defect / np.maximum(scale, 1e-30) <= MandelMatrix._SYM_TOL)).tolist()
+    stack = _frozen(stack)
+    flat = stack.reshape(-1, 36)
+    scale = abs(flat).max(axis=1)
+    finite = np.isfinite(scale)
+    # as in MandelMatrix, a non-finite matrix fails before its defect is taken
+    flat = flat if finite.all() else np.where(finite[:, None], flat, 0.0)
+    defect = abs(flat - flat.reshape(-1, 6, 6).transpose(0, 2, 1).reshape(-1, 36)).max(axis=1)
+    passed = (finite & (defect / np.maximum(scale, 1e-30) <= MandelMatrix._SYM_TOL)).tolist()
     out = []
     for m, ok in zip(stack, passed):
         if ok:
@@ -411,30 +410,52 @@ def directional_modulus(c: ElasticTensor4, d) -> float:
 
 def directional_moduli(c: ElasticTensor4, directions) -> np.ndarray:
     """Vectorized :func:`directional_modulus` over an ``(n, 3)`` direction array
-    or a :class:`~latmech.metrics.DirectionSet`, whose kept dyad table it reads."""
-    return _dyad_moduli(c, _unit_dyads(directions))
+    or a :class:`DirectionSet`, whose kept dyad table it reads."""
+    return _mandel_moduli(to_mandel(c).entries, _unit_dyads(directions))
 
 
-# id of each live array made by _kept_directions -> its checked dyad table
+# id of each live DirectionSet's directions -> their checked dyad table
 _KEPT_DYADS: dict[int, np.ndarray] = {}
 
 
-def _kept_directions(directions) -> np.ndarray:
-    """Checked ``directions`` as a copy that can never be written, whose dyad
-    table :func:`_unit_dyads` returns for that very array, without checking
-    again, for as long as it lives."""
-    d = _frozen(np.asarray(directions, dtype=float))
-    _KEPT_DYADS[id(d)] = _unit_dyads(d)
-    # the entry goes with the array, so no later array that reuses its id finds it
-    weakref.finalize(d, _KEPT_DYADS.pop, id(d))
-    return d
+@dataclass(frozen=True)
+class DirectionSet:
+    """Deterministic, nonempty set of unit directions on the sphere.
+
+    It owns a copy of ``directions`` that cannot be made writable, checked
+    once, and keeps their Mandel dyad table in ``_KEPT_DYADS``, which every
+    metric and :func:`directional_moduli`, given the set or its
+    ``directions``, read without checking again."""
+
+    directions: np.ndarray
+    seed: int
+
+    def __post_init__(self):
+        d = _frozen(np.asarray(self.directions, dtype=float))
+        _KEPT_DYADS[id(d)] = _unit_dyads(d)
+        # the entry goes with the array, so no later array that reuses its id finds it
+        weakref.finalize(d, _KEPT_DYADS.pop, id(d))
+        if not len(d):
+            raise ValueError("a direction set needs at least one direction")
+        object.__setattr__(self, "directions", d)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.directions, dtype=dtype, copy=copy)
+
+    @property
+    def n(self) -> int:
+        return self.directions.shape[0]
+
+    @classmethod
+    def sample(cls, n: int = 250, seed: int = 0) -> "DirectionSet":
+        return cls(directions=sampling.unit_directions(n, seed), seed=seed)
 
 
 def _unit_dyads(directions) -> np.ndarray:
     """Mandel vectors of ``d (x) d`` for an ``(n, 3)`` array of directions, each
     checked to lie within :data:`UNIT_TOL` of unit length: the one check of every
-    direction and beam axis.  One table serves any number of tensors.  The
-    array of :func:`_kept_directions` gets its kept table; any other array, a
+    direction and beam axis.  One table serves any number of tensors.  A
+    :class:`DirectionSet`'s own array gets its kept table; any other array, a
     copy or a view of it included, is checked."""
     d = np.asarray(directions, dtype=float)
     if id(d) in _KEPT_DYADS:
@@ -453,15 +474,10 @@ def _dyad_table(d: np.ndarray) -> np.ndarray:
     return _WEIGHTS * d[..., _PAIR_I] * d[..., _PAIR_J]
 
 
-def _dyad_moduli(c: ElasticTensor4, dyads: np.ndarray) -> np.ndarray:
-    """``C_ijkl d_i d_j d_k d_l = v^T M v`` for each row ``v`` of a
-    :func:`_unit_dyads` table."""
-    return _mandel_moduli(to_mandel(c).entries, dyads)
-
-
 def _mandel_moduli(m: np.ndarray, dyads: np.ndarray) -> np.ndarray:
-    """:func:`_dyad_moduli` of Mandel entries ``m``, one (6, 6) matrix or a
-    (B, 6, 6) stack; a stack gives each matrix the bits of its own call."""
+    """``C_ijkl d_i d_j d_k d_l = v^T M v`` for each row ``v`` of a :func:`_unit_dyads`
+    table and Mandel entries ``m``, one (6, 6) matrix or a (B, 6, 6) stack; a
+    stack gives each matrix the bits of its own call."""
     return np.add.reduce((dyads @ m) * dyads, axis=-1)
 
 

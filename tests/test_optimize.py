@@ -630,3 +630,9 @@ class TestDesignProblem:
         lat = body_centred_cubic()
         with pytest.raises(ValueError, match="outside"):
             DesignProblem(base=lat, target=homogenize(lat).stiffness, free_nodes=(5,))
+
+    def test_fd_step_is_a_class_constant(self, demo_lattice):
+        target = homogenize(demo_lattice).stiffness
+        assert DesignProblem(demo_lattice, target).fd_step == DesignProblem.fd_step == 1e-5
+        with pytest.raises(TypeError, match="fd_step"):
+            DesignProblem(demo_lattice, target, fd_step=1e-4)

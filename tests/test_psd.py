@@ -101,6 +101,16 @@ class TestProject:
         with pytest.raises(ValueError, match="cholesky"):
             PsdMethod("cholesky")
 
+    @pytest.mark.parametrize("method", ["square", "bogus", None])
+    def test_unknown_method_is_a_value_error_naming_the_six(self, method):
+        names = "square, fourth, exp, trunc2, trunc4, eigclamp"
+        rp = mandel_rotation(np.eye(3))
+        message = f"^unknown PSD method {method!r}: expected a PsdMethod, one of {names}$"
+        with pytest.raises(ValueError, match=message):
+            project(np.eye(6), method)
+        with pytest.raises(ValueError, match=message):
+            equivariance_defect(method, np.eye(6), rp)
+
     def test_symmetry_check_is_relative(self):
         m = to_mandel(homogenize(simple_cubic(radius=0.01)).stiffness).entries.copy()
         m[0, 1] += 5e-11

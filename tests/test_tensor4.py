@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmech import sampling, tensor4
+import latmech
+from latmech import metrics, sampling, tensor4
 from latmech.fe import BeamMaterial, beam_stiffness, homogenize
 from latmech.lattice import simple_cubic
 from latmech.metrics import DirectionSet
@@ -492,6 +493,9 @@ class TestKeptDyads:
         del dirs
         assert key not in tensor4._KEPT_DYADS
 
+    def test_the_set_is_one_class_wherever_it_is_imported(self):
+        assert latmech.DirectionSet is metrics.DirectionSet is tensor4.DirectionSet
+
 
 class TestImmutableArrays:
     def arrays(self, rng):
@@ -881,10 +885,10 @@ def test_stacked_moduli_are_each_matrixs_own_bit_for_bit(rng):
     stack = np.array([to_mandel(c).entries for c in tensors])
     moduli = tensor4._mandel_moduli(stack, dyads)
     for c, row in zip(tensors, moduli):
-        # the per-item product over one (6, 6) matrix, as _dyad_moduli had it
+        # the per-item product over one (6, 6) matrix
         alone = np.add.reduce((dyads @ to_mandel(c).entries) * dyads, axis=1)
         assert row.tobytes() == alone.tobytes()
-        assert row.tobytes() == tensor4._dyad_moduli(c, dyads).tobytes()
+        assert row.tobytes() == tensor4._mandel_moduli(to_mandel(c).entries, dyads).tobytes()
 
 
 def major_asymmetric(rng, scale: float) -> ElasticTensor4:
