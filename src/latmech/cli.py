@@ -146,10 +146,10 @@ def _cmd_validate(args) -> int:
 def _cmd_homogenize(args) -> int:
     lattices = io.read_catalogue(args.catalogue)
     write_manifest = _manifest(args)
+    directions = sampling.unit_directions(args.surface, args.seed)
     items = homogenize_batch(lattices, args.radius, args.material)
     records = []
     surface_blocks = []
-    directions = sampling.unit_directions(args.surface, args.seed)
     mandels = iter(_to_mandel_stack([i.result.stiffness for i in items if i.error is None]))
     failures = 0
     for item in items:
@@ -175,7 +175,7 @@ def _cmd_homogenize(args) -> int:
             file=sys.stderr,
         )
         if args.surface:
-            label = f"{item.name}\t{io.format_float(item.radius)}\t"
+            label = f"{item.name}\t{item.radius:.17g}\t"
             surface_blocks.append((label, mandel.entries))
     io.write_stiffness_records(args.out, records)
     write_manifest(args.out)

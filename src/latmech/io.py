@@ -42,11 +42,6 @@ class CatalogueError(ValueError):
         self.reason = reason
 
 
-def format_float(x: float) -> str:
-    """17-significant-digit formatting for plot tables."""
-    return format(float(x), ".17g")
-
-
 # ---------------------------------------------------------------------------
 # ``%.17g`` text of whole arrays
 # ---------------------------------------------------------------------------

@@ -240,19 +240,17 @@ def check_perturbation(level: float, count: int = 0) -> None:
 def perturb(lat: Lattice, level: float, seed: int) -> Lattice:
     """Displace every node by exactly ``level`` along an independent random direction.
 
-    Directions come from the counter-based stream keyed by (seed, node
-    index), so realizations are reproducible across platforms.  Lattices
-    with a single fundamental node cannot be meaningfully perturbed and
-    are rejected.
+    Node k's direction comes from the counter-based stream (seed, k), drawn
+    by one generator re-keyed node to node, so realizations are reproducible
+    across platforms.  Lattices with a single fundamental node cannot be
+    meaningfully perturbed and are rejected.
     """
     if lat.node_count < 2:
         raise ValueError(f"lattice {lat.name!r}: perturbation needs at least 2 nodes")
     check_perturbation(level)
     if level == 0.0:
         return lat
-    dirs = np.array(
-        [sampling.unit_vector(seed, k, sampling.DOMAIN_PERTURBATION) for k in range(lat.node_count)]
-    )
+    dirs = sampling._unit_draws(seed, sampling.DOMAIN_PERTURBATION, 0, lat.node_count, 3)
     return displace_nodes(lat, level * dirs)
 
 

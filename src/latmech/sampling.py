@@ -2,8 +2,8 @@
 
 All randomness in the package flows through counter-based Philox streams
 keyed by ``(seed, domain, index)``, so any draw is reproducible from its
-key alone, independent of draw order, platform, and thread count.  A run
-of rotations moves one generator from stream to stream by setting it to a
+key alone, independent of draw order, platform, and thread count.  Every
+per-index run (rotations, node perturbations) re-keys one generator to a
 fresh keyed Philox's state (:func:`_rekey`), so no stream changes by a bit.
 """
 
@@ -42,18 +42,20 @@ def _rekey(rng: np.random.Generator, key: tuple[int, int]) -> None:
                                "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
-def _unit_draw(rng: np.random.Generator, size: int) -> np.ndarray:
-    """A normalized standard-normal ``size``-vector; one of norm <= 1e-12 is redrawn."""
-    while True:
+def _unit_draws(seed: int, domain: int, start: int, count: int, size: int) -> np.ndarray:
+    """``(count, size)`` array whose row ``k`` is a normalized standard-normal
+    draw of stream ``(seed, domain, start + k)``, redrawn while its norm is
+    <= 1e-12; one generator is re-keyed from stream to stream."""
+    out = np.empty((count, size))
+    rng = keyed_generator(seed, domain, start)
+    for k in range(count):
+        if k:
+            _rekey(rng, _stream_key(seed, domain, start + k))
         v = rng.standard_normal(size)
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            return v / norm
-
-
-def unit_vector(seed: int, index: int, domain: int = DOMAIN_PERTURBATION) -> np.ndarray:
-    """One uniformly random unit 3-vector from stream ``(seed, domain, index)``."""
-    return _unit_draw(keyed_generator(seed, domain, index), 3)
+        while (norm := np.linalg.norm(v)) <= 1e-12:
+            v = rng.standard_normal(size)
+        out[k] = v / norm
+    return out
 
 
 def unit_directions(n: int, seed: int) -> np.ndarray:
@@ -85,15 +87,10 @@ def random_rotations(count: int, seed: int) -> np.ndarray:
 
 
 def _rotations(seed: int, start: int, count: int) -> np.ndarray:
-    """The rotations of streams ``start`` to ``start + count - 1``, from one
-    generator re-keyed; Python floats round as numpy's float64 scalars do."""
+    """The rotations of streams ``start`` to ``start + count - 1``, from unit
+    quaternions; Python floats round as numpy's float64 scalars do."""
     out = np.empty((count, 3, 3))
-    for k in range(count):
-        if k == 0:
-            rng = keyed_generator(seed, DOMAIN_ROTATION, start)
-        else:
-            _rekey(rng, _stream_key(seed, DOMAIN_ROTATION, start + k))
-        w, x, y, z = _unit_draw(rng, 4).tolist()
+    for k, (w, x, y, z) in enumerate(_unit_draws(seed, DOMAIN_ROTATION, start, count, 4).tolist()):
         out[k] = (
             (1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)),
             (2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)),

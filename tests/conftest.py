@@ -43,6 +43,16 @@ PERTURBED_CELLS = dict(
 )
 
 
+def unit_draw_one_at_a_time(rng, size):
+    """Reference draw: redraw a normal ``size``-vector until its norm exceeds
+    1e-12, then normalize it."""
+    while True:
+        v = rng.standard_normal(size)
+        norm = np.linalg.norm(v)
+        if norm > 1e-12:
+            return v / norm
+
+
 def random_symmetric_matrix(rng, n: int = 6) -> np.ndarray:
     raw = rng.standard_normal((n, n))
     return 0.5 * (raw + raw.T)

@@ -273,6 +273,20 @@ class TestHomogenize:
         assert len(read_lines(out)) == 6
         assert built == [23]
 
+    def test_negative_surface_fails_before_the_batch(self, catalogue_path, tmp_path,
+                                                     monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("homogenize_batch called")
+
+        monkeypatch.setattr(cli, "homogenize_batch", never)
+        out = tmp_path / "stiff.jsonl"
+        assert dispatch(
+            ["homogenize", "--catalogue", str(catalogue_path), "--radius", "0.05",
+             "--surface", "-1", "--out", str(out)]
+        ) == 1
+        assert "direction count must be nonnegative" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == [catalogue_path.name]
+
     def test_rerun_bit_identical(self, catalogue_path, tmp_path):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"

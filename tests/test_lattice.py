@@ -26,7 +26,13 @@ from latmech.lattice import (
 )
 from latmech.tensor4 import check_rotation
 
-from conftest import PERTURBED_CELLS, SKEW, perturbed_cell, transformed_nodes
+from conftest import (
+    PERTURBED_CELLS,
+    SKEW,
+    perturbed_cell,
+    transformed_nodes,
+    unit_draw_one_at_a_time,
+)
 
 
 def min_image_distance(cell: np.ndarray, displacement: np.ndarray) -> float:
@@ -437,6 +443,20 @@ class TestPerturb:
         np.testing.assert_array_equal(a.nodes, b.nodes)
         np.testing.assert_array_equal(a.edges, b.edges)
 
+    def test_one_generator_for_all_nodes(self, monkeypatch):
+        lat = tessellate(simple_cubic(), 8)
+        built = []
+        keyed_generator = sampling.keyed_generator
+
+        def counting(*key):
+            built.append(key)
+            return keyed_generator(*key)
+
+        monkeypatch.setattr(sampling, "keyed_generator", counting)
+        perturb(lat, 0.02, seed=3)
+        assert lat.node_count == 512
+        assert built == [(3, sampling.DOMAIN_PERTURBATION, 0)]
+
     def test_seed_changes_output(self):
         a = perturb(diamond(), 0.05, seed=1)
         b = perturb(diamond(), 0.05, seed=2)
@@ -486,9 +506,11 @@ class TestPerturb:
         # Large level forces nodes across the boundary; edge vectors must
         # keep the same multiset of lengths as direct displacement.
         lat = diamond()
-        dirs = np.array(
-            [sampling.unit_vector(77, k) for k in range(lat.node_count)]
-        )
+        dirs = np.array([
+            unit_draw_one_at_a_time(
+                sampling.keyed_generator(77, sampling.DOMAIN_PERTURBATION, k), 3)
+            for k in range(lat.node_count)
+        ])
         level = 0.4
         moved = perturb(lat, level, seed=77)
         raw_nodes = transformed_nodes(lat) + level * dirs

@@ -35,7 +35,7 @@ from latmech.tensor4 import (
     to_mandel,
 )
 
-from conftest import random_symmetric_matrix, random_symmetric_tensor4
+from conftest import random_symmetric_matrix, random_symmetric_tensor4, unit_draw_one_at_a_time
 
 
 def directional_moduli_per_call(c: ElasticTensor4, d: np.ndarray) -> np.ndarray:
@@ -393,16 +393,6 @@ def unit_directions_one_row_at_a_time(n, seed, generator=None):
     return out
 
 
-def unit_draw_one_at_a_time(rng, size):
-    """Reference draw: redraw a normal ``size``-vector until its norm exceeds
-    1e-12, then normalize it."""
-    while True:
-        v = rng.standard_normal(size)
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            return v / norm
-
-
 def rotation_of_quaternion(q):
     w, x, y, z = q
     return np.array(
@@ -491,14 +481,19 @@ class TestDirectionSet:
 
 
 class TestUnitDraws:
-    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3, 2**64 - 1])
     def test_unit_vector_matches_one_draw_at_a_time(self, seed):
-        for index in range(20):
-            for domain in (sampling.DOMAIN_PERTURBATION, sampling.DOMAIN_DIRECTION):
-                rng = sampling.keyed_generator(seed, domain, index)
-                expected = unit_draw_one_at_a_time(rng, 3)
-                actual = sampling.unit_vector(seed, index, domain)
-                assert actual.tobytes() == expected.tobytes()
+        # every row of the re-keyed walker is its own fresh stream's draw
+        count = 12
+        for domain in (1, 2, 3):
+            for size in (3, 4):
+                for start in (0, 5, 2**48 - count):
+                    rows = sampling._unit_draws(seed, domain, start, count, size)
+                    assert rows.shape == (count, size)
+                    for k, row in enumerate(rows):
+                        rng = sampling.keyed_generator(seed, domain, start + k)
+                        expected = unit_draw_one_at_a_time(rng, size)
+                        assert row.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
     def test_random_rotation_matches_one_draw_at_a_time(self, seed):
@@ -516,7 +511,8 @@ class TestUnitDraws:
         third = values[2 * size :] / np.linalg.norm(values[2 * size :])
         assert unit_draw_one_at_a_time(ScriptedNormals(values), size).tobytes() == third.tobytes()
         if size == 3:
-            assert sampling.unit_vector(0, 0).tobytes() == third.tobytes()
+            row = sampling._unit_draws(0, sampling.DOMAIN_PERTURBATION, 0, 1, 3)[0]
+            assert row.tobytes() == third.tobytes()
         else:
             expected = rotation_of_quaternion(third)
             assert sampling.random_rotation(0, 0).tobytes() == expected.tobytes()
