@@ -20,7 +20,7 @@ and ``rotate_lattice`` of a perturbed body-centred cell.  Then the batch
 metrics: 48 ``random_rotations``, ``l_equiv`` of a constant predictor
 over 8 perturbed body-centred cells and 4 rotations, and
 ``negative_eig_fraction`` of 32 tensors built fresh by ``from_mandel``
-in each call, so that their Mandel forms are converted and checked.
+in each call, so that their Mandel forms are converted.
 Prints the core count, then one line per kernel with the best of 7
 repeats, in microseconds per call.
 

@@ -28,7 +28,6 @@ from .fe import BeamMaterial, homogenize_batch
 from .lattice import check_perturbation, perturbed_realizations, rotate_lattice
 from .tensor4 import (
     _mandel_moduli,
-    _to_mandel_stack,
     _unit_dyads,
     from_mandel,
     mandel_rotation,
@@ -150,7 +149,6 @@ def _cmd_homogenize(args) -> int:
     items = homogenize_batch(lattices, args.radius, args.material)
     records = []
     surface_blocks = []
-    mandels = iter(_to_mandel_stack([i.result.stiffness for i in items if i.error is None]))
     failures = 0
     for item in items:
         if item.error is not None:
@@ -158,7 +156,7 @@ def _cmd_homogenize(args) -> int:
             print(f"error: {item.name} (r={item.radius:g}): {item.error}", file=sys.stderr)
             continue
         result = item.result
-        mandel = next(mandels)
+        mandel = to_mandel(result.stiffness)
         records.append(
             io.stiffness_record(
                 mandel,

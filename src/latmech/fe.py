@@ -291,11 +291,12 @@ def _basis_sum(features: np.ndarray) -> np.ndarray:
     """(E, ..., 144) C-contiguous basis sums of finite (36, ..., E) features, bit for bit
     ``np.einsum("...f,fk->...k", features.T, _KERNEL_BASIS)``: that adds the 36 products in
     order to +0.0, where a zero product changes only -0.0, so the nonzero terms are added in
-    order to the features plus 0.0.  Not BLAS: it slows the banded factorization after it."""
+    order.  Each column adds the padding zero or a term 0.0 - f, never -0.0, so no sum is
+    -0.0 either.  Not BLAS: it slows the banded factorization after it."""
     out = np.empty(features.shape[:0:-1] + (144,))
     for start in range(0, len(out), _GATHER_STRUTS):
         block = features[..., start : start + _GATHER_STRUTS]
-        signed = np.concatenate([block + 0.0, 0.0 - block, np.zeros((1,) + block.shape[1:])])
+        signed = np.concatenate([block, 0.0 - block, np.zeros((1,) + block.shape[1:])])
         sums = signed.take(_BASIS_TERMS[0], axis=0)
         for level in _BASIS_TERMS[1:]:
             sums += signed.take(level, axis=0)

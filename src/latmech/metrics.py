@@ -25,7 +25,6 @@ from .tensor4 import (
     _checked_mandel,
     _dyad_table,
     _mandel_moduli,
-    _to_mandel_stack,
     _unit_dyads,
     directional_moduli,
     to_mandel,
@@ -144,7 +143,7 @@ def l_equiv(
             tables = _dyad_table(dirs.directions @ turns)
         else:
             rotated = [prediction(_rotated(lat, r)) for r in turns]
-        forms = [m.entries for m in _to_mandel_stack([base_prediction, *rotated])]
+        forms = [to_mandel(c).entries for c in (base_prediction, *rotated)]
         values = _mandel_moduli(forms[0], tables) - _mandel_moduli(np.array(forms[1:]), dyads)
         # per pair, the ops np.mean runs, summed in lattice-major order
         for mean in (np.add.reduce(abs(values), axis=1) / dirs.n).tolist():
@@ -166,7 +165,7 @@ def negative_eig_fraction(preds: Sequence[ElasticTensor4]) -> float:
         raise ValueError("needs at least one tensor")
     # the Kelvin eigenvalues, without the eigentensors: a stacked eigh gives
     # each matrix the bits of its own call
-    eigenvalues = np.linalg.eigh(np.array([m.entries for m in _to_mandel_stack(preds)]))[0]
+    eigenvalues = np.linalg.eigh(np.array([to_mandel(c).entries for c in preds]))[0]
     floor = -NEGATIVE_EIG_REL_TOL * np.abs(eigenvalues).max(axis=1)
     return int(np.count_nonzero(eigenvalues.min(axis=1) < floor)) / len(preds)
 

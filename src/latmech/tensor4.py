@@ -13,11 +13,14 @@ components.  This module provides:
 * rotation in both the Cartesian and Mandel pictures,
 * directional stiffness, strain energy, and the Kelvin eigendecomposition.
 
-All values are pure data; every function is side-effect free, apart from
-a tensor keeping its Mandel matrix once :func:`to_mandel` has built it, and
-a :class:`DirectionSet`, defined here, keeping its dyad table here.  Tensor
-components, Mandel entries and a set's directions lie over immutable bytes,
-so no caller can make them writable and leave a kept form stale.
+A tensor is checked where it is built: the constructor checks its Mandel
+form and keeps it, and a tensor from :func:`from_mandel` stands for the
+checked matrix it came from.  All values are pure data; every function is
+side-effect free, apart from such a tensor keeping its Mandel matrix once
+:func:`to_mandel` has built it, and a :class:`DirectionSet`, defined here,
+keeping its dyad table here.  Tensor components, Mandel entries and a set's
+directions lie over immutable bytes, so no caller can make them writable
+and leave a kept form stale.
 """
 
 from __future__ import annotations
@@ -132,10 +135,10 @@ def check_rotation(r) -> np.ndarray:
 class ElasticTensor4:
     """Fourth-order stiffness tensor with minor and major symmetries.
 
-    The major symmetry is checked as the symmetry of its :class:`MandelMatrix`,
-    which the tensor keeps: :func:`to_mandel` returns it without converting
-    or validating again.  So that the two cannot disagree, ``components`` is
-    a read-only array that the tensor owns."""
+    The constructor checks the major symmetry as the symmetry of its
+    :class:`MandelMatrix` and keeps that matrix: :func:`to_mandel` returns it
+    without converting or checking again.  So that the two cannot disagree,
+    ``components`` is a read-only array that the tensor owns."""
 
     components: np.ndarray
     _mandel: MandelMatrix | None = field(default=None, init=False, repr=False, compare=False)
@@ -158,7 +161,7 @@ class ElasticTensor4:
                     f"tensor violates index symmetry {axes}: relative defect {defect:.3e}"
                 )
         object.__setattr__(self, "components", c)
-        to_mandel(self)
+        object.__setattr__(self, "_mandel", MandelMatrix(_WEIGHT_PRODUCTS * _slot_table(self)))
 
     @classmethod
     def _unchecked(cls, components: np.ndarray) -> "ElasticTensor4":
@@ -213,6 +216,14 @@ class MandelMatrix:
     def __array__(self, dtype=None, copy=None):
         return np.array(self.entries, dtype=dtype, copy=copy)
 
+    @classmethod
+    def _unchecked(cls, entries: np.ndarray) -> "MandelMatrix":
+        """A matrix of immutable float (6, 6) ``entries`` that are known to
+        pass every check of ``__post_init__``, built without repeating them."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "entries", entries)
+        return matrix
+
 
 def _mandel_stack(stack: np.ndarray) -> list:
     """The :class:`MandelMatrix` of each matrix of a float (B, 6, 6) ``stack``,
@@ -234,8 +245,7 @@ def _mandel_stack(stack: np.ndarray) -> list:
     out = []
     for m, ok in zip(stack, passed):
         if ok:
-            out.append(object.__new__(MandelMatrix))
-            object.__setattr__(out[-1], "entries", m)
+            out.append(MandelMatrix._unchecked(m))
             continue
         try:
             out.append(MandelMatrix(m))
@@ -308,47 +318,29 @@ def _slot_table(c: ElasticTensor4) -> np.ndarray:
 def to_mandel(c: ElasticTensor4) -> MandelMatrix:
     """6x6 Mandel matrix: sqrt(2) on normal-shear blocks, 2 on shear-shear.
 
-    The matrix is computed from the components and validated once per
-    tensor, then kept on it: later calls return the same object, whose
-    entries are read-only so that no caller can change what the next one
-    reads.
+    The constructor checked the matrix and kept it, so it is returned as it
+    is.  A tensor from :func:`from_mandel` stands for the checked matrix it
+    came from, so its matrix is converted, not checked, on the first call
+    and kept from then on.  Its entries are read-only, so no caller can
+    change what the next one reads.
     """
     m = c._mandel
     if m is None:
-        m = MandelMatrix(_WEIGHT_PRODUCTS * _slot_table(c))
+        m = MandelMatrix._unchecked(_frozen(_WEIGHT_PRODUCTS * _slot_table(c)))
         object.__setattr__(c, "_mandel", m)
     return m
-
-
-def _to_mandel_stack(tensors) -> list:
-    """:func:`to_mandel` of each tensor, the unconverted ones as one gather, one
-    weight product and one :func:`_mandel_stack` check.  As a loop would, each
-    keeps its matrix up to the first that fails, whose error is raised."""
-    todo = [c for c in tensors if c._mandel is None]
-    if todo:
-        flat = np.array([c.components for c in todo]).reshape(len(todo), 81)
-        for c, m in zip(todo, _mandel_stack(_WEIGHT_PRODUCTS * flat.take(_SLOT_TABLE, axis=1))):
-            if isinstance(m, ValueError):
-                raise m
-            object.__setattr__(c, "_mandel", m)
-    return [c._mandel for c in tensors]
 
 
 def from_mandel(m: MandelMatrix | np.ndarray) -> ElasticTensor4:
     """Exact inverse of :func:`to_mandel`.
 
-    The tensor is not validated again: a :class:`MandelMatrix` is finite,
-    and the slot table gives the tensor exact minor symmetry.  Its major
-    symmetry is checked on its Mandel matrix, and multiplying back by the
-    weights of 1, sqrt(2) and 2 returns ``m``'s entries to within about an
-    ulp each, so that check sees, up to that roundoff, the defect ``m``
-    already passed.
+    The tensor is not checked: ``m``'s check stands for it.  The slot table
+    gives exact minor symmetry, and the round trip moves each entry by at
+    most an ulp, so the relative symmetry defect by at most about 3.1e-16.
 
-    For the same reason the tensor does not keep ``m`` as its Mandel form:
-    ``to_mandel(from_mandel(m))`` can differ from ``m`` by an ulp in some
-    entries, and it is that result, computed and validated on the first
-    :func:`to_mandel` call and cached from then on, that every Mandel-form
-    operation on the tensor reads.
+    The tensor does not keep ``m``: ``to_mandel(from_mandel(m))`` can differ
+    from it by an ulp in some entries, and that result, built on the first
+    :func:`to_mandel` call and kept, is what every Mandel-form operation reads.
     """
     # dividing the 36 entries, then gathering, divides each component as a
     # gather of both tables would

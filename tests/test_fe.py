@@ -387,6 +387,13 @@ class TestBeamStiffness:
         with pytest.raises(ValueError, match="radius must be positive and finite"):
             beam_stiffness(1.0, math.inf, [1, 0, 0], BeamMaterial())
 
+    def test_radius_bound_is_zero_exclusive(self):
+        for radius in (0.0, np.nextafter(0.0, -1.0)):
+            with pytest.raises(ValueError, match="radius must be positive and finite"):
+                beam_stiffness(1.0, radius, [1, 0, 0], BeamMaterial())
+        k = beam_stiffness(1.0, np.nextafter(0.0, 1.0), [1, 0, 0], BeamMaterial())
+        assert k.shape == (12, 12) and np.isfinite(k).all()
+
 
 # Axis z-components near 0.9 are where the local-frame reference switches
 # its reference vector.
@@ -521,6 +528,13 @@ def test_property_gathering_kernels_equal_the_dense_product_bit_for_bit(
     k, dk = dense_kernel_reference(vectors, sections, mat)
     assert_same_bits(_beam_kernel(vectors, sections, mat), k)
     assert_same_bits(_beam_kernel_derivative(vectors, sections, mat), dk)
+
+
+def test_every_basis_column_adds_a_term_that_is_never_negative_zero():
+    # the padding zero (72) or a negated term 0.0 - f (36-71): so no basis sum is -0.0,
+    # as none of the dense product's is
+    terms = fe._BASIS_TERMS
+    assert ((terms == 72) | ((terms >= 36) & (terms < 72))).any(axis=0).all()
 
 
 @settings(max_examples=30, deadline=None)
@@ -710,6 +724,15 @@ class TestHomogenize:
         for path in (homogenize, homogenize_windowed):
             with pytest.raises(ValueError, match="density 1.508 >= 1"):
                 path(simple_cubic(radius=0.4))
+
+    def test_a_density_of_exactly_one_is_refused(self):
+        # simple cubic: three unit struts in a unit cell, density 3 pi r^2
+        radius = 0.32573500793527993
+        assert math.pi * radius**2 * 3.0 == 1.0
+        with pytest.raises(ValueError, match="density 1.000 >= 1"):
+            homogenize(simple_cubic(radius=radius))
+        below = np.nextafter(radius, 0.0)
+        assert homogenize(simple_cubic(radius=below)).relative_density < 1.0
 
     def test_min_pivot_ratio_lies_between_floor_and_one(self):
         # L_jj^2 = K_jj - sum_k L_jk^2, so the ratio is at most 1 and, on a
@@ -1189,6 +1212,12 @@ class TestBeamMaterial:
     def test_rejects_bad_poisson(self):
         with pytest.raises(ValueError):
             BeamMaterial(poisson_ratio=0.6)
+
+    def test_poisson_bound_is_one_half_exclusive(self):
+        for nu in (0.5, np.nextafter(0.5, 1.0)):
+            with pytest.raises(ValueError, match="Poisson ratio"):
+                BeamMaterial(poisson_ratio=nu)
+        assert BeamMaterial(poisson_ratio=np.nextafter(0.5, 0.0)).shear_modulus > 0.0
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):

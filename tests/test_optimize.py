@@ -136,6 +136,14 @@ class TestFdGradient:
         norm = np.sqrt(sum(float(g @ g) for g in grad.values()))
         assert norm < 1e-6
 
+    def test_step_bound_is_zero_exclusive(self, demo_lattice):
+        target = scaled_y_target(demo_lattice)
+        for step in (0.0, np.nextafter(0.0, -1.0)):
+            with pytest.raises(ValueError, match="fd_step must be positive"):
+                fd_gradient(demo_lattice, target, [0], fd_step=step)
+        grad = fd_gradient(demo_lattice, target, [0], fd_step=np.nextafter(0.0, 1.0))
+        assert set(grad) == {0} and np.isfinite(grad[0]).all()
+
     def test_respects_free_node_subset(self, demo_lattice):
         target = scaled_y_target(demo_lattice)
         grad = fd_gradient(demo_lattice, target, [0, 3], fd_step=1e-5)
