@@ -7,7 +7,10 @@ Times ``_beam_kernel`` on 24 struts (one design cell) and on 1536 struts
 ``_beam_kernel_derivative`` on 24 struts, and, on the cell of the
 y-softening design demo (2x2x2 simple cubic perturbed by 0.02 with seed 1,
 radius 0.05): ``_moved`` of one candidate step, ``_solve_one`` of the
-cell and ``_stiffness_jacobian`` of its solution.  On a 64-cell catalogue
+cell and ``_stiffness_jacobian`` of its solution.  On the perturbed 8x8x8
+simple cubic supercell it times ``_fundamental_cell`` from an empty
+topology memo (the strut graph's solve plan is built) and with the plan
+memoized (only the geometry is built).  On a 64-cell catalogue
 like the benchmark's (the 4 built-in cells plus 20 realizations each of
 sc_x2, bcc and diamond perturbed by 0.02), written to a temporary
 directory, it times ``homogenize_batch`` at radii 0.05 and 0.08,
@@ -73,13 +76,21 @@ def catalogue_cases(workdir: str) -> dict:
     }
 
 
+def unplanned_cell(lat) -> fe._Cell:
+    """``fe._fundamental_cell`` of ``lat`` after emptying the topology memo."""
+    fe._TOPOLOGIES.clear()
+    fe._RECENT_TOPOLOGIES.clear()
+    return fe._fundamental_cell(lat)
+
+
 def cases() -> dict:
     mat = fe.BeamMaterial()
     lat = perturb(tessellate(simple_cubic(), 2), 0.02, 1)
     cell = fe._fundamental_cell(lat)
     radius = lat.radius
     sections = fe._strut_sections([radius], [len(cell.vectors)])
-    big = fe._fundamental_cell(perturb(tessellate(simple_cubic(), 8), 0.02, 1))
+    big_lat = perturb(tessellate(simple_cubic(), 8), 0.02, 1)
+    big = fe._fundamental_cell(big_lat)
     big_sections = fe._strut_sections([radius], [len(big.vectors)])
     _density, solution = fe._solve_one(cell, radius, mat)
     inverse = np.linalg.inv(lat.cell)
@@ -93,6 +104,12 @@ def cases() -> dict:
         ),
         f"_beam_kernel_derivative ({len(cell.vectors)})": (
             lambda: fe._beam_kernel_derivative(cell.vectors, sections, mat), CALLS
+        ),
+        f"_fundamental_cell miss ({len(big.vectors)})": (
+            lambda: unplanned_cell(big_lat), CALLS // 20
+        ),
+        f"_fundamental_cell hit ({len(big.vectors)})": (
+            lambda: fe._fundamental_cell(big_lat), CALLS // 20
         ),
         "_moved": (
             lambda: fe._moved(cell, lat.cell, inverse, lat.nodes, lat.edges, deltas), CALLS

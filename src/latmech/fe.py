@@ -20,9 +20,9 @@ semi-definite by construction.  Joint overlap at nodes is ignored
 Every cell problem, single or batched, fundamental or windowed, goes
 through one chunked core, :func:`_solve_cells`.  A problem is a
 :class:`_Cell`: a :class:`_Topology`, which depends on the strut graph
-alone and is shared by every lattice of a batch with that graph, at every
-radius, and by the candidates of a design run, plus the geometry.  The
-core gathers consecutive problems into chunks of at most about
+alone, is built once per process and is shared while in use by every
+lattice with that graph, at every radius, plus the geometry.  The core
+gathers consecutive problems into chunks of at most about
 ``_CHUNK_STRUTS`` struts (a larger problem is a chunk of its own), builds
 the element matrices of a whole chunk in one kernel call (the nonzero
 terms of a fixed basis weighted by per-strut features, see
@@ -46,6 +46,8 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -67,6 +69,8 @@ _PIVOT_REL_TOL = 1e-12
 # catalogue throughput levels off from about 96 struts, and peak memory
 # rises above the one-cell-at-a-time figure from about 192.
 _CHUNK_STRUTS = 128
+# Each strut graph's topology while held; the last 8 used stay between calls.
+_TOPOLOGIES, _RECENT_TOPOLOGIES = weakref.WeakValueDictionary(), deque(maxlen=8)
 
 
 class DisconnectedLatticeError(ValueError):
@@ -341,7 +345,7 @@ def _beam_kernel_derivative(vectors: np.ndarray, sections: np.ndarray, mat: Beam
     return _basis_sum(dfeatures).reshape(-1, 3, 12, 12)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Topology:
     """What a cell problem's solve needs of its strut graph alone.
 
@@ -354,8 +358,9 @@ class _Topology:
     ``lower`` (E, 12, 12) marks the element-matrix entries its reduced lower
     band takes, and ``band_at`` are their places in the flat (n-3, kd+1)
     band; ``rhs_at`` (E, 12, 6) are each element row's places in the flat
-    (6, n) right-hand sides.  Moving nodes changes none of it, so a design
-    run builds it once, for its base lattice.
+    (6, n) right-hand sides.  Moving nodes changes none of it.  A strut
+    graph's topology is built once per process (:func:`_shared_topology`)
+    and shared while any cell problem holds it; its arrays are read-only.
     """
 
     ends: np.ndarray  # (E, 2)
@@ -389,7 +394,22 @@ def _topology(name: str, node_count: int, ends: np.ndarray) -> _Topology:
     at = (dofs - 3 * (kd + 1))[:, :, None] + (kd * dofs)[:, None, :]
     lower = (dofs[:, :, None] >= dofs[:, None, :]) & (dofs >= 3)[:, None, :]
     rhs_at = dofs[:, :, None] + n * np.arange(6)
-    return _Topology(ends, node_count, kd, dofs, lower, at[lower], rhs_at)
+    top = _Topology(ends.copy(), node_count, kd, dofs, lower, at[lower], rhs_at)
+    for array in (top.ends, top.dofs, top.lower, top.band_at, top.rhs_at):
+        array.flags.writeable = False
+    return top
+
+
+def _shared_topology(name: str, node_count: int, ends: np.ndarray) -> _Topology:
+    """:func:`_topology`, built once per strut graph; an error is not kept."""
+    key = (node_count, ends.dtype.str, ends.tobytes())
+    top = _TOPOLOGIES.get(key)
+    if top is None:
+        top = _TOPOLOGIES[key] = _topology(name, node_count, ends)
+    elif top in _RECENT_TOPOLOGIES:
+        _RECENT_TOPOLOGIES.remove(top)
+    _RECENT_TOPOLOGIES.append(top)
+    return top
 
 
 @dataclass(frozen=True)
@@ -424,22 +444,12 @@ class _CellSolution:
         )
 
 
-def _fundamental_cell(lat: Lattice, topologies: dict | None = None) -> _Cell:
-    """The cell problem of a lattice's fundamental representation.
-
-    ``topologies`` maps each ``(node_count, edge ends)`` seen so far to the
-    :class:`_Topology` that a lattice with that strut graph then shares.
-    Raises :class:`DisconnectedLatticeError`, which is never kept, so it
-    names its own lattice.
-    """
-    ends = lat.edges[:, :2]
-    key = (lat.node_count, ends.tobytes())
-    topologies = {} if topologies is None else topologies
-    if key not in topologies:
-        topologies[key] = _topology(lat.name, lat.node_count, ends)
+def _fundamental_cell(lat: Lattice) -> _Cell:
+    """The cell problem of a lattice's fundamental representation, with its
+    graph's shared topology.  Raises :class:`DisconnectedLatticeError`."""
     return _Cell(
-        lat.name, topologies[key], *_cell_geometry(lat.cell, lat.nodes, lat.edges),
-        float(np.linalg.det(lat.cell)),
+        lat.name, _shared_topology(lat.name, lat.node_count, lat.edges[:, :2]),
+        *_cell_geometry(lat.cell, lat.nodes, lat.edges), float(np.linalg.det(lat.cell)),
     )
 
 
@@ -667,7 +677,7 @@ def homogenize_windowed(lat: Lattice, mat: BeamMaterial = BeamMaterial()) -> Hom
     ends, offsets, vectors = _cut_chains(win)
     problem = _Cell(
         lat.name,
-        _topology(lat.name, lat.node_count, ends),
+        _shared_topology(lat.name, lat.node_count, ends),
         win.nodes[ends] + offsets,
         vectors,
         float(np.linalg.det(win.cell)),
@@ -697,13 +707,13 @@ def homogenize_batch(
 
     Output order follows the input nesting (lattice-major, then radius).
     Lattices with the same strut graph (node count and edge ends) share one
-    topology, built once; a lattice whose graph fails builds and fails on
-    its own, so its error names it.  Each lattice is checked once; each
-    radius is then checked in the order :func:`homogenize` of the lattice
-    rebuilt at that radius would check it, with the same messages.  The
-    items that pass are solved in stacked chunks (see the module
-    docstring), and every result equals that of :func:`homogenize` bit for
-    bit.  Domain failures
+    topology, built once per process and kept while in use; a lattice whose
+    graph fails builds and fails on its own, so its error names it.  Each
+    lattice is checked once; each radius is then checked in the order
+    :func:`homogenize` of the lattice rebuilt at that radius would check it,
+    with the same messages.  The items that pass are solved in stacked
+    chunks (see the module docstring), and every result equals that of
+    :func:`homogenize` bit for bit.  Domain failures
     (``ValueError``, which covers :class:`DisconnectedLatticeError` and
     :class:`SingularSystemError`, and ``LinAlgError``) are reported as
     ``BatchItem.error`` without aborting the rest; any other exception is a
@@ -712,10 +722,10 @@ def homogenize_batch(
     measurable over the serial path on any batch tried.
     """
     radii = [float(radius) for radius in radii]
-    items, pending, problems, topologies = [], [], [], {}
+    items, pending, problems = [], [], []
     for lat in catalogue:
         try:
-            cell = _fundamental_cell(lat, topologies)
+            cell = _fundamental_cell(lat)
         except ValueError as exc:
             cell = exc
         for radius in radii:

@@ -174,9 +174,15 @@ def _rotated(lat: Lattice, r: np.ndarray) -> Lattice:
     """:func:`rotate_lattice` by a rotation ``r`` that is already checked."""
     cell = r @ lat.cell
     _check_lengths(lat.name, cell, _cell_volume(lat.name, cell), lat.nodes, lat.edges)
-    rotated = object.__new__(type(lat))
-    vars(rotated).update(vars(lat), cell=cell)
-    return rotated
+    return _unchecked(lat, cell=cell)
+
+
+def _unchecked(lat: Lattice, **fields) -> Lattice:
+    """``lat`` with ``fields`` replaced, built without a lattice's checks:
+    the caller has made those that the new fields need."""
+    changed = object.__new__(type(lat))
+    vars(changed).update(vars(lat), **fields)
+    return changed
 
 
 def tessellate(lat: Lattice, n: int) -> Lattice:
@@ -256,10 +262,11 @@ def perturb(lat: Lattice, level: float, seed: int) -> Lattice:
 
 def perturbed_realizations(lat: Lattice, level: float, seed: int, count: int) -> list[Lattice]:
     """``count`` perturbations of ``lat``; realization ``k`` uses seed ``seed + k``
-    and is named ``<name>_l<level>_r<k>``."""
+    and is named ``<name>_l<level>_r<k>``.  Each is checked once: no check
+    reads the name but to quote it."""
     check_perturbation(level, count)
     return [
-        replace(perturb(lat, level, seed + k), name=f"{lat.name}_l{level:g}_r{k}")
+        _unchecked(perturb(lat, level, seed + k), name=f"{lat.name}_l{level:g}_r{k}")
         for k in range(count)
     ]
 

@@ -1,9 +1,12 @@
 import ast
+import gc
 import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+import weakref
 from collections import deque
 from dataclasses import fields, is_dataclass, replace
 
@@ -553,6 +556,10 @@ def test_property_basis_sum_equals_the_dense_product_bit_for_bit(seed, shape, lo
     assert_same_bits(fe._basis_sum(features), dense)
 
 
+def sc_x2() -> Lattice:
+    return tessellate(simple_cubic(), 2)
+
+
 class TestHomogenize:
     def test_simple_cubic_axial_limit(self):
         # Under unit axial strain only the aligned strut works; the energy
@@ -569,6 +576,29 @@ class TestHomogenize:
         unit = homogenize(simple_cubic(radius=0.05)).stiffness.components
         small = homogenize(simple_cubic(radius=0.05 * a, a=a)).stiffness.components
         assert relative_defect(unit, small) < 1e-12
+
+    # A frame's stiffness is its modulus times a function of its shape, so
+    # scaling every length leaves it be.  Each scaled cell reuses the shared
+    # topology of its graph, which thus carries no geometry.
+    @settings(max_examples=20, deadline=None)
+    @given(
+        **PERTURBED_CELLS | dict(
+            base=st.sampled_from([sc_x2, body_centred_cubic, diamond]), n=st.integers(1, 2)
+        ),
+        radius=st.floats(0.002, 0.1),
+        length=st.sampled_from([1e-4, 1.0, 1e4]),
+        modulus=st.sampled_from([1e-6, 1.0, 1e6]),
+    )
+    def test_property_stiffness_scales_with_the_modulus_alone(
+        self, base, n, level, seed, skewed, radius, length, modulus
+    ):
+        lat = replace(perturbed_cell(base, n, level, seed, skewed), radius=radius)
+        scaled = replace(lat, cell=length * lat.cell, radius=length * radius)
+        unit = homogenize(lat)
+        got = homogenize(scaled, BeamMaterial(youngs_modulus=modulus))
+        defect = relative_defect(unit.stiffness.components, got.stiffness.components / modulus)
+        assert defect <= 1e-12
+        assert got.min_pivot_ratio == pytest.approx(unit.min_pivot_ratio, rel=1e-9)
 
     def test_raw_mandel_symmetric_without_postprocessing(self, catalogue_lattices):
         for lat in catalogue_lattices:
@@ -1086,6 +1116,91 @@ def test_property_batch_matches_homogenize(catalogue, radii):
     assert_batch_matches_oracle(catalogue, radii)
 
 
+@pytest.fixture
+def built_topologies(monkeypatch) -> list:
+    """From an empty memo, the names of the lattices whose topologies are built."""
+    built, topology = [], fe._topology
+
+    def counting(name, node_count, ends):
+        built.append(name)
+        return topology(name, node_count, ends)
+
+    monkeypatch.setattr(fe, "_topology", counting)
+    monkeypatch.setattr(fe, "_TOPOLOGIES", weakref.WeakValueDictionary())
+    monkeypatch.setattr(fe, "_RECENT_TOPOLOGIES", deque(maxlen=fe._RECENT_TOPOLOGIES.maxlen))
+    return built
+
+
+def forget_topologies():
+    fe._TOPOLOGIES.clear()
+    fe._RECENT_TOPOLOGIES.clear()
+
+
+def rolled_graphs(count: int) -> list:
+    """``count`` distinct strut graphs of one structure: sc_x2 with its edge rows rolled."""
+    base = sc_x2()
+    return [
+        replace(base, name=f"sc_x2_roll{k}", edges=np.roll(base.edges, k, axis=0))
+        for k in range(count)
+    ]
+
+
+class TestSharedTopology:
+    def test_a_memo_hit_gives_the_bits_of_a_miss(self, built_topologies):
+        bases = [sc_x2(), body_centred_cubic(), diamond()]
+        cells = [perturb(base, 0.05, seed) for seed in (4, 5) for base in bases]
+        misses = []
+        for lat in cells:
+            forget_topologies()
+            misses.append(homogenize(lat))
+        forget_topologies()
+        batch_misses = homogenize_batch(cells, [0.03, 0.05])
+        assert len(built_topologies) == len(cells) + len(bases)
+        for lat, miss in zip(cells, misses):
+            assert_identical(homogenize(lat), miss)
+        for item, miss in zip(homogenize_batch(cells, [0.03, 0.05]), batch_misses):
+            assert_identical(item, replace(miss, seconds=item.seconds))
+        assert len(built_topologies) == len(cells) + len(bases)
+
+    def test_keeps_the_last_topologies_used(self, built_topologies):
+        kept = fe._RECENT_TOPOLOGIES.maxlen
+        graphs = rolled_graphs(kept + 4)
+        for lat in graphs + [graphs[4]]:
+            homogenize(lat)
+        gc.collect()
+        assert len(fe._TOPOLOGIES) == kept
+        # graphs[4] was used last, so graphs[5] went before it
+        homogenize(graphs[0])
+        gc.collect()
+        alive = [top.ends.tobytes() for top in fe._TOPOLOGIES.values()]
+        expected = graphs[6:] + [graphs[4], graphs[0]]
+        assert sorted(alive) == sorted(lat.edges[:, :2].tobytes() for lat in expected)
+        assert len(built_topologies) == len(graphs) + 1
+
+    def test_shared_arrays_are_read_only_and_the_plans_own(self, built_topologies):
+        mat, base = BeamMaterial(), sc_x2()
+        other = perturb(base, 0.05, seed=3)
+
+        def jacobian(lat):
+            cell = fe._fundamental_cell(lat)
+            _density, solution = fe._solve_one(cell, lat.radius, mat)
+            return fe._stiffness_jacobian(cell, solution, lat.radius, mat)
+
+        expected = jacobian(other)
+        forget_topologies()
+        edges = base.edges.copy()
+        lat = replace(base, edges=edges)
+        assert np.shares_memory(lat.edges, edges) and edges.flags.writeable
+        top = fe._fundamental_cell(lat).topology
+        homogenize(lat)
+        for array in (top.ends, top.dofs, top.lower, top.band_at, top.rhs_at):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        edges[:, :2] = edges[:, 1::-1].copy()  # every strut reversed
+        assert fe._fundamental_cell(other).topology is top
+        assert_identical(jacobian(other), expected)
+
+
 class TestHomogenizeBatch:
     def test_singleton_matches_direct(self):
         lat = simple_cubic()
@@ -1108,22 +1223,36 @@ class TestHomogenizeBatch:
                 assert np.all(values >= previous - 1e-12)
             previous = values
 
-    def test_builds_one_topology_per_strut_graph(self, monkeypatch):
-        built = []
-        topology = fe._topology
-
-        def counting(name, node_count, ends):
-            built.append(name)
-            return topology(name, node_count, ends)
-
-        monkeypatch.setattr(fe, "_topology", counting)
+    def test_builds_one_topology_per_strut_graph(self, built_topologies):
         bases = [simple_cubic(), tessellate(simple_cubic(), 2), body_centred_cubic(), diamond()]
         cells = bases + [
             lat for base in bases[1:] for lat in lattice.perturbed_realizations(base, 0.05, 3, 4)
         ]
         items = homogenize_batch(cells, [0.05, 0.08])
         assert all(item.error is None for item in items)
-        assert built == [lat.name for lat in bases]
+        assert built_topologies == [lat.name for lat in bases]
+        homogenize_batch(cells, [0.05, 0.08])
+        assert len(built_topologies) == len(bases)
+
+    def test_builds_each_of_more_graphs_than_are_kept_once(self, built_topologies):
+        graphs = rolled_graphs(12)
+        cells = [perturb(lat, 0.05, seed) for seed in (1, 2) for lat in graphs]
+        items = homogenize_batch(cells, [0.05])
+        assert all(item.error is None for item in items)
+        assert built_topologies == [lat.name for lat in graphs]
+
+    def test_item_seconds_add_up_to_at_most_the_wall_time(self):
+        # radius 0.4 fails sc before its solve; bare fails in its solve
+        cells = [
+            simple_cubic(), lonely_cell(), bare_cell(), diamond(),
+            perturb(tessellate(body_centred_cubic(), 3), 0.03, seed=1),
+        ]
+        started = time.perf_counter()
+        items = homogenize_batch(cells, [0.05, 0.4])
+        wall = time.perf_counter() - started
+        assert {item.error is None for item in items} == {True, False}
+        assert all(item.seconds >= 0.0 for item in items)
+        assert 0.0 < sum(item.seconds for item in items) <= wall
 
     def test_disconnected_lattice_names_itself_after_connected_ones(self):
         # bcc and diamond have lonely's node count; the twin has its graph

@@ -482,6 +482,19 @@ class TestPerturb:
             np.testing.assert_array_equal(moved.edges, direct.edges)
         assert perturbed_realizations(lat, 0.05, seed=7, count=0) == []
 
+    def test_each_realization_is_built_once(self, monkeypatch):
+        lat = tessellate(simple_cubic(), 2)
+        built, post_init = [], Lattice.__post_init__
+
+        def counting(self):
+            built.append(self.name)
+            post_init(self)
+
+        monkeypatch.setattr(Lattice, "__post_init__", counting)
+        out = perturbed_realizations(lat, 0.05, seed=3, count=100)
+        assert len(built) == 100
+        assert [moved.name for moved in out] == [f"{lat.name}_l0.05_r{k}" for k in range(100)]
+
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError, match="nonnegative"):
             perturb(diamond(), -0.1, seed=0)
