@@ -5,11 +5,16 @@ Times, on the homogenized stiffness of the body-centred cubic cell and
 one seeded rotation: the Mandel round trip ``to_mandel(from_mandel(m))``,
 ``rotate`` and ``rotate_mandel``, ``directional_moduli`` and ``l_dir``
 over 250 directions, and ``psd.project`` with each of the six matrix
-maps.  A tensor keeps its Mandel form, so the repeated
+maps on a checked matrix, and the square on a raw 6x6 array, which it
+checks.  A tensor keeps its Mandel form, so the repeated
 ``directional_moduli`` and ``l_dir`` calls on one tensor time the
 contraction, not a conversion; ``directional_moduli`` is timed on a
 ``DirectionSet``'s own array, whose kept dyad table it reads, and on a
-fresh copy, which it checks and builds a table for.  The round trip
+fresh copy, which it checks and builds a table for.  ``l_dir`` is timed
+three ways: on one set each call and on equal sets in turn, both of
+which hit the moduli its target keeps (the second after comparing the
+directions), and on two different sets in turn, which miss and contract
+the target again.  The round trip
 builds a new tensor each call and so times both conversions.  It also
 times the per-item constructors and checks on their own: the
 ``MandelMatrix`` check of a 6x6 array, ``from_mandel`` of a checked
@@ -27,6 +32,7 @@ repeats, in microseconds per call.
     PYTHONPATH=src python scripts/tensor_kernels.py
 """
 
+import itertools
 import os
 import timeit
 
@@ -63,6 +69,8 @@ def kernels() -> dict:
     rp = mandel_rotation(r)
     dirs = metrics.DirectionSet.sample(250, seed=0)
     fresh = np.array(dirs.directions)
+    equal = itertools.cycle([metrics.DirectionSet(fresh, 0) for _ in range(2)])
+    other = itertools.cycle([dirs, metrics.DirectionSet.sample(250, seed=1)])
     target = rotate(c, r)
     cases = {
         "mandel round trip": lambda: to_mandel(from_mandel(m)),
@@ -71,10 +79,13 @@ def kernels() -> dict:
         "directional_moduli (250, own)": lambda: directional_moduli(c, dirs.directions),
         "directional_moduli (250, fresh)": lambda: directional_moduli(c, fresh),
         "l_dir (250)": lambda: metrics.l_dir(c, target, dirs),
+        "l_dir (250, equal sets)": lambda: metrics.l_dir(c, target, next(equal)),
+        "l_dir (250, other sets)": lambda: metrics.l_dir(c, target, next(other)),
     }
     for method in psd.PsdMethod:
         cases[f"project {method.value}"] = lambda method=method: psd.project(m, method)
     entries, components = m.entries.copy(), c.components.copy()
+    cases["project square (raw)"] = lambda: psd.project(entries, psd.PsdMethod.SQUARE)
     cases.update({
         "MandelMatrix(a)": lambda: MandelMatrix(entries),
         "from_mandel": lambda: from_mandel(m),

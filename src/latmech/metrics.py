@@ -90,14 +90,20 @@ def aggregate_training_loss(pairs: Sequence[tuple[MandelMatrix, MandelMatrix]]) 
 def l_dir(
     pred: ElasticTensor4, target: ElasticTensor4, dirs: DirectionSet
 ) -> tuple[float, float]:
-    """Mean absolute directional-stiffness deviation, raw and target-relative."""
-    values = directional_moduli(pred, dirs.directions) - directional_moduli(target, dirs.directions)
+    """Mean absolute directional-stiffness deviation, raw and target-relative.
+    The target, the fixed side of a scoring loop, keeps its moduli and mean
+    square for the last directions (or an equal copy) it was scored on; only
+    a success is kept, so a target of zero stiffness raises on every call."""
+    d, kept = dirs.directions, target._moduli
+    if kept is None or not (kept[0] is d or kept[0].tobytes() == d.tobytes()):
+        gamma = target_mean_square(to_mandel(target))
+        if gamma == 0.0:
+            raise ValueError("zero target stiffness (relative directional loss undefined)")
+        kept = (d, directional_moduli(target, d), gamma)
+        object.__setattr__(target, "_moduli", kept)
     # the ops np.mean runs, without its wrapper
-    raw = float(np.add.reduce(abs(values)) / dirs.n)
-    gamma = target_mean_square(to_mandel(target))
-    if gamma == 0.0:
-        raise ValueError("zero target stiffness (relative directional loss undefined)")
-    return raw, raw / np.sqrt(gamma)
+    raw = float(np.add.reduce(abs(directional_moduli(pred, d) - kept[1])) / dirs.n)
+    return raw, raw / np.sqrt(kept[2])
 
 
 def l_equiv(
@@ -122,14 +128,7 @@ def l_equiv(
         raise ValueError("needs at least one rotation")
     if not lattices:
         raise ValueError("needs at least one lattice")
-
-    def prediction(lat: Lattice) -> ElasticTensor4:
-        try:
-            return predict(lat)
-        except Exception as exc:
-            raise RuntimeError(f"predictor failed on lattice {lat.name!r}: {exc}") from exc
-
-    base = [prediction(lat) for lat in lattices]
+    base = [predict(lat) for lat in lattices]
     dyads = _unit_dyads(dirs.directions)
     tables = None
     total = 0.0
@@ -138,11 +137,11 @@ def l_equiv(
             # rotate_lattice checks each rotation where the first lattice reaches
             # it; later lattices, and the rows d R, images of checked unit
             # directions, are not checked again
-            rotated = [prediction(rotate_lattice(lat, r)) for r in rotations]
+            rotated = [predict(rotate_lattice(lat, r)) for r in rotations]
             turns = np.array(rotations, dtype=float)
             tables = _dyad_table(dirs.directions @ turns)
         else:
-            rotated = [prediction(_rotated(lat, r)) for r in turns]
+            rotated = [predict(_rotated(lat, r)) for r in turns]
         forms = [to_mandel(c).entries for c in (base_prediction, *rotated)]
         values = _mandel_moduli(forms[0], tables) - _mandel_moduli(np.array(forms[1:]), dyads)
         # per pair, the ops np.mean runs, summed in lattice-major order

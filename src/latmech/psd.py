@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .tensor4 import _EYE6, RotationPair, _checked_mandel
+from .tensor4 import _EYE6, MandelMatrix, RotationPair, _as_square, _check_mandel_entries
 
 
 class PsdMethod(Enum):
@@ -46,9 +46,10 @@ _EXP_THETA = 1.0 / 32.0
 
 def _check_symmetric(m) -> np.ndarray:
     """``m`` validated as a :class:`MandelMatrix`, then exactly symmetrized.
-    A :class:`MandelMatrix` passed the checks when it was built and its
-    entries are read-only, so it is not checked again."""
-    entries = _checked_mandel(m).entries
+    A :class:`MandelMatrix` passed its checks when built and is read-only, so
+    it is not checked again; a raw array gets its verdict without a copy."""
+    raw = not isinstance(m, MandelMatrix)
+    entries = _check_mandel_entries(_as_square(m, 6, "Mandel matrix")) if raw else m.entries
     return 0.5 * (entries + entries.T)
 
 

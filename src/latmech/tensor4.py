@@ -16,11 +16,11 @@ components.  This module provides:
 A tensor is checked where it is built: the constructor checks its Mandel
 form and keeps it, and a tensor from :func:`from_mandel` stands for the
 checked matrix it came from.  All values are pure data; every function is
-side-effect free, apart from such a tensor keeping its Mandel matrix once
-:func:`to_mandel` has built it, and a :class:`DirectionSet`, defined here,
-keeping its dyad table here.  Tensor components, Mandel entries and a set's
-directions lie over immutable bytes, so no caller can make them writable
-and leave a kept form stale.
+side-effect free, apart from a tensor keeping its Mandel matrix once built,
+a target keeping its moduli along the directions ``metrics.l_dir`` last
+scored it on, and a :class:`DirectionSet` keeping its dyad table here.
+Components, Mandel entries and directions lie over immutable bytes, so no
+caller can make them writable and leave a kept form stale.
 """
 
 from __future__ import annotations
@@ -135,13 +135,14 @@ def check_rotation(r) -> np.ndarray:
 class ElasticTensor4:
     """Fourth-order stiffness tensor with minor and major symmetries.
 
-    The constructor checks the major symmetry as the symmetry of its
-    :class:`MandelMatrix` and keeps that matrix: :func:`to_mandel` returns it
-    without converting or checking again.  So that the two cannot disagree,
-    ``components`` is a read-only array that the tensor owns."""
+    The constructor checks the major symmetry as its :class:`MandelMatrix`'s
+    and keeps the matrix for :func:`to_mandel`; a target of ``metrics.l_dir``
+    keeps its moduli for the last directions scored.  ``components`` is a
+    read-only array the tensor owns, so no kept form can disagree with it."""
 
     components: np.ndarray
     _mandel: MandelMatrix | None = field(default=None, init=False, repr=False, compare=False)
+    _moduli: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     _SYM_TOL = 1e-8
 
@@ -171,6 +172,7 @@ class ElasticTensor4:
         tensor = object.__new__(cls)
         object.__setattr__(tensor, "components", _frozen(components))
         object.__setattr__(tensor, "_mandel", None)
+        object.__setattr__(tensor, "_moduli", None)
         return tensor
 
     @classmethod
@@ -203,15 +205,7 @@ class MandelMatrix:
 
     def __post_init__(self):
         m = _frozen(_as_square(self.entries, 6, "Mandel matrix"))
-        # one reduction serves both checks: the largest magnitude is NaN or
-        # inf exactly when an entry is, and it is relative_defect's scale
-        scale = float(abs(m).max())
-        if not math.isfinite(scale):
-            raise ValueError("Mandel matrix has non-finite entries")
-        defect = float(abs(m - m.T).max()) / max(scale, 1e-30)
-        if defect > self._SYM_TOL:
-            raise ValueError(f"Mandel matrix not symmetric: relative defect {defect:.3e}")
-        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "entries", _check_mandel_entries(m))
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.entries, dtype=dtype, copy=copy)
@@ -223,6 +217,18 @@ class MandelMatrix:
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "entries", entries)
         return matrix
+
+
+def _check_mandel_entries(m: np.ndarray) -> np.ndarray:
+    """The one verdict on a float (6, 6) array as a :class:`MandelMatrix`; returns it.
+    One reduction, NaN or inf exactly when an entry is, also scales the defect."""
+    scale = float(abs(m).max())
+    if not math.isfinite(scale):
+        raise ValueError("Mandel matrix has non-finite entries")
+    defect = float(abs(m - m.T).max()) / max(scale, 1e-30)
+    if defect > MandelMatrix._SYM_TOL:
+        raise ValueError(f"Mandel matrix not symmetric: relative defect {defect:.3e}")
+    return m
 
 
 def _mandel_stack(stack: np.ndarray) -> list:
@@ -388,10 +394,14 @@ def rotate(c: ElasticTensor4, r) -> ElasticTensor4:
 
 
 def rotate_mandel(m: MandelMatrix, rp: RotationPair) -> MandelMatrix:
-    """Mandel-space rotation by conjugation with the orthonormal 6x6 matrix."""
+    """Mandel-space rotation by conjugation with the orthonormal 6x6 matrix; the
+    symmetrized result is symmetric bit for bit, so it is trusted once finite."""
     rm = rp.r_mandel
     out = rm @ m.entries @ rm.T
-    return MandelMatrix(0.5 * (out + out.T))
+    out = 0.5 * (out + out.T)
+    if not math.isfinite(abs(out).max()):
+        raise ValueError("Mandel matrix has non-finite entries")
+    return MandelMatrix._unchecked(_frozen(out))
 
 
 def directional_modulus(c: ElasticTensor4, d) -> float:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from latmech import lattice, sampling
+from latmech import lattice, sampling, tensor4
 from latmech.fe import homogenize
 from latmech.lattice import (
     body_centred_cubic,
@@ -196,6 +196,69 @@ class TestLDir:
             assert l_dir(pred, target, dirs) == expected
 
 
+def _target_contractions(monkeypatch) -> list:
+    """Record each Mandel contraction that ``directional_moduli`` makes."""
+    calls = []
+    contract = tensor4._mandel_moduli
+
+    def counting(m, dyads):
+        calls.append(m)
+        return contract(m, dyads)
+
+    monkeypatch.setattr(tensor4, "_mandel_moduli", counting)
+    return calls
+
+
+class TestLDirKeptModuli:
+    def test_a_hit_gives_the_bits_of_a_miss(self, rng):
+        dirs = DirectionSet.sample(250, seed=4)
+        for k in range(6):
+            pred = from_mandel(random_symmetric_matrix(rng) * 10.0 ** (2 * k - 6))
+            target = from_mandel(random_symmetric_matrix(rng) * 10.0 ** (2 * k - 6))
+            miss = l_dir(pred, target, dirs)
+            assert l_dir(pred, target, DirectionSet.sample(250, seed=4)) == miss
+            assert l_dir(pred, from_mandel(to_mandel(target)), dirs) == miss
+
+    def test_an_equal_set_hits_and_a_different_one_misses(self, rng, monkeypatch):
+        pred, target = (from_mandel(random_symmetric_matrix(rng)) for _ in range(2))
+        first = DirectionSet.sample(250, seed=4)
+        l_dir(pred, target, first)
+        calls = _target_contractions(monkeypatch)
+        # an equal set sampled again, so a distinct array: only pred is contracted
+        again = DirectionSet.sample(250, seed=4)
+        assert again.directions is not first.directions
+        l_dir(pred, target, again)
+        assert len(calls) == 1
+        # a set of the same size with other directions contracts both
+        other = DirectionSet.sample(250, seed=5)
+        expected = l_dir(pred, from_mandel(to_mandel(target)), other)
+        calls.clear()
+        assert l_dir(pred, target, other) == expected
+        assert len(calls) == 2
+
+    def test_each_target_keeps_one_entry(self, rng, monkeypatch):
+        pred, target = (from_mandel(random_symmetric_matrix(rng)) for _ in range(2))
+        sets = [DirectionSet.sample(64, seed=s) for s in (1, 2)]
+        for dirs in sets:
+            l_dir(pred, target, dirs)
+            # the target holds the set's own array, not a copy, and one entry
+            kept_directions, moduli, gamma = target._moduli
+            assert kept_directions is dirs.directions
+            assert moduli.shape == (64,)
+            assert gamma == target_mean_square(to_mandel(target))
+        calls = _target_contractions(monkeypatch)
+        l_dir(pred, target, sets[0])  # the first set's entry was replaced
+        assert len(calls) == 2
+
+    def test_a_zero_target_raises_on_every_call(self, rng):
+        pred, zero = from_mandel(random_symmetric_matrix(rng)), ElasticTensor4.zero()
+        dirs = DirectionSet.sample(16, seed=0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="zero target stiffness"):
+                l_dir(pred, zero, dirs)
+            assert zero._moduli is None
+
+
 class TestLEquiv:
     def test_equals_the_per_call_formula_bit_for_bit(self):
         lattices = [perturb(body_centred_cubic(), 0.05, seed=s) for s in range(2)] + [diamond()]
@@ -289,11 +352,15 @@ class TestLEquiv:
         assert value < 1e-12
 
     def test_propagates_predictor_failure_with_name(self):
-        def broken(lat):
-            raise RuntimeError("boom")
+        # the predictor's own exception comes out, with its type and message
+        for error in (ValueError, TypeError):
 
-        with pytest.raises(RuntimeError, match="diamond"):
-            l_equiv(broken, [diamond()], sampling.random_rotations(1, 0), DirectionSet.sample(4, 0))
+            def broken(lat):
+                raise error(f"boom on {lat.name}")
+
+            with pytest.raises(error, match="^boom on diamond$") as raised:
+                l_equiv(broken, [diamond()], sampling.random_rotations(1, 0), DirectionSet.sample(4, 0))
+            assert type(raised.value) is error
 
 
 class TestNegativeEigFraction:

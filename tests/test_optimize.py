@@ -481,6 +481,37 @@ class TestSolve:
         assert guarded.solves == 3
         np.testing.assert_array_equal(guarded.final_lattice.nodes, damped.final_lattice.nodes)
 
+    def test_collapse_limit_is_a_thousandth_of_the_length_scale(self, monkeypatch):
+        # the documented limit, not the constant read back: a candidate whose
+        # shortest strut is exactly 1e-3 det(A)^(1/3) long is solved, and one
+        # an ulp shorter is rejected and damped further, as a run started at
+        # four times the damping shows
+        lat = perturb(body_centred_cubic(), 0.03, seed=3)
+        limit = 1e-3 * np.cbrt(np.linalg.det(lat.cell))
+        prob = DesignProblem(base=lat, target=scaled_y_target(lat), max_steps=1)
+        full = solve(prob)
+        monkeypatch.setattr(optimize, "DAMPING", 4.0 * optimize.DAMPING)
+        damped = solve(prob)
+        monkeypatch.undo()
+        row_norms = optimize._row_norms
+        for shortest, expected in ((limit, full), (np.nextafter(limit, 0.0), damped)):
+            pinned = []
+
+            def first_pinned(vectors):
+                lengths = row_norms(vectors)
+                if not pinned:  # the first candidate's shortest strut
+                    pinned.append(lengths.argmin())
+                    lengths[pinned[0]] = shortest
+                return lengths
+
+            monkeypatch.setattr(optimize, "_row_norms", first_pinned)
+            trace = solve(prob)
+            assert pinned
+            assert trace.objective_history == expected.objective_history
+            assert trace.solves == expected.solves == 3
+            np.testing.assert_array_equal(trace.final_lattice.nodes, expected.final_lattice.nodes)
+        assert full.objective_history != damped.objective_history
+
     def test_increasing_candidate_is_damped_further(self, monkeypatch):
         # On this cell the first five candidates raise the objective: each is
         # solved, rejected and re-solved at four times the damping, and the

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmech import sampling
+from latmech import psd, sampling, tensor4
 from latmech.psd import (
     MATRIX_METHODS,
     PsdMethod,
@@ -194,15 +194,22 @@ class TestEquivariance:
         projected = project(s, method)
         gap = project(rm @ s @ rm.T, method) - rm @ projected @ rm.T
         composed = float(np.linalg.norm(gap) / np.linalg.norm(projected))
-        calls = []
-        check = MandelMatrix.__post_init__
-        monkeypatch.setattr(
-            MandelMatrix, "__post_init__", lambda self: calls.append(1) or check(self)
-        )
+        calls, built = [], []
+        check, build = tensor4._check_mandel_entries, MandelMatrix.__post_init__
+
+        def counting(entries):
+            calls.append(1)
+            return check(entries)
+
+        # the one verdict, wherever it is called from, and no matrix built
+        monkeypatch.setattr(tensor4, "_check_mandel_entries", counting)
+        monkeypatch.setattr(psd, "_check_mandel_entries", counting)
+        monkeypatch.setattr(MandelMatrix, "__post_init__", lambda self: built.append(1) or build(self))
         assert project(m, method).tobytes() == projected.tobytes()
         assert len(calls) == 1
         assert equivariance_defect(method, m, rp) == composed
         assert len(calls) == 2
+        assert built == []
 
     @pytest.mark.parametrize("method", sorted(MATRIX_METHODS, key=lambda m: m.value))
     def test_does_not_check_a_mandel_matrix_again(self, monkeypatch, rng, method):
@@ -272,3 +279,35 @@ def test_property_symmetry_verdict_is_scale_free(seed, asymmetry, log_scale):
     for check in (MandelMatrix, lambda a: project(a, PsdMethod.SQUARE)):
         assert _accepts(check, m) == (asymmetry < 1e-10)
         assert _accepts(check, scale * m) == _accepts(check, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    case=st.sampled_from(["clean", "defect", "nan", "inf", "shape"]),
+    side=st.sampled_from([-1e-3, -1e-14, 0.0, 1e-14, 1e-3]),
+    log_scale=st.floats(-300.0, 300.0),
+    method=st.sampled_from(sorted(MATRIX_METHODS, key=lambda m: m.value)),
+)
+def test_property_a_raw_array_projects_as_its_mandelmatrix(seed, case, side, log_scale, method):
+    # the verdict on a raw array is MandelMatrix's, near the 1e-10 line too,
+    # and a passing array projects to the bits of its checked matrix
+    rng = np.random.default_rng(seed)
+    m = random_symmetric_matrix(rng)
+    m = m / np.abs(m).max() * 10.0**log_scale
+    a, b = rng.choice(6, size=2, replace=False)
+    if case == "defect":
+        m[a, b] += 1e-10 * (1.0 + side) * np.abs(m).max()
+    elif case in ("nan", "inf"):
+        m[a, b] = float(case)
+    elif case == "shape":
+        m = m[:5]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        try:
+            checked = MandelMatrix(m)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                project(m, method)
+            assert str(raised.value) == str(exc)
+            return
+        assert project(m, method).tobytes() == project(checked, method).tobytes()

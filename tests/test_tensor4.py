@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latmech
@@ -917,3 +917,34 @@ def test_stacked_moduli_are_each_matrixs_own_bit_for_bit(rng):
         alone = np.add.reduce((dyads @ to_mandel(c).entries) * dyads, axis=1)
         assert row.tobytes() == alone.tobytes()
         assert row.tobytes() == tensor4._mandel_moduli(to_mandel(c).entries, dyads).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log_scale=st.one_of(st.floats(-300.0, 300.0), st.floats(307.0, 308.25)),
+    rotation_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(seed=0, log_scale=308.25, rotation_seed=0)  # overflows to inf
+@example(seed=0, log_scale=0.0, rotation_seed=0)
+def test_property_rotate_mandel_keeps_the_mandelmatrix_verdict(seed, log_scale, rotation_seed):
+    # checked matrices up to the largest finite magnitudes, where the
+    # rotated entries can overflow: the trusted result is exactly symmetric,
+    # and it fails exactly when a checked copy of it would, with its message
+    rng = np.random.default_rng(seed)
+    m = random_symmetric_matrix(rng)
+    m = MandelMatrix(m / np.abs(m).max() * 10.0**log_scale)
+    rp = mandel_rotation(sampling.random_rotation(rotation_seed))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = rp.r_mandel @ m.entries @ rp.r_mandel.T
+        try:
+            expected = MandelMatrix(0.5 * (out + out.T))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                rotate_mandel(m, rp)
+            assert str(raised.value) == str(exc)
+            return
+        rotated = rotate_mandel(m, rp).entries
+    assert rotated.tobytes() == expected.entries.tobytes()
+    assert rotated.tobytes() == rotated.T.tobytes()
+    assert not rotated.flags.writeable
