@@ -11,7 +11,7 @@ would increase the objective, until the misfit or gradient stop or
 the cell solves and the rule that ended the run, in the line that
 ``latmech optimize`` writes to stderr, then the directional moduli.  On
 seeds 1-5, 9, 11 and 23 the misfit stop ends the run at step 3-7 with
-5-14 cell solves.
+4-13 cell solves.
 
     PYTHONPATH=src python scripts/design_demo.py --seed 4
 """

@@ -3,13 +3,13 @@
 Subcommands: homogenize, surface, psd-project, metrics, perturb,
 optimize, rotate, validate.  Data goes to files or stdout; diagnostics go
 to stderr.  Exit codes: 0 success, 1 domain error, 2 usage error.  A
-command fails by raising ``ValueError``, ``OSError`` or ``RuntimeError``
-(a malformed record is an :class:`io.CatalogueError`, which names its
-line); :func:`dispatch` prints ``error: <message>`` and returns 1.  Every
-output file gets a sibling ``<path>.manifest.json`` recording the command,
-arguments, seed, tool version, and timestamps; rerunning with the same
-arguments reproduces seeded outputs bit-exactly.  No environment
-variables are consulted.
+command fails by raising ``ValueError`` or ``OSError`` (a malformed
+record is an :class:`io.CatalogueError`, which names its line);
+:func:`dispatch` prints ``error: <message>`` and returns 1, and any other
+exception is a bug and propagates.  Every output file gets a sibling
+``<path>.manifest.json`` recording the command, arguments, seed, tool
+version, and timestamps; rerunning with the same arguments reproduces
+seeded outputs bit-exactly.  No environment variables are consulted.
 """
 
 from __future__ import annotations
@@ -412,7 +412,7 @@ def dispatch(argv) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -495,9 +495,9 @@ def _solve_cells(problems, mat: BeamMaterial):
     ``_CHUNK_STRUTS`` struts; a larger problem is a chunk of its own.
     Yields ``(outcome, seconds)`` per problem, in order; a caller that
     keeps only part of each solution holds one chunk's solutions at a time.
-    The outcome is a :class:`_CellSolution`, or the ``ValueError`` or
-    ``LinAlgError`` that its solve or its stiffness validation raised; any
-    other exception propagates.  ``seconds`` is the problem's own band
+    The outcome is a :class:`_CellSolution`, or the ``ValueError`` that
+    its pivot, residual or stiffness check found; any fault of the factor
+    or solve themselves propagates.  ``seconds`` is the problem's own band
     factor and solve plus an equal share of the rest of its chunk.
     """
     chunk, struts = [], 0
@@ -566,23 +566,21 @@ def _solve_chunk(chunk, mat: BeamMaterial) -> list[tuple]:
         d0, n = dof_starts[p], 6 * top.node_count
         band = k_flat[band_starts[p] : band_starts[p + 1]].reshape(n - 3, top.half_bandwidth + 1)
         loads.append(rhs[6 * d0 : 6 * (d0 + n)].reshape(6, n)[:, 3:])
-        try:
-            # band row j holds K[j:j+kd+1, j], so its transpose is LAPACK's
-            # lower band storage; it is factored in place
-            diag = band[:, 0].copy()
-            factor, info = lapack.dpbtrf(band.T, lower=1, overwrite_ab=1)
-            pivots[p] = float((factor[0] ** 2 / diag).min()) if info == 0 else 0.0
-            # each pivot against its own diagonal entry, since a per-column floor
-            # is blind to the scale of other struts (the very short pieces of a
-            # windowed cell); NaN, from an overflowed stiffness, fails here and
-            # in the residual check
-            if not pivots[p] > _PIVOT_REL_TOL:
-                raise _singular_system(cell, k_e[edge_starts[p] : edge_starts[p + 1]])
+        # band row j holds K[j:j+kd+1, j], so its transpose is LAPACK's
+        # lower band storage; it is factored in place
+        diag = band[:, 0].copy()
+        factor, info = lapack.dpbtrf(band.T, lower=1, overwrite_ab=1)
+        pivots[p] = float((factor[0] ** 2 / diag).min()) if info == 0 else 0.0
+        # each pivot against its own diagonal entry, since a per-column floor
+        # is blind to the scale of other struts (the very short pieces of a
+        # windowed cell); NaN, from an overflowed stiffness, fails here and
+        # in the residual check
+        if not pivots[p] > _PIVOT_REL_TOL:
+            outcomes[p] = _singular_system(cell, k_e[edge_starts[p] : edge_starts[p + 1]])
+        else:
             u[d0 + 3 : d0 + n], info = lapack.dpbtrs(factor, loads[p].T, lower=1)
             if info != 0:
                 raise RuntimeError(f"dpbtrs rejected argument {-info}")
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            outcomes[p] = exc
         own.append(time.perf_counter() - clock)
 
     u_e = u.take(dofs, axis=0)
@@ -713,11 +711,11 @@ def homogenize_batch(
     :func:`homogenize` of the lattice rebuilt at that radius would check it,
     with the same messages.  The items that pass are solved in stacked
     chunks (see the module docstring), and every result equals that of
-    :func:`homogenize` bit for bit.  Domain failures
-    (``ValueError``, which covers :class:`DisconnectedLatticeError` and
-    :class:`SingularSystemError`, and ``LinAlgError``) are reported as
-    ``BatchItem.error`` without aborting the rest; any other exception is a
-    bug and propagates.  :class:`BatchItem` says what ``seconds`` measures.
+    :func:`homogenize` bit for bit.  Domain failures (``ValueError``,
+    which covers :class:`DisconnectedLatticeError` and
+    :class:`SingularSystemError`) are reported as ``BatchItem.error``
+    without aborting the rest; any other exception is a bug and
+    propagates.  :class:`BatchItem` says what ``seconds`` measures.
     ``threads`` is accepted and ignored: a worker pool gained nothing
     measurable over the serial path on any batch tried.
     """
@@ -726,7 +724,7 @@ def homogenize_batch(
     for lat in catalogue:
         try:
             cell = _fundamental_cell(lat)
-        except ValueError as exc:
+        except DisconnectedLatticeError as exc:
             cell = exc
         for radius in radii:
             try:

@@ -217,17 +217,9 @@ def with_mandel(raw: dict, mandel: MandelMatrix | np.ndarray) -> dict:
     return {**raw, "mandel": [float(v) for v in np.asarray(mandel, dtype=float).reshape(36)]}
 
 
-def parse_stiffness_record(obj: dict, line: int) -> tuple[MandelMatrix, dict]:
-    """Validate the record object on line ``line``; returns the matrix and the raw record."""
-    values = _mandel_field(obj, line)
-    try:
-        return MandelMatrix(np.asarray(values, dtype=float).reshape(6, 6)), obj
-    except (ValueError, OverflowError) as exc:
-        raise CatalogueError(line, str(exc)) from exc
-
-
-def _mandel_field(obj: dict, line: int) -> list:
-    """The 36 numbers of a stiffness record object, its fields checked."""
+def _check_mandel_field(obj: dict, line: int) -> None:
+    """Check the fields of a stiffness record object, and that each of its
+    36 numbers is a float or an integer in the float range."""
     if not isinstance(obj, dict):
         raise CatalogueError(line, "stiffness record must be an object")
     if obj.get("basis") != "mandel":
@@ -235,7 +227,11 @@ def _mandel_field(obj: dict, line: int) -> list:
     values = obj.get("mandel")
     if not _reals(values) or len(values) != 36:
         raise CatalogueError(line, "field 'mandel' must hold 36 reals")
-    return values
+    if int in map(type, values):  # only an integer can overflow the float range
+        try:
+            list(map(float, values))
+        except OverflowError:
+            raise CatalogueError(line, "int too large to convert to float") from None
 
 
 # A bool is an int to Python, and numpy would read a one-element list or a
@@ -289,16 +285,13 @@ def read_stiffness_records(path) -> list[tuple[MandelMatrix, dict]]:
     lines, objects, fault = [], [], None
     try:
         for line, obj in _json_lines(path):
-            _mandel_field(obj, line)
+            _check_mandel_field(obj, line)
             lines.append(line)
             objects.append(obj)
     except CatalogueError as exc:
         fault = exc
-    try:
-        values = np.array([obj["mandel"] for obj in objects], dtype=float)
-        matrices = _mandel_stack(values.reshape(-1, 6, 6))
-    except OverflowError:  # an integer beyond the float range: record by record
-        matrices = [parse_stiffness_record(obj, line)[0] for line, obj in zip(lines, objects)]
+    values = np.array([obj["mandel"] for obj in objects], dtype=float)
+    matrices = _mandel_stack(values.reshape(-1, 6, 6))
     for line, matrix in zip(lines, matrices):
         if isinstance(matrix, ValueError):
             raise CatalogueError(line, str(matrix)) from matrix

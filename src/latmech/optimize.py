@@ -32,7 +32,6 @@ from .fe import (
     _moved,
     _solve_one,
     _stiffness_jacobian,
-    homogenize,
 )
 from .lattice import Lattice, displace_nodes
 from .metrics import l_comp
@@ -66,10 +65,10 @@ class DesignProblem:
 
 @dataclass(frozen=True)
 class DesignTrace:
-    """A design run: ``solves`` counts its cell solves, the first one, every
-    candidate and the final re-verification; ``stop`` names the
-    rule that ended it, ``"misfit"``, ``"gradient"``, ``"max_steps"`` or
-    ``"no_step"`` (no acceptable step remains)."""
+    """A design run: ``solves`` counts its cell solves, the first one and
+    every candidate, the last accepted of which gives ``final_stiffness``;
+    ``stop`` names the rule that ended it, ``"misfit"``, ``"gradient"``,
+    ``"max_steps"`` or ``"no_step"`` (no acceptable step remains)."""
 
     objective_history: list[float]
     final_lattice: Lattice
@@ -151,7 +150,7 @@ def gradient(
 def solve(
     prob: DesignProblem, mat: BeamMaterial = BeamMaterial(), threads: int = 1
 ) -> DesignTrace:
-    """Run the design loop and re-verify the final stiffness by a fresh solve.
+    """Run the design loop; the last accepted solve gives the final stiffness.
 
     Each candidate is one move of the base lattice's cell problem, solved
     once: the solve that gives its objective value also gives the exact
@@ -167,8 +166,9 @@ def solve(
     tested before the step's Jacobian is taken; or when the gradient norm
     |2 J^T r| times det(A)^(1/3) is at most ``GRADIENT_STOP`` times that
     squared norm: tests free of the length unit and the modulus, as is the
-    step.  Only the final nodes become a :class:`Lattice`.  ``threads`` is
-    accepted and ignored.
+    step.  Only the final nodes become a :class:`Lattice`; its stiffness is
+    the last accepted solve's, as its own cell problem is that candidate's.
+    ``threads`` is accepted and ignored.
     """
     lat, radius = prob.base, prob.base.radius
     target = to_mandel(prob.target)
@@ -220,12 +220,10 @@ def solve(
         current, solution = value, candidate_solution
         history.append(current)
 
-    lat = replace(lat, nodes=nodes, edges=edges)
-    final = homogenize(lat, mat)
     return DesignTrace(
         objective_history=history,
-        final_lattice=lat,
-        final_stiffness=final.stiffness,
-        solves=solves + 1,  # with the final homogenize
+        final_lattice=replace(lat, nodes=nodes, edges=edges),
+        final_stiffness=solution.stiffness,
+        solves=solves,
         stop=stop,
     )

@@ -287,6 +287,17 @@ class TestHomogenize:
         assert "direction count must be nonnegative" in capsys.readouterr().err
         assert [path.name for path in tmp_path.iterdir()] == [catalogue_path.name]
 
+    def test_a_runtime_error_is_a_bug_and_propagates(self, catalogue_path, tmp_path,
+                                                     monkeypatch):
+        # only ValueError and OSError are domain errors that exit with 1
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken batch")
+
+        monkeypatch.setattr(cli, "homogenize_batch", broken)
+        with pytest.raises(RuntimeError, match="broken batch"):
+            dispatch(["homogenize", "--catalogue", str(catalogue_path), "--radius", "0.05",
+                      "--out", str(tmp_path / "stiff.jsonl")])
+
     def test_rerun_bit_identical(self, catalogue_path, tmp_path):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
@@ -675,8 +686,8 @@ class TestOptimizeCommand:
         assert payload["final_stiffness"]["basis"] == "mandel"
         io.lattice_from_record(payload["final_lattice"])
 
-    @pytest.mark.parametrize("steps, ending", [("2", "2 steps, 4 solves (max_steps stop)"),
-                                               ("50", "3 steps, 5 solves (misfit stop)")])
+    @pytest.mark.parametrize("steps, ending", [("2", "2 steps, 3 solves (max_steps stop)"),
+                                               ("50", "3 steps, 4 solves (misfit stop)")])
     def test_stderr_names_the_rule_that_ended_the_run(self, tmp_path, capsys, steps, ending):
         # the y-softening demo of seed 11; stdout stays empty
         from latmech.lattice import perturb, tessellate

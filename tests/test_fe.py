@@ -1211,6 +1211,21 @@ class TestHomogenizeBatch:
             items[0].result.stiffness.components, direct.stiffness.components
         )
 
+    @pytest.mark.parametrize(
+        "routine, error", [("dpbtrf", np.linalg.LinAlgError), ("dpbtrs", ValueError)]
+    )
+    def test_a_fault_of_the_band_solve_propagates_from_the_batch(
+        self, monkeypatch, routine, error
+    ):
+        # a fault of LAPACK itself is no verdict on the lattice: the batch
+        # does not turn it into every item's error
+        def broken(*args, **kwargs):
+            raise error(f"broken {routine}")
+
+        monkeypatch.setattr(lapack, routine, broken)
+        with pytest.raises(error, match=f"broken {routine}"):
+            homogenize_batch([body_centred_cubic(), simple_cubic()], [0.05])
+
     def test_monotone_in_radius(self):
         items = homogenize_batch([simple_cubic()], [0.03, 0.05, 0.08])
         dirs = sampling.unit_directions(40, seed=2)
