@@ -18,12 +18,15 @@ the target again.  The round trip
 builds a new tensor each call and so times both conversions.  It also
 times the per-item constructors and checks on their own: the
 ``MandelMatrix`` check of a 6x6 array, ``from_mandel`` of a checked
-matrix, ``mandel_rotation`` (which builds and checks a ``RotationPair``),
-``check_rotation``, the ``ElasticTensor4`` checks of a 3x3x3x3 array
-(with its first Mandel conversion), the keyed ``random_rotation`` draw
-and ``rotate_lattice`` of a perturbed body-centred cell.  Then the batch
-metrics: 48 ``random_rotations``, ``l_equiv`` of a constant predictor
-over 8 perturbed body-centred cells and 4 rotations, and
+matrix, ``check_rotation``, the ``ElasticTensor4`` checks of a 3x3x3x3
+array (with its first Mandel conversion) and ``rotate_lattice`` of a
+perturbed body-centred cell.  The four keyed builds that are kept per key,
+``mandel_rotation`` (a checked ``RotationPair``), the ``random_rotation``
+draw, 48 ``random_rotations`` and ``DirectionSet.sample`` of 250
+directions, are each timed twice: as a hit, which returns what the first
+call kept, and as a miss, which empties that cache first and so builds
+and checks again.  Then the batch metrics: ``l_equiv`` of a constant
+predictor over 8 perturbed body-centred cells and 4 rotations, and
 ``negative_eig_fraction`` of 32 tensors built fresh by ``from_mandel``
 in each call, so that their Mandel forms are converted.
 Prints the core count, then one line per kernel with the best of 7
@@ -38,7 +41,7 @@ import timeit
 
 import numpy as np
 
-from latmech import metrics, psd, sampling
+from latmech import metrics, psd, sampling, tensor4
 from latmech.fe import homogenize
 from latmech.lattice import body_centred_cubic, perturb, rotate_lattice
 from latmech.tensor4 import (
@@ -89,14 +92,21 @@ def kernels() -> dict:
     cases.update({
         "MandelMatrix(a)": lambda: MandelMatrix(entries),
         "from_mandel": lambda: from_mandel(m),
-        "mandel_rotation": lambda: mandel_rotation(r),
         "check_rotation": lambda: check_rotation(r),
         "ElasticTensor4(c)": lambda: ElasticTensor4(components),
-        "random_rotation": lambda: sampling.random_rotation(0, 7),
-        "random_rotations (48)": lambda: sampling.random_rotations(48, 0),
     })
     cells = [perturb(body_centred_cubic(), 0.05, seed=s) for s in range(8)]
     cases["rotate_lattice"] = lambda: rotate_lattice(cells[0], r)
+    kept = {
+        "mandel_rotation": (lambda: mandel_rotation(r), tensor4._rotation_pair),
+        "random_rotation": (lambda: sampling.random_rotation(0, 7), sampling._rotations),
+        "random_rotations (48)": (lambda: sampling.random_rotations(48, 0), sampling._rotations),
+        "DirectionSet.sample (250)": (
+            lambda: metrics.DirectionSet.sample(250, 0), tensor4._sampled_set),
+    }
+    for name, (build, cache) in kept.items():
+        cases[f"{name}, hit"] = build
+        cases[f"{name}, miss"] = lambda build=build, cache=cache: cache.cache_clear() or build()
     rotations = sampling.random_rotations(4, 1)
     cases["l_equiv (8 x 4)"] = lambda: metrics.l_equiv(lambda lat: c, cells, rotations, dirs)
     rotated = [rotate_mandel(m, mandel_rotation(q)) for q in sampling.random_rotations(32, 2)]

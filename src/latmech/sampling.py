@@ -5,9 +5,13 @@ keyed by ``(seed, domain, index)``, so any draw is reproducible from its
 key alone, independent of draw order, platform, and thread count.  Every
 per-index run (rotations, node perturbations) re-keys one generator to a
 fresh keyed Philox's state (:func:`_rekey`), so no stream changes by a bit.
+A rotation draw is built once per ``(seed, start, count)`` and kept
+read-only (:func:`_rotations`); each call returns a writable copy of it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -76,19 +80,23 @@ def unit_directions(n: int, seed: int) -> np.ndarray:
 
 def random_rotation(seed: int, index: int = 0) -> np.ndarray:
     """Uniformly random proper rotation (unit-quaternion method)."""
-    return _rotations(seed, index, 1)[0]
+    return _rotations(seed, index, 1)[0].copy()
 
 
 def random_rotations(count: int, seed: int) -> np.ndarray:
     """``(count, 3, 3)`` array of independent uniformly random rotations."""
     if count < 0:
         raise ValueError("rotation count must be nonnegative")
-    return _rotations(seed, 0, count)
+    return _rotations(seed, 0, count).copy()
 
 
+# A scoring round draws two batches per seed, one of them once per PSD map,
+# and a CLI run one rotation: 16 keys, at 72 bytes a rotation, hold either.
+@functools.lru_cache(maxsize=16, typed=True)
 def _rotations(seed: int, start: int, count: int) -> np.ndarray:
     """The rotations of streams ``start`` to ``start + count - 1``, from unit
-    quaternions; Python floats round as numpy's float64 scalars do."""
+    quaternions, kept read-only per typed key; an error is not kept.
+    Python floats round as numpy's float64 scalars do."""
     out = np.empty((count, 3, 3))
     for k, (w, x, y, z) in enumerate(_unit_draws(seed, DOMAIN_ROTATION, start, count, 4).tolist()):
         out[k] = (
@@ -96,6 +104,7 @@ def _rotations(seed: int, start: int, count: int) -> np.ndarray:
             (2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)),
             (2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)),
         )
+    out.flags.writeable = False
     return out
 
 

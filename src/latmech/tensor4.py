@@ -18,13 +18,15 @@ form and keeps it, and a tensor from :func:`from_mandel` stands for the
 checked matrix it came from.  All values are pure data; every function is
 side-effect free, apart from a tensor keeping its Mandel matrix once built,
 a target keeping its moduli along the directions ``metrics.l_dir`` last
-scored it on, and a :class:`DirectionSet` keeping its dyad table here.
-Components, Mandel entries and directions lie over immutable bytes, so no
-caller can make them writable and leave a kept form stale.
+scored it on, a :class:`DirectionSet` keeping its dyad table here, and the
+bounded caches of :func:`mandel_rotation` and :meth:`DirectionSet.sample`.
+Components, Mandel entries, directions and rotation pairs lie over
+immutable bytes, so no caller can make them writable and leave a kept form stale.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -285,14 +287,15 @@ class VoigtMatrix:
 
 @dataclass(frozen=True)
 class RotationPair:
-    """A proper rotation together with its 6x6 Mandel-space representation."""
+    """A proper rotation together with its 6x6 Mandel-space representation;
+    as in :class:`MandelMatrix`, both are copies it owns that cannot be made writable."""
 
     r: np.ndarray
     r_mandel: np.ndarray
 
     def __post_init__(self):
-        r = check_rotation(self.r)
-        rm = _as_square(self.r_mandel, 6, "Mandel rotation")
+        r = _frozen(check_rotation(self.r))
+        rm = _frozen(_as_square(self.r_mandel, 6, "Mandel rotation"))
         defect = np.abs(rm.T @ rm - _EYE6).max()
         if not defect <= ROTATION_TOL:
             raise ValueError(f"Mandel rotation not orthonormal: defect {defect:.3e}")
@@ -370,8 +373,17 @@ def mandel_rotation(r) -> RotationPair:
     Block structure: squared entries in the normal block, sqrt(2)-weighted
     products in the mixed blocks, and sums of products in the shear block.
     The result is orthonormal, so stiffness rotates by plain conjugation.
+    One pair is built, checked and kept per key, the bytes of ``r`` as a
+    float (3, 3) array, and returned for those bits; an error is not kept.
     """
-    r = _as_square(r, 3, "rotation")
+    return _rotation_pair(_as_square(r, 3, "rotation").tobytes())
+
+
+# A scoring batch conjugates by its 48 drawn rotations once per PSD map: 64 keys
+# hold one batch with room to spare, at about 1 kB a pair.
+@functools.lru_cache(maxsize=64, typed=True)
+def _rotation_pair(key: bytes) -> RotationPair:
+    r = np.frombuffer(key).reshape(3, 3)
     return RotationPair(r, _pair_products(r) / _MANDEL_ROTATION_DIVISORS)
 
 
@@ -450,7 +462,16 @@ class DirectionSet:
 
     @classmethod
     def sample(cls, n: int = 250, seed: int = 0) -> "DirectionSet":
-        return cls(directions=sampling.unit_directions(n, seed), seed=seed)
+        """The set of ``sampling.unit_directions(n, seed)``, built once per typed
+        ``(cls, n, seed)`` and shared; an error is not kept."""
+        return _sampled_set(cls, n, seed)
+
+
+# A scoring run samples one set per seed: 8 sets of 250 directions and their
+# dyad tables hold 150 kB.  An evicted set's table goes when the set does.
+@functools.lru_cache(maxsize=8, typed=True)
+def _sampled_set(cls: type, n: int, seed: int) -> DirectionSet:
+    return cls(directions=sampling.unit_directions(n, seed), seed=seed)
 
 
 def _unit_dyads(directions) -> np.ndarray:

@@ -224,8 +224,10 @@ class TestLDirKeptModuli:
         first = DirectionSet.sample(250, seed=4)
         l_dir(pred, target, first)
         calls = _target_contractions(monkeypatch)
-        # an equal set sampled again, so a distinct array: only pred is contracted
-        again = DirectionSet.sample(250, seed=4)
+        # a sample is shared, so an equal set is built from a copy of the
+        # directions, a distinct array: only pred is contracted
+        assert DirectionSet.sample(250, 4) is first
+        again = DirectionSet(directions=first.directions.copy(), seed=4)
         assert again.directions is not first.directions
         l_dir(pred, target, again)
         assert len(calls) == 1
@@ -581,6 +583,8 @@ class TestUnitDraws:
             row = sampling._unit_draws(0, sampling.DOMAIN_PERTURBATION, 0, 1, 3)[0]
             assert row.tobytes() == third.tobytes()
         else:
+            # the scripted draw must not reach the cache of real draws
+            monkeypatch.setattr(sampling, "_rotations", sampling._rotations.__wrapped__)
             expected = rotation_of_quaternion(third)
             assert sampling.random_rotation(0, 0).tobytes() == expected.tobytes()
 

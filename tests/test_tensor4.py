@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -395,8 +397,89 @@ class TestMandelRotation:
         monkeypatch.setattr(
             tensor4, "rotation_defect", lambda r: calls.append(r) or rotation_defect(r)
         )
-        mandel_rotation(rotations[0])
-        assert len(calls) == 1
+        tensor4._rotation_pair.cache_clear()
+        for r in rotations[:3]:
+            mandel_rotation(r)
+        assert len(calls) == 3  # one check per distinct rotation
+        for r in rotations[:3]:
+            mandel_rotation(r.copy())
+        assert len(calls) == 3  # and none for a repeat
+
+
+class TestKeptResults:
+    """The caches of mandel_rotation, the rotation draws and DirectionSet.sample."""
+
+    @staticmethod
+    def clear():
+        tensor4._rotation_pair.cache_clear()
+        tensor4._sampled_set.cache_clear()
+        sampling._rotations.cache_clear()
+
+    def built(self, r):
+        return {
+            "pair": mandel_rotation(r),
+            "draws": sampling.random_rotations(48, 4),
+            "draw": sampling.random_rotation(4, 7),
+            "set": DirectionSet.sample(250, 4),
+        }
+
+    @staticmethod
+    def bits(built):
+        pair, dirs = built["pair"], built["set"]
+        return (pair.r.tobytes(), pair.r_mandel.tobytes(), built["draws"].tobytes(),
+                built["draw"].tobytes(), dirs.directions.tobytes(),
+                tensor4._unit_dyads(dirs.directions).tobytes())
+
+    def test_a_hit_gives_the_bits_of_a_miss(self, rotations):
+        self.clear()
+        miss = self.built(rotations[0])
+        hit = self.built(rotations[0].copy())
+        assert hit["pair"] is miss["pair"] and hit["set"] is miss["set"]
+        assert hit["draws"] is not miss["draws"] and hit["draw"] is not miss["draw"]
+        self.clear()
+        fresh = self.built(rotations[0])
+        assert fresh["pair"] is not miss["pair"] and fresh["set"] is not miss["set"]
+        assert self.bits(miss) == self.bits(hit) == self.bits(fresh)
+
+    def test_a_failure_is_not_kept(self):
+        caches = (tensor4._rotation_pair, tensor4._sampled_set, sampling._rotations)
+        sizes = [cache.cache_info().currsize for cache in caches]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a proper rotation"):
+                mandel_rotation(1.5 * np.eye(3))
+            with pytest.raises(ValueError, match="at least one direction"):
+                DirectionSet.sample(0, 3)
+            with pytest.raises(ValueError, match="rotation count must be nonnegative"):
+                sampling.random_rotations(-1, 3)
+        assert [cache.cache_info().currsize for cache in caches] == sizes
+
+    def test_keys_are_typed(self):
+        DirectionSet.sample(250, 4)
+        sampling.random_rotations(48, 4)
+        with pytest.raises(TypeError):
+            DirectionSet.sample(250.0, 4)
+        with pytest.raises(TypeError):
+            sampling.random_rotations(48.0, 4)
+
+    def test_an_edited_draw_does_not_change_the_next(self):
+        for draw in (lambda: sampling.random_rotations(48, 4),
+                     lambda: sampling.random_rotation(4, 7)):
+            first = draw()
+            expected = first.tobytes()
+            first[...] = 0.0
+            assert draw().tobytes() == expected
+
+    def test_the_pair_owns_its_arrays(self, rotations):
+        r = rotations[0].copy()
+        rm = mandel_rotation(r).r_mandel.copy()
+        pair = RotationPair(r, rm)
+        expected = pair.r.tobytes(), pair.r_mandel.tobytes()
+        r[...] = 0.0
+        rm[...] = 0.0
+        assert (pair.r.tobytes(), pair.r_mandel.tobytes()) == expected
+        for array in (pair.r, pair.r_mandel):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
 
 
 class TestRotate:
@@ -513,10 +596,22 @@ class TestKeptDyads:
             directional_moduli(c, [[1.0, 1.0, 0.0]])
 
     def test_the_kept_table_goes_with_its_array(self):
-        dirs = DirectionSet.sample(8, seed=1)
+        dirs = DirectionSet(sampling.unit_directions(8, 1), seed=1)
         key = id(dirs.directions)
         assert tensor4._KEPT_DYADS[key] is tensor4._unit_dyads(dirs.directions)
         del dirs
+        assert key not in tensor4._KEPT_DYADS
+
+    def test_an_evicted_sample_releases_its_kept_table(self):
+        tensor4._sampled_set.cache_clear()
+        dirs = DirectionSet.sample(8, seed=1)
+        key, array = id(dirs.directions), weakref.ref(dirs.directions)
+        del dirs
+        for seed in range(2, 2 + tensor4._sampled_set.cache_info().maxsize):
+            assert key in tensor4._KEPT_DYADS  # kept by the cache alone
+            DirectionSet.sample(8, seed=seed)
+        gc.collect()
+        assert array() is None
         assert key not in tensor4._KEPT_DYADS
 
     def test_the_set_is_one_class_wherever_it_is_imported(self):
@@ -536,6 +631,8 @@ class TestImmutableArrays:
             "round-trip entries": to_mandel(from_mandel(m)).entries,
             "stacked entries": stacked[1].entries,
             "directions": DirectionSet.sample(5, seed=0).directions,
+            "rotation": mandel_rotation(np.eye(3)).r,
+            "Mandel rotation": mandel_rotation(np.eye(3)).r_mandel,
         }
 
     def test_no_attribute_can_be_made_writable(self, rng):
